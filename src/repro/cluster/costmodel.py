@@ -28,7 +28,7 @@ from repro.cluster.calibration import KernelCalibration
 from repro.cluster.model import ClusterSpec, paper_cluster, GIB
 from repro.common.errors import ConfigurationError
 from repro.linalg.blocks import all_block_ids, num_blocks, upper_triangular_block_ids
-from repro.linalg.semiring import minplus_closure_iterations
+from repro.linalg.semiring import closure_iterations
 from repro.spark.partitioner import partitioner_by_name
 
 #: Canonical solver names understood by the cost model.
@@ -271,7 +271,7 @@ class CostModel:
         """Outer iterations as counted in Table 2."""
         q = num_blocks(n, block_size)
         if solver == "repeated-squaring":
-            return q * max(1, minplus_closure_iterations(n))
+            return q * max(1, closure_iterations(n))
         if solver == "fw-2d":
             return n
         if solver in ("blocked-im", "blocked-cb"):

@@ -18,7 +18,7 @@ from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
 from repro.core.registry import register_solver
 from repro.linalg.algebra import Semiring, get_algebra
-from repro.linalg.semiring import elementwise_combine, semiring_product
+from repro.linalg.semiring import semiring_relax
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import RDD
@@ -143,5 +143,4 @@ class _Phase3Update:
         (i, j), block = record
         left = self._fetch_oriented(i, self.pivot)     # A_{i, pivot}
         right = self._fetch_oriented(self.pivot, j)    # A_{pivot, j}
-        return (i, j), elementwise_combine(
-            block, semiring_product(left, right, self.algebra), self.algebra)
+        return (i, j), semiring_relax(block, left, right, self.algebra)

@@ -4,7 +4,7 @@ Each function here corresponds to an entry of Table 1 in the paper.  They are
 written as *factories* returning closures suitable for passing to RDD
 transformations, so a solver body reads almost exactly like the paper's
 pseudo-code (e.g. ``A.filter(in_column(j))`` or
-``A.map(floyd_warshall_block)``).
+``A.map(FloydWarshallBlock(algebra))``).
 
 All kernels are parameterized by a :class:`~repro.linalg.algebra.Semiring`
 (``algebra=None`` keeps the paper's (min, +)); the callables that must cross
@@ -31,15 +31,10 @@ import numpy as np
 from repro.linalg import bitset, witness
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.blocks import BlockId
-from repro.linalg.kernels import fw_rank1_update, floyd_warshall_inplace
-from repro.linalg.semiring import elementwise_combine, semiring_product
-
-
-def copy_block(block):
-    """Copy a block record's payload — dense ndarray, packed bitset or witnessed."""
-    if bitset.is_packed(block) or witness.is_witnessed(block):
-        return block.copy()
-    return np.array(block, copy=True)
+from repro.linalg.kernels import fw_rank1_update
+from repro.linalg.payload import payload_ops
+from repro.linalg.semiring import (elementwise_combine, semiring_product,
+                                   semiring_relax)
 
 #: Record type used by all solvers: ``((I, J), block)``.
 BlockRecord = tuple[BlockId, np.ndarray]
@@ -60,15 +55,6 @@ def in_column(x: int) -> Callable[[BlockRecord], bool]:
         """Test one block record against the column filter."""
         (_, j), _ = record
         return j == x
-    return predicate
-
-
-def in_row(x: int) -> Callable[[BlockRecord], bool]:
-    """``InRow``: true when the record's block-row index ``I`` equals ``x``."""
-    def predicate(record: BlockRecord) -> bool:
-        """Test one block record against the row filter."""
-        (i, _), _ = record
-        return i == x
     return predicate
 
 
@@ -119,13 +105,14 @@ def extract_col(pivot_block: int, k_local: int) -> Callable[[BlockRecord], list]
     ``k = pivot_block * b + k_local``.  For a stored block ``(I, K)`` the piece
     is column ``k_local`` of the block; for a stored block ``(K, J)`` (which
     represents ``A_JK`` by transposition) the piece is row ``k_local``.
-    Slices preserve the block dtype (float32 stays float32); packed-bitset
-    blocks emit dense boolean slices — the pieces are per-block and tiny, so
-    packing happens once at assembly instead, where
-    :func:`assemble_column` turns a boolean column into a
-    :class:`~repro.linalg.bitset.PackedVector` so the per-pivot broadcast
-    ships 1/8th the bytes.  Witnessed blocks
-    emit :class:`~repro.linalg.witness.WitnessVector` pieces whose single
+    What a piece *is* depends on the payload
+    (:meth:`~repro.linalg.payload.PayloadOps.column_piece`): dense blocks emit
+    slices in the block dtype; packed-bitset blocks emit dense boolean slices
+    — the pieces are per-block and tiny, so packing happens once at assembly
+    instead, where :func:`assemble_column` turns a boolean column into a
+    :class:`~repro.linalg.bitset.PackedVector` and the per-pivot broadcast
+    ships 1/8th the bytes.  Witnessed blocks emit
+    :class:`~repro.linalg.witness.WitnessVector` pieces whose single
     ``toward`` plane is each vertex's neighbour on its optimal path to the
     pivot vertex: the *successor* column for a column slice, the *parent* row
     for a row slice — the same quantity by symmetry, which is what lets one
@@ -134,27 +121,12 @@ def extract_col(pivot_block: int, k_local: int) -> Callable[[BlockRecord], list]
     def run(record: BlockRecord) -> list:
         """Emit this record's pieces of the pivot column."""
         (i, j), block = record
+        ops = payload_ops(block)
         pieces = []
-        if witness.is_witnessed(block):
-            if j == pivot_block:
-                pieces.append((i, witness.WitnessVector(
-                    np.array(block.values[:, k_local], copy=True),
-                    np.array(block.succs[:, k_local], copy=True))))
-            if i == pivot_block and j != pivot_block:
-                pieces.append((j, witness.WitnessVector(
-                    np.array(block.values[k_local, :], copy=True),
-                    np.array(block.parents[k_local, :], copy=True))))
-            return pieces
-        if bitset.is_packed(block):
-            if j == pivot_block:
-                pieces.append((i, block.bit_column(k_local)))
-            if i == pivot_block and j != pivot_block:
-                pieces.append((j, block.bit_row(k_local)))
-            return pieces
         if j == pivot_block:
-            pieces.append((i, np.array(block[:, k_local], copy=True)))
+            pieces.append((i, ops.column_piece(block, k_local)))
         if i == pivot_block and j != pivot_block:
-            pieces.append((j, np.array(block[k_local, :], copy=True)))
+            pieces.append((j, ops.row_piece(block, k_local)))
         return pieces
     return run
 
@@ -167,33 +139,19 @@ def extract_rowcol(pivot_block: int, k_local: int) -> Callable[[BlockRecord], li
     blocks in block-column ``pivot_block`` (tag ``("col", I)``) and the
     pivot **row** only from blocks in block-row ``pivot_block`` (tag
     ``("row", J)``) — they are different vectors for an asymmetric matrix.
-    The column carries bare values (single-plane witnesses compose parents
-    only, so the column operand needs no pointer plane); the row of a
-    witnessed block carries the pivot's parent row as its ``toward`` plane.
+    The column of a (single-plane) witnessed block carries bare values —
+    parents-only composition needs no pointer plane on the column operand —
+    and its row carries the pivot's parent row as the ``toward`` plane.
     """
     def run(record: BlockRecord) -> list:
         """Emit this record's tagged pieces of the pivot row/column."""
         (i, j), block = record
+        ops = payload_ops(block)
         pieces = []
-        if witness.is_witnessed(block):
-            if j == pivot_block:
-                pieces.append((("col", i),
-                               np.array(block.values[:, k_local], copy=True)))
-            if i == pivot_block:
-                pieces.append((("row", j), witness.WitnessVector(
-                    np.array(block.values[k_local, :], copy=True),
-                    np.array(block.parents[k_local, :], copy=True))))
-            return pieces
-        if bitset.is_packed(block):
-            if j == pivot_block:
-                pieces.append((("col", i), block.bit_column(k_local)))
-            if i == pivot_block:
-                pieces.append((("row", j), block.bit_row(k_local)))
-            return pieces
         if j == pivot_block:
-            pieces.append((("col", i), np.array(block[:, k_local], copy=True)))
+            pieces.append((("col", i), ops.column_piece(block, k_local)))
         if i == pivot_block:
-            pieces.append((("row", j), np.array(block[k_local, :], copy=True)))
+            pieces.append((("row", j), ops.row_piece(block, k_local)))
         return pieces
     return run
 
@@ -257,13 +215,6 @@ class FloydWarshallUpdateWithColumn:
         return (i, j), fw_rank1_update(block, rows, cols, self.algebra)
 
 
-def fw_update_with_column(column: np.ndarray, block_size: int,
-                          algebra: Semiring | str | None = None,
-                          ) -> Callable[[BlockRecord], BlockRecord]:
-    """Factory form of :class:`FloydWarshallUpdateWithColumn` (kept for symmetry)."""
-    return FloydWarshallUpdateWithColumn(column, block_size, algebra)
-
-
 class FloydWarshallUpdateWithRowCol:
     """Directed ``FloydWarshallUpdate``: distinct pivot column and pivot row.
 
@@ -308,13 +259,8 @@ class FloydWarshallBlock:
 
     def __call__(self, record: BlockRecord) -> BlockRecord:
         key, block = record
-        return key, floyd_warshall_inplace(copy_block(block), self.algebra)
-
-
-def floyd_warshall_block(record: BlockRecord) -> BlockRecord:
-    """``FloydWarshall`` under (min, +) — the historical module-level kernel."""
-    key, block = record
-    return key, floyd_warshall_inplace(np.array(block, dtype=np.float64, copy=True))
+        ops = payload_ops(block, algebra=self.algebra)
+        return key, ops.fw_inplace(ops.copy(block), self.algebra)
 
 
 def mat_min(record: BlockRecord, other: np.ndarray,
@@ -341,10 +287,8 @@ def min_plus(record: BlockRecord, other: np.ndarray, *, other_on_left: bool = Fa
     """
     key, block = record
     if other_on_left:
-        prod = semiring_product(other, block, algebra)
-    else:
-        prod = semiring_product(block, other, algebra)
-    return key, elementwise_combine(block, prod, algebra)
+        return key, semiring_relax(block, other, block, algebra)
+    return key, semiring_relax(block, block, other, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +443,9 @@ def unpack_phase2(pivot: int, algebra: Semiring | str | None = None,
             # A diagonal copy can be missing only if the block set is
             # inconsistent; keep the block unchanged to stay safe.
             return key, base
-        i, j = key
-        if j == pivot:
-            updated = elementwise_combine(
-                base, semiring_product(base, diag, algebra), algebra)
-        else:
-            updated = elementwise_combine(
-                base, semiring_product(diag, base, algebra), algebra)
-        return key, updated
+        if key[1] == pivot:
+            return key, semiring_relax(base, base, diag, algebra)
+        return key, semiring_relax(base, diag, base, algebra)
     return run
 
 
@@ -525,8 +464,7 @@ def unpack_phase3(pivot: int, algebra: Semiring | str | None = None,
             raise ValueError(f"phase-3 pairing for block {key} is missing the base block")
         if left is None or right is None:
             return key, base
-        return key, elementwise_combine(
-            base, semiring_product(left, right, algebra), algebra)
+        return key, semiring_relax(base, left, right, algebra)
     return run
 
 

@@ -47,7 +47,7 @@ from repro.graph import sparse as sparse_mod
 from repro.linalg import bitset, witness
 from repro.linalg.algebra import get_algebra, validate_dag_weights
 from repro.linalg.kernels import fw_rank1_update_inplace
-from repro.linalg.semiring import elementwise_combine, semiring_product
+from repro.linalg.semiring import semiring_product, semiring_relax
 
 
 def coerce_edges(edges) -> list[EdgeUpdate]:
@@ -379,22 +379,19 @@ def _improve_sweep(state: ClosureState, u: int, v: int, weight) -> np.ndarray:
     orientations = [(u, v)] + ([(v, u)] if state.undirected else [])
     for a, b in orientations:
         col = algebra.mul(dist[:, a], weight)
+        block, row = dist, dist[b, :]
         if state.packed is not None:
-            mask = bitset.packed_rank1_update_inplace(state.packed, col,
-                                                      dist[b, :])
-            if mask.any():
-                rows = np.flatnonzero(mask)
-                dist[rows] = bitset.unpack_bits(state.packed.words[rows], n)
-                changed |= mask
+            block = state.packed
         elif state.witnessed:
             toward = state.parents[b, :].copy()
             toward[b] = a  # the empty v -> v tail: j == v's predecessor is u
             row = witness.WitnessVector(dist[b, :].copy(), toward)
             block = witness.WitnessBlock(dist, state.parents, None)
-            changed |= witness.witness_rank1_update_inplace(block, col, row,
-                                                            algebra)
-        else:
-            changed |= fw_rank1_update_inplace(dist, col, dist[b, :], algebra)
+        mask = fw_rank1_update_inplace(block, col, row, algebra)
+        if state.packed is not None and mask.any():
+            rows = np.flatnonzero(mask)
+            dist[rows] = bitset.unpack_bits(state.packed.words[rows], n)
+        changed |= mask
     return changed
 
 
@@ -462,8 +459,7 @@ def _recompute_rows(state: ClosureState, affected: np.ndarray) -> int:
     a_rr = np.ascontiguousarray(adj[np.ix_(rows, rows)])
     solution = boundary
     for _ in range(rows.size):
-        relaxed = elementwise_combine(
-            boundary, semiring_product(a_rr, solution, algebra), algebra)
+        relaxed = semiring_relax(boundary, a_rr, solution, algebra)
         converged = bool(np.array_equal(relaxed, solution))
         solution = relaxed
         if converged:

@@ -80,7 +80,8 @@ class FloydWarshall2DSolver(SparkAPSPSolver):
                 broadcast = sc.broadcast(column)
             with stopwatch.section("update"):
                 current = current.map_preserving(
-                    bb.fw_update_with_column(broadcast.value, block_size, algebra))
+                    bb.FloydWarshallUpdateWithColumn(
+                        broadcast.value, block_size, algebra))
                 if (k + 1) % self.checkpoint_interval == 0 or k == n - 1:
                     current = current.cache()
                     current.count()

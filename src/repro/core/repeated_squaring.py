@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
-from repro.linalg import bitset, witness
 from repro.core.base import SparkAPSPSolver
 from repro.core.registry import register_solver
 from repro.linalg.semiring import closure_iterations
@@ -99,8 +98,6 @@ def _orient_column(column_records, target_column: int, *,
     """
     column_blocks: dict[int, np.ndarray] = {}
     for (i, j), block in column_records:
-        if not (bitset.is_packed(block) or witness.is_witnessed(block)):
-            block = np.asarray(block)
         if j == target_column:
             column_blocks[i] = block
         if layout != "full" and i == target_column and j != target_column:

@@ -41,6 +41,8 @@ from repro.common.errors import ConfigurationError
 from repro.core.base import auto_block_size
 from repro.core.registry import solver_info, solvers_for
 from repro.core.request import SolveRequest
+from repro.graph import sparse as sparse_mod
+from repro.graph.adjacency import is_symmetric_adjacency
 from repro.linalg.algebra import get_algebra
 
 #: Environment variable naming a calibration file to use instead of the
@@ -160,31 +162,32 @@ def _candidate_storages(request: SolveRequest) -> list[str]:
     return sorted(algebra.storages)
 
 
-def _measured_density(adjacency, algebra_name: str) -> float | None:
+def _measured_density(adjacency, algebra_name: str) -> float:
     """Fraction of connected off-diagonal entries, for observability.
 
     The fitted model is density-independent (dense block kernels do the same
     work either way), but the decision records what it saw so future
-    calibrations can add density terms without changing the interface.
+    calibrations can add density terms without changing the interface.  CSR
+    inputs are counted over their stored entries — the ingestion path never
+    densifies.
     """
-    try:
-        matrix = np.asarray(
-            adjacency.toarray() if hasattr(adjacency, "toarray") else adjacency)
-    except Exception:  # noqa: BLE001 — density is advisory only
-        return None
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        return None
-    n = matrix.shape[0]
+    n = adjacency.shape[0]
     if n < 2:
         return 0.0
-    off_diag = ~np.eye(n, dtype=bool)
-    if matrix.dtype == np.bool_:
-        connected = matrix & off_diag
-    else:
-        zero = get_algebra(algebra_name).zero
+    zero = get_algebra(algebra_name).zero
+
+    def connected(values: np.ndarray) -> int:
+        if values.dtype == np.bool_:
+            return int(np.count_nonzero(values))
         with np.errstate(invalid="ignore"):
-            connected = np.isfinite(matrix) & (matrix != zero) & off_diag
-    return float(np.count_nonzero(connected)) / float(n * (n - 1))
+            return int(np.count_nonzero(np.isfinite(values) & (values != zero)))
+
+    if sparse_mod.is_sparse(adjacency):
+        coo = adjacency.tocoo()
+        values, diagonal = coo.data, coo.data[coo.row == coo.col]
+    else:
+        values, diagonal = adjacency, adjacency.diagonal()
+    return (connected(values) - connected(diagonal)) / float(n * (n - 1))
 
 
 def _request_params(request: SolveRequest, config: EngineConfig, *, n: int,
@@ -318,20 +321,20 @@ def resolve_auto(request: SolveRequest, adjacency, *,
     what was picked and why.  Non-auto requests pass through unchanged with
     a decision priced at their own configuration.
     """
-    matrix = np.asarray(
-        adjacency.toarray() if hasattr(adjacency, "toarray") else adjacency)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if not sparse_mod.is_sparse(adjacency):
+        adjacency = np.asarray(adjacency)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ConfigurationError(
-            f"adjacency must be a square matrix, got shape {matrix.shape}")
-    n = int(matrix.shape[0])
-    symmetric = bool(request.directed is False
-                     and np.array_equal(matrix, matrix.T))
+            f"adjacency must be a square matrix, got shape {adjacency.shape}")
+    # The same sniff prepare() resolves layout="auto" with, so the tuner and
+    # the planner cannot disagree — and CSR input is never densified.
+    symmetric = not request.directed and is_symmetric_adjacency(adjacency)
     if constants is None:
         constants, calibration_source = active_calibration()
     decision = choose_config(
-        request, n=n, config=config, symmetric=symmetric,
+        request, n=int(adjacency.shape[0]), config=config, symmetric=symmetric,
         constants=constants, calibration_source=calibration_source,
-        density=_measured_density(matrix, request.algebra))
+        density=_measured_density(adjacency, request.algebra))
     if request.solver != "auto":
         return request, decision
     resolved = replace(request, solver=decision.solver,

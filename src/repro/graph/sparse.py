@@ -39,9 +39,9 @@ from repro.common.errors import ValidationError
 from repro.common.rng import make_rng
 from repro.common.validation import check_block_size, check_positive_int
 from repro.linalg.algebra import Semiring, get_algebra, validate_dag_weights
-from repro.linalg.blocks import (BlockId, block_shape, check_storage,
-                                 encode_block, num_blocks,
+from repro.linalg.blocks import (BlockId, block_shape, num_blocks,
                                  upper_triangular_block_ids, all_block_ids)
+from repro.linalg.payload import block_encoder
 
 try:  # SciPy is a hard dependency of the package, but keep the import local.
     import scipy.sparse as _sp
@@ -330,18 +330,10 @@ def sparse_to_blocks(csr, block_size: int, *,
     :class:`~repro.linalg.witness.WitnessBlock` stamped with global vertex
     ids (the ``paths=True`` ingestion path; incompatible with packed storage).
     """
-    from repro.linalg import witness as witness_mod
     _require_scipy()
     algebra = get_algebra(algebra)
-    check_storage(storage)
-    if witness and storage == "packed":
-        raise ValidationError(
-            "witness tracking has no packed-bitset kernels; "
-            "use storage='dense' for paths=True solves")
-    if single_plane and upper_only:
-        raise ValidationError(
-            "single-plane witness blocks cannot be mirrored and therefore "
-            "require the full block grid (upper_only=False)")
+    encode = block_encoder(storage, witness=witness, single_plane=single_plane,
+                           upper_only=upper_only, algebra=algebra)
     n = csr.shape[0]
     b = check_block_size(block_size, n)
     q = num_blocks(n, b)
@@ -380,11 +372,8 @@ def sparse_to_blocks(csr, block_size: int, *,
                 block[local_r, local_c] = data[lo:hi].astype(dt, copy=False)
         if i == j:
             np.fill_diagonal(block, one)
-        if witness:
-            yield (i, j), witness_mod.witness_block(block, i * b, j * b, algebra,
-                                                    single_plane=single_plane)
-        else:
-            yield (i, j), encode_block(block, storage)
+        # copy=False: the window was just built here and aliases nothing.
+        yield (i, j), encode(block, i * b, j * b, copy=False)
 
 
 def sparse_to_dense(csr, *, algebra: Semiring | str | None = None) -> np.ndarray:

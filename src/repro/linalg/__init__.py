@@ -31,10 +31,12 @@ from repro.linalg.bitset import (
     packed_or,
     packed_floyd_warshall_inplace,
 )
+from repro.linalg.payload import payload_ops
 from repro.linalg.semiring import (
     chunk_for_dtype,
     auto_chunk,
     semiring_product,
+    semiring_relax,
     semiring_power,
     semiring_square,
     elementwise_combine,
@@ -42,7 +44,6 @@ from repro.linalg.semiring import (
     minplus_product,
     minplus_power,
     elementwise_min,
-    minplus_closure_iterations,
 )
 from repro.linalg.kernels import (
     floyd_warshall_inplace,
@@ -63,6 +64,7 @@ from repro.linalg.blocks import (
 )
 
 __all__ = [
+    "payload_ops",
     "PackedBlock",
     "pack_bits",
     "unpack_bits",
@@ -84,6 +86,7 @@ __all__ = [
     "LONGEST_PATH",
     "REACHABILITY",
     "semiring_product",
+    "semiring_relax",
     "semiring_power",
     "semiring_square",
     "elementwise_combine",
@@ -92,7 +95,6 @@ __all__ = [
     "minplus_product",
     "minplus_power",
     "elementwise_min",
-    "minplus_closure_iterations",
     "floyd_warshall_inplace",
     "floyd_warshall",
     "floyd_warshall_scipy",

@@ -32,10 +32,9 @@ corrupts the ragged edge.
 
 :class:`PackedBlock` is deliberately *not* an ndarray subclass: the blocked
 solvers only ever transpose, copy, pickle and combine blocks, and keeping the
-type opaque guarantees no NumPy kernel silently unpacks one.  The dispatch
-points (``semiring_product``, ``elementwise_combine``,
-``floyd_warshall_inplace``, ``fw_rank1_update``, ``extract_col``) each check
-for :class:`PackedBlock` and route here.
+type opaque guarantees no NumPy kernel silently unpacks one.  The public
+kernel entry points reach this module through the ``PACKED`` kernel set of
+:mod:`repro.linalg.payload`, the one place payload types are told apart.
 """
 
 from __future__ import annotations
@@ -319,21 +318,6 @@ def is_packed_vector(piece) -> bool:
     return isinstance(piece, PackedVector)
 
 
-def as_packed(block) -> PackedBlock:
-    """Coerce a dense boolean block (or pass a packed one through)."""
-    if isinstance(block, PackedBlock):
-        return block
-    return PackedBlock.from_dense(block)
-
-
-def as_dense_bool(block) -> np.ndarray:
-    """Coerce a packed block (or dense truthy array) to a boolean ndarray."""
-    if isinstance(block, PackedBlock):
-        return block.to_dense()
-    arr = np.asarray(block)
-    return arr if arr.dtype == np.bool_ else arr.astype(bool)
-
-
 # ---------------------------------------------------------------------------
 # Word-parallel kernels
 # ---------------------------------------------------------------------------
@@ -477,27 +461,16 @@ def packed_rank1_update_inplace(block: PackedBlock, col_i: np.ndarray,
                                 row_j: np.ndarray) -> np.ndarray:
     """In-place packed rank-1 update returning the changed-row mask.
 
-    The dynamic-update sibling of :func:`packed_rank1_update`: mutates
-    ``block.words`` directly and reports which logical rows gained at least
-    one bit — the mask the serving layer uses to invalidate exactly the
-    parent-row cache entries the update touched.
+    Derived from :func:`packed_rank1_update` (the one rank-1 body): rows
+    whose words differ gained at least one bit and are written back — the
+    mask the serving layer uses to invalidate exactly the parent-row cache
+    entries the update touched.
     """
-    col = np.asarray(col_i).reshape(-1).astype(bool)
-    row = np.asarray(row_j).reshape(-1).astype(bool)
-    if col.shape[0] != block.shape[0] or row.shape[0] != block.shape[1]:
-        raise ValidationError(
-            f"pivot slices have lengths {col.shape[0]}/{row.shape[0]} "
-            f"but block is {block.shape}")
-    changed = np.zeros(block.shape[0], dtype=bool)
-    sel = np.flatnonzero(col)
-    if sel.size:
-        packed_row = pack_bits(row)[0]
-        relaxed = block.words[sel] | packed_row
-        grew = np.any(relaxed != block.words[sel], axis=1)
-        if grew.any():
-            block.words[sel] = relaxed
-            block.invalidate_popcount()
-            changed[sel[grew]] = True
+    relaxed = packed_rank1_update(block, col_i, row_j)
+    changed = np.any(relaxed.words != block.words, axis=1)
+    if changed.any():
+        block.words[...] = relaxed.words
+        block.invalidate_popcount()
     return changed
 
 

@@ -17,47 +17,12 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.common.validation import check_block_size, check_square_matrix
-from repro.linalg import bitset, witness as witness_mod
+from repro.linalg import witness as witness_mod
+from repro.linalg.payload import (WITNESS, block_encoder, payload_ops,
+                                  storage_ops)
 
 #: A block key: (block-row index I, block-column index J).
 BlockId = tuple[int, int]
-
-#: Valid block-storage policies for the decomposition helpers.
-STORAGES = ("dense", "packed")
-
-#: Valid block grid layouts: ``"triangular"`` stores the upper block triangle
-#: and serves mirror blocks by transposition (symmetric matrices only);
-#: ``"full"`` stores all q² blocks and represents directed (asymmetric)
-#: matrices exactly.
-LAYOUTS = ("triangular", "full")
-
-
-def check_storage(storage: str) -> str:
-    """Validate a block-storage policy name."""
-    if storage not in STORAGES:
-        raise ValidationError(
-            f"unknown block storage {storage!r}; expected one of {', '.join(STORAGES)}")
-    return storage
-
-
-def check_layout(layout: str) -> str:
-    """Validate a block grid layout name (``auto`` must already be resolved)."""
-    if layout not in LAYOUTS:
-        raise ValidationError(
-            f"unknown block layout {layout!r}; expected one of {', '.join(LAYOUTS)}")
-    return layout
-
-
-def encode_block(block: np.ndarray, storage: str):
-    """Encode a dense block into the requested storage representation."""
-    if check_storage(storage) == "packed":
-        return bitset.as_packed(block)
-    return block
-
-
-def block_payload_shape(block) -> tuple[int, int]:
-    """Logical (rows, cols) of a block payload, dense or packed."""
-    return tuple(block.shape)
 
 
 def num_blocks(n: int, block_size: int) -> int:
@@ -126,30 +91,17 @@ def matrix_to_blocks(matrix: np.ndarray, block_size: int, *,
     ``single_plane=True`` (full-grid witnesses) stamps parents only —
     successor planes exist solely to serve mirrored reads.
     """
-    check_storage(storage)
-    if witness and storage == "packed":
-        raise ValidationError(
-            "witness tracking has no packed-bitset kernels; "
-            "use storage='dense' for paths=True solves")
-    if single_plane and upper_only:
-        raise ValidationError(
-            "single-plane witnesses cannot serve mirrored reads; "
-            "they require the full-grid layout (upper_only=False)")
+    encode = block_encoder(storage, witness=witness, single_plane=single_plane,
+                           upper_only=upper_only, algebra=algebra)
     arr = check_square_matrix(matrix, dtype=None)
     n = arr.shape[0]
     b = check_block_size(block_size, n)
     q = num_blocks(n, b)
     ids = upper_triangular_block_ids(q) if upper_only else all_block_ids(q)
     for (i, j) in ids:
-        view = arr[block_range(i, b, n), block_range(j, b, n)]
-        if witness:
-            # witness_block copies, so the record never aliases the input.
-            yield (i, j), witness_mod.witness_block(view, i * b, j * b, algebra,
-                                                    single_plane=single_plane)
-            continue
-        # Packing copies implicitly; the dense path must not alias the input.
-        block = view if storage == "packed" else np.array(view, copy=True)
-        yield (i, j), encode_block(block, storage)
+        # copy=True: the window is a view, and a record must not alias the input.
+        yield (i, j), encode(arr[block_range(i, b, n), block_range(j, b, n)],
+                             i * b, j * b, copy=True)
 
 
 def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
@@ -168,14 +120,11 @@ def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
     parent matrix alongside.
     """
     b = check_block_size(block_size, n)
-    blocks = [(key, blk.values if witness_mod.is_witnessed(blk) else blk)
-              for key, blk in blocks]
-    blocks = [(key, bitset.as_dense_bool(blk) if bitset.is_packed(blk) else blk)
-              for key, blk in blocks]
+    blocks = [(key, payload_ops(blk).to_dense(blk)) for key, blk in blocks]
     if dtype is None:
-        first = blocks[0][1] if blocks else None
-        inferred = np.asarray(first).dtype if first is not None else np.dtype(np.float64)
-        dtype = inferred if inferred.kind in ("f", "b") else np.dtype(np.float64)
+        dtype = blocks[0][1].dtype if blocks else np.dtype(np.float64)
+        if dtype.kind not in "fb":
+            dtype = np.dtype(np.float64)
     out = np.full((n, n), fill, dtype=dtype)
     seen: set[BlockId] = set()
     for (i, j), block in blocks:
@@ -238,7 +187,7 @@ class BlockedMatrix:
                                          single_plane=single_plane,
                                          algebra=algebra)),
             symmetric=symmetric,
-            storage=check_storage(storage),
+            storage=storage,
             witness=witness,
         )
 
@@ -262,68 +211,41 @@ class BlockedMatrix:
         """
         if (i, j) in self.blocks:
             return self.blocks[(i, j)]
-        if not self.symmetric and (j, i) in self.blocks:
+        if (j, i) not in self.blocks:
+            raise KeyError((i, j))
+        if not self.symmetric:
             raise ValidationError(
                 f"block {(i, j)} is not stored and the full-grid layout has "
                 f"no mirror-transpose lookups; block {(j, i)} is a distinct "
                 "block of an asymmetric matrix, not this block's transpose")
-        if self.symmetric and (j, i) in self.blocks:
-            stored = self.blocks[(j, i)]
-            if bitset.is_packed(stored):
-                # Packed transposes are fresh repacks, not views: no aliasing.
-                return stored.T
-            if witness_mod.is_witnessed(stored):
-                # Witnessed transpose swaps the parent/successor planes and
-                # returns views; freeze them like the dense mirror below.
-                mirror = stored.T
-                for plane in (mirror.values, mirror.parents, mirror.succs):
-                    plane.flags.writeable = False
-                return mirror
-            mirror = stored.T
-            mirror.flags.writeable = False
-            return mirror
-        raise KeyError((i, j))
+        stored = self.blocks[(j, i)]
+        return payload_ops(stored).transpose(stored, readonly=True)
 
     def set_block(self, i: int, j: int, value: np.ndarray) -> None:
         """Store block ``(i, j)`` (normalized to the upper triangle when symmetric).
 
-        Dense values are stored as-is under dense storage and packed under
-        packed storage; :class:`~repro.linalg.bitset.PackedBlock` values are
-        accepted directly.
+        The value is stored in this matrix's representation: dense and packed
+        values convert into each other, witnessed matrices accept only
+        :class:`~repro.linalg.witness.WitnessBlock` values (and plain ones
+        refuse them) — witness planes cannot be invented or dropped.
         """
+        ops = payload_ops(value)
+        own = storage_ops(self.storage, witness=self.witness)
+        if (ops is WITNESS) != (own is WITNESS):
+            raise ValidationError(
+                f"cannot store a {ops.name} block in a {own.name} BlockedMatrix")
+        if own is not WITNESS:
+            dense = ops.to_dense(value)
+            if dense.dtype.kind not in "fb":
+                dense = dense.astype(np.float64)
+            value = own.encode(dense, copy=False)
         expected = block_shape((i, j), self.block_size, self.n)
-        if witness_mod.is_witnessed(value):
-            if not self.witness:
-                raise ValidationError(
-                    "cannot store a witnessed block in a non-witnessed "
-                    "BlockedMatrix")
-            if value.shape != expected:
-                raise ValidationError(
-                    f"block {(i, j)} has shape {value.shape}, expected {expected}")
-            if self.symmetric and i > j:
-                self.blocks[(j, i)] = value.T.copy()
-            else:
-                self.blocks[(i, j)] = value.copy()
-            return
-        if self.witness:
+        if tuple(value.shape) != expected:
             raise ValidationError(
-                "witnessed BlockedMatrix requires WitnessBlock payloads")
-        if not bitset.is_packed(value):
-            value = np.asarray(value)
-            if value.dtype.kind not in ("f", "b"):
-                value = np.asarray(value, dtype=np.float64)
-        if block_payload_shape(value) != expected:
-            raise ValidationError(
-                f"block {(i, j)} has shape {block_payload_shape(value)}, "
-                f"expected {expected}")
-        if self.storage == "packed":
-            value = bitset.as_packed(value)
-        elif bitset.is_packed(value):
-            value = value.to_dense()
+                f"block {(i, j)} has shape {tuple(value.shape)}, expected {expected}")
         if self.symmetric and i > j:
-            self.blocks[(j, i)] = value.T.copy() if not bitset.is_packed(value) else value.T
-        else:
-            self.blocks[(i, j)] = value.copy()
+            i, j, value = j, i, own.transpose(value)
+        self.blocks[(i, j)] = own.copy(value)
 
     def to_matrix(self) -> np.ndarray:
         """Assemble the dense (values) matrix."""
@@ -346,7 +268,7 @@ class BlockedMatrix:
 
     def nbytes(self) -> int:
         """Total bytes held by the stored blocks."""
-        return int(sum(b.nbytes for b in self.blocks.values()))
+        return sum(payload_ops(b).nbytes(b) for b in self.blocks.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedMatrix):
@@ -357,12 +279,10 @@ class BlockedMatrix:
             return False
 
         def block_equal(a, b) -> bool:
-            """Compare two block payloads across representations."""
-            if witness_mod.is_witnessed(a) or witness_mod.is_witnessed(b):
-                return a == b
-            if bitset.is_packed(a) or bitset.is_packed(b):
-                return bool(np.array_equal(bitset.as_dense_bool(a),
-                                           bitset.as_dense_bool(b)))
-            return bool(np.array_equal(a, b))
+            """Compare two block payloads, across representations by value."""
+            ops_a, ops_b = payload_ops(a), payload_ops(b)
+            if WITNESS in (ops_a, ops_b):
+                return ops_a is ops_b and a == b
+            return bool(np.array_equal(ops_a.to_dense(a), ops_b.to_dense(b)))
 
         return all(block_equal(self.blocks[k], other.blocks[k]) for k in self.blocks)

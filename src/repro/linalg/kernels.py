@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import ValidationError
-from repro.common.validation import check_square_matrix, check_block_size
-from repro.linalg import bitset, witness
+from repro.common.validation import check_square_matrix
 from repro.linalg.algebra import Semiring, get_algebra
-from repro.linalg.semiring import semiring_product, elementwise_combine
+from repro.linalg.payload import payload_ops
 
 try:  # SciPy is a hard dependency of the package, but keep the import local.
     from scipy.sparse.csgraph import floyd_warshall as _scipy_floyd_warshall
@@ -40,29 +38,7 @@ def floyd_warshall_inplace(dist: np.ndarray,
     inputs (nested lists) are converted — the mutated array is returned.
     """
     algebra = get_algebra(algebra)
-    if witness.is_witnessed(dist):
-        return witness.witness_floyd_warshall_inplace(dist, algebra)
-    if bitset.is_packed(dist):
-        if "packed" not in algebra.storages:
-            raise ValidationError(
-                f"algebra {algebra.name!r} has no packed Floyd-Warshall kernel")
-        return bitset.packed_floyd_warshall_inplace(dist)
-    if isinstance(dist, np.ndarray):
-        if dist.dtype.name not in algebra.dtypes:
-            raise ValidationError(
-                f"floyd_warshall_inplace cannot mutate a {dist.dtype.name} array "
-                f"in place under algebra {algebra.name!r} (supported dtypes: "
-                f"{', '.join(algebra.dtypes)}); convert the input first, e.g. "
-                f"arr.astype(np.{algebra.default_dtype})")
-    else:
-        dist = np.asarray(dist, dtype=algebra.resolve_dtype(None))
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got shape {dist.shape}")
-    n = dist.shape[0]
-    for k in range(n):
-        # dist[i, j] = dist[i, j] ⊕ (dist[i, k] ⊗ dist[k, j])
-        algebra.add(dist, algebra.mul(dist[:, k, None], dist[None, k, :]), out=dist)
-    return dist
+    return payload_ops(dist, algebra=algebra).fw_inplace(dist, algebra)
 
 
 def floyd_warshall(matrix: np.ndarray,
@@ -120,24 +96,7 @@ def fw_rank1_update(block: np.ndarray, col_i: np.ndarray, row_j: np.ndarray,
     same broadcast column.
     """
     algebra = get_algebra(algebra)
-    if witness.is_witnessed(block):
-        return witness.witness_rank1_update(block, col_i, row_j, algebra)
-    if bitset.is_packed(block):
-        if "packed" not in algebra.storages:
-            raise ValidationError(
-                f"algebra {algebra.name!r} has no packed rank-1 update kernel")
-        return bitset.packed_rank1_update(block, col_i, row_j)
-    dtype = algebra.result_dtype(np.asarray(block), np.asarray(col_i), np.asarray(row_j))
-    block = np.asarray(block, dtype=dtype)
-    col_i = np.asarray(col_i, dtype=dtype).reshape(-1)
-    row_j = np.asarray(row_j, dtype=dtype).reshape(-1)
-    if block.ndim != 2:
-        raise ValidationError("block must be 2-D")
-    if col_i.shape[0] != block.shape[0] or row_j.shape[0] != block.shape[1]:
-        raise ValidationError(
-            f"pivot slices have lengths {col_i.shape[0]}/{row_j.shape[0]} but block is {block.shape}")
-    candidate = algebra.mul(col_i[:, None], row_j[None, :])
-    return algebra.add(block, candidate)
+    return payload_ops(block, algebra=algebra).rank1(block, col_i, row_j, algebra)
 
 
 def fw_rank1_update_inplace(block, col_i, row_j,
@@ -152,44 +111,8 @@ def fw_rank1_update_inplace(block, col_i, row_j,
     of the algebra's dtypes — a silent conversion would mutate a copy.
     """
     algebra = get_algebra(algebra)
-    if witness.is_witnessed(block):
-        return witness.witness_rank1_update_inplace(block, col_i, row_j, algebra)
-    if bitset.is_packed(block):
-        if "packed" not in algebra.storages:
-            raise ValidationError(
-                f"algebra {algebra.name!r} has no packed rank-1 update kernel")
-        return bitset.packed_rank1_update_inplace(block, col_i, row_j)
-    if not isinstance(block, np.ndarray) or block.dtype.name not in algebra.dtypes:
-        raise ValidationError(
-            f"fw_rank1_update_inplace cannot mutate a "
-            f"{np.asarray(block).dtype.name} array in place under algebra "
-            f"{algebra.name!r} (supported dtypes: {', '.join(algebra.dtypes)})")
-    if block.ndim != 2:
-        raise ValidationError("block must be 2-D")
-    col = np.asarray(col_i, dtype=block.dtype).reshape(-1)
-    row = np.asarray(row_j, dtype=block.dtype).reshape(-1)
-    if col.shape[0] != block.shape[0] or row.shape[0] != block.shape[1]:
-        raise ValidationError(
-            f"pivot slices have lengths {col.shape[0]}/{row.shape[0]} "
-            f"but block is {block.shape}")
-    candidate = algebra.mul(col[:, None], row[None, :])
-    relaxed = algebra.add(block, candidate)
-    changed = np.any(relaxed != block, axis=1)
-    if changed.any():
-        block[...] = relaxed
-    return changed
-
-
-def min_plus_then_min(block: np.ndarray, other: np.ndarray,
-                      algebra: Semiring | str | None = None) -> np.ndarray:
-    """The ``MinPlus`` building block: ``(A_IJ ⊗ B) ⊕ A_IJ``.
-
-    Computes the semiring product of ``block`` with ``other`` and then the
-    elementwise ⊕ with ``block`` itself (keeping already-known optimal
-    paths).  Used by the Blocked Collect/Broadcast solver's phase 2/3 updates.
-    """
-    prod = semiring_product(block, other, algebra)
-    return elementwise_combine(block, prod, algebra)
+    return payload_ops(block, algebra=algebra).rank1_inplace(
+        block, col_i, row_j, algebra)
 
 
 def blocked_floyd_warshall_inplace(dist: np.ndarray, block_size: int,
@@ -204,44 +127,5 @@ def blocked_floyd_warshall_inplace(dist: np.ndarray, block_size: int,
     benchmarks of Figure 2.
     """
     algebra = get_algebra(algebra)
-    if witness.is_witnessed(dist):
-        return witness.blocked_witness_floyd_warshall(dist, block_size, algebra)
-    if not isinstance(dist, np.ndarray) or dist.dtype.name not in algebra.dtypes:
-        dist = np.asarray(dist, dtype=algebra.result_dtype(np.asarray(dist)))
-    n = dist.shape[0]
-    b = check_block_size(block_size, n)
-    q = (n + b - 1) // b
-
-    def _rng(t: int) -> slice:
-        return slice(t * b, min((t + 1) * b, n))
-
-    for t in range(q):
-        pivot = _rng(t)
-        # Phase 1: pivot diagonal block.
-        floyd_warshall_inplace(dist[pivot, pivot], algebra)
-        pivot_block = dist[pivot, pivot]
-        # Phase 2: pivot block-row and block-column.
-        for j in range(q):
-            if j == t:
-                continue
-            cols = _rng(j)
-            dist[pivot, cols] = elementwise_combine(
-                dist[pivot, cols],
-                semiring_product(pivot_block, dist[pivot, cols], algebra), algebra)
-            dist[cols, pivot] = elementwise_combine(
-                dist[cols, pivot],
-                semiring_product(dist[cols, pivot], pivot_block, algebra), algebra)
-        # Phase 3: remaining blocks.
-        for i in range(q):
-            if i == t:
-                continue
-            rows = _rng(i)
-            left = dist[rows, pivot]
-            for j in range(q):
-                if j == t:
-                    continue
-                cols = _rng(j)
-                dist[rows, cols] = elementwise_combine(
-                    dist[rows, cols],
-                    semiring_product(left, dist[pivot, cols], algebra), algebra)
-    return dist
+    return payload_ops(dist, algebra=algebra).blocked_fw_inplace(
+        dist, block_size, algebra)

@@ -1,0 +1,496 @@
+"""The block-payload protocol: one resolver, one kernel set per representation.
+
+The paper writes its four solvers over six block kernels on *one* block type
+(Table 1).  This repo moves three representations through those kernels —
+bare ``ndarray`` (dense float64/float32/bool), packed bitsets
+(:class:`~repro.linalg.bitset.PackedBlock`) and witnessed blocks
+(:class:`~repro.linalg.witness.WitnessBlock`) — and this module is the only
+place that tells them apart.  :func:`payload_ops` maps its operands to the
+:class:`PayloadOps` kernel set of their representation (:data:`DENSE`,
+:data:`PACKED` or :data:`WITNESS`), raising a typed
+:class:`~repro.common.errors.ValidationError` for mixed operands or an
+algebra without that storage; every public kernel entry point
+(:mod:`repro.linalg.semiring`, :mod:`repro.linalg.kernels`), the block
+decomposition (:mod:`repro.linalg.blocks`, :mod:`repro.graph.sparse`) and the
+solver building blocks call the operation they need on the returned object.
+
+Dense blocks stay bare ndarrays — there is no wrapper class, so pickled, IPC
+and staged bytes are exactly the array's.  A new representation is one new
+:class:`PayloadOps` subclass plus its entry in the resolver's type table.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from repro.common.errors import ValidationError
+from repro.common.validation import check_block_size
+from repro.linalg import bitset, witness
+from repro.linalg.algebra import Semiring
+
+#: Default number of output columns processed per chunk in the product kernel
+#: for 8-byte elements.  Chosen so the (m x k x chunk) temporary plus the
+#: chunk fits comfortably in L2/L3 for the block sizes the paper sweeps
+#: (256-4096).  Narrower dtypes scale the chunk up so the temporary keeps the
+#: same *byte* footprint — see :func:`chunk_for_dtype`.
+DEFAULT_CHUNK = 64
+
+#: Element width the historical chunk constant was sized for.
+_CHUNK_REFERENCE_ITEMSIZE = 8
+
+#: Ceiling for the ``(m, k, chunk)`` product temporary when the chunk is
+#: chosen automatically.  Measured sweet spot on the reference machine: the
+#: broadcast temporary degrades sharply past a couple hundred MiB (it stops
+#: being re-streamable from LLC), and 128 MiB is at or near the optimum for
+#: every (dtype, block-size) pair benchmarked (64-4096, bool-float64).
+_AUTO_CHUNK_TEMP_BYTES = 128 * 1024 * 1024
+
+
+def chunk_for_dtype(dtype: np.dtype | str) -> int:
+    """Column-chunk size keeping the product temporary's byte footprint constant.
+
+    ``DEFAULT_CHUNK`` (64) was tuned for float64 temporaries; a float32 solve
+    gets 128 columns per chunk and a boolean one 512, so every dtype streams
+    the same number of *bytes* through cache per vectorized step rather than
+    the same number of elements.
+    """
+    itemsize = max(1, np.dtype(dtype).itemsize)
+    return max(1, DEFAULT_CHUNK * _CHUNK_REFERENCE_ITEMSIZE // itemsize)
+
+
+def auto_chunk(dtype: np.dtype | str, m: int, k: int) -> int:
+    """Resolve the automatic column chunk for an ``(m, k) ⊗ (k, n)`` product.
+
+    The dtype-scaled chunk (:func:`chunk_for_dtype`) is additionally capped
+    so the ``(m, k, chunk)`` broadcast temporary stays under
+    :data:`_AUTO_CHUNK_TEMP_BYTES` — for float64 the cap only binds for
+    blocks larger than 512 (where it is a measured improvement over the
+    historical fixed 64), so the paper-scale defaults are unchanged.
+    """
+    itemsize = max(1, np.dtype(dtype).itemsize)
+    cap = max(1, _AUTO_CHUNK_TEMP_BYTES // max(1, m * k * itemsize))
+    return max(1, min(chunk_for_dtype(dtype), cap))
+
+
+class PayloadOps:
+    """The operations the solvers use on one block representation.
+
+    Every operation takes the block(s) first and the resolved
+    :class:`~repro.linalg.algebra.Semiring` where the arithmetic needs one.
+    Each subclass supplies its representation's kernels:
+
+    * ``supports(algebra)`` — whether the algebra has kernels for it;
+    * ``product(a, b, algebra, *, chunk=None, out=None)`` — ``MatProd``;
+    * ``combine(a, b, algebra)`` — ``MatMin``, the elementwise ⊕;
+    * ``fw_inplace(block, algebra)`` — ``FloydWarshall``, closes a square
+      block in place and returns it;
+    * ``rank1(block, col, row, algebra)`` — ``FloydWarshallUpdate``, a *new*
+      block ``block ⊕ (col ⊗ row)``; ``rank1_inplace`` writes that result
+      back and returns the changed-row mask;
+    * ``column_piece(block, k)`` / ``row_piece(block, k)`` — ``ExtractCol``:
+      column/row ``k`` as a piece of the broadcast pivot vector;
+    * ``encode(window, row_start, col_start, algebra, *, single_plane, copy)``
+      — a prepared dense window at a global offset becomes a block
+      (``copy=False`` promises the caller owns ``window``);
+    * ``to_dense(block)`` — the values as an ndarray;
+    * ``transpose(block, *, readonly=False)`` — the mirrored role ``A_JI``
+      of ``A_IJ``, optionally frozen so writes cannot reach the source.
+
+    The operations that are compositions of those (``relax``, the
+    cache-blocked Floyd-Warshall) are written once, here.
+    """
+
+    #: Representation name used in error messages.
+    name = ""
+
+    def relax(self, base, left, right, algebra: Semiring, *,
+              chunk: int | None = None):
+        """``MinPlus``: ``base ⊕ (left ⊗ right)``, the blocked solvers' update."""
+        return self.combine(
+            base, self.product(left, right, algebra, chunk=chunk), algebra)
+
+    def copy(self, block):
+        """A deep copy the caller may mutate."""
+        return block.copy()
+
+    def nbytes(self, block) -> int:
+        """Bytes the block occupies in memory, in a shuffle and on the wire."""
+        return int(block.nbytes)
+
+    def view(self, block, rows: slice, cols: slice):
+        """The sub-block ``[rows, cols]``; write results back with :meth:`store`."""
+        raise ValidationError(f"{self.name} blocks have no sub-block views")
+
+    def store(self, block, rows: slice, cols: slice, value) -> None:
+        """Write ``value`` into the sub-block ``[rows, cols]``."""
+        raise ValidationError(f"{self.name} blocks have no sub-block views")
+
+    # -- Cache-blocked Floyd-Warshall (Venkataraman et al. [23]) -----------
+    def blocked_fw_inplace(self, block, block_size: int, algebra: Semiring):
+        """Three-phase blocked Floyd-Warshall over :meth:`view`/:meth:`store`.
+
+        Per diagonal sub-block: close it, relax its block-row and
+        block-column against it, then every other sub-block against its pair.
+        """
+        n = block.shape[0]
+        if block.shape[1] != n:
+            raise ValidationError(
+                f"Floyd-Warshall needs a square matrix, got {block.shape}")
+        b = check_block_size(block_size, n)
+        spans = [slice(s, min(s + b, n)) for s in range(0, n, b)]
+        for pivot in spans:
+            self.fw_inplace(self.view(block, pivot, pivot), algebra)
+            diag = self.view(block, pivot, pivot)
+            others = [span for span in spans if span is not pivot]
+            for span in others:
+                across = self.view(block, pivot, span)
+                self.store(block, pivot, span,
+                           self.relax(across, diag, across, algebra))
+                down = self.view(block, span, pivot)
+                self.store(block, span, pivot,
+                           self.relax(down, down, diag, algebra))
+            for rows in others:
+                left = self.view(block, rows, pivot)
+                for cols in others:
+                    self.store(block, rows, cols, self.relax(
+                        self.view(block, rows, cols), left,
+                        self.view(block, pivot, cols), algebra))
+        return block
+
+
+class DenseOps(PayloadOps):
+    """Bare ``ndarray`` blocks: vectorized NumPy kernels in the algebra's dtype.
+
+    The product kernel is vectorized over column chunks so the temporary
+    ``A ⊗ B[:, J]`` broadcast stays in cache instead of materializing an
+    ``m x k x n`` cube; the algebra's operations are plain NumPy ufuncs, and
+    dtype is preserved (``float32`` operands stay ``float32``).
+    """
+
+    name = "dense"
+
+    def supports(self, algebra):
+        """Every algebra has dense kernels."""
+        return True
+
+    def product(self, a, b, algebra, *, chunk=None, out=None):
+        """Chunked broadcast-and-reduce product (see the class docstring)."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValidationError("MatProd requires 2-D operands")
+        if a.shape[1] != b.shape[0]:
+            raise ValidationError(
+                f"MatProd inner dimensions must agree, got {a.shape} and {b.shape}")
+        dtype = algebra.result_dtype(a, b)
+        a = np.asarray(a, dtype=dtype)
+        b = np.asarray(b, dtype=dtype)
+        m, k = a.shape
+        n = b.shape[1]
+        if chunk is None:
+            chunk = auto_chunk(dtype, m, k)
+        if chunk <= 0:
+            raise ValidationError("chunk must be positive")
+        if out is None:
+            out = np.empty((m, n), dtype=dtype)
+        elif out.shape != (m, n):
+            raise ValidationError(f"out has shape {out.shape}, expected {(m, n)}")
+        # Process output columns in chunks: for each chunk J we broadcast
+        # a[:, :, None] ⊗ b[None, :, J] -> (m, k, |J|) and ⊕-reduce over k.
+        for j0 in range(0, n, chunk):
+            j1 = min(j0 + chunk, n)
+            combined = algebra.mul(a[:, :, None], b[None, :, j0:j1])
+            algebra.add_reduce(combined, axis=1, out=out[:, j0:j1])
+        return out
+
+    def combine(self, a, b, algebra):
+        """``algebra.add`` in the operands' common supported dtype."""
+        dtype = algebra.result_dtype(np.asarray(a), np.asarray(b))
+        a = np.asarray(a, dtype=dtype)
+        b = np.asarray(b, dtype=dtype)
+        if a.shape != b.shape:
+            raise ValidationError(
+                f"MatMin requires equal shapes, got {a.shape} and {b.shape}")
+        return algebra.add(a, b)
+
+    @staticmethod
+    def _require_mutable(block, algebra, op: str) -> None:
+        """In-place kernels refuse arrays they could only mutate a copy of."""
+        if not isinstance(block, np.ndarray) or block.dtype.name not in algebra.dtypes:
+            raise ValidationError(
+                f"{op} cannot mutate a {np.asarray(block).dtype.name} array in "
+                f"place under algebra {algebra.name!r} (supported dtypes: "
+                f"{', '.join(algebra.dtypes)}); convert the input first, e.g. "
+                f"arr.astype(np.{algebra.default_dtype})")
+        if block.ndim != 2:
+            raise ValidationError(f"{op} needs a 2-D block, got ndim={block.ndim}")
+
+    def fw_inplace(self, block, algebra):
+        """Sequential k-loop of vectorized rank-1 updates; array-likes are converted."""
+        if not isinstance(block, np.ndarray):
+            block = np.asarray(block, dtype=algebra.resolve_dtype(None))
+        self._require_mutable(block, algebra, "floyd_warshall_inplace")
+        if block.shape[0] != block.shape[1]:
+            raise ValidationError(
+                f"distance matrix must be square, got shape {block.shape}")
+        for k in range(block.shape[0]):
+            # block[i, j] = block[i, j] ⊕ (block[i, k] ⊗ block[k, j])
+            algebra.add(block, algebra.mul(block[:, k, None], block[None, k, :]),
+                        out=block)
+        return block
+
+    def rank1(self, block, col, row, algebra):
+        """``block ⊕ (col[:, None] ⊗ row[None, :])`` in the common dtype."""
+        dtype = algebra.result_dtype(np.asarray(block), np.asarray(col),
+                                     np.asarray(row))
+        block = np.asarray(block, dtype=dtype)
+        col = np.asarray(col, dtype=dtype).reshape(-1)
+        row = np.asarray(row, dtype=dtype).reshape(-1)
+        if block.ndim != 2:
+            raise ValidationError("block must be 2-D")
+        if col.shape[0] != block.shape[0] or row.shape[0] != block.shape[1]:
+            raise ValidationError(
+                f"pivot slices have lengths {col.shape[0]}/{row.shape[0]} "
+                f"but block is {block.shape}")
+        return algebra.add(block, algebra.mul(col[:, None], row[None, :]))
+
+    def rank1_inplace(self, block, col, row, algebra):
+        """Relax through :meth:`rank1`, write improved blocks back."""
+        self._require_mutable(block, algebra, "fw_rank1_update_inplace")
+        relaxed = self.rank1(block, col, row, algebra)
+        changed = np.any(relaxed != block, axis=1)
+        if changed.any():
+            block[...] = relaxed
+        return changed
+
+    def column_piece(self, block, k):
+        """A copy of column ``k`` (the block dtype is preserved)."""
+        return np.array(block[:, k], copy=True)
+
+    def row_piece(self, block, k):
+        """A copy of row ``k``."""
+        return np.array(block[k, :], copy=True)
+
+    def encode(self, window, row_start=0, col_start=0, algebra=None, *,
+               single_plane=False, copy=True):
+        """The window itself, copied unless the caller owns it."""
+        return np.array(window, copy=True) if copy else window
+
+    def to_dense(self, block):
+        """The block itself, as an ndarray."""
+        return np.asarray(block)
+
+    def copy(self, block):
+        """``np.array(block, copy=True)`` (accepts any array-like)."""
+        return np.array(block, copy=True)
+
+    def transpose(self, block, *, readonly=False):
+        """A transposed view, optionally frozen so writes cannot reach the mirror."""
+        mirror = np.asarray(block).T
+        if readonly:
+            mirror.flags.writeable = False
+        return mirror
+
+    def view(self, block, rows, cols):
+        """A writable ndarray view."""
+        return block[rows, cols]
+
+    def store(self, block, rows, cols, value):
+        """Slice assignment."""
+        block[rows, cols] = value
+
+    def blocked_fw_inplace(self, block, block_size, algebra):
+        """Coerce unsupported inputs to the algebra's dtype, then run the generic loop."""
+        if not isinstance(block, np.ndarray) or block.dtype.name not in algebra.dtypes:
+            block = np.asarray(block, dtype=algebra.result_dtype(np.asarray(block)))
+        return super().blocked_fw_inplace(block, block_size, algebra)
+
+
+class PackedOps(PayloadOps):
+    """:class:`~repro.linalg.bitset.PackedBlock`: word-parallel boolean kernels."""
+
+    name = "packed"
+
+    def supports(self, algebra):
+        """Only algebras declaring ``"packed"`` storage (boolean reachability)."""
+        return "packed" in algebra.storages
+
+    def product(self, a, b, algebra, *, chunk=None, out=None):
+        """:func:`~repro.linalg.bitset.packed_product`, overwriting ``out``."""
+        if out is not None:
+            # Match the dense kernel's out= contract (overwrite, don't
+            # accumulate): packed_product itself ORs into out.
+            out.words[:] = 0
+        return bitset.packed_product(a, b, out=out)
+
+    def combine(self, a, b, algebra):
+        """Word-wise OR — 64 cells per machine word."""
+        return bitset.packed_or(a, b)
+
+    def fw_inplace(self, block, algebra):
+        """:func:`~repro.linalg.bitset.packed_floyd_warshall_inplace`."""
+        return bitset.packed_floyd_warshall_inplace(block)
+
+    def rank1(self, block, col, row, algebra):
+        """:func:`~repro.linalg.bitset.packed_rank1_update`."""
+        return bitset.packed_rank1_update(block, col, row)
+
+    def rank1_inplace(self, block, col, row, algebra):
+        """:func:`~repro.linalg.bitset.packed_rank1_update_inplace`."""
+        return bitset.packed_rank1_update_inplace(block, col, row)
+
+    def column_piece(self, block, k):
+        """A dense boolean column — pieces are tiny; packing happens at assembly."""
+        return block.bit_column(k)
+
+    def row_piece(self, block, k):
+        """A dense boolean row."""
+        return block.bit_row(k)
+
+    def encode(self, window, row_start=0, col_start=0, algebra=None, *,
+               single_plane=False, copy=True):
+        """Pack the (truthy) window; packing always copies."""
+        return bitset.PackedBlock.from_dense(window)
+
+    def to_dense(self, block):
+        """Unpack to a boolean ndarray."""
+        return block.to_dense()
+
+    def transpose(self, block, *, readonly=False):
+        """A fresh repack of the transposed bits — never aliases the source."""
+        return block.T
+
+    def blocked_fw_inplace(self, block, block_size, algebra):
+        """Sub-blocks are not word-aligned: run the packed kernel on the whole block."""
+        check_block_size(block_size, block.shape[0])
+        return self.fw_inplace(block, algebra)
+
+
+class WitnessOps(PayloadOps):
+    """:class:`~repro.linalg.witness.WitnessBlock`: paired value + parent kernels."""
+
+    name = "witnessed"
+
+    def supports(self, algebra):
+        """Only algebras with a witness policy (``witness_select``)."""
+        return algebra.supports_witness
+
+    def product(self, a, b, algebra, *, chunk=None, out=None):
+        """:func:`~repro.linalg.witness.witness_product` at the automatic chunk."""
+        if out is not None:
+            raise ValidationError(
+                "MatProd does not support out= for witnessed operands")
+        if chunk is None:
+            chunk = auto_chunk(algebra.result_dtype(a.values, b.values), *a.shape)
+        return witness.witness_product(a, b, algebra, chunk=chunk)
+
+    # The witnessed kernels already have the protocol's signatures.
+    combine = staticmethod(witness.witness_combine)
+    fw_inplace = staticmethod(witness.witness_floyd_warshall_inplace)
+    rank1 = staticmethod(witness.witness_rank1_update)
+    rank1_inplace = staticmethod(witness.witness_rank1_update_inplace)
+
+    def column_piece(self, block, k):
+        """Column ``k`` with its successor plane as ``toward`` (bare values
+        for single-plane blocks, whose parents-only updates need no pointers)."""
+        values = np.array(block.values[:, k], copy=True)
+        if block.succs is None:
+            return values
+        return witness.WitnessVector(values, np.array(block.succs[:, k], copy=True))
+
+    def row_piece(self, block, k):
+        """Row ``k`` with the pivot's parent row as ``toward``."""
+        return witness.WitnessVector(np.array(block.values[k, :], copy=True),
+                                     np.array(block.parents[k, :], copy=True))
+
+    def encode(self, window, row_start=0, col_start=0, algebra=None, *,
+               single_plane=False, copy=True):
+        """Stamp global vertex ids onto the window (``witness_block`` copies)."""
+        return witness.witness_block(window, row_start, col_start, algebra,
+                                     single_plane=single_plane)
+
+    def to_dense(self, block):
+        """The values plane."""
+        return block.values
+
+    def transpose(self, block, *, readonly=False):
+        """Swap the parent/successor planes; ``readonly`` freezes the views."""
+        mirror = block.T
+        if readonly:
+            for plane in (mirror.values, mirror.parents, mirror.succs):
+                plane.flags.writeable = False
+        return mirror
+
+    def view(self, block, rows, cols):
+        """A witnessed block of plane views (single-plane stays single-plane)."""
+        succs = None if block.succs is None else block.succs[rows, cols]
+        return witness.WitnessBlock(block.values[rows, cols],
+                                    block.parents[rows, cols], succs)
+
+    def store(self, block, rows, cols, value):
+        """Write every plane back."""
+        block.values[rows, cols] = value.values
+        block.parents[rows, cols] = value.parents
+        if block.succs is not None:
+            block.succs[rows, cols] = value.succs
+
+
+#: The three kernel sets (stateless singletons).
+DENSE = DenseOps()
+PACKED = PackedOps()
+WITNESS = WitnessOps()
+
+#: The resolver's type table; anything not listed is array-like, hence dense.
+_OPS_BY_TYPE = {bitset.PackedBlock: PACKED, witness.WitnessBlock: WITNESS}
+
+_OPS_BY_STORAGE = {"dense": DENSE, "packed": PACKED}
+
+
+def payload_ops(*operands, algebra: Semiring | None = None) -> PayloadOps:
+    """Resolve the kernel set shared by ``operands`` (block payloads).
+
+    Raises :class:`~repro.common.errors.ValidationError` when the operands
+    mix representations (a solve carries one payload type on every block) or
+    when ``algebra`` (a resolved semiring) has no kernels for it.
+    """
+    found = {_OPS_BY_TYPE.get(type(operand), DENSE) for operand in operands}
+    if len(found) != 1:
+        raise ValidationError(
+            f"cannot mix {' and '.join(sorted(o.name for o in found))} block "
+            "operands; a solve carries one payload type on every block")
+    ops = found.pop()
+    if algebra is not None and not ops.supports(algebra):
+        raise ValidationError(
+            f"algebra {algebra.name!r} has no kernels for {ops.name} blocks")
+    return ops
+
+
+def storage_ops(storage: str = "dense", *, witness: bool = False) -> PayloadOps:
+    """The kernel set a ``(storage, paths)`` request decomposes its matrix into."""
+    if storage not in _OPS_BY_STORAGE:
+        raise ValidationError(
+            f"unknown block storage {storage!r}; expected one of "
+            f"{', '.join(_OPS_BY_STORAGE)}")
+    if witness and storage == "packed":
+        raise ValidationError(
+            "witness tracking has no packed-bitset kernels; "
+            "use storage='dense' for paths=True solves")
+    return WITNESS if witness else _OPS_BY_STORAGE[storage]
+
+
+def block_encoder(storage: str = "dense", *, witness: bool = False,
+                  single_plane: bool = False, upper_only: bool = True,
+                  algebra: Semiring | str | None = None):
+    """Validate a decomposition request once; return its window encoder.
+
+    The returned callable is ``encode(window, row_start, col_start, *, copy)``
+    (see :meth:`PayloadOps.encode`) for the requested representation.
+    """
+    ops = storage_ops(storage, witness=witness)
+    if single_plane and upper_only:
+        raise ValidationError(
+            "single-plane witnesses cannot serve mirrored reads; "
+            "they require the full-grid layout (upper_only=False)")
+    return partial(ops.encode, algebra=algebra, single_plane=single_plane)

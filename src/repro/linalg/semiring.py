@@ -1,4 +1,4 @@
-"""Semiring matrix operations on dense matrices.
+"""Semiring matrix operations — the public ``MatProd``/``MatMin``/``MinPlus`` entry points.
 
 APSP can be posed as computing the closure of the adjacency matrix under the
 (min, +) semiring: ``C[i, j] = min_k (A[i, k] + B[k, j])`` replaces the inner
@@ -8,12 +8,11 @@ a :class:`~repro.linalg.algebra.Semiring`, compute the closure under any
 registered path algebra (widest path, most-reliable path, transitive
 closure, ...).
 
-The product kernel is vectorized over column chunks so the temporary
-``A ⊗ B[:, j]`` broadcast stays in cache instead of materializing an
-``m x k x n`` cube.  The algebra's operations are plain NumPy ufuncs, so the
-generic kernel runs the (min, +) case through exactly the same vectorized
-instructions as the original hand-written version — and dtype is preserved
-(``float32`` operands stay ``float32``, halving memory traffic).
+Every function here accepts any block payload — dense ``ndarray``,
+:class:`~repro.linalg.bitset.PackedBlock` or
+:class:`~repro.linalg.witness.WitnessBlock` — and routes it through
+:func:`repro.linalg.payload.payload_ops`; the kernels themselves live with
+their representation (:mod:`repro.linalg.payload` for dense blocks).
 """
 
 from __future__ import annotations
@@ -23,88 +22,20 @@ import math
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.linalg import bitset, witness
 from repro.linalg.algebra import Semiring, get_algebra
-
-#: Default number of output columns processed per chunk in the product kernel
-#: for 8-byte elements.  Chosen so the (m x k x chunk) temporary plus the
-#: chunk fits comfortably in L2/L3 for the block sizes the paper sweeps
-#: (256-4096).  Narrower dtypes scale the chunk up so the temporary keeps the
-#: same *byte* footprint — see :func:`chunk_for_dtype`.
-DEFAULT_CHUNK = 64
-
-#: Element width the historical chunk constant was sized for.
-_CHUNK_REFERENCE_ITEMSIZE = 8
-
-#: Ceiling for the ``(m, k, chunk)`` product temporary when the chunk is
-#: chosen automatically.  Measured sweet spot on the reference machine: the
-#: broadcast temporary degrades sharply past a couple hundred MiB (it stops
-#: being re-streamable from LLC), and 128 MiB is at or near the optimum for
-#: every (dtype, block-size) pair benchmarked (64-4096, bool-float64).
-_AUTO_CHUNK_TEMP_BYTES = 128 * 1024 * 1024
-
-
-def chunk_for_dtype(dtype: np.dtype | str) -> int:
-    """Column-chunk size keeping the product temporary's byte footprint constant.
-
-    ``DEFAULT_CHUNK`` (64) was tuned for float64 temporaries; a float32 solve
-    gets 128 columns per chunk and a boolean one 512, so every dtype streams
-    the same number of *bytes* through cache per vectorized step rather than
-    the same number of elements.
-    """
-    itemsize = max(1, np.dtype(dtype).itemsize)
-    return max(1, DEFAULT_CHUNK * _CHUNK_REFERENCE_ITEMSIZE // itemsize)
-
-
-def auto_chunk(dtype: np.dtype | str, m: int, k: int) -> int:
-    """Resolve the automatic column chunk for an ``(m, k) ⊗ (k, n)`` product.
-
-    The dtype-scaled chunk (:func:`chunk_for_dtype`) is additionally capped
-    so the ``(m, k, chunk)`` broadcast temporary stays under
-    :data:`_AUTO_CHUNK_TEMP_BYTES` — for float64 the cap only binds for
-    blocks larger than 512 (where it is a measured improvement over the
-    historical fixed 64), so the paper-scale defaults are unchanged.
-    """
-    itemsize = max(1, np.dtype(dtype).itemsize)
-    cap = max(1, _AUTO_CHUNK_TEMP_BYTES // max(1, m * k * itemsize))
-    return max(1, min(chunk_for_dtype(dtype), cap))
-
-
-def _require_reachability(algebra: Semiring, op: str) -> None:
-    if "packed" not in algebra.storages:
-        raise ValidationError(
-            f"{op} received packed-bitset operands but algebra {algebra.name!r} "
-            "has no packed kernels (only the boolean reachability algebra does)")
-
-
-def _require_both_witnessed(a, b, op: str) -> None:
-    if not (witness.is_witnessed(a) and witness.is_witnessed(b)):
-        raise ValidationError(
-            f"{op} cannot mix witnessed and plain operands; a paths=True "
-            "solve must carry witness planes on every block")
+from repro.linalg.payload import payload_ops
+from repro.linalg.payload import DEFAULT_CHUNK, auto_chunk, chunk_for_dtype  # noqa: F401 — re-exported
 
 
 def elementwise_combine(a, b, algebra: Semiring | str | None = None):
     """Elementwise ⊕ of two equally-shaped matrices (``MatMin`` generalized).
 
-    Packed-bitset operands (:class:`~repro.linalg.bitset.PackedBlock`) take
-    the word-parallel OR kernel — 64 cells per machine word.  Witnessed
-    operands (:class:`~repro.linalg.witness.WitnessBlock`) take the paired
-    value+parent kernel: the ⊕ winner keeps its pointers.
+    Packed operands take the word-parallel OR kernel — 64 cells per machine
+    word; witnessed operands the paired value+parent kernel, where the ⊕
+    winner keeps its pointers.
     """
     algebra = get_algebra(algebra)
-    if witness.is_witnessed(a) or witness.is_witnessed(b):
-        _require_both_witnessed(a, b, "MatMin")
-        return witness.witness_combine(a, b, algebra)
-    if bitset.is_packed(a) or bitset.is_packed(b):
-        _require_reachability(algebra, "MatMin")
-        return bitset.packed_or(bitset.as_packed(a), bitset.as_packed(b))
-    dtype = algebra.result_dtype(np.asarray(a), np.asarray(b))
-    a = np.asarray(a, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
-    if a.shape != b.shape:
-        raise ValidationError(f"MatMin requires equal shapes, got {a.shape} and {b.shape}")
-    return algebra.add(a, b)
+    return payload_ops(a, b, algebra=algebra).combine(a, b, algebra)
 
 
 def elementwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,8 +53,7 @@ def semiring_product(a, b,
     algebra.  ``a`` has shape ``(m, k)``, ``b`` has shape ``(k, n)``; the
     result has shape ``(m, n)``.  Under (min, +), ``inf`` entries represent
     missing edges and propagate correctly (``inf + x = inf``,
-    ``min(inf, x) = x``); other algebras use their own ``zero``.  Packed
-    boolean operands are routed to the word-parallel bitset product.
+    ``min(inf, x) = x``); other algebras use their own ``zero``.
 
     Parameters
     ----------
@@ -132,56 +62,25 @@ def semiring_product(a, b,
         scales :data:`DEFAULT_CHUNK` by the dtype width and caps the
         broadcast temporary (see :func:`auto_chunk`).
     out:
-        Optional pre-allocated output array of shape ``(m, n)``.
+        Optional pre-allocated output block of shape ``(m, n)``, overwritten
+        (dense and packed operands only).
     """
     algebra = get_algebra(algebra)
-    if witness.is_witnessed(a) or witness.is_witnessed(b):
-        _require_both_witnessed(a, b, "MatProd")
-        if out is not None:
-            raise ValidationError(
-                "MatProd does not support out= for witnessed operands")
-        av = np.asarray(a.values)
-        bv = np.asarray(b.values)
-        if chunk is None:
-            chunk = auto_chunk(algebra.result_dtype(av, bv),
-                               av.shape[0], av.shape[1])
-        return witness.witness_product(a, b, algebra, chunk=chunk)
-    if bitset.is_packed(a) or bitset.is_packed(b):
-        _require_reachability(algebra, "MatProd")
-        if out is not None:
-            # Match the dense kernel's out= contract (overwrite, don't
-            # accumulate): packed_product itself ORs into out.
-            out.words[:] = 0
-        return bitset.packed_product(bitset.as_packed(a), bitset.as_packed(b),
-                                     out=out)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("MatProd requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(
-            f"MatProd inner dimensions must agree, got {a.shape} and {b.shape}")
-    dtype = algebra.result_dtype(a, b)
-    a = np.asarray(a, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
-    m, k = a.shape
-    n = b.shape[1]
-    if chunk is None:
-        chunk = auto_chunk(dtype, m, k)
-    if chunk <= 0:
-        raise ValidationError("chunk must be positive")
-    if out is None:
-        out = np.empty((m, n), dtype=dtype)
-    elif out.shape != (m, n):
-        raise ValidationError(f"out has shape {out.shape}, expected {(m, n)}")
-    # Process output columns in chunks: for each chunk J we broadcast
-    # a[:, :, None] ⊗ b[None, :, J] -> (m, k, |J|) and ⊕-reduce over k.
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        # (m, k, j1-j0)
-        combined = algebra.mul(a[:, :, None], b[None, :, j0:j1])
-        algebra.add_reduce(combined, axis=1, out=out[:, j0:j1])
-    return out
+    return payload_ops(a, b, algebra=algebra).product(
+        a, b, algebra, chunk=chunk, out=out)
+
+
+def semiring_relax(base, left, right, algebra: Semiring | str | None = None, *,
+                   chunk: int | None = None):
+    """``base ⊕ (left ⊗ right)`` — the ``MinPlus`` building block of Table 1.
+
+    The one update the blocked solvers apply in phases 2 and 3 (and a
+    squaring applies to itself); operand order matters because semiring
+    matrix products do not commute.
+    """
+    algebra = get_algebra(algebra)
+    return payload_ops(base, left, right, algebra=algebra).relax(
+        base, left, right, algebra, chunk=chunk)
 
 
 def minplus_product(a: np.ndarray, b: np.ndarray, *, chunk: int | None = None,
@@ -197,13 +96,8 @@ def semiring_square(a: np.ndarray, algebra: Semiring | str | None = None, *,
     Squaring in a path closure must keep existing (shorter-or-equal) paths,
     which the diagonal ``one`` already guarantees; the explicit ⊕ with ``a``
     makes the kernel robust to inputs whose diagonal is not exactly ``one``.
-    Witnessed operands route both steps through the paired kernels.
     """
-    algebra = get_algebra(algebra)
-    if witness.is_witnessed(a):
-        return elementwise_combine(a, semiring_product(a, a, algebra, chunk=chunk),
-                                   algebra)
-    return algebra.add(np.asarray(a), semiring_product(a, a, algebra, chunk=chunk))
+    return semiring_relax(a, a, a, algebra, chunk=chunk)
 
 
 def minplus_square(a: np.ndarray, *, chunk: int | None = None) -> np.ndarray:
@@ -222,8 +116,9 @@ def semiring_power(a: np.ndarray, exponent: int,
     if exponent < 1:
         raise ValidationError("exponent must be >= 1")
     algebra = get_algebra(algebra)
-    a = np.asarray(a)
-    result = np.array(a, dtype=algebra.result_dtype(a), copy=True)
+    # A ⊕ A = A (⊕ is idempotent): a fresh block in the algebra's dtype,
+    # whatever the payload, so the caller's operand is never returned.
+    result = elementwise_combine(a, a, algebra)
     e = 1
     while e < exponent:
         result = semiring_square(result, algebra, chunk=chunk)
@@ -248,7 +143,3 @@ def closure_iterations(n: int) -> int:
     if n <= 2:
         return 1 if n == 2 else 0
     return int(math.ceil(math.log2(n - 1)))
-
-
-#: Backward-compatible alias (the bound is algebra-independent).
-minplus_closure_iterations = closure_iterations

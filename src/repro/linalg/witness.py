@@ -84,9 +84,8 @@ class WitnessBlock:
     ``int32`` arrays of the same shape holding global vertex ids (see the
     module docstring for their exact meaning).  Like
     :class:`~repro.linalg.bitset.PackedBlock`, this is deliberately *not* an
-    ndarray subclass: the dispatch points (``semiring_product``,
-    ``elementwise_combine``, ``floyd_warshall_inplace``, ``fw_rank1_update``,
-    ``extract_col``, result assembly) check for it explicitly, and no NumPy
+    ndarray subclass: the public kernel entry points resolve it to the
+    ``WITNESS`` kernel set of :mod:`repro.linalg.payload`, and no NumPy
     kernel can silently drop the witness planes.  Instances pickle by their
     three arrays, so they travel through shuffles, the ``processes``
     backend's IPC and the shared file system like any other block payload —
@@ -292,38 +291,23 @@ def witness_blocks_to_matrices(blocks, n: int, block_size: int, *,
     (``parents[i, j]`` = predecessor of ``j`` on an optimal ``i -> j`` path,
     :data:`NO_VERTEX` for unreachable pairs and the diagonal).
     """
-    from repro.common.validation import check_block_size
-    from repro.linalg.blocks import block_range, num_blocks
-    b = check_block_size(block_size, n)
+    from repro.linalg.blocks import blocks_to_matrix
     records = {}
     for key, blk in blocks:
-        if not is_witnessed(blk):
+        if not isinstance(blk, WitnessBlock):
             raise ValidationError(
                 f"block {key} is not witnessed; paths=True solves must keep "
                 "witness planes attached end-to-end")
         records[tuple(key)] = blk
-    if dtype is None:
-        first = next(iter(records.values()), None)
-        dtype = first.dtype if first is not None else np.dtype(np.float64)
-    distances = np.full((n, n), fill, dtype=dtype)
-    parents = np.full((n, n), NO_VERTEX, dtype=np.int32)
-    for (i, j), blk in records.items():
-        ri, rj = block_range(i, b, n), block_range(j, b, n)
-        expected = (ri.stop - ri.start, rj.stop - rj.start)
-        if blk.shape != expected:
-            raise ValidationError(
-                f"block {(i, j)} has shape {blk.shape}, expected {expected}")
-        distances[ri, rj] = blk.values
-        parents[ri, rj] = blk.parents
+    distances = blocks_to_matrix(records.items(), n, block_size,
+                                 symmetric=symmetric, fill=fill, dtype=dtype)
+    planes = [(key, blk.parents) for key, blk in records.items()]
     if symmetric:
-        q = num_blocks(n, b)
-        for i in range(q):
-            for j in range(q):
-                if (i, j) not in records and (j, i) in records:
-                    mirror = records[(j, i)].T
-                    ri, rj = block_range(i, b, n), block_range(j, b, n)
-                    distances[ri, rj] = mirror.values
-                    parents[ri, rj] = mirror.parents
+        # The transpose rule: a mirror's parents are the stored successors.
+        planes += [((j, i), blk.succs.T) for (i, j), blk in records.items()
+                   if (j, i) not in records]
+    parents = blocks_to_matrix(planes, n, block_size, symmetric=False,
+                               fill=NO_VERTEX, dtype=np.int32)
     return distances, parents
 
 
@@ -497,106 +481,20 @@ def witness_rank1_update_inplace(block: WitnessBlock, col_i, row_j: WitnessVecto
                                  ) -> np.ndarray:
     """In-place witnessed rank-1 update returning the changed-row mask.
 
-    The dynamic-update sibling of :func:`witness_rank1_update`: mutates all
-    planes of ``block`` directly (values relaxed, parents/succs rewritten on
-    strict improvement) and reports which rows improved, so the caller can
-    invalidate exactly the serving-cache rows a batched edge update touched.
-    Single-plane blocks accept a plain values vector for ``col_i``, exactly
-    as the immutable variant does.
+    Derived from :func:`witness_rank1_update` (the one rank-1 body): the
+    pointer planes only change where a value strictly improved, so rows whose
+    values differ are exactly the rows to report, and all planes are written
+    back.  Single-plane blocks accept a plain values vector for ``col_i``,
+    exactly as the immutable variant does.
     """
-    algebra = require_witness(algebra, "witnessed FloydWarshallUpdate")
-    single_plane = block.succs is None
-    if not is_witness_vector(row_j) or not (single_plane
-                                            or is_witness_vector(col_i)):
-        raise ValidationError(
-            "witnessed rank-1 update needs witnessed pivot slices; "
-            "extract_col emits them for witnessed blocks")
-    bv = block.values
-    cv = (np.asarray(col_i).reshape(-1) if not is_witness_vector(col_i)
-          else col_i.values.reshape(-1))
-    rv = row_j.values.reshape(-1)
-    if cv.shape[0] != bv.shape[0] or rv.shape[0] != bv.shape[1]:
-        raise ValidationError(
-            f"pivot slices have lengths {cv.shape[0]}/{rv.shape[0]} "
-            f"but block is {block.shape}")
-    candidate = algebra.mul(cv[:, None], rv[None, :])
-    relaxed = algebra.add(bv, candidate)
-    improved = relaxed != bv
-    changed = improved.any(axis=1)
+    relaxed = witness_rank1_update(block, col_i, row_j, algebra)
+    changed = np.any(relaxed.values != block.values, axis=1)
     if changed.any():
-        block.parents[improved] = np.broadcast_to(
-            row_j.toward[None, :], block.parents.shape)[improved]
-        if not single_plane:
-            block.succs[improved] = np.broadcast_to(
-                col_i.toward[:, None], block.succs.shape)[improved]
-        bv[...] = relaxed
+        block.values[...] = relaxed.values
+        block.parents[...] = relaxed.parents
+        if block.succs is not None:
+            block.succs[...] = relaxed.succs
     return changed
-
-
-def blocked_witness_floyd_warshall(block: WitnessBlock, block_size: int,
-                                   algebra: Semiring | str | None = None,
-                                   ) -> WitnessBlock:
-    """Cache-blocked witnessed Floyd-Warshall on one full-matrix block.
-
-    The sequential analogue of the distributed blocked solvers under
-    ``paths=True`` (and the ground-truth harness for the witnessed product /
-    combine kernels): the same three phases as
-    :func:`~repro.linalg.kernels.blocked_floyd_warshall_inplace`, operating
-    on witnessed sub-views and writing all three planes back.
-    """
-    from repro.common.validation import check_block_size
-    from repro.linalg.semiring import elementwise_combine, semiring_product
-    algebra = require_witness(algebra, "witnessed blocked Floyd-Warshall")
-    n = block.shape[0]
-    if block.shape[0] != block.shape[1]:
-        raise ValidationError(
-            f"Floyd-Warshall needs a square matrix, got {block.shape}")
-    b = check_block_size(block_size, n)
-    q = (n + b - 1) // b
-
-    def _rng(t: int) -> slice:
-        return slice(t * b, min((t + 1) * b, n))
-
-    def _view(rows: slice, cols: slice) -> WitnessBlock:
-        return WitnessBlock(block.values[rows, cols],
-                            block.parents[rows, cols],
-                            block.succs[rows, cols])
-
-    def _store(rows: slice, cols: slice, updated: WitnessBlock) -> None:
-        block.values[rows, cols] = updated.values
-        block.parents[rows, cols] = updated.parents
-        block.succs[rows, cols] = updated.succs
-
-    for t in range(q):
-        pivot = _rng(t)
-        witness_floyd_warshall_inplace(_view(pivot, pivot), algebra)
-        pivot_block = _view(pivot, pivot)
-        for j in range(q):
-            if j == t:
-                continue
-            cols = _rng(j)
-            row_block = _view(pivot, cols)
-            _store(pivot, cols, elementwise_combine(
-                row_block, semiring_product(pivot_block, row_block, algebra),
-                algebra))
-            col_block = _view(cols, pivot)
-            _store(cols, pivot, elementwise_combine(
-                col_block, semiring_product(col_block, pivot_block, algebra),
-                algebra))
-        for i in range(q):
-            if i == t:
-                continue
-            rows = _rng(i)
-            left = _view(rows, pivot).copy()
-            for j in range(q):
-                if j == t:
-                    continue
-                cols = _rng(j)
-                base = _view(rows, cols)
-                _store(rows, cols, elementwise_combine(
-                    base, semiring_product(left, _view(pivot, cols), algebra),
-                    algebra))
-    return block
 
 
 # ---------------------------------------------------------------------------

@@ -142,20 +142,31 @@ class RDD:
         """Compute the records of partition ``index`` from the parent lineage."""
         raise NotImplementedError
 
-    def prepare(self, _visited: set[int] | None = None) -> None:
-        """Materialize any shuffle dependencies in the lineage (post-order).
+    def prepare(self) -> None:
+        """Materialize every shuffle dependency in the lineage, ancestors first.
 
         The lineage is a DAG in which an RDD may be reachable along many paths
         (e.g. the blocked solvers reuse the previous iteration's RDD several
-        times per iteration), so traversal is memoized by RDD identity.
+        times per iteration), so the walk is memoized by RDD identity — and it
+        runs on an explicit stack: the 2D Floyd-Warshall solver chains one
+        narrow RDD per pivot, so an ``n``-vertex solve has a lineage ``n``
+        deep, past the interpreter's recursion limit at n ≈ 1000.
         """
-        if _visited is None:
-            _visited = set()
-        if id(self) in _visited:
-            return
-        _visited.add(id(self))
-        for parent in self._parents:
-            parent.prepare(_visited)
+        seen = {id(self)}
+        stack = [self]
+        shuffles = []
+        while stack:
+            rdd = stack.pop()
+            if isinstance(rdd, ShuffledRDD):
+                shuffles.append(rdd)
+            for parent in rdd._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        # An RDD is constructed after its parents, so ascending ids run each
+        # map stage after every shuffle it reads from.
+        for rdd in sorted(shuffles, key=lambda shuffled: shuffled.id):
+            rdd._materialize()
 
     def iterator(self, index: int) -> list:
         """Return the records of partition ``index``, honouring persistence."""
@@ -551,15 +562,6 @@ class ShuffledRDD(RDD):
         """True when map-side combining is configured."""
         return self._create_combiner is not None
 
-    def prepare(self, _visited: set[int] | None = None) -> None:
-        """Run the shuffle map phase once (idempotent)."""
-        if _visited is None:
-            _visited = set()
-        if id(self) in _visited:
-            return
-        super().prepare(_visited)
-        self._materialize()
-
     def _bucket_records(self, records: list) -> dict[int, list]:
         """Partition (and optionally map-side combine) one map task's records."""
         partitioner = self.partitioner
@@ -583,6 +585,7 @@ class ShuffledRDD(RDD):
         return dict(buckets)
 
     def _materialize(self) -> None:
+        """Run the shuffle map phase once (idempotent)."""
         with self._materialize_lock:
             if self._shuffle_id is not None:
                 return

@@ -79,7 +79,7 @@ class TestFwUpdateWithColumn:
     def test_matches_rank1_update(self, blocks16):
         adj, blocks = blocks16
         column = adj[:, 5].copy()
-        update = bb.fw_update_with_column(column, 4)
+        update = bb.FloydWarshallUpdateWithColumn(column, 4)
         key, updated = update(((0, 2), blocks[(0, 2)]))
         expected = np.minimum(blocks[(0, 2)], column[0:4, None] + column[8:12][None, :])
         assert key == (0, 2)
@@ -89,14 +89,14 @@ class TestFwUpdateWithColumn:
 class TestBlockKernels:
     def test_floyd_warshall_block(self, blocks16):
         _, blocks = blocks16
-        key, out = bb.floyd_warshall_block(((1, 1), blocks[(1, 1)]))
+        key, out = bb.FloydWarshallBlock()(((1, 1), blocks[(1, 1)]))
         assert key == (1, 1)
         assert np.allclose(out, floyd_warshall(blocks[(1, 1)]))
 
     def test_floyd_warshall_block_does_not_mutate_input(self, blocks16):
         _, blocks = blocks16
         original = blocks[(0, 0)].copy()
-        bb.floyd_warshall_block(((0, 0), blocks[(0, 0)]))
+        bb.FloydWarshallBlock()(((0, 0), blocks[(0, 0)]))
         assert np.array_equal(blocks[(0, 0)], original)
 
     def test_mat_min_and_prod(self, blocks16):
@@ -108,7 +108,7 @@ class TestBlockKernels:
 
     def test_min_plus_orientation(self, blocks16):
         _, blocks = blocks16
-        a, d = blocks[(0, 1)], bb.floyd_warshall_block(((1, 1), blocks[(1, 1)]))[1]
+        a, d = blocks[(0, 1)], bb.FloydWarshallBlock()(((1, 1), blocks[(1, 1)]))[1]
         right = bb.min_plus(((0, 1), a), d)[1]
         left = bb.min_plus(((0, 1), a), d, other_on_left=True)[1]
         assert np.allclose(right, np.minimum(a, minplus_product(a, d)))
@@ -270,7 +270,7 @@ class TestPackedBroadcastColumn:
         np.fill_diagonal(dense, True)
         pieces = [(0, dense[0:4, 5].copy()), (1, dense[4:8, 5].copy())]
         column = bb.assemble_column(pieces, 8, 4, "reachability")
-        update = bb.fw_update_with_column(column, 4, "reachability")
+        update = bb.FloydWarshallUpdateWithColumn(column, 4, "reachability")
         _, updated = update(((0, 1), PackedBlock.from_dense(dense[0:4, 4:8])))
         expected = dense[0:4, 4:8] | (dense[0:4, 5][:, None] & dense[4:8, 5][None, :])
         assert np.array_equal(updated.to_dense(), expected)

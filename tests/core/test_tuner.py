@@ -146,6 +146,29 @@ class TestTunerEdges:
                                        symmetric=False, constants=CONSTANTS)
         assert decision.layout == "full"
 
+    @pytest.mark.parametrize("algebra", ["shortest-path", "reachability"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_csr_input_is_never_densified(self, monkeypatch, algebra, symmetric):
+        import scipy.sparse as sp
+        from repro.graph.sparse import erdos_renyi_sparse, sparse_to_dense
+        csr = erdos_renyi_sparse(96, p=0.08, seed=5)
+        if not symmetric:
+            csr = sp.triu(csr, k=1).tocsr()
+        if algebra == "reachability":
+            csr = csr.astype(bool)
+        dense = sparse_to_dense(csr, algebra=algebra)
+
+        def densified(*args, **kwargs):
+            raise AssertionError("the tuner densified a CSR adjacency")
+        for name in ("toarray", "todense"):
+            monkeypatch.setattr(type(csr), name, densified)
+        request = SolveRequest(solver="auto", algebra=algebra)
+        resolved, decision = tuner.resolve_auto(request, csr, constants=CONSTANTS)
+        twin_resolved, twin = tuner.resolve_auto(request, dense, constants=CONSTANTS)
+        assert decision == twin and resolved == twin_resolved
+        assert decision.layout == ("triangular" if symmetric else "full")
+        assert 0.0 < decision.density < 0.2
+
     def test_paper_fallback_without_calibration(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(tuner.CALIBRATION_ENV, raising=False)

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.linalg.algebra import get_algebra
-from repro.linalg.bitset import (PackedBlock, is_packed, as_packed,
-                                 as_dense_bool, pack_bits, unpack_bits,
+from repro.linalg.bitset import (PackedBlock, is_packed, pack_bits, unpack_bits,
                                  packed_and, packed_closure,
                                  packed_floyd_warshall_inplace, packed_or,
                                  packed_product, packed_rank1_update,
@@ -89,9 +88,7 @@ def test_packed_block_surface():
     bits = random_bits(rng, 10, 70)
     block = PackedBlock.from_dense(bits)
     assert is_packed(block) and not is_packed(bits)
-    assert as_packed(block) is block
-    assert np.array_equal(as_dense_bool(block), bits)
-    assert np.array_equal(as_dense_bool(bits), bits)
+    assert np.array_equal(block.to_dense(), bits)
     assert block.dtype == np.bool_
     assert block.nbytes == block.words.nbytes
     # 64x denser than a float64 block, 8x denser than bool, up to padding.
@@ -199,9 +196,9 @@ def test_generic_kernels_dispatch_packed():
     closed = floyd_warshall_inplace(pa.copy(), "reachability")
     assert is_packed(closed)
     assert np.array_equal(closed.to_dense(), semiring_closure(a, "reachability"))
-    # Mixed packed/dense operands are coerced, not crashed on.
-    mixed = semiring_product(pa, a, "reachability")
-    assert np.array_equal(as_dense_bool(mixed), semiring_product(a, a, REACH))
+    # Mixed packed/dense operands are a typed error, not a silent coercion.
+    with pytest.raises(ValidationError):
+        semiring_product(pa, a, "reachability")
 
 
 def test_generic_kernels_reject_packed_for_numeric_algebras():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ValidationError
 from repro.linalg.semiring import (
     elementwise_min,
-    minplus_closure_iterations,
+    closure_iterations,
     minplus_power,
     minplus_product,
     minplus_square,
@@ -164,16 +164,16 @@ class TestClosureIterations:
     @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (3, 1), (4, 2), (5, 2),
                                             (9, 3), (262144, 18)])
     def test_values(self, n, expected):
-        assert minplus_closure_iterations(n) == expected
+        assert closure_iterations(n) == expected
 
     def test_invalid_n(self):
         with pytest.raises(ValidationError):
-            minplus_closure_iterations(0)
+            closure_iterations(0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 2000))
     def test_property_sufficient_for_paths(self, n):
         # 2^iterations must be at least n - 1 (the longest possible shortest path).
-        iterations = minplus_closure_iterations(n)
+        iterations = closure_iterations(n)
         assert 2 ** iterations >= n - 1
         assert 2 ** (iterations - 1) < n - 1

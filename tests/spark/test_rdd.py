@@ -230,6 +230,18 @@ class TestCaching:
         rdd.collect()
         assert spark_context.metrics.cached_partitions >= 1
 
+    def test_deep_lineage_with_periodic_checkpoints(self, spark_context):
+        # fw-2d's shape: one narrow RDD per pivot, materialized every 16.  The
+        # lineage walk must not recurse once per ancestor (RecursionError at
+        # depth ~1000 before prepare() used an explicit stack).
+        rdd = spark_context.parallelize([(0, 0)], num_partitions=1)
+        for k in range(1, 1501):
+            rdd = rdd.map_preserving(lambda record: (record[0], record[1] + 1))
+            if k % 16 == 0:
+                rdd.cache()
+                assert rdd.count() == 1
+        assert rdd.collect() == [(0, 1500)]
+
 
 class TestShuffledRDD:
     def test_shuffle_materialized_once(self, spark_context):
