@@ -2,12 +2,15 @@
 
 * dense NumPy Floyd-Warshall vs the SciPy (C) implementation — the paper
   offloads the diagonal-block solve to SciPy/MKL;
-* min-plus product column-chunk size — the cache-aware vectorization knob;
+* min-plus product block size x right-operand layout — the two things the
+  row-panel kernel is sensitive to (panels per product; a mirrored ``.T``
+  operand pays one contiguous copy per call);
 * dense vs per-source Dijkstra on a sparse instance — the paper argues the
   dense-block representation is the right default because the matrix fills in
   quickly.
 """
 
+import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi_adjacency
@@ -36,7 +39,11 @@ def test_bench_apsp_dijkstra_sparse(benchmark, kernel_graph):
                        rounds=1, iterations=1, warmup_rounds=0)
 
 
-@pytest.mark.parametrize("chunk", (8, 64, 256))
-def test_bench_minplus_chunk_size(benchmark, kernel_graph, chunk):
-    benchmark.extra_info["chunk"] = chunk
-    benchmark(lambda: minplus_product(kernel_graph, kernel_graph, chunk=chunk))
+@pytest.mark.parametrize("layout", ("contiguous", "mirrored"))
+@pytest.mark.parametrize("block", (64, 128, 256, 384))
+def test_bench_minplus_product(benchmark, block, layout):
+    left, right = np.random.default_rng(77).uniform(1.0, 10.0, (2, block, block))
+    if layout == "mirrored":
+        right = right.T
+    benchmark.extra_info.update(block=block, layout=layout)
+    benchmark(lambda: minplus_product(left, right))

@@ -4,9 +4,11 @@ These are the "bare metal" kernels of the paper (Section 4.1): semiring
 matrix product (min-plus by default), elementwise ⊕, the Floyd-Warshall
 block kernel and the rank-1 Floyd-Warshall update.  In the paper they are
 dispatched to NumPy/SciPy/Numba; here they are vectorized NumPy (BLAS-free
-but cache-aware, processed in column chunks), parameterized by a
-:class:`~repro.linalg.algebra.Semiring` so the same kernels also compute
-widest paths, most-reliable paths, DAG longest paths and transitive closure.
+but cache-aware: the product's broadcast cube is streamed through L2-sized
+row panels, see :meth:`~repro.linalg.algebra.Semiring.mul_panels`),
+parameterized by a :class:`~repro.linalg.algebra.Semiring` so the same
+kernels also compute widest paths, most-reliable paths, DAG longest paths and
+transitive closure.
 """
 
 from repro.linalg.algebra import (
@@ -33,8 +35,6 @@ from repro.linalg.bitset import (
 )
 from repro.linalg.payload import payload_ops
 from repro.linalg.semiring import (
-    chunk_for_dtype,
-    auto_chunk,
     semiring_product,
     semiring_relax,
     semiring_power,
@@ -72,8 +72,6 @@ __all__ = [
     "packed_product",
     "packed_or",
     "packed_floyd_warshall_inplace",
-    "chunk_for_dtype",
-    "auto_chunk",
     "Semiring",
     "get_algebra",
     "register_algebra",

@@ -60,6 +60,14 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, ValidationError
 
+#: Byte budget of the ``(rows, k, n)`` cube :meth:`Semiring.mul_panels`
+#: streams per step.  Sized from a sweep of 64 KiB-4 MiB over block sides
+#: 32-512 x {float64, float32, bool} x {contiguous, mirrored} right operands
+#: (recorded in CHANGES.md, PR 13): 512 KiB is at or within noise of the best
+#: everywhere, and throughput drops 10-25 % once the cube no longer fits a
+#: 2 MiB per-core L2 together with the operands.
+_PANEL_BYTES = 512 * 1024
+
 
 # ---------------------------------------------------------------------------
 # Input validators (module-level so they pickle with their Semiring)
@@ -303,6 +311,57 @@ class Semiring:
                    out: np.ndarray | None = None) -> np.ndarray:
         """⊕-reduction along ``axis`` (the outer operation of ``MatProd``)."""
         return self.add_op.reduce(array, axis=axis, out=out)
+
+    # -- the MatProd ⊗ cube, tiled -----------------------------------------
+    def product_operands(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Validate ``(m, k) ⊗ (k, n)`` operands; return them in the common dtype."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValidationError("MatProd requires 2-D operands")
+        if a.shape[1] != b.shape[0]:
+            raise ValidationError(
+                f"MatProd inner dimensions must agree, got {a.shape} and {b.shape}")
+        dtype = self.result_dtype(a, b)
+        return np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+
+    def mul_panels(self, a: np.ndarray, b: np.ndarray, *,
+                   reduce_last: bool = False):
+        """Yield ``(rows, a[rows, :, None] ⊗ b[None])`` over row panels of ``a``.
+
+        The one tiling of the product's broadcast cube, shared by the dense
+        and the witnessed ``MatProd`` (operands from :meth:`product_operands`).
+        Panels are cut along the *rows* of the left operand because that
+        keeps the cube's innermost axis contiguous at a full block width
+        (``b`` is copied into the matching order once — a ``k·n`` copy
+        against an ``m·k·n`` product — so mirror views and strided
+        sub-blocks cost nothing per element) and leaves the reduction axis
+        whole: every ⊕ and ``arg_select`` sees exactly the operands of the
+        untiled cube, so results do not depend on the panel height.  Each
+        ``(rows, k, n)`` cube is written into one reused buffer of at most
+        :data:`_PANEL_BYTES` (one row when a single row already exceeds it);
+        it is valid until the next panel is requested.  In memory the cube
+        is ``n``-innermost, which is what :meth:`add_reduce` over axis 1
+        vectorizes along; ``reduce_last=True`` stores it ``k``-innermost
+        instead, because NumPy's arg-reductions are only fast along a
+        contiguous axis.  An empty inner dimension yields no panels: the
+        caller's output is the empty ⊕-sum, ``zero`` everywhere.
+        """
+        m, k = a.shape
+        n = b.shape[1]
+        if not k:
+            return
+        height = max(1, min(m, _PANEL_BYTES // max(1, k * n * a.dtype.itemsize)))
+        if reduce_last:
+            b = np.asfortranarray(b)[None]
+            cube = np.empty((height, n, k), dtype=a.dtype).transpose(0, 2, 1)
+        else:
+            b = np.ascontiguousarray(b)[None]
+            cube = np.empty((height, k, n), dtype=a.dtype)
+        for start in range(0, m, height):
+            rows = slice(start, min(start + height, m))
+            yield rows, self.mul(a[rows, :, None], b,
+                                 out=cube[:rows.stop - start])
 
     # -- witness policy ----------------------------------------------------
     @property

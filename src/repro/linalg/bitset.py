@@ -2,7 +2,7 @@
 
 The (or, and) semiring needs exactly one bit per matrix cell, yet a ``bool``
 ndarray spends a full byte per cell and the generic product kernel streams a
-``(m, k, chunk)`` byte cube through memory.  This module packs each block row
+``(rows, k, n)`` byte cube through memory.  This module packs each block row
 into ``uint64`` words — 64 adjacency bits per word, 64x denser than ``bool``
 ndarrays, 8x fewer bytes of traffic — and rewrites the Table-1 building
 blocks as word-parallel bitwise kernels:

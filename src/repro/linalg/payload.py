@@ -30,49 +30,6 @@ from repro.common.validation import check_block_size
 from repro.linalg import bitset, witness
 from repro.linalg.algebra import Semiring
 
-#: Default number of output columns processed per chunk in the product kernel
-#: for 8-byte elements.  Chosen so the (m x k x chunk) temporary plus the
-#: chunk fits comfortably in L2/L3 for the block sizes the paper sweeps
-#: (256-4096).  Narrower dtypes scale the chunk up so the temporary keeps the
-#: same *byte* footprint — see :func:`chunk_for_dtype`.
-DEFAULT_CHUNK = 64
-
-#: Element width the historical chunk constant was sized for.
-_CHUNK_REFERENCE_ITEMSIZE = 8
-
-#: Ceiling for the ``(m, k, chunk)`` product temporary when the chunk is
-#: chosen automatically.  Measured sweet spot on the reference machine: the
-#: broadcast temporary degrades sharply past a couple hundred MiB (it stops
-#: being re-streamable from LLC), and 128 MiB is at or near the optimum for
-#: every (dtype, block-size) pair benchmarked (64-4096, bool-float64).
-_AUTO_CHUNK_TEMP_BYTES = 128 * 1024 * 1024
-
-
-def chunk_for_dtype(dtype: np.dtype | str) -> int:
-    """Column-chunk size keeping the product temporary's byte footprint constant.
-
-    ``DEFAULT_CHUNK`` (64) was tuned for float64 temporaries; a float32 solve
-    gets 128 columns per chunk and a boolean one 512, so every dtype streams
-    the same number of *bytes* through cache per vectorized step rather than
-    the same number of elements.
-    """
-    itemsize = max(1, np.dtype(dtype).itemsize)
-    return max(1, DEFAULT_CHUNK * _CHUNK_REFERENCE_ITEMSIZE // itemsize)
-
-
-def auto_chunk(dtype: np.dtype | str, m: int, k: int) -> int:
-    """Resolve the automatic column chunk for an ``(m, k) ⊗ (k, n)`` product.
-
-    The dtype-scaled chunk (:func:`chunk_for_dtype`) is additionally capped
-    so the ``(m, k, chunk)`` broadcast temporary stays under
-    :data:`_AUTO_CHUNK_TEMP_BYTES` — for float64 the cap only binds for
-    blocks larger than 512 (where it is a measured improvement over the
-    historical fixed 64), so the paper-scale defaults are unchanged.
-    """
-    itemsize = max(1, np.dtype(dtype).itemsize)
-    cap = max(1, _AUTO_CHUNK_TEMP_BYTES // max(1, m * k * itemsize))
-    return max(1, min(chunk_for_dtype(dtype), cap))
-
 
 class PayloadOps:
     """The operations the solvers use on one block representation.
@@ -82,7 +39,7 @@ class PayloadOps:
     Each subclass supplies its representation's kernels:
 
     * ``supports(algebra)`` — whether the algebra has kernels for it;
-    * ``product(a, b, algebra, *, chunk=None, out=None)`` — ``MatProd``;
+    * ``product(a, b, algebra, *, out=None)`` — ``MatProd``;
     * ``combine(a, b, algebra)`` — ``MatMin``, the elementwise ⊕;
     * ``fw_inplace(block, algebra)`` — ``FloydWarshall``, closes a square
       block in place and returns it;
@@ -105,11 +62,9 @@ class PayloadOps:
     #: Representation name used in error messages.
     name = ""
 
-    def relax(self, base, left, right, algebra: Semiring, *,
-              chunk: int | None = None):
+    def relax(self, base, left, right, algebra: Semiring):
         """``MinPlus``: ``base ⊕ (left ⊗ right)``, the blocked solvers' update."""
-        return self.combine(
-            base, self.product(left, right, algebra, chunk=chunk), algebra)
+        return self.combine(base, self.product(left, right, algebra), algebra)
 
     def copy(self, block):
         """A deep copy the caller may mutate."""
@@ -163,10 +118,13 @@ class PayloadOps:
 class DenseOps(PayloadOps):
     """Bare ``ndarray`` blocks: vectorized NumPy kernels in the algebra's dtype.
 
-    The product kernel is vectorized over column chunks so the temporary
-    ``A ⊗ B[:, J]`` broadcast stays in cache instead of materializing an
-    ``m x k x n`` cube; the algebra's operations are plain NumPy ufuncs, and
-    dtype is preserved (``float32`` operands stay ``float32``).
+    The product is a broadcast-and-reduce over *row panels* of the left
+    operand (:meth:`~repro.linalg.algebra.Semiring.mul_panels`): a few rows
+    of ``A`` at a time are ⊗-broadcast against all of ``B`` into one reused,
+    L2-sized ``(rows, k, n)`` buffer and ⊕-reduced over the whole inner axis,
+    instead of materializing the ``m x k x n`` cube.  The algebra's
+    operations are plain NumPy ufuncs, and dtype is preserved (``float32``
+    operands stay ``float32``).
     """
 
     name = "dense"
@@ -175,34 +133,22 @@ class DenseOps(PayloadOps):
         """Every algebra has dense kernels."""
         return True
 
-    def product(self, a, b, algebra, *, chunk=None, out=None):
-        """Chunked broadcast-and-reduce product (see the class docstring)."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValidationError("MatProd requires 2-D operands")
-        if a.shape[1] != b.shape[0]:
-            raise ValidationError(
-                f"MatProd inner dimensions must agree, got {a.shape} and {b.shape}")
-        dtype = algebra.result_dtype(a, b)
-        a = np.asarray(a, dtype=dtype)
-        b = np.asarray(b, dtype=dtype)
-        m, k = a.shape
-        n = b.shape[1]
-        if chunk is None:
-            chunk = auto_chunk(dtype, m, k)
-        if chunk <= 0:
-            raise ValidationError("chunk must be positive")
+    def product(self, a, b, algebra, *, out=None):
+        """Row-panel broadcast-and-reduce product (see the class docstring)."""
+        a, b = algebra.product_operands(a, b)
+        shape = (a.shape[0], b.shape[1])
         if out is None:
-            out = np.empty((m, n), dtype=dtype)
-        elif out.shape != (m, n):
-            raise ValidationError(f"out has shape {out.shape}, expected {(m, n)}")
-        # Process output columns in chunks: for each chunk J we broadcast
-        # a[:, :, None] ⊗ b[None, :, J] -> (m, k, |J|) and ⊕-reduce over k.
-        for j0 in range(0, n, chunk):
-            j1 = min(j0 + chunk, n)
-            combined = algebra.mul(a[:, :, None], b[None, :, j0:j1])
-            algebra.add_reduce(combined, axis=1, out=out[:, j0:j1])
+            out = np.empty(shape, dtype=a.dtype)
+        elif out.shape != shape:
+            raise ValidationError(f"out has shape {out.shape}, expected {shape}")
+        elif np.shares_memory(out, a) or np.shares_memory(out, b):
+            # Every panel reads all of b and rows of a that earlier panels'
+            # output would already have overwritten.
+            raise ValidationError("out must not overlap a MatProd operand")
+        if not a.shape[1]:
+            out[...] = algebra.zero_like(a.dtype)
+        for rows, cube in algebra.mul_panels(a, b):
+            algebra.add_reduce(cube, axis=1, out=out[rows])
         return out
 
     def combine(self, a, b, algebra):
@@ -317,7 +263,7 @@ class PackedOps(PayloadOps):
         """Only algebras declaring ``"packed"`` storage (boolean reachability)."""
         return "packed" in algebra.storages
 
-    def product(self, a, b, algebra, *, chunk=None, out=None):
+    def product(self, a, b, algebra, *, out=None):
         """:func:`~repro.linalg.bitset.packed_product`, overwriting ``out``."""
         if out is not None:
             # Match the dense kernel's out= contract (overwrite, don't
@@ -377,14 +323,12 @@ class WitnessOps(PayloadOps):
         """Only algebras with a witness policy (``witness_select``)."""
         return algebra.supports_witness
 
-    def product(self, a, b, algebra, *, chunk=None, out=None):
-        """:func:`~repro.linalg.witness.witness_product` at the automatic chunk."""
+    def product(self, a, b, algebra, *, out=None):
+        """:func:`~repro.linalg.witness.witness_product` (no ``out=``)."""
         if out is not None:
             raise ValidationError(
                 "MatProd does not support out= for witnessed operands")
-        if chunk is None:
-            chunk = auto_chunk(algebra.result_dtype(a.values, b.values), *a.shape)
-        return witness.witness_product(a, b, algebra, chunk=chunk)
+        return witness.witness_product(a, b, algebra)
 
     # The witnessed kernels already have the protocol's signatures.
     combine = staticmethod(witness.witness_combine)

@@ -24,7 +24,6 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.payload import payload_ops
-from repro.linalg.payload import DEFAULT_CHUNK, auto_chunk, chunk_for_dtype  # noqa: F401 — re-exported
 
 
 def elementwise_combine(a, b, algebra: Semiring | str | None = None):
@@ -45,7 +44,6 @@ def elementwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def semiring_product(a, b,
                      algebra: Semiring | str | None = None, *,
-                     chunk: int | None = None,
                      out: np.ndarray | None = None):
     """Semiring matrix product ``C[i, j] = ⊕_k A[i, k] ⊗ B[k, j]``.
 
@@ -55,23 +53,21 @@ def semiring_product(a, b,
     missing edges and propagate correctly (``inf + x = inf``,
     ``min(inf, x) = x``); other algebras use their own ``zero``.
 
+    An empty inner dimension gives the empty ⊕-sum: ``zero`` everywhere
+    (witness planes ``NO_VERTEX``).
+
     Parameters
     ----------
-    chunk:
-        Number of output columns computed per vectorized step; ``None``
-        scales :data:`DEFAULT_CHUNK` by the dtype width and caps the
-        broadcast temporary (see :func:`auto_chunk`).
     out:
         Optional pre-allocated output block of shape ``(m, n)``, overwritten
-        (dense and packed operands only).
+        (dense and packed operands only).  It must not share memory with an
+        operand.
     """
     algebra = get_algebra(algebra)
-    return payload_ops(a, b, algebra=algebra).product(
-        a, b, algebra, chunk=chunk, out=out)
+    return payload_ops(a, b, algebra=algebra).product(a, b, algebra, out=out)
 
 
-def semiring_relax(base, left, right, algebra: Semiring | str | None = None, *,
-                   chunk: int | None = None):
+def semiring_relax(base, left, right, algebra: Semiring | str | None = None):
     """``base ⊕ (left ⊗ right)`` — the ``MinPlus`` building block of Table 1.
 
     The one update the blocked solvers apply in phases 2 and 3 (and a
@@ -80,34 +76,33 @@ def semiring_relax(base, left, right, algebra: Semiring | str | None = None, *,
     """
     algebra = get_algebra(algebra)
     return payload_ops(base, left, right, algebra=algebra).relax(
-        base, left, right, algebra, chunk=chunk)
+        base, left, right, algebra)
 
 
-def minplus_product(a: np.ndarray, b: np.ndarray, *, chunk: int | None = None,
+def minplus_product(a: np.ndarray, b: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Min-plus matrix product ``C[i, j] = min_k A[i, k] + B[k, j]`` (``MatProd``)."""
-    return semiring_product(a, b, None, chunk=chunk, out=out)
+    return semiring_product(a, b, None, out=out)
 
 
-def semiring_square(a: np.ndarray, algebra: Semiring | str | None = None, *,
-                    chunk: int | None = None) -> np.ndarray:
+def semiring_square(a: np.ndarray,
+                    algebra: Semiring | str | None = None) -> np.ndarray:
     """Semiring square ``A ⊗ A`` combined elementwise (⊕) with ``A``.
 
     Squaring in a path closure must keep existing (shorter-or-equal) paths,
     which the diagonal ``one`` already guarantees; the explicit ⊕ with ``a``
     makes the kernel robust to inputs whose diagonal is not exactly ``one``.
     """
-    return semiring_relax(a, a, a, algebra, chunk=chunk)
+    return semiring_relax(a, a, a, algebra)
 
 
-def minplus_square(a: np.ndarray, *, chunk: int | None = None) -> np.ndarray:
+def minplus_square(a: np.ndarray) -> np.ndarray:
     """Min-plus square ``A ⊗ A`` combined with element-wise minimum against ``A``."""
-    return semiring_square(a, None, chunk=chunk)
+    return semiring_square(a, None)
 
 
 def semiring_power(a: np.ndarray, exponent: int,
-                   algebra: Semiring | str | None = None, *,
-                   chunk: int | None = None) -> np.ndarray:
+                   algebra: Semiring | str | None = None) -> np.ndarray:
     """Semiring matrix power ``A^exponent`` computed by repeated squaring.
 
     With ``exponent >= n - 1`` this yields the full closure for a graph with
@@ -121,14 +116,14 @@ def semiring_power(a: np.ndarray, exponent: int,
     result = elementwise_combine(a, a, algebra)
     e = 1
     while e < exponent:
-        result = semiring_square(result, algebra, chunk=chunk)
+        result = semiring_square(result, algebra)
         e *= 2
     return result
 
 
-def minplus_power(a: np.ndarray, exponent: int, *, chunk: int | None = None) -> np.ndarray:
+def minplus_power(a: np.ndarray, exponent: int) -> np.ndarray:
     """Min-plus matrix power ``A^exponent`` computed by repeated squaring."""
-    return semiring_power(a, exponent, None, chunk=chunk)
+    return semiring_power(a, exponent, None)
 
 
 def closure_iterations(n: int) -> int:

@@ -353,51 +353,41 @@ def witness_combine(a: WitnessBlock, b: WitnessBlock,
 
 
 def witness_product(a: WitnessBlock, b: WitnessBlock,
-                    algebra: Semiring | str | None = None, *,
-                    chunk: int) -> WitnessBlock:
+                    algebra: Semiring | str | None = None) -> WitnessBlock:
     """Semiring product with witness composition (``MatProd`` + argmin).
 
     For every output cell the winning inner index ``k*`` is selected with
-    the algebra's ``witness_select`` arg-reduction over the same broadcast
-    temporary the value kernel streams, and the planes compose as
-    ``P_C[i, j] = P_B[k*, j]`` / ``R_C[i, j] = R_A[i, k*]`` with the
-    empty-subpath fallbacks described in the module docstring.
+    the algebra's ``witness_select`` arg-reduction over the same row panels
+    of the broadcast cube the value kernel streams
+    (:meth:`~repro.linalg.algebra.Semiring.mul_panels`), and the planes
+    compose as ``P_C[i, j] = P_B[k*, j]`` / ``R_C[i, j] = R_A[i, k*]`` with
+    the empty-subpath fallbacks described in the module docstring.
     """
     algebra = require_witness(algebra, "witnessed MatProd")
     _check_same_planes(a, b, "MatProd")
-    av = np.asarray(a.values)
-    bv = np.asarray(b.values)
-    if av.shape[1] != bv.shape[0]:
-        raise ValidationError(
-            f"MatProd inner dimensions must agree, got {av.shape} and {bv.shape}")
-    dtype = algebra.result_dtype(av, bv)
-    av = np.asarray(av, dtype=dtype)
-    bv = np.asarray(bv, dtype=dtype)
-    m, _ = av.shape
-    n = bv.shape[1]
-    if chunk <= 0:
-        raise ValidationError("chunk must be positive")
+    av, bv = algebra.product_operands(a.values, b.values)
+    shape = (av.shape[0], bv.shape[1])
     single_plane = a.succs is None
-    values = np.empty((m, n), dtype=dtype)
-    parents = np.empty((m, n), dtype=np.int32)
-    succs = None if single_plane else np.empty((m, n), dtype=np.int32)
-    rows = np.arange(m)[:, None]
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        cols = np.arange(j0, j1)[None, :]
-        # (m, k, j1-j0) — the same broadcast the value-only kernel streams.
-        combined = algebra.mul(av[:, :, None], bv[None, :, j0:j1])
-        ks = algebra.arg_select(combined, axis=1)              # (m, j1-j0)
-        values[:, j0:j1] = combined[rows, ks, cols - j0]
+    # Zero-filled: an empty inner dimension composes no path at all.
+    values = np.full(shape, algebra.zero_like(av.dtype))
+    parents = np.empty(shape, dtype=np.int32)
+    succs = None if single_plane else np.empty(shape, dtype=np.int32)
+    row_ids = np.arange(shape[0])[:, None]
+    cols = np.arange(shape[1])[None, :]
+    # k-innermost cubes: arg-reductions are only fast along a contiguous axis.
+    for rows, cube in algebra.mul_panels(av, bv, reduce_last=True):
+        here = row_ids[rows]
+        ks = algebra.arg_select(cube, axis=1)                  # (|rows|, n)
+        values[rows] = cube[here - rows.start, ks, cols]
         p = b.parents[ks, cols]                 # tail pointers from B
-        p_fallback = a.parents[rows, ks]        # k* == j: B-subpath empty
-        parents[:, j0:j1] = np.where(p == NO_VERTEX, p_fallback, p)
+        p_fallback = a.parents[here, ks]        # k* == j: B-subpath empty
+        parents[rows] = np.where(p == NO_VERTEX, p_fallback, p)
         if single_plane:
             continue
-        r = a.succs[rows, ks]                   # head pointers from A
+        r = a.succs[here, ks]                   # head pointers from A
         r_fallback = b.succs[ks, cols]          # k* == i: A-subpath empty
-        succs[:, j0:j1] = np.where(r == NO_VERTEX, r_fallback, r)
-    no_path = values == algebra.zero_like(dtype)
+        succs[rows] = np.where(r == NO_VERTEX, r_fallback, r)
+    no_path = values == algebra.zero_like(av.dtype)
     parents[no_path] = NO_VERTEX
     if succs is not None:
         succs[no_path] = NO_VERTEX

@@ -60,13 +60,6 @@ class TestMinplusProduct:
         out = minplus_product(a, b)
         assert np.all(np.isinf(out))
 
-    def test_chunking_does_not_change_result(self):
-        rng = np.random.default_rng(3)
-        a = random_weight_matrix(rng, 20, 20)
-        full = minplus_product(a, a, chunk=64)
-        tiny = minplus_product(a, a, chunk=1)
-        assert np.array_equal(full, tiny)
-
     def test_out_parameter(self):
         rng = np.random.default_rng(4)
         a = random_weight_matrix(rng, 5, 5)
@@ -86,11 +79,6 @@ class TestMinplusProduct:
     def test_non_2d_rejected(self):
         with pytest.raises(ValidationError):
             minplus_product(np.zeros(3), np.zeros((3, 3)))
-
-    def test_invalid_chunk_rejected(self):
-        a = np.zeros((2, 2))
-        with pytest.raises(ValidationError):
-            minplus_product(a, a, chunk=0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 8), st.integers(2, 8), st.integers(2, 8), st.integers(0, 10_000))
