@@ -31,58 +31,43 @@ class FloydWarshall2DSolver(SparkAPSPSolver):
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
 
-    #: Materialize (cache + count) the block RDD every this many pivots to keep
-    #: the narrow-lineage chain short.  Spark users achieve the same with
-    #: periodic persistence; the interval does not change results.
-    checkpoint_interval = 16
-
     def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int, q: int,
              partitioner: Partitioner, stopwatch: Stopwatch, *,
              layout: str = "triangular"):
         algebra = self.algebra
-        current = rdd
+        # An asymmetric matrix's pivot row is not its pivot column: the full
+        # grid extracts both in one pass over the pivot cross (tagged
+        # pieces), assembles and broadcasts each, and feeds the rank-1
+        # update its two distinct operand vectors.
+        full = layout == "full"
+        extract = bb.extract_rowcol if full else bb.extract_col
+        update = (bb.FloydWarshallUpdateWithRowCol if full
+                  else bb.FloydWarshallUpdateWithColumn)
+        # Rolling persistence: every generation is marked cached when it is
+        # defined and computed exactly once, by the next pivot's extract job
+        # (which reads every partition anyway); its parent is dropped as soon
+        # as that job returns, so two generations are resident at most.
+        previous, current = None, rdd
         for k in range(n):
-            pivot_block = k // block_size
-            k_local = k % block_size
-
-            if layout == "full":
-                # An asymmetric matrix's pivot row is not its pivot column:
-                # extract both in one pass over the pivot cross (tagged
-                # pieces), assemble and broadcast each, and feed the rank-1
-                # update its two distinct operand vectors.
-                with stopwatch.section("extract-column"):
-                    pieces = current.filter(bb.in_block_row_or_column(pivot_block)) \
-                        .flatMap(bb.extract_rowcol(pivot_block, k_local)).collect()
-                    col_pieces = [(idx, piece) for (tag, idx), piece in pieces
-                                  if tag == "col"]
-                    row_pieces = [(idx, piece) for (tag, idx), piece in pieces
-                                  if tag == "row"]
-                    column = bb.assemble_column(col_pieces, n, block_size, algebra)
-                    row = bb.assemble_column(row_pieces, n, block_size, algebra)
-                with stopwatch.section("broadcast"):
-                    col_broadcast = sc.broadcast(column)
-                    row_broadcast = sc.broadcast(row)
-                with stopwatch.section("update"):
-                    current = current.map_preserving(
-                        bb.FloydWarshallUpdateWithRowCol(
-                            col_broadcast.value, row_broadcast.value,
-                            block_size, algebra))
-                    if (k + 1) % self.checkpoint_interval == 0 or k == n - 1:
-                        current = current.cache()
-                        current.count()
-                continue
-
+            pivot_block, k_local = divmod(k, block_size)
             with stopwatch.section("extract-column"):
                 pieces = current.filter(bb.in_block_row_or_column(pivot_block)) \
-                    .flatMap(bb.extract_col(pivot_block, k_local)).collect()
-                column = bb.assemble_column(pieces, n, block_size, algebra)
+                    .flatMap(extract(pivot_block, k_local)).collect()
+                if previous is not None:
+                    previous.unpersist()
+                if full:
+                    vectors = [bb.assemble_column(
+                        [(idx, piece) for (tag, idx), piece in pieces if tag == side],
+                        n, block_size, algebra) for side in ("col", "row")]
+                else:
+                    vectors = [bb.assemble_column(pieces, n, block_size, algebra)]
             with stopwatch.section("broadcast"):
-                broadcast = sc.broadcast(column)
+                operands = [sc.broadcast(vector).value for vector in vectors]
             with stopwatch.section("update"):
-                current = current.map_preserving(
-                    bb.FloydWarshallUpdateWithColumn(
-                        broadcast.value, block_size, algebra))
-                if (k + 1) % self.checkpoint_interval == 0 or k == n - 1:
-                    current = current.cache()
-                    current.count()
+                previous, current = current, current.map_preserving(
+                    update(*operands, block_size, algebra)).cache()
+        with stopwatch.section("update"):
+            # No extract job follows the last pivot, so one count() stands in.
+            current.count()
+            previous.unpersist()
         return current, n

@@ -53,7 +53,7 @@ importable from this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -163,6 +163,9 @@ class Semiring:
     #: meaningful for selective ⊕ operations (the result is one operand).
     witness_select: str | None = None
     description: str = ""
+    #: Memo of :meth:`result_dtype`: operands' common dtype -> compute dtype.
+    _result_dtypes: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self) -> None:
         if self.default_dtype not in self.dtypes:
@@ -294,9 +297,13 @@ class Semiring:
         anything unsupported (e.g. integer inputs) is upcast to the default.
         """
         common = np.result_type(*operands) if operands else np.dtype(self.default_dtype)
-        if common.name in self.dtypes:
-            return common
-        return np.dtype(self.default_dtype)
+        # ``np.dtype.name`` is a Python-level property, far dearer than the
+        # small-block kernels' own bookkeeping: decide each dtype once.
+        result = self._result_dtypes.get(common)
+        if result is None:
+            result = common if common.name in self.dtypes else np.dtype(self.default_dtype)
+            self._result_dtypes[common] = result
+        return result
 
     # -- elementwise operations -------------------------------------------
     def add(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

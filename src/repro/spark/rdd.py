@@ -150,14 +150,23 @@ class RDD:
         times per iteration), so the walk is memoized by RDD identity — and it
         runs on an explicit stack: the 2D Floyd-Warshall solver chains one
         narrow RDD per pivot, so an ``n``-vertex solve has a lineage ``n``
-        deep, past the interpreter's recursion limit at n ≈ 1000.
+        deep, past the interpreter's recursion limit at n ≈ 1000.  It stops
+        at an ancestor that will not ask its parents for anything — a
+        persisted RDD with every partition cached, a shuffle whose map side
+        already ran — so under that solver's rolling persistence a job walks
+        O(1) RDDs, not the whole chain.  (If such an ancestor is unpersisted
+        mid-job, a shuffle below it still materializes itself on first read.)
         """
         seen = {id(self)}
         stack = [self]
         shuffles = []
         while stack:
             rdd = stack.pop()
+            if rdd._persisted and len(rdd._cache) == rdd._num_partitions:
+                continue
             if isinstance(rdd, ShuffledRDD):
+                if rdd._shuffle_id is not None:
+                    continue
                 shuffles.append(rdd)
             for parent in rdd._parents:
                 if id(parent) not in seen:

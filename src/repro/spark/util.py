@@ -17,6 +17,18 @@ def estimate_size(obj) -> int:
     collect/broadcast accounting, so it only needs to be proportional to the
     real volume, not exact.
     """
+    # Exact-type fast path for what block records are made of; subclasses and
+    # everything else take the isinstance ladder below (same answers).
+    kind = type(obj)
+    if kind is np.ndarray:
+        return int(obj.nbytes)
+    if kind is tuple or kind is list:
+        total = 8
+        for item in obj:
+            total += estimate_size(item)
+        return total
+    if kind is int or kind is float:
+        return 8
     if obj is None:
         return 1
     if isinstance(obj, np.ndarray):

@@ -131,6 +131,21 @@ class TestDtypePolicy:
         assert SHORTEST_PATH.result_dtype(a, a.astype(np.float64)) == np.float64
         assert SHORTEST_PATH.result_dtype(np.zeros((2, 2), dtype=np.int64)) == np.float64
 
+    @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+    def test_result_dtype_is_the_same_pure_function_on_every_call(self, algebra):
+        # The (algebra, common dtype) -> compute dtype decision is looked up
+        # after its first evaluation; lookups must repeat what the policy says.
+        default = np.dtype(algebra.default_dtype)
+        assert algebra.result_dtype() is default
+        for name in ("float64", "float32", "float16", "int64", "uint8", "bool",
+                     "complex128"):
+            common = np.dtype(name)
+            expected = common if common.name in algebra.dtypes else default
+            for _ in range(2):
+                assert algebra.result_dtype(np.zeros(2, dtype=common)) is expected
+        mixed = algebra.result_dtype(np.zeros(2, dtype=np.float32), np.zeros(2))
+        assert mixed is (np.dtype("float64") if "float64" in algebra.dtypes else default)
+
     def test_product_preserves_float32(self):
         rng = np.random.default_rng(0)
         a = random_domain_matrix(SHORTEST_PATH, rng, 6, 6, dtype=np.float32)

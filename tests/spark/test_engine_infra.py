@@ -41,6 +41,51 @@ class TestEstimateSize:
             pass
         assert estimate_size(Thing()) > 0
 
+    def test_fast_path_repeats_the_ladder_exactly(self):
+        # The exact-type fast path must not move a single byte counter
+        # (shuffle_bytes, collect_bytes, broadcast_bytes, cached_bytes): this
+        # is the ladder as it stood before the fast path was put ahead of it.
+        import pickle
+        from collections import namedtuple
+
+        from repro.linalg.bitset import PackedBlock, PackedVector
+        from repro.linalg.witness import witness_block
+
+        def ladder(obj):
+            if obj is None:
+                return 1
+            if isinstance(obj, np.ndarray):
+                return int(obj.nbytes)
+            if isinstance(obj, (bytes, bytearray)):
+                return len(obj)
+            if isinstance(obj, str):
+                return len(obj.encode("utf-8"))
+            if isinstance(obj, (int, float, bool, np.integer, np.floating)):
+                return 8
+            if isinstance(obj, (tuple, list)):
+                return sum(ladder(x) for x in obj) + 8
+            if isinstance(obj, dict):
+                return sum(ladder(k) + ladder(v) for k, v in obj.items()) + 8
+            return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+        block = np.arange(12.0).reshape(3, 4)
+        packed = PackedBlock.from_dense(np.eye(5, 70, dtype=bool))
+        witnessed = witness_block(block[:, :3].copy(), 0, 3)
+        pair = namedtuple("pair", "left right")
+        samples = [
+            ((1, 2), block), ((1, 2), ("A", block)), ((0, 0), packed),
+            ((0, 3), ("L", witnessed)), (("col", 2), block[:, 1]),
+            PackedVector.from_dense(np.ones(70, dtype=bool)),
+            [[1, 2.5], [], [[block.astype(np.float32)]]], {"a": [1, (2, None)], 3: block},
+            None, "", "naïve", b"ab", bytearray(3), True, 7, -1.5, (), [],
+            np.float32(1.5), np.int64(3), np.bool_(True), np.zeros(0), np.zeros((2, 0)),
+            block.view(type("Sub", (np.ndarray,), {})),
+            pair(1, block), (1, [2, (3.0, "x", {"k": b"v"})]), complex(1, 2), {1, 2},
+        ]
+        for sample in samples:
+            size = estimate_size(sample)
+            assert type(size) is int and size == ladder(sample), repr(sample)
+
 
 class TestRecordKey:
     def test_pair(self):

@@ -231,7 +231,8 @@ class TestCaching:
         assert spark_context.metrics.cached_partitions >= 1
 
     def test_deep_lineage_with_periodic_checkpoints(self, spark_context):
-        # fw-2d's shape: one narrow RDD per pivot, materialized every 16.  The
+        # One narrow RDD per step, materialized every 16 — periodic
+        # checkpointing (fw-2d itself rolls its persistence, next test).  The
         # lineage walk must not recurse once per ancestor (RecursionError at
         # depth ~1000 before prepare() used an explicit stack).
         rdd = spark_context.parallelize([(0, 0)], num_partitions=1)
@@ -241,6 +242,71 @@ class TestCaching:
                 rdd.cache()
                 assert rdd.count() == 1
         assert rdd.collect() == [(0, 1500)]
+
+    def test_deep_lineage_with_rolling_persistence(self, spark_context):
+        # fw-2d's shape: every generation is cached when defined, computed by
+        # a job on an un-persisted child, and its parent dropped afterwards.
+        calls, walks = [], []
+
+        class CountedParents(list):
+            """An RDD's parent list that logs each time prepare() descends it."""
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        def counted(rdd):
+            rdd._parents = CountedParents(rdd._parents)
+            return rdd
+
+        def bump(record):
+            calls.append(1)
+            return record[0], record[1] + 1
+
+        keys = list(range(6))
+        root = spark_context.parallelize([(key, 0) for key in keys]).partitionBy(2)
+        assert isinstance(root, ShuffledRDD)
+        depth = 1500
+        previous, current = None, counted(root)
+        for k in range(depth):
+            walks.clear()
+            probe = counted(current.filter(lambda record: True))
+            assert sorted(probe.collect()) == [(key, k) for key in keys]
+            if previous is not None:
+                previous.unpersist()
+            if k >= 2:
+                # probe and current descend; the fully cached parent cuts the walk
+                assert len(walks) == 2
+            previous, current = current, counted(current.map_preserving(bump).cache())
+        assert sorted(current.collect()) == [(key, depth) for key in keys]
+        assert len(calls) == depth * len(keys)  # each generation computed once
+        assert spark_context.metrics.shuffle_count == 1
+
+        # Dropping a generation that is still needed costs a recompute from
+        # its (cached) parent, never a wrong answer or a second shuffle.
+        current.unpersist()
+        assert sorted(current.filter(lambda record: True).collect()) == \
+            [(key, depth) for key in keys]
+        assert len(calls) == (depth + 1) * len(keys)
+        assert spark_context.metrics.shuffle_count == 1
+
+    def test_unpersist_below_a_prepare_cut_falls_back_to_lineage(self, spark_context):
+        calls = []
+        shuffled = spark_context.parallelize([(i, i) for i in range(8)]).partitionBy(2)
+        lower = shuffled.map_preserving(lambda r: calls.append(r) or r).cache()
+        upper = lower.map_preserving(lambda r: (r[0], r[1] + 1)).cache()
+        expected = [(i, i + 1) for i in range(8)]
+        assert sorted(upper.collect()) == expected
+        assert len(calls) == 8
+        # `upper` is fully cached: jobs above it stop there, whatever happens below.
+        lower.unpersist()
+        assert sorted(upper.filter(lambda r: True).collect()) == expected
+        assert len(calls) == 8
+        # With both gone the job replays the lineage down to the shuffle's
+        # buckets, which are read again but not rewritten.
+        upper.unpersist()
+        assert sorted(upper.filter(lambda r: True).collect()) == expected
+        assert len(calls) == 16
+        assert spark_context.metrics.shuffle_count == 1
 
 
 class TestShuffledRDD:
