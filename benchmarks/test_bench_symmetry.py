@@ -13,18 +13,18 @@ from repro.linalg.blocks import blocks_to_matrix, matrix_to_blocks
 BLOCK_SIZE = 16
 
 
-@pytest.mark.parametrize("upper_only", (True, False), ids=("upper-triangular", "full"))
-def test_bench_decompose(benchmark, bench_graph, upper_only):
+@pytest.mark.parametrize("layout", ("triangular", "full"), ids=("upper-triangular", "full"))
+def test_bench_decompose(benchmark, bench_graph, layout):
     def decompose():
-        return list(matrix_to_blocks(bench_graph, BLOCK_SIZE, upper_only=upper_only))
+        return list(matrix_to_blocks(bench_graph, BLOCK_SIZE, layout=layout))
 
     blocks = benchmark(decompose)
     benchmark.extra_info["num_blocks"] = len(blocks)
     benchmark.extra_info["stored_bytes"] = int(sum(b.nbytes for _, b in blocks))
 
 
-@pytest.mark.parametrize("upper_only", (True, False), ids=("upper-triangular", "full"))
-def test_bench_reassemble(benchmark, bench_graph, upper_only):
+@pytest.mark.parametrize("layout", ("triangular", "full"), ids=("upper-triangular", "full"))
+def test_bench_reassemble(benchmark, bench_graph, layout):
     n = bench_graph.shape[0]
-    blocks = list(matrix_to_blocks(bench_graph, BLOCK_SIZE, upper_only=upper_only))
-    benchmark(lambda: blocks_to_matrix(blocks, n, BLOCK_SIZE, symmetric=upper_only))
+    blocks = list(matrix_to_blocks(bench_graph, BLOCK_SIZE, layout=layout))
+    benchmark(lambda: blocks_to_matrix(blocks, n, BLOCK_SIZE, layout=layout))

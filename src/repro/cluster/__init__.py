@@ -32,7 +32,6 @@ from repro.cluster.costmodel import (
     ProjectionResult,
     SOLVER_NAMES,
     element_bytes,
-    stored_block_count,
 )
 from repro.cluster.fitting import (
     CALIBRATION_SCHEMA_VERSION,
@@ -64,7 +63,6 @@ __all__ = [
     "IterationEstimate",
     "ProjectionResult",
     "SOLVER_NAMES",
-    "stored_block_count",
     "CALIBRATION_SCHEMA_VERSION",
     "Observation",
     "accuracy_report",

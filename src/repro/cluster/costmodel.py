@@ -27,25 +27,12 @@ import numpy as np
 from repro.cluster.calibration import KernelCalibration
 from repro.cluster.model import ClusterSpec, paper_cluster, GIB
 from repro.common.errors import ConfigurationError
-from repro.linalg.blocks import all_block_ids, num_blocks, upper_triangular_block_ids
+from repro.linalg.blocks import BlockGrid, num_blocks
 from repro.linalg.semiring import closure_iterations
 from repro.spark.partitioner import partitioner_by_name
 
 #: Canonical solver names understood by the cost model.
 SOLVER_NAMES = ("repeated-squaring", "fw-2d", "blocked-im", "blocked-cb")
-
-#: Block grid layouts the cost model prices (mirrors SolvePlan.layout).
-LAYOUT_NAMES = ("triangular", "full")
-
-
-def stored_block_count(q: int, layout: str = "triangular") -> float:
-    """Blocks a ``q x q`` grid stores: ``q(q+1)/2`` triangular, ``q²`` full."""
-    if layout not in LAYOUT_NAMES:
-        raise ConfigurationError(
-            f"unknown block layout {layout!r}; expected one of {LAYOUT_NAMES}")
-    if layout == "full":
-        return float(q) * q
-    return q * (q + 1) / 2.0
 
 #: Effective per-node shuffle bandwidth (bytes/s).  Although the interconnect
 #: is GbE, Spark compresses shuffle blocks (early-iteration distance blocks are
@@ -298,9 +285,7 @@ class CostModel:
         if cache_key in self._imbalance_cache:
             return self._imbalance_cache[cache_key]
         partitioner = partitioner_by_name(partitioner_name, partitions, q)
-        block_ids = (all_block_ids(q) if layout == "full"
-                     else upper_triangular_block_ids(q))
-        counts = partitioner.distribution(block_ids)
+        counts = partitioner.distribution(BlockGrid(q, layout).keys())
         total = counts.sum()
         if total == 0:
             return 1.0
@@ -342,7 +327,7 @@ class CostModel:
         partitions = max(1, p * partitions_per_core)
         element_size = element_bytes(algebra, dtype, storage)
         block_bytes = self._block_bytes(b, element_size)
-        stored_blocks = stored_block_count(q, layout)
+        stored_blocks = float(BlockGrid(q, layout).count)
         role_factor = 2.0 if self.duplicate_transpose_work else 1.0
         imbalance = self.imbalance_factor(partitioner, n, block_size, p,
                                           partitions_per_core, layout)
@@ -439,7 +424,7 @@ class CostModel:
         q = num_blocks(n, block_size)
         block_bytes = self._block_bytes(block_size,
                                         element_bytes(algebra, dtype, storage))
-        stored_blocks = stored_block_count(q, layout)
+        stored_blocks = float(BlockGrid(q, layout).count)
         phase3_blocks = max(0.0, stored_blocks - 2 * (q - 1) - 1)
         per_iter = ((q - 1) + 2.0 * phase3_blocks + stored_blocks) * block_bytes
         return per_iter * q / self._nodes_for(p)

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.costmodel import element_bytes, stored_block_count
+from repro.cluster.costmodel import element_bytes
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.linalg.algebra import get_algebra
+from repro.linalg.blocks import BlockGrid
 from repro.linalg.semiring import closure_iterations
 
 #: Bump when the calibration document layout changes incompatibly.
@@ -202,7 +203,7 @@ def scenario_features(params: dict, *, cpu_count: int = 1) -> dict[str, float]:
     """
     algebra, dtype, storage, layout, paths, directed = _resolved_policies(params)
     n, block, q, partitions = _resolved_geometry(params, layout)
-    stored = stored_block_count(q, layout)
+    stored = float(BlockGrid(q, layout).count)
     element_size = element_bytes(algebra, dtype, storage)
     solver = str(params.get("solver", "blocked-cb"))
     backend = str(params.get("backend", "serial"))

@@ -42,21 +42,16 @@ class EngineConfig:
         ``num_executors * cores_per_executor`` plays the role of ``p``.
     local_storage_bytes:
         Per-executor local storage capacity available for shuffle spills
-        (paper: 1 TB SSD per node).  ``None`` disables the capacity check.
-    track_spills:
-        When true, every shuffle write is charged against the executor that
-        produced it, and exceeding ``local_storage_bytes`` raises
-        :class:`~repro.common.errors.StorageExhaustedError`.
+        (paper: 1 TB SSD per node).  Every shuffle write is charged against
+        the executor that produced it, and exceeding the capacity raises
+        :class:`~repro.common.errors.StorageExhaustedError`; ``None``
+        disables the capacity check (the accounting stays on).
     shared_fs_dir:
         Directory backing the shared-filesystem broadcast channel (paper:
         GPFS).  ``None`` means "create a temporary directory on first use".
     default_parallelism:
         Default number of partitions for RDDs created without an explicit
         partition count.
-    fail_on_impure_fault:
-        When true, a task failure inside an impure solver raises
-        :class:`~repro.common.errors.LineageError` instead of being retried,
-        modelling the paper's fault-tolerance caveat.
     retry:
         The :class:`~repro.common.retry.BackoffPolicy` governing every retry
         site (task re-execution, worker-crash recovery, staged-block repair).
@@ -87,10 +82,8 @@ class EngineConfig:
     num_executors: int = 4
     cores_per_executor: int = 2
     local_storage_bytes: int | None = None
-    track_spills: bool = True
     shared_fs_dir: str | None = None
     default_parallelism: int | None = None
-    fail_on_impure_fault: bool = True
     seed: int = 1234
     retry: BackoffPolicy = field(default_factory=BackoffPolicy)
     task_timeout_seconds: float | None = None

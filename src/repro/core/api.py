@@ -36,7 +36,7 @@ def solve_apsp(adjacency: np.ndarray, *, solver: str = "blocked-cb",
                partitions_per_core: int = 2, num_partitions: int | None = None,
                algebra: str = "shortest-path", dtype: str | None = None,
                validate: bool = False, config: EngineConfig | None = None,
-               **extra: Any) -> APSPResult:
+               **options: Any) -> APSPResult:
     """Solve All-Pairs Shortest-Paths with one of the registered Spark solvers.
 
     One-shot convenience wrapper: builds a :class:`SolveRequest`, runs it on
@@ -70,6 +70,10 @@ def solve_apsp(adjacency: np.ndarray, *, solver: str = "blocked-cb",
         Run structural sanity checks on the result.
     config:
         Engine configuration (executors, cores, backend, spill capacity).
+    **options:
+        Any other :class:`SolveRequest` field (``storage``, ``layout``,
+        ``directed``, ``paths``, ``tag``); an unknown name raises
+        :class:`~repro.common.errors.ConfigurationError`.
 
     Returns
     -------
@@ -87,6 +91,6 @@ def solve_apsp(adjacency: np.ndarray, *, solver: str = "blocked-cb",
     request = SolveRequest.coerce(
         None, solver=solver, block_size=block_size, partitioner=partitioner,
         partitions_per_core=partitions_per_core, num_partitions=num_partitions,
-        algebra=algebra, dtype=dtype, validate=validate, **extra)
+        algebra=algebra, dtype=dtype, validate=validate, **options)
     with APSPEngine(config) as engine:
         return engine.solve(adjacency, request)

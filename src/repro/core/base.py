@@ -17,7 +17,8 @@ from repro.graph import sparse as sparse_mod
 from repro.graph.adjacency import is_symmetric_adjacency, validate_adjacency
 from repro.linalg import witness as witness_mod
 from repro.linalg.algebra import ABSORPTIVE_ALGEBRAS, Semiring, get_algebra
-from repro.linalg.blocks import matrix_to_blocks, blocks_to_matrix, num_blocks
+from repro.linalg.blocks import (BlockGrid, blocks_to_matrix, matrix_to_blocks,
+                                 num_blocks)
 from repro.spark.context import SparkContext
 from repro.spark.metrics import metrics_delta
 from repro.spark.partitioner import Partitioner, partitioner_by_name
@@ -81,7 +82,6 @@ class SolverOptions:
     directed: bool = False
     paths: bool = False
     validate: bool = False
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -204,11 +204,14 @@ class SolvePlan:
         return sparse_mod.is_sparse(self.adjacency)
 
     @property
+    def grid(self) -> BlockGrid:
+        """The block grid of the solve: which keys are stored, how mirrors are read."""
+        return BlockGrid(self.q, self.layout)
+
+    @property
     def num_blocks_stored(self) -> int:
-        """Block records the plan's grid stores: q(q+1)/2 triangular, q² full."""
-        if self.layout == "triangular":
-            return self.q * (self.q + 1) // 2
-        return self.q * self.q
+        """Block records the plan's grid stores."""
+        return self.grid.count
 
     def block_records(self):
         """Cut the plan's adjacency into ``((I, J), block)`` records.
@@ -220,22 +223,16 @@ class SolvePlan:
         allocates O(nnz + b²), never a dense ``n x n`` array.  Either path
         emits packed-bitset blocks under the ``"packed"`` storage policy and
         witnessed blocks (value + parent planes, global ids stamped) under
-        ``paths=True``.  The triangular layout cuts only the upper block
-        triangle (mirror blocks are served by transposing); the full layout
-        cuts all q² blocks, with single-plane witnesses (no successor plane —
-        an asymmetric closure has no transpose identity to exploit).
+        ``paths=True``.  One record per key the plan's :attr:`grid` stores.
         """
-        upper_only = self.layout == "triangular"
-        single_plane = self.paths and not upper_only
         if self.sparse_input:
             return sparse_mod.sparse_to_blocks(
                 self.adjacency, self.block_size, algebra=self.algebra,
-                dtype=self.dtype, storage=self.storage, upper_only=upper_only,
-                witness=self.paths, single_plane=single_plane)
+                dtype=self.dtype, storage=self.storage, layout=self.layout,
+                witness=self.paths)
         return matrix_to_blocks(self.adjacency, self.block_size,
-                                upper_only=upper_only, storage=self.storage,
-                                witness=self.paths, algebra=self.algebra,
-                                single_plane=single_plane)
+                                layout=self.layout, storage=self.storage,
+                                witness=self.paths, algebra=self.algebra)
 
     def describe(self) -> dict:
         """Geometry summary as a plain dict (for logs, the CLI, and tests)."""
@@ -272,12 +269,7 @@ def auto_block_size(n: int, total_cores: int, partitions_per_core: int = 2,
     if n <= 0:
         raise ConfigurationError("n must be positive")
     target_partitions = max(1, total_cores * max(1, partitions_per_core))
-    if layout == "full":
-        # Full grid: q² ≈ 2 * target_partitions  =>  q ≈ sqrt(2 * target)
-        q = max(1, int(math.ceil(math.sqrt(2.0 * target_partitions))))
-    else:
-        # Upper-triangular blocks: q(q+1)/2 ≈ 2 * target_partitions  =>  q ≈ sqrt(4 * target)
-        q = max(1, int(math.ceil(math.sqrt(4.0 * target_partitions))))
+    q = max(1, BlockGrid.side_for(2 * target_partitions, layout))
     q = min(q, n)
     return max(1, int(math.ceil(n / q)))
 
@@ -317,9 +309,8 @@ class SparkAPSPSolver:
         return get_algebra(self.options.algebra)
 
     # ------------------------------------------------------------------
-    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int, q: int,
-             partitioner: Partitioner, stopwatch: Stopwatch, *,
-             layout: str = "triangular"):
+    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
+             grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -420,19 +411,18 @@ class SparkAPSPSolver:
                 algebra=plan.algebra, dtype=plan.dtype, storage=plan.storage)
             with sc.scheduler.task_wall_hint(wall_hint):
                 result_blocks, iterations = self._run(
-                    sc, rdd, plan.n, plan.block_size, plan.q, plan.partitioner,
-                    stopwatch, layout=plan.layout)
+                    sc, rdd, plan.n, plan.block_size, plan.grid,
+                    plan.partitioner, stopwatch)
             with stopwatch.section("gather"):
                 if isinstance(result_blocks, RDD):
                     result_blocks = result_blocks.collect()
                 algebra = get_algebra(plan.algebra)
                 parents = None
                 paths_repaired = 0
-                symmetric = plan.layout == "triangular"
                 if plan.paths:
                     distances, parents = witness_mod.witness_blocks_to_matrices(
                         result_blocks, plan.n, plan.block_size,
-                        symmetric=symmetric,
+                        layout=plan.layout,
                         fill=algebra.zero_like(plan.dtype), dtype=plan.dtype)
                     # Per-cell witnesses are locally valid but can disagree
                     # across cells on equal-value plateaus; rebuild exactly
@@ -443,7 +433,7 @@ class SparkAPSPSolver:
                 else:
                     distances = blocks_to_matrix(result_blocks, plan.n,
                                                  plan.block_size,
-                                                 symmetric=symmetric,
+                                                 layout=plan.layout,
                                                  fill=algebra.zero_like(plan.dtype),
                                                  dtype=plan.dtype)
             elapsed = time.perf_counter() - start
@@ -513,7 +503,8 @@ class SparkAPSPSolver:
         if not diag_ok:
             raise SolverError(
                 f"closure diagonal is not the algebra identity ({algebra.name})")
-        if result.layout == "triangular":
+        if BlockGrid(result.q, result.layout).mirrored:
+            # A mirrored grid answered every lower block with a transpose.
             if is_bool:
                 if not np.array_equal(d, d.T):
                     raise SolverError("closure matrix is not symmetric")

@@ -18,6 +18,7 @@ from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
 from repro.core.registry import register_solver
 from repro.linalg.algebra import Semiring, get_algebra
+from repro.linalg.blocks import BlockGrid
 from repro.linalg.semiring import semiring_relax
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
@@ -35,13 +36,12 @@ class BlockedCollectBroadcastSolver(SparkAPSPSolver):
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
 
-    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int, q: int,
-             partitioner: Partitioner, stopwatch: Stopwatch, *,
-             layout: str = "triangular"):
+    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
+             grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):
         shared_fs = sc.shared_fs
         algebra = self.algebra
         current = rdd
-        for pivot in range(q):
+        for pivot in range(grid.q):
             # ---- Phase 1: solve the pivot block and stage it ------------------
             with stopwatch.section("phase1-diagonal"):
                 diag = current.filter(bb.on_diagonal(pivot)) \
@@ -68,15 +68,15 @@ class BlockedCollectBroadcastSolver(SparkAPSPSolver):
             with stopwatch.section("phase3-remaining"):
                 others = current.filter(bb.not_in_block_row_or_column(pivot)) \
                     .map_preserving(
-                        _Phase3Update(pivot, shared_fs, rowcol_paths, algebra,
-                                      layout=layout))
+                        _Phase3Update(grid, pivot, shared_fs, rowcol_paths,
+                                      algebra))
 
             # ---- Reassemble A ---------------------------------------------------
             with stopwatch.section("repartition"):
                 current = sc.union([diag, rowcol, others]) \
                     .partitionBy(partitioner).cache()
                 current.count()
-        return current, q
+        return current, grid.q
 
 
 class _Phase2Update:
@@ -116,28 +116,22 @@ class _Phase3Update:
     multi-core execution.
     """
 
-    __slots__ = ("pivot", "shared_fs", "rowcol_paths", "algebra", "layout")
+    __slots__ = ("grid", "pivot", "shared_fs", "rowcol_paths", "algebra")
 
-    def __init__(self, pivot: int, shared_fs, rowcol_paths: dict,
-                 algebra: Semiring | str | None = None, *,
-                 layout: str = "triangular") -> None:
+    def __init__(self, grid: BlockGrid, pivot: int, shared_fs,
+                 rowcol_paths: dict,
+                 algebra: Semiring | str | None = None) -> None:
+        self.grid = grid
         self.pivot = pivot
         self.shared_fs = shared_fs
         self.rowcol_paths = rowcol_paths
         self.algebra = get_algebra(algebra)
-        self.layout = layout
 
     def _fetch_oriented(self, row: int, col: int) -> np.ndarray:
         """Return ``A_{row, col}`` where exactly one of row/col equals the pivot."""
-        if self.layout == "full":
-            # Every pivot row/column block is staged under its own key; no
-            # mirror-transpose exists for an asymmetric matrix.
-            return self.shared_fs.read(self.rowcol_paths[(row, col)])
-        key = (min(row, col), max(row, col))
+        key, transposed = self.grid.locate(row, col)
         block = self.shared_fs.read(self.rowcol_paths[key])
-        if (row, col) == key:
-            return block
-        return block.T
+        return block.T if transposed else block
 
     def __call__(self, record):
         (i, j), block = record

@@ -24,6 +24,7 @@ from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
 from repro.core.registry import register_solver
+from repro.linalg.blocks import BlockGrid
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import RDD
@@ -40,21 +41,16 @@ class BlockedInMemorySolver(SparkAPSPSolver):
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
 
-    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int, q: int,
-             partitioner: Partitioner, stopwatch: Stopwatch, *,
-             layout: str = "triangular"):
+    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
+             grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):
         algebra = self.algebra
-        # Under the full grid the pivot row and column are distinct stored
-        # blocks, so CopyDiag/CopyCol replicate without transposing; the
-        # phase predicates and unpackers are orientation-keyed and work on
-        # either layout unchanged.
         current = rdd
-        for pivot in range(q):
+        for pivot in range(grid.q):
             # ---- Phase 1: solve the pivot diagonal block ---------------------
             with stopwatch.section("phase1-diagonal"):
                 diag = current.filter(bb.on_diagonal(pivot)) \
                     .map_preserving(bb.FloydWarshallBlock(algebra)).cache()
-                diag_copies = diag.flatMap(bb.copy_diag(q, pivot, layout=layout)) \
+                diag_copies = diag.flatMap(bb.copy_diag(grid, pivot)) \
                     .partitionBy(partitioner)
 
             # ---- Phase 2: update block-row/column of the pivot ----------------
@@ -65,9 +61,7 @@ class BlockedInMemorySolver(SparkAPSPSolver):
                     bb.create_list, bb.list_append, bb.merge_lists, partitioner)
                 updated_rowcol = paired.map_preserving(
                     bb.unpack_phase2(pivot, algebra)).cache()
-                copier = (bb.copy_col_full(q, pivot) if layout == "full"
-                          else bb.copy_col(q, pivot))
-                rowcol_copies = updated_rowcol.flatMap(copier) \
+                rowcol_copies = updated_rowcol.flatMap(bb.copy_col(grid, pivot)) \
                     .partitionBy(partitioner)
 
             # ---- Phase 3: update the remaining blocks --------------------------
@@ -83,4 +77,4 @@ class BlockedInMemorySolver(SparkAPSPSolver):
                 current = sc.union([diag, updated_rowcol, updated_others]) \
                     .partitionBy(partitioner).cache()
                 current.count()
-        return current, q
+        return current, grid.q

@@ -13,9 +13,14 @@ classes, and semirings themselves pickle by name.
 
 Two presentational differences from Table 1, both noted per function:
 
-* With symmetric (upper-triangular) block storage, "column-block x" means
-  every stored block with *either* index equal to ``x``; the symmetric
-  predicates are provided alongside the literal ones.
+* Table 1 speaks of logical blocks ``A_rc``; records are *stored* blocks.
+  Every function that has to tell the two apart (``InColumn``,
+  ``ExtractCol``, ``CopyDiag``, ``CopyCol``, the ``MatProd`` emission) takes
+  the solve's :class:`~repro.linalg.blocks.BlockGrid` and asks it which
+  logical roles a record plays and which keys are stored — one body serves
+  the mirrored upper triangle and the full directed grid.  The only other
+  grid fact consulted is ``mirrored``, by ``ExtractCol``: a mirrored grid's
+  pivot row is its pivot column, so one vector is cut instead of two.
 * Block copies produced by ``CopyDiag``/``CopyCol`` carry an orientation tag
   (``'D'``, ``'L'``, ``'R'``, ``'A'``) so that ``ListUnpack`` can pick the
   correct operand order for the non-commutative semiring product.  The paper
@@ -28,9 +33,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.common.errors import SolverError
 from repro.linalg import bitset, witness
 from repro.linalg.algebra import Semiring, get_algebra
-from repro.linalg.blocks import BlockId
+from repro.linalg.blocks import BlockGrid, BlockId
 from repro.linalg.kernels import fw_rank1_update
 from repro.linalg.payload import payload_ops
 from repro.linalg.semiring import (elementwise_combine, semiring_product,
@@ -49,24 +55,23 @@ TAG_RIGHT = "R"     # right operand A_tJ  of the phase-3 product
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
-def in_column(x: int) -> Callable[[BlockRecord], bool]:
-    """``InColumn``: true when the record's block-column index ``J`` equals ``x``."""
+def in_column(grid: BlockGrid, x: int) -> Callable[[BlockRecord], bool]:
+    """``InColumn``: true when the record holds part of logical block-column ``x``.
+
+    That is every stored record one of whose grid roles has column index
+    ``x`` — on a mirrored grid also the blocks of block-row ``x``, which
+    supply the column's lower part transposed.
+    """
     def predicate(record: BlockRecord) -> bool:
         """Test one block record against the column filter."""
-        (_, j), _ = record
-        return j == x
+        return any(c == x for _, c, _ in grid.roles(record[0]))
     return predicate
 
 
 def in_block_row_or_column(x: int) -> Callable[[BlockRecord], bool]:
-    """Symmetric-storage variant of ``InColumn``.
-
-    With only upper-triangular blocks stored, block-column ``x`` of the full
-    matrix is covered by stored blocks whose row *or* column index equals
-    ``x`` (the latter provide the transposed part).
-    """
+    """Stored blocks of the pivot cross: row *or* column index equals ``x``."""
     def predicate(record: BlockRecord) -> bool:
-        """Test a record against the symmetric row/column filter."""
+        """Test a record against the row/column filter."""
         (i, j), _ = record
         return i == x or j == x
     return predicate
@@ -99,12 +104,20 @@ def off_diagonal_in_row_or_column(x: int) -> Callable[[BlockRecord], bool]:
 # ---------------------------------------------------------------------------
 # Column extraction (2D Floyd-Warshall)
 # ---------------------------------------------------------------------------
-def extract_col(pivot_block: int, k_local: int) -> Callable[[BlockRecord], list]:
-    """``ExtractCol``: emit ``(I, column-slice)`` pieces of global column ``k``.
+def extract_col(grid: BlockGrid, pivot_block: int,
+                k_local: int) -> Callable[[BlockRecord], list]:
+    """``ExtractCol``: emit this record's pieces of global pivot column (and row) ``k``.
 
-    ``k = pivot_block * b + k_local``.  For a stored block ``(I, K)`` the piece
-    is column ``k_local`` of the block; for a stored block ``(K, J)`` (which
-    represents ``A_JK`` by transposition) the piece is row ``k_local``.
+    ``k = pivot_block * b + k_local``.  Every grid role ``A_rc`` of the record
+    with ``c == pivot_block`` yields the piece of the pivot **column** in
+    block-row ``r``: column ``k_local`` of the stored block, or its row
+    ``k_local`` when the role is the transposed one.  On a mirrored grid that
+    is everything — the pivot row is the column's transpose — and pieces are
+    ``(r, piece)``.  A grid that does not mirror also needs the pivot
+    **row** (a different vector of an asymmetric matrix), taken from the
+    roles with ``r == pivot_block``; its pieces are tagged
+    ``(("col", r), piece)`` / ``(("row", c), piece)``.
+
     What a piece *is* depends on the payload
     (:meth:`~repro.linalg.payload.PayloadOps.column_piece`): dense blocks emit
     slices in the block dtype; packed-bitset blocks emit dense boolean slices
@@ -116,42 +129,23 @@ def extract_col(pivot_block: int, k_local: int) -> Callable[[BlockRecord], list]
     ``toward`` plane is each vertex's neighbour on its optimal path to the
     pivot vertex: the *successor* column for a column slice, the *parent* row
     for a row slice — the same quantity by symmetry, which is what lets one
-    broadcast vector serve both operand roles of the rank-1 update.
+    broadcast vector serve both operand roles of the rank-1 update on a
+    mirrored grid.  (Single-plane blocks' columns carry bare values:
+    parents-only composition needs no pointer plane on the column operand.)
     """
+    mirrored = grid.mirrored
+
     def run(record: BlockRecord) -> list:
-        """Emit this record's pieces of the pivot column."""
-        (i, j), block = record
+        """Emit this record's pieces of the pivot column (and row)."""
+        key, block = record
         ops = payload_ops(block)
         pieces = []
-        if j == pivot_block:
-            pieces.append((i, ops.column_piece(block, k_local)))
-        if i == pivot_block and j != pivot_block:
-            pieces.append((j, ops.row_piece(block, k_local)))
-        return pieces
-    return run
-
-
-def extract_rowcol(pivot_block: int, k_local: int) -> Callable[[BlockRecord], list]:
-    """Full-grid ``ExtractCol``: emit tagged pieces of pivot column *and* row ``k``.
-
-    The directed counterpart of :func:`extract_col`: with all q² blocks
-    stored nothing transposes, so the pivot **column** comes only from
-    blocks in block-column ``pivot_block`` (tag ``("col", I)``) and the
-    pivot **row** only from blocks in block-row ``pivot_block`` (tag
-    ``("row", J)``) — they are different vectors for an asymmetric matrix.
-    The column of a (single-plane) witnessed block carries bare values —
-    parents-only composition needs no pointer plane on the column operand —
-    and its row carries the pivot's parent row as the ``toward`` plane.
-    """
-    def run(record: BlockRecord) -> list:
-        """Emit this record's tagged pieces of the pivot row/column."""
-        (i, j), block = record
-        ops = payload_ops(block)
-        pieces = []
-        if j == pivot_block:
-            pieces.append((("col", i), ops.column_piece(block, k_local)))
-        if i == pivot_block:
-            pieces.append((("row", j), ops.row_piece(block, k_local)))
+        for r, c, transposed in grid.roles(key):
+            if c == pivot_block:
+                cut = ops.row_piece if transposed else ops.column_piece
+                pieces.append((r if mirrored else ("col", r), cut(block, k_local)))
+            if r == pivot_block and not mirrored:
+                pieces.append((("row", c), ops.row_piece(block, k_local)))
         return pieces
     return run
 
@@ -192,37 +186,27 @@ def assemble_column(pieces: list[tuple[int, np.ndarray]], n: int, block_size: in
     return column
 
 
-class FloydWarshallUpdateWithColumn:
-    """``FloydWarshallUpdate``: rank-1 update of a block with the broadcast pivot column.
+def assemble_pivot(pieces: list, grid: BlockGrid, n: int, block_size: int,
+                   algebra: Semiring | str | None = None) -> list:
+    """Assemble :func:`extract_col` pieces into the distinct pivot vectors.
 
-    Exploits symmetry: the pivot row equals the pivot column, so both operand
-    slices come from the same vector.  A picklable callable so the
-    ``processes`` backend can ship the update to worker processes.
+    ``[column]`` on a mirrored grid (the pivot row is the same vector),
+    ``[column, row]`` otherwise — each via :func:`assemble_column`.
     """
-
-    __slots__ = ("column", "block_size", "algebra")
-
-    def __init__(self, column: np.ndarray, block_size: int,
-                 algebra: Semiring | str | None = None) -> None:
-        self.column = column
-        self.block_size = block_size
-        self.algebra = get_algebra(algebra)
-
-    def __call__(self, record: BlockRecord) -> BlockRecord:
-        (i, j), block = record
-        rows = self.column[i * self.block_size: i * self.block_size + block.shape[0]]
-        cols = self.column[j * self.block_size: j * self.block_size + block.shape[1]]
-        return (i, j), fw_rank1_update(block, rows, cols, self.algebra)
+    if grid.mirrored:
+        return [assemble_column(pieces, n, block_size, algebra)]
+    return [assemble_column([(index, piece) for (tag, index), piece in pieces
+                             if tag == side], n, block_size, algebra)
+            for side in ("col", "row")]
 
 
-class FloydWarshallUpdateWithRowCol:
-    """Directed ``FloydWarshallUpdate``: distinct pivot column and pivot row.
+class FloydWarshallUpdate:
+    """``FloydWarshallUpdate``: rank-1 update of a block with the pivot column and row.
 
-    The full-grid counterpart of :class:`FloydWarshallUpdateWithColumn`: an
-    asymmetric matrix's pivot row is *not* its pivot column, so the rank-1
-    update broadcasts both vectors and slices the row operand from the
-    column vector and the column operand from the row vector.  Picklable for
-    the ``processes`` backend.
+    The row operand of block ``(I, J)`` is sliced from the pivot column, the
+    column operand from the pivot row.  On a mirrored grid both are the same
+    (once-broadcast) vector.  A picklable callable so the ``processes``
+    backend can ship the update to worker processes.
     """
 
     __slots__ = ("column", "row", "block_size", "algebra")
@@ -300,96 +284,55 @@ def tag_base(record: BlockRecord) -> tuple[BlockId, tuple[str, np.ndarray]]:
     return key, (TAG_BASE, block)
 
 
-def copy_diag(q: int, pivot: int, *, layout: str = "triangular",
-              ) -> Callable[[BlockRecord], list]:
+def copy_diag(grid: BlockGrid, pivot: int) -> Callable[[BlockRecord], list]:
     """``CopyDiag``: create keyed copies of the processed diagonal block.
 
-    Each copy is keyed by a stored block of block-row/column ``pivot`` so
-    the subsequent ``combineByKey`` pairs it with the block it must update.
-    Under the triangular layout that is one key per partner (``(X, pivot)``
-    for ``X < pivot``, ``(pivot, X)`` for ``X > pivot``); under the full
-    grid both ``(X, pivot)`` and ``(pivot, X)`` are distinct stored blocks
-    and each gets its own copy (``2 (q - 1)`` in total).
+    One copy per stored block of block-row/column ``pivot`` — for every other
+    block index ``X``, whichever of the keys ``(X, pivot)`` and ``(pivot, X)``
+    the grid stores — so the subsequent ``combineByKey`` pairs it with the
+    block it must update.
     """
+    keys = [key for x in range(grid.q) if x != pivot
+            for key in ((x, pivot), (pivot, x)) if grid.stores(*key)]
+
     def run(record: BlockRecord) -> list:
         """Emit the keyed copies of the pivot diagonal block."""
-        (_, _), block = record
-        out = []
-        for x in range(q):
-            if x == pivot:
-                continue
-            if layout == "full":
-                out.append(((x, pivot), (TAG_DIAG, block)))
-                out.append(((pivot, x), (TAG_DIAG, block)))
-            else:
-                key = (x, pivot) if x < pivot else (pivot, x)
-                out.append((key, (TAG_DIAG, block)))
-        return out
+        _, block = record
+        return [(key, (TAG_DIAG, block)) for key in keys]
     return run
 
 
-def copy_col(q: int, pivot: int) -> Callable[[BlockRecord], list]:
+def copy_col(grid: BlockGrid, pivot: int) -> Callable[[BlockRecord], list]:
     """``CopyCol``: replicate updated row/column blocks to the Phase-3 targets.
 
-    A stored block ``(I, pivot)`` (``I < pivot``) holds ``A_{I,pivot}``; it is
-    the **left** operand for every target in block-row ``I`` and, transposed,
-    the **right** operand for every target in block-column ``I``.  A stored
-    block ``(pivot, J)`` (``J > pivot``) holds ``A_{pivot,J}``; it is the
-    **right** operand for block-column ``J`` and, transposed, the **left**
-    operand for block-row ``J``.  Targets are restricted to stored
-    (upper-triangular) keys outside block-row/column ``pivot``.
+    A grid role ``A_{I,pivot}`` of the record is the **left** operand of
+    every stored target ``(I, X)``; a role ``A_{pivot,J}`` is the **right**
+    operand of every stored target ``(X, J)`` — ``X`` ranging over all block
+    indices except ``pivot`` (the off-pivot diagonal blocks are ordinary
+    targets).  On a mirrored grid a record plays one role of each kind, the
+    second through its transpose; otherwise exactly one, never transposed —
+    which is what lets single-plane witnessed blocks flow through.
     """
+    stores = grid.stores
+
     def run(record: BlockRecord) -> list:
         """Emit the oriented operand copies for the phase-3 targets."""
-        (i, j), block = record
+        key, block = record
+        left = right = None
+        for r, c, transposed in grid.roles(key):
+            # (the diagonal pivot block is neither: it never reaches CopyCol)
+            if c == pivot and r != pivot:
+                left = (r, block.T if transposed else block)    # A_{r, pivot}
+            elif r == pivot and c != pivot:
+                right = (c, block.T if transposed else block)   # A_{pivot, c}
         out = []
-        if j == pivot and i != pivot:
-            owner = i            # block A_{owner, pivot}
-            left, right = block, block.T
-        elif i == pivot and j != pivot:
-            owner = j            # block A_{pivot, owner} -> transpose is A_{owner, pivot}
-            left, right = block.T, block
-        else:  # diagonal pivot block never reaches CopyCol
-            return out
-        for x in range(q):
+        for x in range(grid.q):
             if x == pivot:
                 continue
-            key = (min(owner, x), max(owner, x))
-            if x >= owner:
-                # target (owner, x): left operand A_{owner, pivot}
-                out.append((key, (TAG_LEFT, left)))
-            if x <= owner:
-                # target (x, owner): right operand A_{pivot, owner}
-                out.append((key, (TAG_RIGHT, right)))
-        return out
-    return run
-
-
-def copy_col_full(q: int, pivot: int) -> Callable[[BlockRecord], list]:
-    """Full-grid ``CopyCol``: replicate pivot row/column blocks without transposes.
-
-    With every block stored, orientation is trivial: stored ``(I, pivot)``
-    is the **left** operand ``A_{I,pivot}`` for every phase-3 target
-    ``(I, X)``, and stored ``(pivot, J)`` is the **right** operand
-    ``A_{pivot,J}`` for every target ``(X, J)`` — ``X`` ranging over all
-    block indices except ``pivot`` (including ``X == I``/``X == J``: the
-    off-pivot diagonal blocks are ordinary phase-3 targets).  No ``.T``
-    anywhere, which is what lets single-plane witnessed blocks flow through.
-    """
-    def run(record: BlockRecord) -> list:
-        """Emit the oriented operand copies for the full-grid phase-3 targets."""
-        (i, j), block = record
-        out = []
-        if j == pivot and i != pivot:
-            for x in range(q):
-                if x == pivot:
-                    continue
-                out.append(((i, x), (TAG_LEFT, block)))
-        elif i == pivot and j != pivot:
-            for x in range(q):
-                if x == pivot:
-                    continue
-                out.append(((x, j), (TAG_RIGHT, block)))
+            if left is not None and stores(left[0], x):
+                out.append(((left[0], x), (TAG_LEFT, left[1])))
+            if right is not None and stores(x, right[0]):
+                out.append(((x, right[0]), (TAG_RIGHT, right[1])))
         return out
     return run
 
@@ -436,13 +379,9 @@ def unpack_phase2(pivot: int, algebra: Semiring | str | None = None,
         """Apply the phase-2 update to one paired record."""
         key, entries = item
         base = _find(entries, TAG_BASE)
-        diag = _find(entries, TAG_DIAG)
         if base is None:
             raise ValueError(f"phase-2 pairing for block {key} is missing the base block")
-        if diag is None:
-            # A diagonal copy can be missing only if the block set is
-            # inconsistent; keep the block unchanged to stay safe.
-            return key, base
+        diag = _operand(entries, TAG_DIAG, key)
         if key[1] == pivot:
             return key, semiring_relax(base, base, diag, algebra)
         return key, semiring_relax(base, diag, base, algebra)
@@ -458,12 +397,10 @@ def unpack_phase3(pivot: int, algebra: Semiring | str | None = None,
         """Apply the phase-3 update to one paired record."""
         key, entries = item
         base = _find(entries, TAG_BASE)
-        left = _find(entries, TAG_LEFT)
-        right = _find(entries, TAG_RIGHT)
         if base is None:
             raise ValueError(f"phase-3 pairing for block {key} is missing the base block")
-        if left is None or right is None:
-            return key, base
+        left = _operand(entries, TAG_LEFT, key)
+        right = _operand(entries, TAG_RIGHT, key)
         return key, semiring_relax(base, left, right, algebra)
     return run
 
@@ -475,26 +412,37 @@ def _find(entries: list, tag: str):
     return None
 
 
+def _operand(entries: list, tag: str, key: BlockId):
+    """The ``tag`` entry of a pairing list; its absence is a copy-emission bug.
+
+    Every row/column block gets a diagonal copy and every phase-3 target both
+    operands, so a missing one must not degrade into an unchanged (silently
+    wrong) block.
+    """
+    value = _find(entries, tag)
+    if value is None:
+        raise SolverError(
+            f"pairing for block {key} is missing its {tag!r} operand "
+            f"(got tags {[entry_tag for entry_tag, _ in entries]})")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Repeated-squaring emission
 # ---------------------------------------------------------------------------
-def matprod_column_contributions(target_column: int,
+def matprod_column_contributions(grid: BlockGrid, target_column: int,
                                  column_blocks: dict[int, np.ndarray] | Callable[[int], np.ndarray],
-                                 algebra: Semiring | str | None = None, *,
-                                 layout: str = "triangular",
+                                 algebra: Semiring | str | None = None,
                                  ) -> Callable[[BlockRecord], list]:
     """Emit the semiring-product contributions of a stored block to output column ``J``.
 
-    Under the triangular layout a stored block ``(R, C)`` plays two roles,
-    ``A_RC`` and ``A_CR`` (by transposition), and output keys above the
-    diagonal are skipped (covered by the symmetric mirror).  For output key
-    ``(row, J)`` the contribution of role ``A_{row, inner}`` is
-    ``A_{row, inner} ⊗ A_{inner, J}`` where ``A_{inner, J}`` is block
-    ``inner`` of the staged column ``J``.  Under the full grid each stored
-    block plays exactly its one role ``A_RC`` and every output key is real —
-    no transposes, no skips.  ``column_blocks`` is either the dict of staged
-    blocks or a callable fetching them lazily (e.g. from the shared file
-    system).
+    Each grid role ``A_{row, inner}`` of the record (the stored orientation
+    first, then — on a mirrored grid — its transpose) contributes
+    ``A_{row, inner} ⊗ A_{inner, J}`` to output key ``(row, J)``, where
+    ``A_{inner, J}`` is block ``inner`` of the staged column ``J``; output
+    keys the grid does not store are skipped (their mirror covers them).
+    ``column_blocks`` is either the dict of staged blocks or a callable
+    fetching them lazily (e.g. from the shared file system).
     """
     algebra = get_algebra(algebra)
 
@@ -506,19 +454,13 @@ def matprod_column_contributions(target_column: int,
 
     def run(record: BlockRecord) -> list:
         """Emit this record's products into the target column."""
-        (r, c), block = record
-        if layout == "full":
-            return [((r, target_column),
-                     semiring_product(block, fetch(c), algebra))]
-        roles = [(r, c, block)]
-        if r != c:
-            roles.append((c, r, block.T))
+        key, block = record
         out = []
-        for row, inner, oriented in roles:
-            if row > target_column:
-                continue  # covered by the symmetric output block
-            other = fetch(inner)
+        for row, inner, transposed in grid.roles(key):
+            if not grid.stores(row, target_column):
+                continue
+            oriented = block.T if transposed else block
             out.append(((row, target_column),
-                        semiring_product(oriented, other, algebra)))
+                        semiring_product(oriented, fetch(inner), algebra)))
         return out
     return run

@@ -15,6 +15,7 @@ from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
 from repro.core.registry import register_solver
+from repro.linalg.blocks import BlockGrid
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import RDD
@@ -31,18 +32,9 @@ class FloydWarshall2DSolver(SparkAPSPSolver):
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
 
-    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int, q: int,
-             partitioner: Partitioner, stopwatch: Stopwatch, *,
-             layout: str = "triangular"):
+    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
+             grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):
         algebra = self.algebra
-        # An asymmetric matrix's pivot row is not its pivot column: the full
-        # grid extracts both in one pass over the pivot cross (tagged
-        # pieces), assembles and broadcasts each, and feeds the rank-1
-        # update its two distinct operand vectors.
-        full = layout == "full"
-        extract = bb.extract_rowcol if full else bb.extract_col
-        update = (bb.FloydWarshallUpdateWithRowCol if full
-                  else bb.FloydWarshallUpdateWithColumn)
         # Rolling persistence: every generation is marked cached when it is
         # defined and computed exactly once, by the next pivot's extract job
         # (which reads every partition anyway); its parent is dropped as soon
@@ -52,20 +44,19 @@ class FloydWarshall2DSolver(SparkAPSPSolver):
             pivot_block, k_local = divmod(k, block_size)
             with stopwatch.section("extract-column"):
                 pieces = current.filter(bb.in_block_row_or_column(pivot_block)) \
-                    .flatMap(extract(pivot_block, k_local)).collect()
+                    .flatMap(bb.extract_col(grid, pivot_block, k_local)).collect()
                 if previous is not None:
                     previous.unpersist()
-                if full:
-                    vectors = [bb.assemble_column(
-                        [(idx, piece) for (tag, idx), piece in pieces if tag == side],
-                        n, block_size, algebra) for side in ("col", "row")]
-                else:
-                    vectors = [bb.assemble_column(pieces, n, block_size, algebra)]
+                # One vector on a mirrored grid (the pivot row is the pivot
+                # column), the column and the row of an asymmetric matrix
+                # otherwise.
+                vectors = bb.assemble_pivot(pieces, grid, n, block_size, algebra)
             with stopwatch.section("broadcast"):
                 operands = [sc.broadcast(vector).value for vector in vectors]
             with stopwatch.section("update"):
                 previous, current = current, current.map_preserving(
-                    update(*operands, block_size, algebra)).cache()
+                    bb.FloydWarshallUpdate(operands[0], operands[-1],
+                                           block_size, algebra)).cache()
         with stopwatch.section("update"):
             # No extract job follows the last pivot, so one count() stands in.
             current.count()

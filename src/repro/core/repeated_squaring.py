@@ -19,6 +19,7 @@ from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
 from repro.core.registry import register_solver
+from repro.linalg.blocks import BlockGrid
 from repro.linalg.semiring import closure_iterations
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
@@ -36,29 +37,22 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
 
-    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int, q: int,
-             partitioner: Partitioner, stopwatch: Stopwatch, *,
-             layout: str = "triangular"):
+    def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
+             grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):
         shared_fs = sc.shared_fs
         algebra = self.algebra
         squarings = max(1, closure_iterations(n))
         current = rdd
 
-        # Triangular storage covers column J with every block touching
-        # row-or-column J (mirrors transpose in); the full grid stores the
-        # column outright, so only blocks with column index J are collected.
-        column_filter = bb.in_column if layout == "full" \
-            else bb.in_block_row_or_column
-
         for iteration in range(squarings):
             column_rdds: list[RDD] = []
-            for target_column in range(q):
+            for target_column in range(grid.q):
                 with stopwatch.section("collect-column"):
                     # Identify the blocks of column-block J and group them on the driver.
                     column_records = current.filter(
-                        column_filter(target_column)).collect()
-                    column_blocks = _orient_column(column_records, target_column,
-                                                   layout=layout)
+                        bb.in_column(grid, target_column)).collect()
+                    column_blocks = _orient_column(grid, column_records,
+                                                   target_column)
                 with stopwatch.section("stage-column"):
                     # Stage the column in the shared file system (not a broadcast).
                     paths = shared_fs.write_blocks(
@@ -70,8 +64,8 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
 
                 with stopwatch.section("matvec"):
                     contributions = current.flatMap(
-                        bb.matprod_column_contributions(target_column, fetch,
-                                                        algebra, layout=layout))
+                        bb.matprod_column_contributions(grid, target_column,
+                                                        fetch, algebra))
                     column_result = contributions.reduceByKey(
                         bb.ElementwiseCombine(algebra), partitioner)
                     column_rdds.append(column_result)
@@ -85,21 +79,21 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
         return current, squarings
 
 
-def _orient_column(column_records, target_column: int, *,
-                   layout: str = "triangular") -> dict[int, np.ndarray]:
+def _orient_column(grid: BlockGrid, column_records,
+                   target_column: int) -> dict[int, np.ndarray]:
     """Build ``{block-row K: A_{K, J}}`` for column ``J`` from stored blocks.
 
-    Blocks pass through in their stored representation — packed-bitset blocks
-    stay packed (their ``.T`` is a packed transpose), so the staged column of
-    a reachability solve ships at 1/8th the bytes of ``bool`` blocks, and
-    witnessed blocks keep their planes (their ``.T`` swaps parents/succs).
-    Under the full grid the records *are* the column — no transposes, which
-    is what lets single-plane (transpose-free) witnessed blocks stage.
+    Each record lands at the block-row of its grid role in column ``J``,
+    transposed when that role is the mirrored one.  Blocks pass through in
+    their stored representation — packed-bitset blocks stay packed (their
+    ``.T`` is a packed transpose), so the staged column of a reachability
+    solve ships at 1/8th the bytes of ``bool`` blocks, and witnessed blocks
+    keep their planes (their ``.T`` swaps parents/succs; single-plane blocks
+    live on grids that never transpose).
     """
     column_blocks: dict[int, np.ndarray] = {}
-    for (i, j), block in column_records:
-        if j == target_column:
-            column_blocks[i] = block
-        if layout != "full" and i == target_column and j != target_column:
-            column_blocks[j] = block.T
+    for key, block in column_records:
+        for r, c, transposed in grid.roles(key):
+            if c == target_column:
+                column_blocks[r] = block.T if transposed else block
     return column_blocks

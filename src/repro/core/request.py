@@ -9,8 +9,8 @@ context is spun up — so batch submissions fail fast instead of mid-sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.common.errors import ConfigurationError
 from repro.core.base import SolverOptions
@@ -78,8 +78,6 @@ class SolveRequest:
     tag:
         Free-form label echoed on the :class:`~repro.core.engine.APSPJob`,
         handy for batch bookkeeping.
-    extra:
-        Solver-specific escape hatch, forwarded verbatim.
     """
 
     solver: str = "blocked-cb"
@@ -95,7 +93,6 @@ class SolveRequest:
     paths: bool = False
     validate: bool = False
     tag: str | None = None
-    extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Canonicalise through the registries: unknown solvers/algebras raise
@@ -147,7 +144,6 @@ class SolveRequest:
             raise ConfigurationError("partitions_per_core must be >= 1")
         if self.num_partitions is not None and int(self.num_partitions) < 1:
             raise ConfigurationError("num_partitions must be >= 1 or None")
-        object.__setattr__(self, "extra", dict(self.extra))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -158,19 +154,18 @@ class SolveRequest:
         This is the bridge the backward-compatible :func:`repro.solve_apsp`
         wrapper uses: ``coerce(None, solver="cb", block_size=16)`` builds a
         fresh request, ``coerce(req, validate=True)`` derives a variant.
-        Unknown keywords are routed into :attr:`extra` rather than rejected,
-        matching the old front-end's lenient ``**extra`` behaviour.
+        An unknown keyword (a typo like ``blok_size=16``) raises
+        :class:`~repro.common.errors.ConfigurationError` naming it and the
+        valid fields — nothing downstream would ever read it.
         """
-        explicit_extra = overrides.pop("extra", None)
-        known = set(cls.__dataclass_fields__)
-        fields = {k: v for k, v in overrides.items() if k in known}
-        extra = {k: v for k, v in overrides.items() if k not in known}
-        if explicit_extra:
-            extra.update(explicit_extra)
+        unknown = sorted(set(overrides) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown solve option(s) {', '.join(unknown)}; valid fields: "
+                f"{', '.join(cls.__dataclass_fields__)}")
         if request is None:
-            return cls(extra=extra, **fields)
-        merged_extra = {**request.extra, **extra}
-        return replace(request, extra=merged_extra, **fields)
+            return cls(**overrides)
+        return replace(request, **overrides)
 
     def to_options(self) -> SolverOptions:
         """Convert to the :class:`SolverOptions` consumed by solver classes."""
@@ -186,7 +181,6 @@ class SolveRequest:
             directed=self.directed,
             paths=self.paths,
             validate=self.validate,
-            extra=dict(self.extra),
         )
 
     def describe(self) -> str:

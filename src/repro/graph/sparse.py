@@ -39,9 +39,8 @@ from repro.common.errors import ValidationError
 from repro.common.rng import make_rng
 from repro.common.validation import check_block_size, check_positive_int
 from repro.linalg.algebra import Semiring, get_algebra, validate_dag_weights
-from repro.linalg.blocks import (BlockId, block_shape, num_blocks,
-                                 upper_triangular_block_ids, all_block_ids)
-from repro.linalg.payload import block_encoder
+from repro.linalg.blocks import (BlockGrid, BlockId, block_encoder,
+                                 block_shape, num_blocks)
 
 try:  # SciPy is a hard dependency of the package, but keep the import local.
     import scipy.sparse as _sp
@@ -313,16 +312,17 @@ def sparse_to_blocks(csr, block_size: int, *,
                      algebra: Semiring | str | None = None,
                      dtype: str | np.dtype | None = None,
                      storage: str = "dense",
-                     upper_only: bool = True,
-                     witness: bool = False,
-                     single_plane: bool = False) -> Iterator[tuple[BlockId, object]]:
+                     layout: str = "triangular",
+                     witness: bool = False) -> Iterator[tuple[BlockId, object]]:
     """Cut a validated CSR adjacency into ``((I, J), block)`` records.
 
     The sparse counterpart of
     :func:`repro.linalg.blocks.matrix_to_blocks` *fused with* the algebra's
     :meth:`~repro.linalg.algebra.Semiring.prepare_adjacency` mapping: stored
     entries land in their block, unstored cells become the algebra's
-    ``zero``, diagonal blocks get ``one`` on the diagonal.  Entries are
+    ``zero``, diagonal blocks get ``one`` on the diagonal.  One record is cut
+    per stored key of the ``layout``'s
+    :class:`~repro.linalg.blocks.BlockGrid`.  Entries are
     grouped by block id in a single O(nnz) pass; each block is materialized
     (and, under ``storage="packed"``, packed) one at a time, so no dense
     ``n x n`` array ever exists — peak extra memory is O(nnz + b²).  With
@@ -332,11 +332,11 @@ def sparse_to_blocks(csr, block_size: int, *,
     """
     _require_scipy()
     algebra = get_algebra(algebra)
-    encode = block_encoder(storage, witness=witness, single_plane=single_plane,
-                           upper_only=upper_only, algebra=algebra)
     n = csr.shape[0]
     b = check_block_size(block_size, n)
     q = num_blocks(n, b)
+    grid = BlockGrid(q, layout)
+    encode = block_encoder(grid, storage, witness=witness, algebra=algebra)
     dt = algebra.resolve_dtype(dtype) if dtype is not None else \
         (np.dtype(csr.dtype) if csr.dtype.name in algebra.dtypes
          else np.dtype(algebra.default_dtype))
@@ -347,19 +347,17 @@ def sparse_to_blocks(csr, block_size: int, *,
     data = coo.data
     bi = rows // b
     bj = cols // b
-    if upper_only:
-        # Symmetric storage: lower-triangle entries are the mirrors of stored
-        # upper blocks (validation has already checked symmetry).
-        keep = bi <= bj
-        rows, cols, data, bi, bj = rows[keep], cols[keep], data[keep], bi[keep], bj[keep]
+    # Entries of blocks the grid does not store are mirrors of stored ones
+    # (validation has already checked symmetry).
+    keep = grid.stores(bi, bj)
+    rows, cols, data, bi, bj = rows[keep], cols[keep], data[keep], bi[keep], bj[keep]
     key = bi * q + bj
     order = np.argsort(key, kind="stable")
     rows, cols, data, key = rows[order], cols[order], data[order], key[order]
 
     zero = algebra.zero_like(dt)
     one = algebra.one_like(dt)
-    ids = upper_triangular_block_ids(q) if upper_only else all_block_ids(q)
-    for (i, j) in ids:
+    for (i, j) in grid.keys():
         lo, hi = np.searchsorted(key, [i * q + j, i * q + j + 1])
         shape = block_shape((i, j), b, n)
         block = np.full(shape, zero, dtype=dt)

@@ -10,19 +10,23 @@ same code serves the sequential solvers, the Spark solvers, and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.validation import check_block_size, check_square_matrix
 from repro.linalg import witness as witness_mod
-from repro.linalg.payload import (WITNESS, block_encoder, payload_ops,
-                                  storage_ops)
+from repro.linalg.payload import WITNESS, payload_ops, storage_ops
 
 #: A block key: (block-row index I, block-column index J).
 BlockId = tuple[int, int]
+
+#: Block grid layouts: the paper's mirrored upper triangle, or all q² blocks.
+LAYOUTS = ("triangular", "full")
 
 
 def num_blocks(n: int, block_size: int) -> int:
@@ -69,57 +73,131 @@ def all_block_ids(q: int) -> Iterator[BlockId]:
             yield (i, j)
 
 
+@dataclass(frozen=True)
+class BlockGrid:
+    """Which keys a ``q x q`` block grid stores, and how ``A_rc`` is read from them.
+
+    The one place that knows the mirror rule.  ``"triangular"`` is the
+    paper's symmetric storage (Section 4): only keys with ``I <= J`` exist
+    and logical block ``A_JI`` is the stored ``A_IJ`` transposed, so a stored
+    off-diagonal record plays two logical roles.  ``"full"`` stores all q²
+    keys of a (possibly asymmetric) matrix; every record plays exactly its
+    own role and nothing is ever transposed.  Cutters, assemblers, solver
+    building blocks and the cost model are written once over this object.
+    """
+
+    q: int
+    layout: str = "triangular"
+    #: True when lower blocks are served by transposing their stored mirror.
+    mirrored: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.layout not in LAYOUTS:
+            raise ConfigurationError(
+                f"unknown block layout {self.layout!r}; expected one of {LAYOUTS}")
+        object.__setattr__(self, "mirrored", self.layout == "triangular")
+
+    def keys(self) -> Iterator[BlockId]:
+        """The stored keys, row-major."""
+        return (upper_triangular_block_ids(self.q) if self.mirrored
+                else all_block_ids(self.q))
+
+    @property
+    def count(self) -> int:
+        """Number of stored keys: ``q(q+1)/2`` mirrored, ``q²`` otherwise."""
+        return self.q * (self.q + 1) // 2 if self.mirrored else self.q * self.q
+
+    @classmethod
+    def side_for(cls, count: float, layout: str = "triangular") -> int:
+        """Grid side ``q`` whose stored count is about ``count`` (``q² / 2`` mirrored)."""
+        per_block = 2.0 if cls(1, layout).mirrored else 1.0
+        return int(math.ceil(math.sqrt(per_block * count)))
+
+    def stores(self, r, c):
+        """Whether key ``(r, c)`` is stored (elementwise on index arrays)."""
+        return (r <= c) | (not self.mirrored)
+
+    def locate(self, r: int, c: int) -> tuple[BlockId, bool]:
+        """``(stored key, transposed)`` holding logical block ``A_rc``."""
+        if self.mirrored and r > c:
+            return (c, r), True
+        return (r, c), False
+
+    def roles(self, key: BlockId) -> tuple[tuple[int, int, bool], ...]:
+        """The logical ``(r, c, transposed)`` positions record ``key`` plays.
+
+        Stored orientation first, then (mirrored grids, off-diagonal keys)
+        the transposed one; over all stored keys the roles cover the logical
+        q x q grid exactly once.
+        """
+        i, j = key
+        if self.mirrored and i != j:
+            return (i, j, False), (j, i, True)
+        return ((i, j, False),)
+
+
+def block_encoder(grid: BlockGrid, storage: str = "dense", *,
+                  witness: bool = False, algebra=None):
+    """Validate a decomposition request once; return its window encoder.
+
+    The returned callable is ``encode(window, row_start, col_start, *, copy)``
+    (see :meth:`~repro.linalg.payload.PayloadOps.encode`).  Witnessed blocks
+    of a grid that never mirrors are single-plane (parents only): successor
+    planes exist solely to serve transposed reads.
+    """
+    ops = storage_ops(storage, witness=witness)
+    return partial(ops.encode, algebra=algebra,
+                   single_plane=witness and not grid.mirrored)
+
+
 def matrix_to_blocks(matrix: np.ndarray, block_size: int, *,
-                     upper_only: bool = True,
+                     layout: str = "triangular",
                      storage: str = "dense",
                      witness: bool = False,
-                     single_plane: bool = False,
                      algebra=None) -> Iterator[tuple[BlockId, np.ndarray]]:
     """Decompose a square matrix into ``((I, J), block)`` tuples.
 
-    With ``upper_only=True`` (the paper's symmetric storage) only blocks with
-    ``I <= J`` are produced; the caller is expected to reconstruct ``A_JI`` as
-    ``A_IJ.T`` when needed.  ``upper_only=False`` is the full-grid layout:
-    all q² blocks are emitted, no mirroring.  The input's floating/boolean
-    dtype is preserved (``float32`` pipelines stay ``float32``); anything
-    else is upcast to ``float64``.  With ``storage="packed"`` each (boolean)
-    block is emitted as a :class:`~repro.linalg.bitset.PackedBlock` — 64
-    cells per word.  With ``witness=True`` (a ``paths=True`` solve) each
-    block is emitted as a :class:`~repro.linalg.witness.WitnessBlock` whose
-    planes are stamped with the block's *global* vertex ids under
-    ``algebra``; the matrix must then already be in the algebra's domain.
-    ``single_plane=True`` (full-grid witnesses) stamps parents only —
-    successor planes exist solely to serve mirrored reads.
+    One record per stored key of the ``layout``'s :class:`BlockGrid`: the
+    upper block triangle by default (the paper's symmetric storage; ``A_JI``
+    is read as ``A_IJ.T``), all q² blocks under ``layout="full"``.  The
+    input's floating/boolean dtype is preserved (``float32`` pipelines stay
+    ``float32``); anything else is upcast to ``float64``.  With
+    ``storage="packed"`` each (boolean) block is emitted as a
+    :class:`~repro.linalg.bitset.PackedBlock` — 64 cells per word.  With
+    ``witness=True`` (a ``paths=True`` solve) each block is emitted as a
+    :class:`~repro.linalg.witness.WitnessBlock` whose planes are stamped with
+    the block's *global* vertex ids under ``algebra``; the matrix must then
+    already be in the algebra's domain.
     """
-    encode = block_encoder(storage, witness=witness, single_plane=single_plane,
-                           upper_only=upper_only, algebra=algebra)
     arr = check_square_matrix(matrix, dtype=None)
     n = arr.shape[0]
     b = check_block_size(block_size, n)
-    q = num_blocks(n, b)
-    ids = upper_triangular_block_ids(q) if upper_only else all_block_ids(q)
-    for (i, j) in ids:
+    grid = BlockGrid(num_blocks(n, b), layout)
+    encode = block_encoder(grid, storage, witness=witness, algebra=algebra)
+    for (i, j) in grid.keys():
         # copy=True: the window is a view, and a record must not alias the input.
         yield (i, j), encode(arr[block_range(i, b, n), block_range(j, b, n)],
                              i * b, j * b, copy=True)
 
 
 def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
-                     block_size: int, *, symmetric: bool = True,
+                     block_size: int, *, layout: str = "triangular",
                      fill: float | bool = np.inf,
                      dtype: np.dtype | str | None = None) -> np.ndarray:
     """Assemble ``((I, J), block)`` tuples back into a dense ``n x n`` matrix.
 
-    With ``symmetric=True`` missing lower-triangular blocks are filled from the
-    transpose of their upper-triangular counterpart.  ``fill`` is the value
-    for never-seen cells (the algebra's "no path" element; ``inf`` matches the
-    historical (min, +) behaviour) and ``dtype`` the output dtype (``None``
-    preserves the first block's floating/boolean dtype, else ``float64``).
-    Witnessed blocks contribute their *values* plane only — use
-    :func:`repro.linalg.witness.witness_blocks_to_matrices` to assemble the
-    parent matrix alongside.
+    Every record is written at its own key, then at the other positions it
+    plays on the ``layout``'s grid (the transposed mirror under the default
+    triangular layout) unless a record of that key was given.  ``fill`` is
+    the value for never-seen cells (the algebra's "no path" element; ``inf``
+    matches the historical (min, +) behaviour) and ``dtype`` the output dtype
+    (``None`` preserves the first block's floating/boolean dtype, else
+    ``float64``).  Witnessed blocks contribute their *values* plane only —
+    use :func:`repro.linalg.witness.witness_blocks_to_matrices` to assemble
+    the parent matrix alongside.
     """
     b = check_block_size(block_size, n)
+    grid = BlockGrid(num_blocks(n, b), layout)
     blocks = [(key, payload_ops(blk).to_dense(blk)) for key, blk in blocks]
     if dtype is None:
         dtype = blocks[0][1].dtype if blocks else np.dtype(np.float64)
@@ -136,19 +214,18 @@ def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
                 f"block {(i, j)} has shape {block.shape}, expected {expected}")
         out[ri, rj] = block
         seen.add((i, j))
-    if symmetric:
-        q = num_blocks(n, b)
-        for i in range(q):
-            for j in range(q):
-                if (i, j) not in seen and (j, i) in seen:
-                    ri, rj = block_range(i, b, n), block_range(j, b, n)
-                    out[ri, rj] = out[rj, ri].T
+    for i, j in seen:
+        for r, c, _ in grid.roles((i, j))[1:]:
+            if (r, c) not in seen:
+                # roles past the first are the record's transposed positions
+                out[block_range(r, b, n), block_range(c, b, n)] = \
+                    out[block_range(i, b, n), block_range(j, b, n)].T
     return out
 
 
 @dataclass
 class BlockedMatrix:
-    """A dictionary-backed blocked matrix with optional symmetric storage.
+    """A dictionary-backed blocked matrix on a :class:`BlockGrid`.
 
     This is the in-memory (non-RDD) counterpart of the paper's blocked
     representation; the Spark solvers use plain ``((I, J), block)`` records in
@@ -158,35 +235,32 @@ class BlockedMatrix:
     n: int
     block_size: int
     blocks: dict[BlockId, np.ndarray]
-    symmetric: bool = True
+    layout: str = "triangular"
     storage: str = "dense"
     #: True when the stored payloads are witnessed (value + parent planes).
     witness: bool = False
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, block_size: int, *,
-                    symmetric: bool = True,
+                    layout: str = "triangular",
                     storage: str = "dense",
                     witness: bool = False,
-                    single_plane: bool = False,
                     algebra=None) -> "BlockedMatrix":
         """Cut a dense matrix into a dictionary-backed blocked matrix.
 
         With ``witness=True`` every stored payload is a
-        :class:`~repro.linalg.witness.WitnessBlock` carrying parent/successor
-        planes alongside the values (the matrix must already be in the
-        algebra's domain); ``single_plane=True`` stamps parents only (the
-        full-grid directed layout, which never mirrors).
+        :class:`~repro.linalg.witness.WitnessBlock` carrying parent (and, on
+        the mirrored triangular grid, successor) planes alongside the values;
+        the matrix must already be in the algebra's domain.
         """
         arr = check_square_matrix(matrix, dtype=None)
         return cls(
             n=arr.shape[0],
             block_size=check_block_size(block_size, arr.shape[0]),
-            blocks=dict(matrix_to_blocks(arr, block_size, upper_only=symmetric,
+            blocks=dict(matrix_to_blocks(arr, block_size, layout=layout,
                                          storage=storage, witness=witness,
-                                         single_plane=single_plane,
                                          algebra=algebra)),
-            symmetric=symmetric,
+            layout=layout,
             storage=storage,
             witness=witness,
         )
@@ -196,33 +270,38 @@ class BlockedMatrix:
         """Number of block rows/columns."""
         return num_blocks(self.n, self.block_size)
 
+    @property
+    def grid(self) -> BlockGrid:
+        """The grid deciding which keys are stored and how mirrors are read."""
+        return BlockGrid(self.q, self.layout)
+
     def get_block(self, i: int, j: int) -> np.ndarray:
-        """Return block ``(i, j)``, transposing the stored ``(j, i)`` block if needed.
+        """Return block ``(i, j)``, transposing its stored mirror if the grid says so.
 
-        Lower-triangular lookups under symmetric storage return a *read-only*
-        transposed view of the stored mirror block: the data is shared (no
-        copy), but writing through it would silently corrupt block ``(j, i)``,
-        so mutation raises instead — call :meth:`set_block` to update.
+        Mirrored lookups return a *read-only* transposed view of the stored
+        block: the data is shared (no copy), but writing through it would
+        silently corrupt block ``(j, i)``, so mutation raises instead — call
+        :meth:`set_block` to update.
 
-        Under the full-grid layout (``symmetric=False``) there is no
-        mirroring: asking for a missing block whose transpose *is* stored
-        raises a :class:`ValidationError` rather than silently answering
-        with the (wrong, transposed) mirror data.
+        On a grid without mirroring, asking for a missing block whose
+        transpose *is* stored raises a :class:`ValidationError` rather than
+        silently answering with the (wrong, transposed) mirror data.
         """
-        if (i, j) in self.blocks:
-            return self.blocks[(i, j)]
-        if (j, i) not in self.blocks:
-            raise KeyError((i, j))
-        if not self.symmetric:
+        key, transposed = self.grid.locate(i, j)
+        if key not in self.blocks:
+            if (j, i) not in self.blocks:
+                raise KeyError((i, j))
             raise ValidationError(
-                f"block {(i, j)} is not stored and the full-grid layout has "
-                f"no mirror-transpose lookups; block {(j, i)} is a distinct "
+                f"block {(i, j)} is not stored and the {self.layout} layout has "
+                f"no mirror-transpose lookup for it; block {(j, i)} is a distinct "
                 "block of an asymmetric matrix, not this block's transpose")
-        stored = self.blocks[(j, i)]
-        return payload_ops(stored).transpose(stored, readonly=True)
+        stored = self.blocks[key]
+        if transposed:
+            return payload_ops(stored).transpose(stored, readonly=True)
+        return stored
 
     def set_block(self, i: int, j: int, value: np.ndarray) -> None:
-        """Store block ``(i, j)`` (normalized to the upper triangle when symmetric).
+        """Store block ``(i, j)`` under the key (and orientation) the grid keeps it at.
 
         The value is stored in this matrix's representation: dense and packed
         values convert into each other, witnessed matrices accept only
@@ -243,14 +322,15 @@ class BlockedMatrix:
         if tuple(value.shape) != expected:
             raise ValidationError(
                 f"block {(i, j)} has shape {tuple(value.shape)}, expected {expected}")
-        if self.symmetric and i > j:
-            i, j, value = j, i, own.transpose(value)
-        self.blocks[(i, j)] = own.copy(value)
+        key, transposed = self.grid.locate(i, j)
+        if transposed:
+            value = own.transpose(value)
+        self.blocks[key] = own.copy(value)
 
     def to_matrix(self) -> np.ndarray:
         """Assemble the dense (values) matrix."""
         return blocks_to_matrix(self.blocks.items(), self.n, self.block_size,
-                                symmetric=self.symmetric)
+                                layout=self.layout)
 
     def to_matrices(self, *, fill, dtype=None):
         """Assemble ``(values, parents)`` from a witnessed blocked matrix."""
@@ -260,7 +340,7 @@ class BlockedMatrix:
                 "use to_matrix for plain blocks")
         return witness_mod.witness_blocks_to_matrices(
             self.blocks.items(), self.n, self.block_size,
-            symmetric=self.symmetric, fill=fill, dtype=dtype)
+            layout=self.layout, fill=fill, dtype=dtype)
 
     def block_ids(self) -> list[BlockId]:
         """Return the stored block keys, sorted row-major."""
@@ -273,7 +353,7 @@ class BlockedMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedMatrix):
             return NotImplemented
-        if (self.n, self.block_size, self.symmetric) != (other.n, other.block_size, other.symmetric):
+        if (self.n, self.block_size, self.layout) != (other.n, other.block_size, other.layout):
             return False
         if set(self.blocks) != set(other.blocks):
             return False

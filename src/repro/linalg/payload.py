@@ -21,8 +21,6 @@ and staged bytes are exactly the array's.  A new representation is one new
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.common.errors import ValidationError
@@ -423,18 +421,3 @@ def storage_ops(storage: str = "dense", *, witness: bool = False) -> PayloadOps:
             "use storage='dense' for paths=True solves")
     return WITNESS if witness else _OPS_BY_STORAGE[storage]
 
-
-def block_encoder(storage: str = "dense", *, witness: bool = False,
-                  single_plane: bool = False, upper_only: bool = True,
-                  algebra: Semiring | str | None = None):
-    """Validate a decomposition request once; return its window encoder.
-
-    The returned callable is ``encode(window, row_start, col_start, *, copy)``
-    (see :meth:`PayloadOps.encode`) for the requested representation.
-    """
-    ops = storage_ops(storage, witness=witness)
-    if single_plane and upper_only:
-        raise ValidationError(
-            "single-plane witnesses cannot serve mirrored reads; "
-            "they require the full-grid layout (upper_only=False)")
-    return partial(ops.encode, algebra=algebra, single_plane=single_plane)

@@ -279,19 +279,20 @@ def witness_matrix(prepared: np.ndarray,
 
 
 def witness_blocks_to_matrices(blocks, n: int, block_size: int, *,
-                               symmetric: bool = True,
+                               layout: str = "triangular",
                                fill, dtype=None):
     """Assemble witnessed block records into ``(distances, parents)`` matrices.
 
     The witnessed counterpart of
-    :func:`~repro.linalg.blocks.blocks_to_matrix`: missing lower-triangular
-    blocks are reconstructed from their stored mirror — values by transpose,
-    parents from the mirror's *successor* plane (the transpose rule).  The
+    :func:`~repro.linalg.blocks.blocks_to_matrix`: positions a record plays
+    transposed on the ``layout``'s grid are reconstructed from it — values by
+    transpose, parents from its *successor* plane (the transpose rule).  The
     returned ``parents`` is the full ``n x n`` predecessor matrix
     (``parents[i, j]`` = predecessor of ``j`` on an optimal ``i -> j`` path,
     :data:`NO_VERTEX` for unreachable pairs and the diagonal).
     """
-    from repro.linalg.blocks import blocks_to_matrix
+    from repro.linalg.blocks import BlockGrid, blocks_to_matrix, num_blocks
+    grid = BlockGrid(num_blocks(n, block_size), layout)
     records = {}
     for key, blk in blocks:
         if not isinstance(blk, WitnessBlock):
@@ -300,13 +301,13 @@ def witness_blocks_to_matrices(blocks, n: int, block_size: int, *,
                 "witness planes attached end-to-end")
         records[tuple(key)] = blk
     distances = blocks_to_matrix(records.items(), n, block_size,
-                                 symmetric=symmetric, fill=fill, dtype=dtype)
-    planes = [(key, blk.parents) for key, blk in records.items()]
-    if symmetric:
-        # The transpose rule: a mirror's parents are the stored successors.
-        planes += [((j, i), blk.succs.T) for (i, j), blk in records.items()
-                   if (j, i) not in records]
-    parents = blocks_to_matrix(planes, n, block_size, symmetric=False,
+                                 layout=layout, fill=fill, dtype=dtype)
+    # The transpose rule: a mirror's parents are the stored successors.
+    planes = [((r, c), blk.succs.T if transposed else blk.parents)
+              for key, blk in records.items()
+              for r, c, transposed in grid.roles(key)
+              if not transposed or (r, c) not in records]
+    parents = blocks_to_matrix(planes, n, block_size, layout="full",
                                fill=NO_VERTEX, dtype=np.int32)
     return distances, parents
 

@@ -12,7 +12,6 @@ from repro.spark.faults import FaultInjector, FaultPlan
 from repro.spark.metrics import EngineMetrics
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import RDD, ParallelCollectionRDD, UnionRDD
-from repro.spark.remote import RemoteTask
 from repro.spark.scheduler import TaskScheduler
 from repro.spark.sharedfs import SharedFileSystem
 from repro.spark.shuffle import ShuffleManager
@@ -156,32 +155,5 @@ class SparkContext:
             raise RuntimeError("SparkContext has been stopped")
         rdd.prepare()
         func = func or (lambda records: records)
-        use_remote = self.scheduler.supports_remote
-
-        def make_task(index: int):
-            """Bind one partition index into a scheduler task."""
-            def task():
-                """Compute one partition on an executor."""
-                return func(rdd.iterator(index))
-            return task
-
-        def make_post(index: int):
-            # Driver-side completion of a remote task: backfill the RDD's
-            # persistence cache, then apply the (arbitrary, driver-only)
-            # result function.
-            """Bind one partition index into a result callback."""
-            def post(records):
-                """Store one partition's result on the driver."""
-                rdd._fill_cache(index, records)
-                return func(records)
-            return post
-
-        tasks = []
-        for index in range(rdd.num_partitions):
-            payload = rdd.remote_payload(index) if use_remote else None
-            if payload is None:
-                tasks.append(make_task(index))
-            else:
-                fn, args = payload
-                tasks.append(RemoteTask(fn, args, post=make_post(index)))
+        tasks = rdd.stage_tasks(lambda index, records: func(records))
         return self.scheduler.run_stage("result", tasks)

@@ -1,7 +1,12 @@
 """Resilient Distributed Dataset: lazy, lineage-tracked, partitioned collections.
 
-The subset of the RDD API implemented here is exactly what the paper's four
-APSP solvers use (Algorithms 1-4).  Narrow transformations (``map``,
+The RDD API implemented here is a superset of what the paper's four APSP
+solvers use (Algorithms 1-4: ``filter``, ``map``/``map_preserving``,
+``flatMap``, ``union``, ``partitionBy``, ``combineByKey``, ``reduceByKey``,
+``collect``, ``count``, ``cache``/``unpersist``); the rest (``mapValues``,
+``mapPartitions``, ``groupByKey``, ``cartesian``, ``take``, ``reduce``, ...)
+are the pySpark neighbours the paper discusses or the examples and engine
+tests exercise.  Narrow transformations (``map``,
 ``filter``, ``flatMap``, ``mapValues``, ``mapPartitions``) are evaluated
 lazily per partition and recomputed from lineage when needed; wide
 transformations (``partitionBy``, ``reduceByKey``, ``combineByKey``,
@@ -201,6 +206,43 @@ class RDD:
         this so the ``processes`` backend can ship them.
         """
         return None
+
+    def stage_tasks(self, finish: Callable[[int, list], object]) -> list:
+        """One scheduler task per partition, each returning ``finish(index, records)``.
+
+        The one place a stage's tasks are built (result stages in
+        :meth:`~repro.spark.context.SparkContext.run_job`, shuffle-map stages
+        in :class:`ShuffledRDD`).  When the scheduler ships payloads and the
+        partition's computation is self-contained (:meth:`remote_payload`),
+        the task is a :class:`~repro.spark.remote.RemoteTask`: a worker
+        computes the records and the driver completes it — back-filling the
+        persistence cache, then applying the (arbitrary, driver-only)
+        ``finish``.  Every other partition is a local closure over
+        :meth:`iterator`.
+        """
+        use_remote = self.context.scheduler.supports_remote
+
+        def local_task(index: int):
+            """Bind one partition index into a driver-side task."""
+            return lambda: finish(index, self.iterator(index))
+
+        def completion(index: int):
+            """Bind one partition index into a remote task's driver-side completion."""
+            def post(records):
+                """Back-fill the cache, then finish one partition's result."""
+                self._fill_cache(index, records)
+                return finish(index, records)
+            return post
+
+        tasks = []
+        for index in range(self._num_partitions):
+            payload = self.remote_payload(index) if use_remote else None
+            if payload is None:
+                tasks.append(local_task(index))
+            else:
+                fn, args = payload
+                tasks.append(RemoteTask(fn, args, post=completion(index)))
+        return tasks
 
     def _fill_cache(self, index: int, records: list) -> None:
         """Store remotely-computed records in the persistence cache (if enabled).
@@ -601,34 +643,9 @@ class ShuffledRDD(RDD):
             parent = self._parents[0]
             manager = self.context.shuffle_manager
             shuffle_id = manager.new_shuffle()
-            use_remote = self.context.scheduler.supports_remote
-
-            def make_map_task(map_index: int):
-                """Bind one map partition into a shuffle-write task."""
-                def task():
-                    """Shuffle-write one map partition on an executor."""
-                    return map_index, self._bucket_records(parent.iterator(map_index))
-                return task
-
-            def make_map_post(map_index: int):
-                # Driver-side completion of a remote map task: the worker
-                # computed the parent partition, the driver buckets it (and
-                # backfills the parent's persistence cache).
-                """Bind one map partition into a completion callback."""
-                def post(records):
-                    """Register one map partition's shuffle output."""
-                    parent._fill_cache(map_index, records)
-                    return map_index, self._bucket_records(records)
-                return post
-
-            tasks = []
-            for map_index in range(parent.num_partitions):
-                payload = parent.remote_payload(map_index) if use_remote else None
-                if payload is None:
-                    tasks.append(make_map_task(map_index))
-                else:
-                    fn, args = payload
-                    tasks.append(RemoteTask(fn, args, post=make_map_post(map_index)))
+            # One task per parent partition; bucketing is the driver-side finish.
+            tasks = parent.stage_tasks(
+                lambda map_index, records: (map_index, self._bucket_records(records)))
             results = self.context.scheduler.run_stage("shuffle-map", tasks)
             for map_index, buckets in results:
                 manager.write_map_output(shuffle_id, map_index, buckets)

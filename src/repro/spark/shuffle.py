@@ -68,16 +68,15 @@ class ShuffleManager:
         executor = self.executor_for_partition(map_partition)
         output = MapOutput(map_partition=map_partition, executor=executor,
                            buckets=buckets, records=records, nbytes=nbytes)
-        if self.config.track_spills:
-            self.metrics.shuffle_write(executor, records, nbytes)
-            capacity = self.config.local_storage_bytes
-            if capacity is not None:
-                used = self.metrics.spilled_bytes_per_executor.get(executor, 0)
-                if used > capacity:
-                    raise StorageExhaustedError(
-                        f"executor {executor} exceeded local storage capacity: "
-                        f"{used} bytes spilled > {capacity} bytes available",
-                        node=executor, required_bytes=used, capacity_bytes=capacity)
+        self.metrics.shuffle_write(executor, records, nbytes)
+        capacity = self.config.local_storage_bytes
+        if capacity is not None:
+            used = self.metrics.spilled_bytes_per_executor.get(executor, 0)
+            if used > capacity:
+                raise StorageExhaustedError(
+                    f"executor {executor} exceeded local storage capacity: "
+                    f"{used} bytes spilled > {capacity} bytes available",
+                    node=executor, required_bytes=used, capacity_bytes=capacity)
         with self._lock:
             self._outputs[shuffle_id].append(output)
         return output

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import SolverError
 from repro.core import building_blocks as bb
 from repro.graph.generators import erdos_renyi_adjacency
-from repro.linalg.blocks import matrix_to_blocks
+from repro.linalg.blocks import BlockGrid, matrix_to_blocks
 from repro.linalg.kernels import floyd_warshall
 from repro.linalg.semiring import minplus_product
 
@@ -19,8 +20,8 @@ def blocks16():
 
 class TestPredicates:
     def test_in_column(self):
-        assert bb.in_column(2)(((1, 2), None))
-        assert not bb.in_column(2)(((2, 1), None))
+        assert bb.in_column(BlockGrid(4, "full"), 2)(((1, 2), None))
+        assert not bb.in_column(BlockGrid(4, "full"), 2)(((2, 1), None))
 
     def test_on_diagonal(self):
         assert bb.on_diagonal(3)(((3, 3), None))
@@ -54,21 +55,21 @@ class TestExtractColumn:
         pieces = []
         for record in blocks.items():
             if bb.in_block_row_or_column(pivot_block)(record):
-                pieces.extend(bb.extract_col(pivot_block, k_local)(record))
+                pieces.extend(bb.extract_col(BlockGrid(4), pivot_block, k_local)(record))
         column = bb.assemble_column(pieces, 16, 4)
         assert np.array_equal(column, adj[:, k])
 
     def test_diagonal_block_emits_single_piece(self, blocks16):
         _, blocks = blocks16
         record = ((1, 1), blocks[(1, 1)])
-        pieces = bb.extract_col(1, 0)(record)
+        pieces = bb.extract_col(BlockGrid(4), 1, 0)(record)
         assert len(pieces) == 1
         assert pieces[0][0] == 1
 
     def test_row_block_is_transposed(self, blocks16):
         adj, blocks = blocks16
         record = ((1, 3), blocks[(1, 3)])   # stored as row-block of 1, column 3
-        pieces = bb.extract_col(1, 2)(record)
+        pieces = bb.extract_col(BlockGrid(4), 1, 2)(record)
         # Represents A[12:16, 6] = adj[12:16, 6]
         found = dict(pieces)
         assert 3 in found
@@ -79,7 +80,7 @@ class TestFwUpdateWithColumn:
     def test_matches_rank1_update(self, blocks16):
         adj, blocks = blocks16
         column = adj[:, 5].copy()
-        update = bb.FloydWarshallUpdateWithColumn(column, 4)
+        update = bb.FloydWarshallUpdate(column, column, 4)
         key, updated = update(((0, 2), blocks[(0, 2)]))
         expected = np.minimum(blocks[(0, 2)], column[0:4, None] + column[8:12][None, :])
         assert key == (0, 2)
@@ -119,7 +120,7 @@ class TestCopyDiag:
     def test_copy_count_and_keys(self):
         q, pivot = 5, 2
         diag = np.zeros((3, 3))
-        copies = bb.copy_diag(q, pivot)(((pivot, pivot), diag))
+        copies = bb.copy_diag(BlockGrid(q), pivot)(((pivot, pivot), diag))
         assert len(copies) == q - 1
         keys = {key for key, _ in copies}
         assert keys == {(0, 2), (1, 2), (2, 3), (2, 4)}
@@ -131,7 +132,7 @@ class TestCopyCol:
         q, pivot = 4, 2
         block = np.arange(4.0).reshape(2, 2)
         # Stored block (0, 2): column block A_{0,pivot}.
-        copies = bb.copy_col(q, pivot)(((0, 2), block))
+        copies = bb.copy_col(BlockGrid(q), pivot)(((0, 2), block))
         tagged = {(key, tag) for key, (tag, _) in copies}
         # Left operand for block-row 0 targets, right operand for block-col 0 targets.
         assert ((0, 1), bb.TAG_LEFT) in tagged
@@ -144,7 +145,7 @@ class TestCopyCol:
         q, pivot = 4, 1
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
         # Stored block (1, 3): row block A_{pivot,3}.
-        copies = bb.copy_col(q, pivot)(((1, 3), block))
+        copies = bb.copy_col(BlockGrid(q), pivot)(((1, 3), block))
         by_key_tag = {(key, tag): arr for key, (tag, arr) in copies}
         # For target (0, 3) it is the right operand A_{pivot,3} itself.
         assert np.array_equal(by_key_tag[((0, 3), bb.TAG_RIGHT)], block)
@@ -152,7 +153,7 @@ class TestCopyCol:
         assert np.array_equal(by_key_tag[((3, 3), bb.TAG_LEFT)], block.T)
 
     def test_diagonal_record_produces_nothing(self):
-        copies = bb.copy_col(4, 2)(((2, 2), np.zeros((2, 2))))
+        copies = bb.copy_col(BlockGrid(4), 2)(((2, 2), np.zeros((2, 2))))
         assert copies == []
 
 
@@ -183,10 +184,10 @@ class TestUnpackPhases:
         with pytest.raises(ValueError):
             bb.unpack_phase2(0)(((0, 1), [(bb.TAG_DIAG, np.zeros((2, 2)))]))
 
-    def test_phase2_missing_diag_is_noop(self):
+    def test_phase2_missing_diag_raises(self):
         base = np.ones((2, 2))
-        _, out = bb.unpack_phase2(0)(((0, 1), [(bb.TAG_BASE, base)]))
-        assert np.array_equal(out, base)
+        with pytest.raises(SolverError, match=r"\(0, 1\).*'D'"):
+            bb.unpack_phase2(0)(((0, 1), [(bb.TAG_BASE, base)]))
 
     def test_phase3_applies_left_right_product(self):
         base = np.full((2, 2), 10.0)
@@ -197,11 +198,11 @@ class TestUnpackPhases:
         expected = np.minimum(base, minplus_product(left, right))
         assert np.allclose(out, expected)
 
-    def test_phase3_missing_operand_is_noop(self):
+    def test_phase3_missing_operand_raises(self):
         base = np.ones((2, 2))
-        _, out = bb.unpack_phase3(1)(((0, 2), [(bb.TAG_BASE, base),
-                                               (bb.TAG_LEFT, np.zeros((2, 2)))]))
-        assert np.array_equal(out, base)
+        with pytest.raises(SolverError, match=r"\(0, 2\).*'R'"):
+            bb.unpack_phase3(1)(((0, 2), [(bb.TAG_BASE, base),
+                                          (bb.TAG_LEFT, np.zeros((2, 2)))]))
 
 
 class TestMatprodColumnContributions:
@@ -220,7 +221,7 @@ class TestMatprodColumnContributions:
                     column[i] = block
                 if i == target and j != target:
                     column[j] = block.T
-            emit = bb.matprod_column_contributions(target, column)
+            emit = bb.matprod_column_contributions(BlockGrid(q), target, column)
             partial: dict = {}
             for record in blocks.items():
                 for key, value in emit(record):
@@ -240,7 +241,7 @@ class TestMatprodColumnContributions:
         adj = erdos_renyi_adjacency(8, seed=45)
         blocks = dict(matrix_to_blocks(adj, 4))
         column = {0: blocks[(0, 1)], 1: blocks[(1, 1)]}
-        emit = bb.matprod_column_contributions(1, lambda k: column[k])
+        emit = bb.matprod_column_contributions(BlockGrid(2), 1, lambda k: column[k])
         out = emit(((0, 1), blocks[(0, 1)]))
         assert len(out) == 2  # both roles contribute to column 1
 
@@ -270,7 +271,7 @@ class TestPackedBroadcastColumn:
         np.fill_diagonal(dense, True)
         pieces = [(0, dense[0:4, 5].copy()), (1, dense[4:8, 5].copy())]
         column = bb.assemble_column(pieces, 8, 4, "reachability")
-        update = bb.FloydWarshallUpdateWithColumn(column, 4, "reachability")
+        update = bb.FloydWarshallUpdate(column, column, 4, "reachability")
         _, updated = update(((0, 1), PackedBlock.from_dense(dense[0:4, 4:8])))
         expected = dense[0:4, 4:8] | (dense[0:4, 5][:, None] & dense[4:8, 5][None, :])
         assert np.array_equal(updated.to_dense(), expected)

@@ -229,9 +229,9 @@ class TestFullGridBlockedMatrix:
 
     def test_missing_mirror_block_raises(self):
         adj = directed_graph(8, seed=3)
-        blocks = dict(matrix_to_blocks(adj, 4, upper_only=False))
+        blocks = dict(matrix_to_blocks(adj, 4, layout="full"))
         del blocks[(1, 0)]
-        bm = BlockedMatrix(n=8, block_size=4, blocks=blocks, symmetric=False)
+        bm = BlockedMatrix(n=8, block_size=4, blocks=blocks, layout="full")
         with pytest.raises(ValidationError, match="mirror"):
             bm.get_block(1, 0)
         # The stored orientation still answers.
@@ -239,7 +239,7 @@ class TestFullGridBlockedMatrix:
 
     def test_full_layout_stores_all_blocks(self):
         adj = directed_graph(16, seed=3)
-        bm = BlockedMatrix.from_matrix(adj, 4, symmetric=False)
+        bm = BlockedMatrix.from_matrix(adj, 4, layout="full")
         assert len(bm.blocks) == bm.q * bm.q
         for i in range(bm.q):
             for j in range(bm.q):

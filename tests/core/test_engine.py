@@ -49,14 +49,16 @@ class TestSolveRequest:
         with pytest.raises(ConfigurationError):
             SolveRequest(**kwargs)
 
-    def test_coerce_routes_unknown_keywords_to_extra(self):
-        req = SolveRequest.coerce(None, solver="im", custom_knob=7)
-        assert req.solver == "blocked-im"
-        assert req.extra == {"custom_knob": 7}
+    def test_coerce_rejects_unknown_keywords(self):
+        with pytest.raises(ConfigurationError, match="custom.*block_size"):
+            SolveRequest.coerce(None, solver="im", custom=7)
+        with pytest.raises(ConfigurationError, match="custom"):
+            SolveRequest.coerce(SolveRequest(solver="im"), custom=7)
 
-    def test_coerce_merges_explicit_extra_flat(self):
-        req = SolveRequest.coerce(None, solver="im", extra={"x": 1}, custom_knob=7)
-        assert req.extra == {"x": 1, "custom_knob": 7}  # no nested {'extra': ...}
+    def test_solve_apsp_rejects_misspelled_keyword(self):
+        adj = np.zeros((4, 4))
+        with pytest.raises(ConfigurationError, match="blok_size"):
+            solve_apsp(adj, blok_size=16)
 
     def test_coerce_overrides_existing_request(self):
         base = SolveRequest(solver="blocked-im", block_size=8)

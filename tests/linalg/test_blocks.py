@@ -54,19 +54,19 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n,b", [(12, 4), (13, 4), (16, 16), (7, 3), (20, 1)])
     def test_upper_only_round_trip_symmetric(self, n, b):
         adj = erdos_renyi_adjacency(n, seed=n + b)
-        blocks = list(matrix_to_blocks(adj, b, upper_only=True))
-        rebuilt = blocks_to_matrix(blocks, n, b, symmetric=True)
+        blocks = list(matrix_to_blocks(adj, b, layout="triangular"))
+        rebuilt = blocks_to_matrix(blocks, n, b, layout="triangular")
         assert np.array_equal(rebuilt, adj)
 
     def test_full_round_trip(self):
         adj = erdos_renyi_adjacency(10, seed=3)
-        blocks = list(matrix_to_blocks(adj, 3, upper_only=False))
-        rebuilt = blocks_to_matrix(blocks, 10, 3, symmetric=False)
+        blocks = list(matrix_to_blocks(adj, 3, layout="full"))
+        rebuilt = blocks_to_matrix(blocks, 10, 3, layout="full")
         assert np.array_equal(rebuilt, adj)
 
     def test_upper_only_produces_upper_keys(self):
         adj = erdos_renyi_adjacency(12, seed=4)
-        keys = [key for key, _ in matrix_to_blocks(adj, 4, upper_only=True)]
+        keys = [key for key, _ in matrix_to_blocks(adj, 4, layout="triangular")]
         assert all(i <= j for i, j in keys)
         assert len(keys) == 6
 
@@ -103,7 +103,7 @@ class TestBlockedMatrix:
         assert np.array_equal(bm.get_block(2, 0), adj[8:12, 0:4])
 
     def test_get_missing_block_raises(self):
-        bm = BlockedMatrix(n=8, block_size=4, blocks={}, symmetric=True)
+        bm = BlockedMatrix(n=8, block_size=4, blocks={}, layout="triangular")
         with pytest.raises(KeyError):
             bm.get_block(0, 1)
 

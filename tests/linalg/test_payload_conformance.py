@@ -23,12 +23,12 @@ from repro.core import building_blocks as bb
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import PackedBlock, packed_floyd_warshall_inplace
-from repro.linalg.blocks import BlockedMatrix
+from repro.linalg.blocks import BlockGrid, BlockedMatrix, block_encoder
 from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
                                   floyd_warshall_inplace, fw_rank1_update,
                                   fw_rank1_update_inplace)
-from repro.linalg.payload import (DENSE, PACKED, WITNESS, block_encoder,
-                                  payload_ops, storage_ops)
+from repro.linalg.payload import (DENSE, PACKED, WITNESS, payload_ops,
+                                  storage_ops)
 from repro.linalg.semiring import (elementwise_combine, semiring_power,
                                    semiring_product, semiring_relax,
                                    semiring_square)
@@ -62,9 +62,10 @@ class Representation:
         return window
 
     def encode(self, window, row_start=0, col_start=0):
-        return block_encoder(algebra=self.algebra, upper_only=False,
-                             **self.encoder)(window, row_start, col_start,
-                                             copy=True)
+        options = dict(self.encoder)
+        grid = BlockGrid(1, options.pop("layout", "triangular"))
+        return block_encoder(grid, algebra=self.algebra,
+                             **options)(window, row_start, col_start, copy=True)
 
 
 REPRESENTATIONS = [
@@ -76,7 +77,7 @@ REPRESENTATIONS = [
     Representation("witness-2", "shortest-path", "float64", WITNESS,
                    {"witness": True}),
     Representation("witness-1", "shortest-path", "float64", WITNESS,
-                   {"witness": True, "single_plane": True}),
+                   {"witness": True, "layout": "full"}),
 ]
 
 
@@ -126,8 +127,6 @@ class TestResolver:
             storage_ops("packed", witness=True)
         with pytest.raises(ValidationError):
             storage_ops("sparse")
-        with pytest.raises(ValidationError):
-            block_encoder(witness=True, single_plane=True, upper_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ class TestOperations:
             edge = (window != get_algebra(rep.algebra).zero_like(window.dtype))
             edge &= ~np.eye(N, dtype=bool)
             assert np.array_equal(block.parents[edge] - 24, np.nonzero(edge)[0])
-            assert block.single_plane == rep.encoder.get("single_plane", False)
+            assert block.single_plane == (rep.encoder.get("layout") == "full")
 
     def test_product_combine_relax(self, rep):
         algebra = get_algebra(rep.algebra)

@@ -312,17 +312,17 @@ class TestWitnessBlocks:
     def test_matrix_roundtrip_through_witnessed_blocks(self):
         alg = get_algebra("shortest-path")
         prepared = alg.prepare_adjacency(random_adjacency(14, 6, "shortest-path"))
-        records = list(matrix_to_blocks(prepared, 5, upper_only=True,
+        records = list(matrix_to_blocks(prepared, 5, layout="triangular",
                                         witness=True, algebra=alg))
         assert all(W.is_witnessed(blk) for _, blk in records)
         values, parents = W.witness_blocks_to_matrices(
-            records, 14, 5, symmetric=True, fill=np.inf, dtype=np.float64)
+            records, 14, 5, layout="triangular", fill=np.inf, dtype=np.float64)
         assert np.array_equal(values, prepared)
         wb = W.witness_matrix(prepared, alg)
         assert np.array_equal(parents, wb.parents)
         # blocks_to_matrix unwraps witnessed payloads to their values
         assert np.array_equal(
-            blocks_to_matrix(records, 14, 5, symmetric=True), prepared)
+            blocks_to_matrix(records, 14, 5, layout="triangular"), prepared)
 
     def test_witness_blocks_reject_packed_storage(self):
         alg = get_algebra("reachability")
