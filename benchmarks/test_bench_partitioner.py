@@ -33,12 +33,12 @@ def test_bench_partition_assignment(benchmark, name):
 def test_bench_partitioner_effect_on_solver(benchmark, bench_config, bench_graph, name):
     """End-to-end effect of the partitioner on the Blocked In-Memory solver."""
     from repro.core.blocked_inmemory import BlockedInMemorySolver
-    from repro.core.base import SolverOptions
+    from repro.core.request import SolveRequest
 
-    options = SolverOptions(block_size=32, partitioner=name)
+    request = SolveRequest(block_size=32, partitioner=name)
 
     def run():
-        return BlockedInMemorySolver(config=bench_config, options=options).solve(bench_graph)
+        return BlockedInMemorySolver(config=bench_config, request=request).solve(bench_graph)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info["shuffle_bytes"] = result.metrics["shuffle_bytes"]

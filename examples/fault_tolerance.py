@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.common.config import EngineConfig
 from repro.common.errors import LineageError
-from repro.core import BlockedCollectBroadcastSolver, BlockedInMemorySolver, SolverOptions
+from repro.core import BlockedCollectBroadcastSolver, BlockedInMemorySolver, SolveRequest
 from repro.graph import erdos_renyi_adjacency
 from repro.sequential import floyd_warshall_reference
 from repro.spark.context import SparkContext
@@ -28,13 +28,13 @@ def main() -> int:
     adjacency = erdos_renyi_adjacency(96, seed=5)
     reference = floyd_warshall_reference(adjacency)
     config = EngineConfig(num_executors=4, cores_per_executor=2)
-    options = SolverOptions(block_size=16, partitioner="MD")
+    request = SolveRequest(block_size=16, partitioner="MD")
 
     # --- Pure solver with injected task failures --------------------------------
     print("Running the pure Blocked In-Memory solver with injected task failures...")
     plan = FaultPlan(fail_task_indices=frozenset({3, 17, 40, 77}), max_failures=4)
     context = SparkContext(config, fault_plan=plan)
-    solver = BlockedInMemorySolver(config=config, options=options)
+    solver = BlockedInMemorySolver(config=config, request=request)
     result = solver.solve(adjacency, context=context)
     injected = context.fault_injector.injected_failures
     retried = context.metrics.tasks_retried
@@ -46,7 +46,7 @@ def main() -> int:
     # --- Impure solver losing shared-filesystem data ------------------------------
     print("Running the impure Blocked Collect/Broadcast solver and deleting staged data...")
     context = SparkContext(config)
-    solver = BlockedCollectBroadcastSolver(config=config, options=options)
+    solver = BlockedCollectBroadcastSolver(config=config, request=request)
 
     original_write = context.shared_fs.write
     state = {"dropped": False}

@@ -15,7 +15,7 @@ runs can crank it up) without editing code.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 # Importing the API populates the solver registry, which SolveRequest
@@ -157,42 +157,15 @@ class BenchScenario:
 
     def request(self) -> SolveRequest:
         """The typed solve request this scenario submits."""
-        return SolveRequest(solver=self.solver, block_size=self.block_size,
-                            partitioner=self.partitioner,
-                            partitions_per_core=self.partitions_per_core,
-                            algebra=self.algebra, dtype=self.dtype,
-                            storage=self.storage, layout=self.layout,
-                            directed=self.directed, paths=self.paths,
-                            tag=self.name)
+        shared = SolveRequest.__dataclass_fields__.keys() & self.__dataclass_fields__
+        return SolveRequest(tag=self.name,
+                            **{name: getattr(self, name) for name in shared})
 
     def params(self) -> dict:
         """Scenario parameters as a plain dict (for reports)."""
-        return {
-            "solver": self.solver,
-            "n": self.n,
-            "block_size": self.block_size,
-            "partitioner": self.partitioner,
-            "partitions_per_core": self.partitions_per_core,
-            "algebra": self.algebra,
-            "dtype": self.dtype,
-            "storage": self.storage,
-            "layout": self.layout,
-            "directed": self.directed,
-            "paths": self.paths,
-            "backend": self.backend,
-            "num_executors": self.num_executors,
-            "cores_per_executor": self.cores_per_executor,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "workload": self.workload,
-            "queries": self.queries,
-            "query_sources": self.query_sources,
-            "cache_rows": self.cache_rows,
-            "update_batch": self.update_batch,
-            "update_mode": self.update_mode,
-            "failure_rate": self.failure_rate,
-            "crash_rate": self.crash_rate,
-        }
+        params = asdict(self)
+        del params["name"], params["slowdown_threshold"]
+        return params
 
     def with_n(self, n: int) -> "BenchScenario":
         """Variant of this scenario at a different problem size.

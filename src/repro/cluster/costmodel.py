@@ -65,8 +65,7 @@ def element_bytes(algebra=None, dtype: str | None = None,
     # SolveRequest would, instead of silently mis-sizing the model 64x).
     if resolved.resolve_storage(storage) == "packed":
         return 1.0 / 8.0
-    import numpy as np
-    return float(np.dtype(resolved.resolve_dtype(dtype)).itemsize)
+    return float(resolved.resolve_dtype(dtype).itemsize)
 
 
 def rank1_update_seconds(n: int, *, algebra=None, dtype: str | None = None,
@@ -451,10 +450,6 @@ class CostModel:
                 feasible = False
                 reason = (f"local storage exhausted: {spill / GIB:.0f} GiB spilled per node "
                           f"> {capacity / GIB:.0f} GiB available")
-        memory_needed = (3.0 * element_bytes(algebra, dtype, storage)
-                         * float(n) * n / self._nodes_for(p))
-        if memory_needed > self.cluster.node.memory_bytes:
-            feasible = feasible and True  # memory pressure is absorbed by spilling in Spark
         return ProjectionResult(
             solver=solver, n=n, block_size=block_size, p=p, partitioner=partitioner,
             partitions_per_core=partitions_per_core, iteration=iteration,

@@ -36,7 +36,6 @@ import numpy as np
 from repro.cluster.costmodel import element_bytes
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.linalg.algebra import get_algebra
-from repro.linalg.blocks import BlockGrid
 from repro.linalg.semiring import closure_iterations
 
 #: Bump when the calibration document layout changes incompatibly.
@@ -78,13 +77,9 @@ FALLBACK_SECONDS_PER_UNIT = {
 }
 
 
-def ops_key(algebra, dtype: str | None = None, storage: str | None = None,
-            *, paths: bool = False) -> str:
-    """Canonical kernel-rate key for an (algebra, dtype, storage) triple."""
-    resolved = get_algebra(algebra)
-    dtype_name = resolved.resolve_dtype(dtype).name
-    storage_name = resolved.resolve_storage(storage, paths=paths)
-    return f"ops:{resolved.name}|{dtype_name}|{storage_name}"
+def ops_key(request) -> str:
+    """Kernel-rate key of a concrete request's (algebra, dtype, storage) triple."""
+    return f"ops:{request.algebra}|{request.dtype}|{request.storage}"
 
 
 @dataclass
@@ -101,38 +96,26 @@ class Observation:
 # ---------------------------------------------------------------------------
 # Structural feature extraction
 # ---------------------------------------------------------------------------
-def _resolved_policies(params: dict) -> tuple:
-    """Resolve (algebra, dtype, storage, layout, paths, directed) like a request."""
-    algebra = get_algebra(params.get("algebra", "shortest-path"))
-    paths = bool(params.get("paths", False))
-    directed = bool(params.get("directed", False))
-    dtype = algebra.resolve_dtype(params.get("dtype")).name
-    storage = algebra.resolve_storage(params.get("storage"), paths=paths)
-    layout = algebra.resolve_layout(params.get("layout"), directed=directed)
-    if layout == "auto":
-        # Bench graphs are symmetric unless the scenario is directed; mirror
-        # the prepare()-time sniff structurally.
-        layout = "full" if directed else "triangular"
-    return algebra, dtype, storage, layout, paths, directed
+def plan_from_params(params: dict):
+    """The archive boundary: a scenario-params dict → ``(plan, total_cores)``.
 
+    ``BENCH_*.json`` rows and :meth:`BenchScenario.params` describe a solve
+    as a flat dict; this rebuilds the :class:`~repro.core.request.SolveRequest`
+    it round-trips to and resolves it exactly as the engine would
+    (:func:`~repro.core.base.resolve_plan`).  Bench graphs are symmetric
+    unless the scenario is directed, and a directed request already pins the
+    full grid.
+    """
+    from repro.core.base import resolve_plan  # deferred: core imports cluster
+    from repro.core.request import SolveRequest
 
-def _resolved_geometry(params: dict, layout: str) -> tuple[int, int, int, int]:
-    """(n, block_size, q, num_partitions) as the engine would resolve them."""
-    from repro.core.base import auto_block_size  # deferred: core imports cluster
-
-    n = int(params.get("n", 0))
-    if n < 1:
-        raise ConfigurationError(f"scenario params carry no problem size: {params!r}")
+    request = SolveRequest(**{name: params[name]
+                              for name in SolveRequest.__dataclass_fields__
+                              if name in params})
     total_cores = (max(1, int(params.get("num_executors", 2)))
                    * max(1, int(params.get("cores_per_executor", 2))))
-    ppc = max(1, int(params.get("partitions_per_core", 2)))
-    block = params.get("block_size")
-    if block is None:
-        block = auto_block_size(n, total_cores, ppc, layout=layout)
-    block = max(1, min(int(block), n))
-    q = int(math.ceil(n / block))
-    partitions = int(params.get("num_partitions") or total_cores * ppc)
-    return n, block, q, partitions
+    return resolve_plan(request, int(params.get("n", 0)), symmetric=True,
+                        total_cores=total_cores), total_cores
 
 
 def _solver_shape(solver: str, n: int, block: int, q: int, stored: float,
@@ -192,30 +175,41 @@ def _expected_distinct_sources(n: int, queries: int, query_sources: int) -> floa
 
 
 def scenario_features(params: dict, *, cpu_count: int = 1) -> dict[str, float]:
-    """Structural cost features of one scenario, from its parameters alone.
+    """Structural cost features of one archived scenario, from its parameters alone."""
+    plan, total_cores = plan_from_params(params)
+    return plan_features(plan, backend=str(params.get("backend", "serial")),
+                         total_cores=total_cores, cpu_count=cpu_count,
+                         workload=params)
+
+
+def plan_features(plan, *, backend: str, total_cores: int, cpu_count: int = 1,
+                  workload: dict | None = None) -> dict[str, float]:
+    """Structural cost features of one resolved solve plan.
 
     ``cpu_count`` is the *physical* parallelism of the host the constants
     describe: the kernel-ops features are divided by the effective worker
     parallelism ``min(total_cores, cpu_count)`` for the threads/processes
-    backends (the serial backend always runs on one core).  Every feature is
-    a plain non-negative number; the predicted wall is the dot product with
-    the fitted per-unit constants.
+    backends (the serial backend always runs on one core).  ``workload``
+    carries a bench scenario's beyond-the-solve knobs (``workload``,
+    ``update_batch``, ``queries``, ``failure_rate``, ...); a bare solve has
+    none.  Every feature is a plain non-negative number; the predicted wall
+    is the dot product with the fitted per-unit constants.
     """
-    algebra, dtype, storage, layout, paths, directed = _resolved_policies(params)
-    n, block, q, partitions = _resolved_geometry(params, layout)
-    stored = float(BlockGrid(q, layout).count)
+    params = workload or {}
+    request = plan.request
+    algebra = get_algebra(request.algebra)
+    dtype, storage = request.dtype, request.storage
+    paths, directed = request.paths, request.directed
+    n, block, q, partitions = plan.n, plan.block_size, plan.q, plan.num_partitions
+    stored = float(plan.grid.count)
     element_size = element_bytes(algebra, dtype, storage)
-    solver = str(params.get("solver", "blocked-cb"))
-    backend = str(params.get("backend", "serial"))
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
-    total_cores = (max(1, int(params.get("num_executors", 2)))
-                   * max(1, int(params.get("cores_per_executor", 2))))
     parallelism = 1.0 if backend == "serial" else float(
         max(1, min(total_cores, max(1, int(cpu_count)))))
 
     ops, stages, bytes_moved, kernel_calls, driver = _solver_shape(
-        solver, n, block, q, stored, element_size)
+        request.solver, n, block, q, stored, element_size)
     if paths:
         # Witness tracking doubles the kernel work (paired value/parent
         # kernels), the moved volume, and the per-stage block handling —
@@ -255,7 +249,7 @@ def scenario_features(params: dict, *, cpu_count: int = 1) -> dict[str, float]:
     tasks = stages * partitions
 
     features: dict[str, float] = {
-        ops_key(algebra, dtype, storage, paths=paths): ops / parallelism,
+        ops_key(request): ops / parallelism,
         f"stages:{backend}": stages,
         f"tasks:{backend}": tasks,
         "bytes": bytes_moved,
@@ -426,16 +420,9 @@ def _fallback_rate(key: str, fitted: dict[str, float]) -> float:
         family, 0.0))
 
 
-def predict_seconds(params: dict, constants: dict) -> float:
-    """Predicted wall seconds of one scenario under fitted constants.
-
-    The one prediction function everything shares: the accuracy report, the
-    prediction-accuracy test harness, and the auto-tuner's candidate ranking
-    all call this, so they can never drift apart.
-    """
+def _price(features: dict[str, float], constants: dict) -> float:
+    """Dot product of structural features with the fitted per-unit rates."""
     rates = constants.get("seconds_per_unit") or {}
-    features = scenario_features(params,
-                                 cpu_count=int(constants.get("cpu_count", 1)))
     total = 0.0
     for key, value in features.items():
         rate = rates.get(key)
@@ -445,6 +432,26 @@ def predict_seconds(params: dict, constants: dict) -> float:
             rate = _fallback_rate(key, rates)
         total += value * rate
     return total
+
+
+def predict_seconds(params: dict, constants: dict) -> float:
+    """Predicted wall seconds of one archived scenario under fitted constants.
+
+    With :func:`predict_plan_seconds` the one prediction path everything
+    shares — the accuracy report, the prediction-accuracy test harness and
+    the auto-tuner's candidate ranking price the same :func:`plan_features`
+    — so they can never drift apart.
+    """
+    return _price(scenario_features(
+        params, cpu_count=int(constants.get("cpu_count", 1))), constants)
+
+
+def predict_plan_seconds(plan, constants: dict, *, backend: str,
+                         total_cores: int) -> float:
+    """Predicted wall seconds of one resolved solve plan (the tuner's pricing)."""
+    return _price(plan_features(
+        plan, backend=backend, total_cores=total_cores,
+        cpu_count=int(constants.get("cpu_count", 1))), constants)
 
 
 def accuracy_report(observations: list[Observation], constants: dict) -> dict:

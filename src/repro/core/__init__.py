@@ -19,7 +19,7 @@ records in an RDD, keeping only the upper triangle of the symmetric matrix:
 """
 
 from repro.core.api import solve_apsp, available_solvers, APSPResult, get_solver_class
-from repro.core.base import SparkAPSPSolver, SolverOptions, SolvePlan
+from repro.core.base import SparkAPSPSolver, SolvePlan
 from repro.core.engine import APSPEngine, APSPJob
 from repro.core.registry import (SolverInfo, register_solver, solver_catalog,
                                  solver_info, unregister_solver)
@@ -45,7 +45,6 @@ __all__ = [
     "solver_catalog",
     "solver_info",
     "SparkAPSPSolver",
-    "SolverOptions",
     "RepeatedSquaringSolver",
     "FloydWarshall2DSolver",
     "BlockedInMemorySolver",

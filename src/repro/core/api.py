@@ -31,24 +31,24 @@ from repro.core.registry import (available_solvers, get_solver_class,  # noqa: F
 from repro.core.request import SolveRequest
 
 
-def solve_apsp(adjacency: np.ndarray, *, solver: str = "blocked-cb",
-               block_size: int | None = None, partitioner: str = "MD",
-               partitions_per_core: int = 2, num_partitions: int | None = None,
-               algebra: str = "shortest-path", dtype: str | None = None,
-               validate: bool = False, config: EngineConfig | None = None,
-               **options: Any) -> APSPResult:
+def solve_apsp(adjacency: np.ndarray, request: SolveRequest | None = None, *,
+               config: EngineConfig | None = None, **options: Any) -> APSPResult:
     """Solve All-Pairs Shortest-Paths with one of the registered Spark solvers.
 
-    One-shot convenience wrapper: builds a :class:`SolveRequest`, runs it on
-    an ephemeral :class:`APSPEngine` (context created and torn down inside
-    this call), and returns the result.  For repeated solves prefer a
-    long-lived engine, which reuses one Spark context across the batch.
+    One-shot convenience wrapper: builds a :class:`SolveRequest` (from
+    ``request`` and/or the keyword ``options``, whose names and defaults are
+    exactly the request's fields), runs it on an ephemeral
+    :class:`APSPEngine` (context created and torn down inside this call),
+    and returns the result.  For repeated solves prefer a long-lived engine,
+    which reuses one Spark context across the batch.
 
     Parameters
     ----------
     adjacency:
         Dense symmetric adjacency matrix with ``inf`` for missing edges.
         Use :mod:`repro.graph` to build one from a graph or a point cloud.
+    request:
+        A prebuilt :class:`SolveRequest`; keyword options override its fields.
     solver:
         ``"repeated-squaring"``, ``"fw-2d"``, ``"blocked-im"`` or
         ``"blocked-cb"`` (default; the paper's best performer), any alias,
@@ -70,10 +70,10 @@ def solve_apsp(adjacency: np.ndarray, *, solver: str = "blocked-cb",
         Run structural sanity checks on the result.
     config:
         Engine configuration (executors, cores, backend, spill capacity).
-    **options:
-        Any other :class:`SolveRequest` field (``storage``, ``layout``,
-        ``directed``, ``paths``, ``tag``); an unknown name raises
-        :class:`~repro.common.errors.ConfigurationError`.
+    storage / layout / directed / paths / tag:
+        The remaining :class:`SolveRequest` fields, documented there; an
+        unknown name raises :class:`~repro.common.errors.ConfigurationError`
+        listing the valid ones.
 
     Returns
     -------
@@ -88,9 +88,6 @@ def solve_apsp(adjacency: np.ndarray, *, solver: str = "blocked-cb",
     >>> result.distances.shape
     (64, 64)
     """
-    request = SolveRequest.coerce(
-        None, solver=solver, block_size=block_size, partitioner=partitioner,
-        partitions_per_core=partitions_per_core, num_partitions=num_partitions,
-        algebra=algebra, dtype=dtype, validate=validate, **options)
+    request = SolveRequest.coerce(request, **options)  # fail before any context starts
     with APSPEngine(config) as engine:
         return engine.solve(adjacency, request)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -13,12 +14,12 @@ from repro.common.config import EngineConfig, default_config
 from repro.common.errors import ConfigurationError, SolverError
 from repro.common.timing import Stopwatch
 from repro.cluster.costmodel import predicted_task_seconds
+from repro.core.request import SolveRequest, _RequestView
 from repro.graph import sparse as sparse_mod
 from repro.graph.adjacency import is_symmetric_adjacency, validate_adjacency
 from repro.linalg import witness as witness_mod
 from repro.linalg.algebra import ABSORPTIVE_ALGEBRAS, Semiring, get_algebra
-from repro.linalg.blocks import (BlockGrid, blocks_to_matrix, matrix_to_blocks,
-                                 num_blocks)
+from repro.linalg.blocks import BlockGrid, blocks_to_matrix, matrix_to_blocks
 from repro.spark.context import SparkContext
 from repro.spark.metrics import metrics_delta
 from repro.spark.partitioner import Partitioner, partitioner_by_name
@@ -26,90 +27,26 @@ from repro.spark.rdd import RDD
 
 
 @dataclass
-class SolverOptions:
-    """User-facing solver knobs (Section 5.2/5.3 tuning parameters).
-
-    Parameters
-    ----------
-    block_size:
-        The decomposition parameter ``b``; ``None`` selects it automatically
-        with :func:`auto_block_size`.
-    partitioner:
-        ``"MD"`` (the paper's multi-diagonal partitioner), ``"PH"``
-        (pySpark's default portable hash) or ``"GRID"``.
-    partitions_per_core:
-        The over-decomposition factor ``B``; the paper recommends 2-4 and uses
-        2 in most experiments.
-    num_partitions:
-        Explicit partition count override (takes precedence over ``B``).
-    algebra:
-        Path algebra (semiring) the solve closes the matrix under; name or
-        alias resolved against :mod:`repro.linalg.algebra`.
-    dtype:
-        Element dtype for the solve (``None`` = the algebra's default).
-    storage:
-        Block storage layout: ``"dense"`` (plain ndarray blocks),
-        ``"packed"`` (uint64 packed-bitset blocks, boolean algebras only), or
-        ``None``/``"auto"`` for the algebra's default (packed for
-        ``reachability``).
-    layout:
-        Block *grid* layout: ``"triangular"`` (upper block triangle with
-        mirror-transpose lookups — symmetric inputs only), ``"full"`` (all
-        q² blocks, required for directed inputs), or ``None``/``"auto"``
-        to pick from the input's symmetry at ``prepare`` time.
-    directed:
-        Treat the input as a directed graph: skips the symmetry check
-        during adjacency validation and forces the full grid layout.
-    paths:
-        When true every block carries witness (parent-pointer) planes
-        through the whole solve and the result exposes a predecessor matrix
-        plus :meth:`APSPResult.reconstruct_path` — at roughly double the
-        data traffic.  Requires an algebra with a witness policy and dense
-        block storage.
-    validate:
-        When true the result is sanity-checked (identity diagonal, symmetry,
-        closure stability on a sample).
-    """
-
-    block_size: int | None = None
-    partitioner: str = "MD"
-    partitions_per_core: int = 2
-    num_partitions: int | None = None
-    algebra: str = "shortest-path"
-    dtype: str | None = None
-    storage: str | None = None
-    layout: str | None = None
-    directed: bool = False
-    paths: bool = False
-    validate: bool = False
-
-
-@dataclass
-class APSPResult:
+class APSPResult(_RequestView):
     """Result of an APSP solve: the distance matrix plus execution metadata.
 
-    Under ``paths=True`` the result additionally carries :attr:`parents`,
-    the full ``n x n`` predecessor matrix (``parents[i, j]`` is the global
-    predecessor of ``j`` on an optimal ``i -> j`` path, ``-1`` for
-    unreachable pairs and the diagonal), walkable via
+    ``request`` is the *concrete* request that ran (solver, storage and
+    layout resolved); its fields read through — ``result.solver``,
+    ``result.algebra``, ``result.layout`` — next to the resolved geometry
+    integers.  Under ``paths=True`` the result additionally carries
+    :attr:`parents`, the full ``n x n`` predecessor matrix (``parents[i, j]``
+    is the global predecessor of ``j`` on an optimal ``i -> j`` path, ``-1``
+    for unreachable pairs and the diagonal), walkable via
     :meth:`reconstruct_path`.
     """
 
     distances: np.ndarray
-    solver: str
+    request: SolveRequest
     n: int
     block_size: int
-    q: int
-    iterations: int
     num_partitions: int
-    partitioner: str
-    pure: bool
+    iterations: int
     elapsed_seconds: float
-    algebra: str = "shortest-path"
-    dtype: str = "float64"
-    storage: str = "dense"
-    layout: str = "triangular"
-    directed: bool = False
     parents: np.ndarray | None = None
     phase_seconds: dict[str, float] = field(default_factory=dict)
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -169,34 +106,27 @@ class APSPResult:
 
 
 @dataclass(frozen=True)
-class SolvePlan:
-    """Resolved geometry of one solve, inspectable before anything runs.
+class SolvePlan(_RequestView):
+    """One resolved solve, inspectable before anything runs.
 
-    Produced by :meth:`SparkAPSPSolver.prepare`: the adjacency matrix has been
-    validated, the block size / block-grid side / partition count resolved, and
-    the partitioner instantiated.  Feeding the plan to
-    :meth:`SparkAPSPSolver.execute` (optionally with a shared
-    :class:`~repro.spark.context.SparkContext`) performs the actual solve.
+    Produced by :func:`resolve_plan` — the one place a request becomes
+    concrete: ``request`` no longer says ``"auto"`` for storage or layout
+    (its fields read through: ``plan.algebra``, ``plan.layout``, ...) and
+    the block size and partition count are resolved integers.
+    :meth:`SparkAPSPSolver.prepare` attaches the validated adjacency;
+    feeding the plan to :meth:`SparkAPSPSolver.execute` (optionally with a
+    shared :class:`~repro.spark.context.SparkContext`) performs the solve.
     """
 
-    solver: str
-    pure: bool
-    #: Validated input: a prepared dense ndarray, or a canonical CSR matrix
-    #: when the caller handed in a SciPy sparse adjacency (kept sparse so the
-    #: block cutter never materializes an ``n x n`` array).
-    adjacency: Any
+    request: SolveRequest
     n: int
     block_size: int
-    q: int
     num_partitions: int
-    partitioner_name: str
-    partitioner: Partitioner
-    algebra: str = "shortest-path"
-    dtype: str = "float64"
-    storage: str = "dense"
-    layout: str = "triangular"
-    directed: bool = False
-    paths: bool = False
+    #: Validated input: a prepared dense ndarray, or a canonical CSR matrix
+    #: when the caller handed in a SciPy sparse adjacency (kept sparse so the
+    #: block cutter never materializes an ``n x n`` array).  ``None`` on a
+    #: geometry-only plan (the tuner's candidates, the fit's archived rows).
+    adjacency: Any = None
 
     @property
     def sparse_input(self) -> bool:
@@ -206,12 +136,13 @@ class SolvePlan:
     @property
     def grid(self) -> BlockGrid:
         """The block grid of the solve: which keys are stored, how mirrors are read."""
-        return BlockGrid(self.q, self.layout)
+        return BlockGrid(self.q, self.request.layout)
 
-    @property
-    def num_blocks_stored(self) -> int:
-        """Block records the plan's grid stores."""
-        return self.grid.count
+    @cached_property
+    def partitioner(self) -> Partitioner:
+        """The partitioner instance, built once per plan on first use."""
+        return partitioner_by_name(self.request.partitioner,
+                                   self.num_partitions, self.q)
 
     def block_records(self):
         """Cut the plan's adjacency into ``((I, J), block)`` records.
@@ -225,33 +156,28 @@ class SolvePlan:
         witnessed blocks (value + parent planes, global ids stamped) under
         ``paths=True``.  One record per key the plan's :attr:`grid` stores.
         """
+        policy = dict(algebra=self.algebra, storage=self.storage,
+                      layout=self.layout, witness=self.paths)
         if self.sparse_input:
-            return sparse_mod.sparse_to_blocks(
-                self.adjacency, self.block_size, algebra=self.algebra,
-                dtype=self.dtype, storage=self.storage, layout=self.layout,
-                witness=self.paths)
-        return matrix_to_blocks(self.adjacency, self.block_size,
-                                layout=self.layout, storage=self.storage,
-                                witness=self.paths, algebra=self.algebra)
+            return sparse_mod.sparse_to_blocks(self.adjacency, self.block_size,
+                                               dtype=self.dtype, **policy)
+        return matrix_to_blocks(self.adjacency, self.block_size, **policy)
 
     def describe(self) -> dict:
         """Geometry summary as a plain dict (for logs, the CLI, and tests)."""
+        request = self.request
         return {
-            "solver": self.solver,
+            "solver": request.solver,
             "pure": self.pure,
             "n": self.n,
             "block_size": self.block_size,
             "q": self.q,
-            "num_blocks_upper": self.q * (self.q + 1) // 2,
-            "num_blocks_stored": self.num_blocks_stored,
+            "num_blocks_upper": BlockGrid(self.q).count,
+            "num_blocks_stored": self.grid.count,
             "num_partitions": self.num_partitions,
-            "partitioner": self.partitioner_name,
-            "algebra": self.algebra,
-            "dtype": self.dtype,
-            "storage": self.storage,
-            "layout": self.layout,
-            "directed": self.directed,
-            "paths": self.paths,
+            "partitioner": request.partitioner,
+            **{name: getattr(request, name) for name in (
+                "algebra", "dtype", "storage", "layout", "directed", "paths")},
             "sparse_input": self.sparse_input,
         }
 
@@ -272,6 +198,44 @@ def auto_block_size(n: int, total_cores: int, partitions_per_core: int = 2,
     q = max(1, BlockGrid.side_for(2 * target_partitions, layout))
     q = min(q, n)
     return max(1, int(math.ceil(n / q)))
+
+
+def input_symmetry(request: SolveRequest, adjacency) -> bool:
+    """The ``symmetric`` argument of :func:`resolve_plan` for a real input.
+
+    The matrix is inspected (once, never densifying CSR) only when the
+    request still says ``layout="auto"`` — the one case the answer is read.
+    """
+    return request.layout != "auto" or is_symmetric_adjacency(adjacency)
+
+
+def resolve_plan(request: SolveRequest, n: int, *, symmetric: bool,
+                 total_cores: int) -> SolvePlan:
+    """Resolve a request against a problem: the only request → plan path.
+
+    Pure in its arguments.  ``symmetric`` settles ``layout="auto"``
+    (symmetric → mirrored triangular storage, asymmetric → the full grid);
+    the concrete layout goes back through ``dataclasses.replace`` so
+    :class:`SolveRequest` stays the single validator of solver × algebra ×
+    dtype × storage × layout × paths.  An unset block size takes the
+    :func:`auto_block_size` heuristic, ``b`` is clamped to ``n``, and the
+    partition count defaults to ``total_cores`` × the over-decomposition
+    factor ``B``.  The planner, the auto-tuner's candidate pricing and the
+    cost-model fit all come through here, so they cannot disagree.  A
+    ``solver="auto"`` request resolves too (the tuner prices the candidates
+    it derives from that plan's request).
+    """
+    if n < 1:
+        raise ConfigurationError(f"cannot plan a solve of size n={n}")
+    if request.layout == "auto":
+        request = replace(request,
+                          layout="triangular" if symmetric else "full")
+    block_size = request.block_size or auto_block_size(
+        n, total_cores, request.partitions_per_core, layout=request.layout)
+    return SolvePlan(
+        request=request, n=n, block_size=min(block_size, n),
+        num_partitions=(request.num_partitions
+                        or total_cores * request.partitions_per_core))
 
 
 class SparkAPSPSolver:
@@ -299,14 +263,18 @@ class SparkAPSPSolver:
     layouts: tuple[str, ...] = ("triangular",)
 
     def __init__(self, config: EngineConfig | None = None,
-                 options: SolverOptions | None = None) -> None:
+                 request: SolveRequest | None = None) -> None:
         self.config = config or default_config()
-        self.options = options or SolverOptions()
+        if request is None or request.solver != self.name:
+            # Default, or re-target a request written for another solver (or
+            # "auto") at this class — re-running the solver's support checks.
+            request = SolveRequest.coerce(request, solver=self.name)
+        self.request = request
 
     @property
     def algebra(self) -> Semiring:
         """The resolved :class:`~repro.linalg.algebra.Semiring` for this solve."""
-        return get_algebra(self.options.algebra)
+        return get_algebra(self.request.algebra)
 
     # ------------------------------------------------------------------
     def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
@@ -314,75 +282,25 @@ class SparkAPSPSolver:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _resolve_geometry(self, n: int,
-                          layout: str = "triangular") -> tuple[int, int, int]:
-        block_size = self.options.block_size or auto_block_size(
-            n, self.config.total_cores, self.options.partitions_per_core,
-            layout=layout)
-        if block_size > n:
-            block_size = n
-        q = num_blocks(n, block_size)
-        num_partitions = self.options.num_partitions or max(
-            1, self.config.total_cores * max(1, self.options.partitions_per_core))
-        return block_size, q, num_partitions
-
-    def _build_partitioner(self, q: int, num_partitions: int) -> Partitioner:
-        return partitioner_by_name(self.options.partitioner, num_partitions, q)
-
-    # ------------------------------------------------------------------
     def prepare(self, adjacency: np.ndarray) -> SolvePlan:
         """Validate the input and resolve the solve geometry without running.
 
-        Returns a :class:`SolvePlan` describing block size, block-grid side,
-        partition count and partitioner — everything
-        :meth:`execute` needs, and everything a caller might want to inspect
-        or log before committing cluster time.
+        Returns the :class:`SolvePlan` of :func:`resolve_plan` with the
+        validated adjacency attached — everything :meth:`execute` needs, and
+        everything a caller might want to inspect or log before committing
+        cluster time.
         """
-        algebra = self.algebra
-        if algebra.name not in type(self).algebras:
-            raise ConfigurationError(
-                f"solver {self.name!r} does not support algebra {algebra.name!r} "
-                f"(supported: {', '.join(type(self).algebras)})")
-        dtype = algebra.resolve_dtype(self.options.dtype)
-        paths = bool(self.options.paths)
-        storage = algebra.resolve_storage(self.options.storage, paths=paths)
-        directed = bool(self.options.directed)
-        layout = algebra.resolve_layout(self.options.layout, directed=directed)
-        if layout == "auto":
-            # Inspect the input exactly once: symmetric inputs keep the
-            # mirrored triangular storage (bit-identical to the historical
-            # behaviour), asymmetric inputs get the full grid.
-            layout = ("triangular" if is_symmetric_adjacency(adjacency)
-                      else "full")
-        if layout not in type(self).layouts:
-            raise ConfigurationError(
-                f"solver {self.name!r} does not support block layout "
-                f"{layout!r} (supported: {', '.join(type(self).layouts)})")
-        # The full grid carries asymmetric matrices natively, so only the
-        # triangular layout demands (and checks) symmetry.
-        adj = validate_adjacency(adjacency,
-                                 require_symmetric=(layout == "triangular"),
-                                 algebra=algebra, dtype=dtype, allow_sparse=True)
-        n = adj.shape[0]
-        block_size, q, num_partitions = self._resolve_geometry(n, layout)
-        partitioner = self._build_partitioner(q, num_partitions)
-        return SolvePlan(
-            solver=self.name,
-            pure=self.pure,
-            adjacency=adj,
-            n=n,
-            block_size=block_size,
-            q=q,
-            num_partitions=num_partitions,
-            partitioner_name=self.options.partitioner.upper(),
-            partitioner=partitioner,
-            algebra=algebra.name,
-            dtype=dtype.name,
-            storage=storage,
-            layout=layout,
-            directed=directed,
-            paths=paths,
-        )
+        request = self.request
+        symmetric = input_symmetry(request, adjacency)
+        # The full grid carries asymmetric matrices natively, and an "auto"
+        # layout only becomes triangular when the sniff found the input
+        # symmetric, so only an explicit triangular request needs the check.
+        adj = validate_adjacency(
+            adjacency, require_symmetric=request.layout == "triangular",
+            algebra=request.algebra, dtype=request.dtype, allow_sparse=True)
+        plan = resolve_plan(request, adj.shape[0], symmetric=symmetric,
+                            total_cores=self.config.total_cores)
+        return replace(plan, adjacency=adj)
 
     def execute(self, plan: SolvePlan, context: SparkContext | None = None) -> APSPResult:
         """Run a prepared :class:`SolvePlan`.
@@ -400,30 +318,32 @@ class SparkAPSPSolver:
         start = time.perf_counter()
         try:
             metrics_before = sc.metrics.as_dict()
+            request, partitioner = plan.request, plan.partitioner
             with stopwatch.section("setup"):
                 records = list(plan.block_records())
-                rdd = sc.parallelize(records, partitioner=plan.partitioner).cache()
+                rdd = sc.parallelize(records, partitioner=partitioner).cache()
             # Publish the cost model's predicted per-task wall for the solve:
             # the scheduler derives its soft (speculation) timeout from it.
             wall_hint = predicted_task_seconds(
                 plan.n, plan.block_size,
-                num_partitions=plan.partitioner.num_partitions,
-                algebra=plan.algebra, dtype=plan.dtype, storage=plan.storage)
+                num_partitions=partitioner.num_partitions,
+                algebra=request.algebra, dtype=request.dtype,
+                storage=request.storage)
             with sc.scheduler.task_wall_hint(wall_hint):
                 result_blocks, iterations = self._run(
                     sc, rdd, plan.n, plan.block_size, plan.grid,
-                    plan.partitioner, stopwatch)
+                    partitioner, stopwatch)
             with stopwatch.section("gather"):
                 if isinstance(result_blocks, RDD):
                     result_blocks = result_blocks.collect()
-                algebra = get_algebra(plan.algebra)
+                algebra = get_algebra(request.algebra)
+                assemble = dict(layout=request.layout, dtype=request.dtype,
+                                fill=algebra.zero_like(request.dtype))
                 parents = None
                 paths_repaired = 0
-                if plan.paths:
+                if request.paths:
                     distances, parents = witness_mod.witness_blocks_to_matrices(
-                        result_blocks, plan.n, plan.block_size,
-                        layout=plan.layout,
-                        fill=algebra.zero_like(plan.dtype), dtype=plan.dtype)
+                        result_blocks, plan.n, plan.block_size, **assemble)
                     # Per-cell witnesses are locally valid but can disagree
                     # across cells on equal-value plateaus; rebuild exactly
                     # the source rows whose pointer chains do not walk back
@@ -432,39 +352,23 @@ class SparkAPSPSolver:
                         distances, parents, plan.adjacency, algebra)
                 else:
                     distances = blocks_to_matrix(result_blocks, plan.n,
-                                                 plan.block_size,
-                                                 layout=plan.layout,
-                                                 fill=algebra.zero_like(plan.dtype),
-                                                 dtype=plan.dtype)
+                                                 plan.block_size, **assemble)
             elapsed = time.perf_counter() - start
             metrics = metrics_delta(metrics_before, sc.metrics.as_dict())
-            if plan.paths:
+            if request.paths:
                 metrics["path_rows_repaired"] = paths_repaired
         finally:
             if owns_context:
                 sc.stop()
 
+        # The result keeps the concrete request and the geometry integers —
+        # not the plan, which would pin the input adjacency in memory.
         result = APSPResult(
-            distances=distances,
-            solver=self.name,
-            n=plan.n,
-            block_size=plan.block_size,
-            q=plan.q,
-            iterations=iterations,
-            num_partitions=plan.num_partitions,
-            partitioner=plan.partitioner_name,
-            pure=self.pure,
-            elapsed_seconds=elapsed,
-            algebra=plan.algebra,
-            dtype=plan.dtype,
-            storage=plan.storage,
-            layout=plan.layout,
-            directed=plan.directed,
-            parents=parents,
-            phase_seconds=stopwatch.as_dict(),
-            metrics=metrics,
-        )
-        if self.options.validate:
+            distances=distances, request=request, n=plan.n,
+            block_size=plan.block_size, num_partitions=plan.num_partitions,
+            iterations=iterations, elapsed_seconds=elapsed, parents=parents,
+            phase_seconds=stopwatch.as_dict(), metrics=metrics)
+        if request.validate:
             self.validate_result(result)
         return result
 
@@ -473,7 +377,7 @@ class SparkAPSPSolver:
 
         Equivalent to ``execute(prepare(adjacency), context)``.  Directed
         (asymmetric) inputs need the full grid layout — pass
-        ``SolverOptions(directed=True)`` or ``layout="full"``/``"auto"``.
+        ``SolveRequest(directed=True)`` or ``layout="full"``/``"auto"``.
         """
         return self.execute(self.prepare(adjacency), context)
 

@@ -87,14 +87,12 @@ class ClosureState:
     rank-1 sweeps run on words, not bytes.
     """
 
-    def __init__(self, *, distances: np.ndarray, adjacency, request,
-                 layout: str, parents: np.ndarray | None = None) -> None:
-        self.request = request
+    def __init__(self, result, adjacency) -> None:
+        #: The concrete request the closure was solved with (re-solves reuse it).
+        self.request = request = result.request
         self.algebra = get_algebra(request.algebra)
-        self.distances = np.asarray(distances)
-        self.parents = (None if parents is None
-                        else np.asarray(parents, dtype=np.int32))
-        self.layout = layout
+        self.distances = result.distances
+        self.parents = result.parents
         self._adjacency = adjacency
         self._dense_adjacency = (None if sparse_mod.is_sparse(adjacency)
                                  else np.asarray(adjacency))
@@ -124,7 +122,7 @@ class ClosureState:
         ``directed=True`` and the adjacency is symmetric (sniffed once).
         """
         if self._undirected is None:
-            if self.layout == "triangular":
+            if self.request.layout == "triangular":
                 self._undirected = True
             elif self.request.directed:
                 self._undirected = False

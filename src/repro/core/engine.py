@@ -141,7 +141,8 @@ class APSPEngine:
         self._updates_resolved = 0
         self._updates_failed = 0
         self._update_seconds = 0.0
-        self._tuner_decisions: list[TunerDecision] = []
+        self._tuner_decision_count = 0
+        self._last_tuner_decision: TunerDecision | None = None
 
     # ------------------------------------------------------------------ lifecycle
     def __enter__(self) -> "APSPEngine":
@@ -189,13 +190,19 @@ class APSPEngine:
             self._context = None
 
     # ------------------------------------------------------------------ submission
-    def _coerce_request(self, request: SolveRequest | None,
-                        kwargs: dict[str, Any]) -> SolveRequest:
-        if request is not None and kwargs:
-            return SolveRequest.coerce(request, **kwargs)
-        if request is not None:
-            return request
-        return SolveRequest.coerce(None, **kwargs)
+    def _resolve_auto(self, request: SolveRequest, adjacency
+                      ) -> tuple[SolveRequest, TunerDecision | None]:
+        """Run a ``solver="auto"`` request through the tuner (else pass through).
+
+        Only a counter and the latest decision are kept: planning and
+        submitting must not grow session memory without bound.
+        """
+        if request.solver != "auto":
+            return request, None
+        request, decision = resolve_auto(request, adjacency, config=self.config)
+        self._tuner_decision_count += 1
+        self._last_tuner_decision = decision
+        return request, decision
 
     def submit(self, adjacency: np.ndarray, request: SolveRequest | None = None,
                **kwargs: Any) -> APSPJob:
@@ -204,13 +211,10 @@ class APSPEngine:
         Accepts a prebuilt :class:`SolveRequest`, loose keyword options
         (``solver=..., block_size=...``), or both (keywords override).
         """
-        req = self._coerce_request(request, kwargs)
-        decision = None
-        if req.solver == "auto":
-            # Resolve the auto-tuned configuration now, while the adjacency
-            # is in hand (its size and symmetry shape the candidate space).
-            req, decision = resolve_auto(req, adjacency, config=self.config)
-            self._tuner_decisions.append(decision)
+        # An auto request resolves now, while the adjacency is in hand (its
+        # size and symmetry shape the candidate space).
+        req, decision = self._resolve_auto(
+            SolveRequest.coerce(request, **kwargs), adjacency)
         job = APSPJob(job_id=f"job-{next(self._job_counter):04d}", request=req,
                       adjacency=adjacency, _engine=self,
                       tuner_decision=decision)
@@ -242,10 +246,7 @@ class APSPEngine:
             self.jobs.remove(job)
         if keep_closure:
             assert job._plan is not None
-            self._closure = ClosureState(
-                distances=result.distances, adjacency=job._plan.adjacency,
-                request=job.request, layout=result.layout,
-                parents=result.parents)
+            self._closure = ClosureState(result, job._plan.adjacency)
         return result
 
     def solve_many(self, items: Iterable[np.ndarray | tuple[np.ndarray, SolveRequest]],
@@ -319,7 +320,7 @@ class APSPEngine:
         metrics.  A ``paths=True`` request is rejected: eagerly solving the
         predecessor matrix would defeat the lazy row cache.
         """
-        req = self._coerce_request(request, kwargs)
+        req = SolveRequest.coerce(request, **kwargs)
         if req.paths:
             raise ConfigurationError(
                 "serve() computes parent rows lazily per queried source; "
@@ -497,15 +498,13 @@ class APSPEngine:
     def plan(self, adjacency: np.ndarray, request: SolveRequest | None = None,
              **kwargs: Any) -> SolvePlan:
         """Resolve geometry for a would-be solve without running it."""
-        req = self._coerce_request(request, kwargs)
-        if req.solver == "auto":
-            req, decision = resolve_auto(req, adjacency, config=self.config)
-            self._tuner_decisions.append(decision)
+        req, _ = self._resolve_auto(SolveRequest.coerce(request, **kwargs),
+                                    adjacency)
         return self._solver_for(req).prepare(adjacency)
 
     def _solver_for(self, request: SolveRequest) -> SparkAPSPSolver:
         solver_cls = get_solver_class(request.solver)
-        return solver_cls(config=self.config, options=request.to_options())
+        return solver_cls(config=self.config, request=request)
 
     # ------------------------------------------------------------------ execution
     def _execute_job(self, job: APSPJob) -> None:
@@ -565,10 +564,10 @@ class APSPEngine:
         stats.update(self.metrics)
         if self._service is not None:
             stats["serve"] = self._service.stats()
-        if self._tuner_decisions:
+        if self._last_tuner_decision is not None:
             stats["tuner"] = {
-                "decisions": len(self._tuner_decisions),
-                "last": self._tuner_decisions[-1].as_dict(),
+                "decisions": self._tuner_decision_count,
+                "last": self._last_tuner_decision.as_dict(),
             }
         if self._update_batches or self._updates_failed:
             stats["updates"] = {

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.common.errors import ConfigurationError
-from repro.core.base import SolverOptions
 from repro.core.registry import resolve_solver_name, solver_info, solvers_for
 from repro.linalg.algebra import get_algebra, resolve_algebra_name
+from repro.linalg.blocks import num_blocks
 from repro.spark.partitioner import canonical_partitioner_name
 
 
@@ -60,8 +60,9 @@ class SolveRequest:
         q² blocks, supports directed inputs), or ``"auto"``/``None`` to
         pick from the input (symmetric → triangular, asymmetric → full).
         Checked against both the algebra's and the solver's declared layout
-        support at construction; ``"auto"`` resolves when the solver
-        inspects the matrix in ``prepare``.
+        support at construction; ``"auto"`` resolves in
+        :func:`~repro.core.base.resolve_plan`, once the input's symmetry is
+        known, by re-validating the request with the concrete layout.
     directed:
         Treat the input as a directed graph: skips the symmetry check in
         adjacency validation and forces the full grid layout (an explicit
@@ -121,8 +122,8 @@ class SolveRequest:
             resolved_algebra.resolve_storage(self.storage, paths=self.paths))
         # Resolve the grid layout against the algebra, then check the solver
         # declares it (the same fail-fast shape as the algebra check above).
-        # "auto" may survive here: it resolves in prepare() once the matrix
-        # is inspected, and the solver check re-runs on the concrete layout.
+        # "auto" may survive here: resolve_plan() replaces it once the matrix
+        # is inspected, which re-runs the solver check on the concrete layout.
         object.__setattr__(self, "directed", bool(self.directed))
         object.__setattr__(
             self, "layout",
@@ -165,23 +166,7 @@ class SolveRequest:
                 f"{', '.join(cls.__dataclass_fields__)}")
         if request is None:
             return cls(**overrides)
-        return replace(request, **overrides)
-
-    def to_options(self) -> SolverOptions:
-        """Convert to the :class:`SolverOptions` consumed by solver classes."""
-        return SolverOptions(
-            block_size=self.block_size,
-            partitioner=self.partitioner,
-            partitions_per_core=self.partitions_per_core,
-            num_partitions=self.num_partitions,
-            algebra=self.algebra,
-            dtype=self.dtype,
-            storage=self.storage,
-            layout=self.layout,
-            directed=self.directed,
-            paths=self.paths,
-            validate=self.validate,
-        )
+        return replace(request, **overrides) if overrides else request
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -204,6 +189,37 @@ class SolveRequest:
         if self.tag:
             bits.append(f"tag={self.tag}")
         return " ".join(bits)
+
+
+class _RequestView:
+    """Mixin for records of one resolved solve: the held ``request`` reads through.
+
+    :class:`~repro.core.base.SolvePlan`, :class:`~repro.core.base.APSPResult`
+    and :class:`~repro.core.tuner.TunerDecision` each carry the concrete
+    :class:`SolveRequest` (plus ``n`` and the resolved ``block_size``)
+    instead of re-declaring its fields; ``plan.algebra`` /
+    ``result.layout`` / ``decision.storage`` are the request's.  A field
+    the record declares itself (the resolved ``block_size`` /
+    ``num_partitions``) shadows the request's.
+    """
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails; "request" is not a request
+        # field, so a half-built instance cannot recurse.
+        if name in SolveRequest.__dataclass_fields__:
+            return getattr(self.request, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def q(self) -> int:
+        """Side of the block grid: ``ceil(n / block_size)``."""
+        return num_blocks(self.n, self.block_size)
+
+    @property
+    def pure(self) -> bool:
+        """Whether the solver relies only on fault-tolerant Spark API."""
+        return solver_info(self.request.solver).pure
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ the solver, the decomposition parameter ``b``, and the execution shape.
 This module is that loop's last mile.  ``apspark bench calibrate``
 (:mod:`repro.cluster.fitting`) regresses per-unit machine constants out of
 archived bench results; :func:`resolve_auto` prices every registry-supported
-candidate configuration for the request at hand with those constants — via
-the very same :func:`~repro.cluster.fitting.predict_seconds` the accuracy
-report grades — and rewrites the request to the cheapest one.
+candidate request for the problem at hand with those constants — each
+resolved by the engine's own :func:`~repro.core.base.resolve_plan` and
+priced on the very same :func:`~repro.cluster.fitting.plan_features` the
+accuracy report grades — and rewrites the request to the cheapest one.
 
 Tuning is deliberately conservative about what it overrides:
 
@@ -35,14 +36,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.cluster.fitting import (load_calibration, paper_constants,
-                                   predict_seconds)
+                                   predict_plan_seconds)
 from repro.common.config import EngineConfig, default_config
 from repro.common.errors import ConfigurationError
-from repro.core.base import auto_block_size
-from repro.core.registry import solver_info, solvers_for
-from repro.core.request import SolveRequest
+from repro.core.base import (SolvePlan, auto_block_size, input_symmetry,
+                             resolve_plan)
+from repro.core.registry import solvers_for
+from repro.core.request import SolveRequest, _RequestView
 from repro.graph import sparse as sparse_mod
-from repro.graph.adjacency import is_symmetric_adjacency
 from repro.linalg.algebra import get_algebra
 
 #: Environment variable naming a calibration file to use instead of the
@@ -59,35 +60,33 @@ DEFAULT_SOLVER = "blocked-cb"
 
 
 @dataclass(frozen=True)
-class TunerDecision:
+class TunerDecision(_RequestView):
     """One resolved ``solver="auto"`` choice, fully observable.
 
+    ``request`` is the chosen configuration as a concrete request (solver,
+    block size, storage and layout all set; its fields read through, so
+    ``decision.solver`` / ``decision.block_size`` are the choice).
     ``predicted_seconds`` and ``default_predicted_seconds`` come from the
     same calibrated predictor, so ``predicted_seconds <=
     default_predicted_seconds`` always holds — the default configuration is
     itself one of the scored candidates.
     """
 
-    solver: str
-    block_size: int
-    storage: str
-    layout: str
+    request: SolveRequest
+    n: int
     backend: str
     predicted_seconds: float
     default_predicted_seconds: float
     recommended_backend: str
     calibration_source: str
     candidates: int
-    n: int
     density: float | None = None
 
     def as_dict(self) -> dict:
         """Plain-dict view for ``engine.stats()`` / result metrics."""
         return {
-            "solver": self.solver,
-            "block_size": self.block_size,
-            "storage": self.storage,
-            "layout": self.layout,
+            **{name: getattr(self.request, name)
+               for name in ("solver", "block_size", "storage", "layout")},
             "backend": self.backend,
             "predicted_seconds": self.predicted_seconds,
             "default_predicted_seconds": self.default_predicted_seconds,
@@ -190,28 +189,6 @@ def _measured_density(adjacency, algebra_name: str) -> float:
     return (connected(values) - connected(diagonal)) / float(n * (n - 1))
 
 
-def _request_params(request: SolveRequest, config: EngineConfig, *, n: int,
-                    solver: str, block_size: int, storage: str,
-                    layout: str, backend: str) -> dict:
-    """A scenario-params dict for one candidate, as the fitter expects."""
-    return {
-        "n": n,
-        "solver": solver,
-        "backend": backend,
-        "block_size": block_size,
-        "algebra": request.algebra,
-        "dtype": request.dtype,
-        "storage": storage,
-        "layout": layout,
-        "directed": request.directed,
-        "paths": request.paths,
-        "num_executors": config.num_executors,
-        "cores_per_executor": config.cores_per_executor,
-        "partitions_per_core": request.partitions_per_core,
-        "num_partitions": request.num_partitions,
-    }
-
-
 def choose_config(request: SolveRequest, *, n: int,
                   config: EngineConfig | None = None,
                   symmetric: bool = True,
@@ -225,88 +202,69 @@ def choose_config(request: SolveRequest, *, n: int,
     constraint the tuner never trades away).  ``constants`` is the
     calibration ``constants`` subtree; omitted, the active calibration is
     located via :func:`active_calibration`.
+
+    Every candidate is a :class:`SolveRequest` derived from the caller's and
+    priced on the plan :func:`~repro.core.base.resolve_plan` gives it — the
+    same resolution the engine runs — so a priced configuration is exactly
+    the one that would execute.
     """
-    if n < 1:
-        raise ConfigurationError(f"cannot tune a solve of size n={n}")
     config = config or default_config()
     if constants is None:
         constants, calibration_source = active_calibration()
+    total_cores = config.total_cores
 
-    layout = request.layout
-    if layout == "auto":
-        layout = "triangular" if (symmetric and not request.directed) else "full"
-    solvers = solvers_for(request.algebra, layout)
-    if not solvers:
-        raise ConfigurationError(
-            f"no registered solver supports algebra {request.algebra!r} "
-            f"with layout {layout!r}")
-    storages = _candidate_storages(request)
-    total_cores = config.num_executors * config.cores_per_executor
-    backend = config.backend
+    def price(candidate: SolveRequest) -> tuple[float, SolvePlan]:
+        plan = resolve_plan(candidate, n, symmetric=symmetric,
+                            total_cores=total_cores)
+        return predict_plan_seconds(plan, constants, backend=config.backend,
+                                    total_cores=total_cores), plan
 
-    def blocks_for(candidate_solver: str) -> list[int]:
-        if request.block_size is not None:
-            return [int(request.block_size)]
-        return candidate_block_sizes(n, total_cores,
-                                     request.partitions_per_core,
-                                     layout=layout)
+    # Layout first (it decides the solver pool); every candidate below
+    # derives from this layout-concrete request.
+    base = resolve_plan(request, n, symmetric=symmetric,
+                        total_cores=total_cores).request
+    solvers = solvers_for(base.algebra, base.layout)
+    storages = _candidate_storages(base)
+    blocks = ([base.block_size] if base.block_size is not None
+              else candidate_block_sizes(n, total_cores,
+                                         base.partitions_per_core,
+                                         layout=base.layout))
 
     # The documented default: Blocked-CB (or the first supported solver) at
     # the heuristic block size with the request's own storage.  It is scored
     # with the same predictor and always part of the candidate pool, which
     # is what makes "never predicted-slower than the default" a theorem
     # rather than a hope.
-    default_solver = (DEFAULT_SOLVER if DEFAULT_SOLVER in solvers
-                      else solvers[0])
-    default_block = (int(request.block_size) if request.block_size is not None
-                     else auto_block_size(n, total_cores,
-                                          request.partitions_per_core,
-                                          layout=layout))
-    default_block = max(1, min(default_block, n))
-    default_params = _request_params(
-        request, config, n=n, solver=default_solver,
-        block_size=default_block, storage=request.storage, layout=layout,
-        backend=backend)
-    default_predicted = predict_seconds(default_params, constants)
+    default_predicted, default_plan = price(replace(
+        base, solver=DEFAULT_SOLVER if DEFAULT_SOLVER in solvers else solvers[0]))
 
-    best: tuple[float, str, int, str] | None = None
-    candidates = 0
-    for solver in solvers:
-        if not solver_info(solver).supports_layout(layout):
-            continue
-        for storage in storages:
-            for block in blocks_for(solver):
-                params = _request_params(
-                    request, config, n=n, solver=solver, block_size=block,
-                    storage=storage, layout=layout, backend=backend)
-                predicted = predict_seconds(params, constants)
-                candidates += 1
-                key = (predicted, solver, block, storage)
-                if best is None or key < best:
-                    best = key
-    assert best is not None  # solvers is non-empty and blocks_for never is
-    predicted, solver, block, storage = best
+    priced = [price(replace(base, solver=solver, storage=storage,
+                            block_size=block))
+              for solver in solvers for storage in storages for block in blocks]
+
+    def rank(pair: tuple[float, SolvePlan]) -> tuple:
+        chosen = pair[1].request  # ties break on the candidate's own fields
+        return pair[0], chosen.solver, chosen.block_size, chosen.storage
+
+    predicted, best_plan = min(priced, key=rank)
     if predicted > default_predicted:
         # Numerically impossible when the default is in the pool (it is,
         # unless an explicit non-default storage constrains the sweep away
         # from it) — clamp to the default either way.
-        predicted = default_predicted
-        solver, block, storage = default_solver, default_block, request.storage
+        predicted, best_plan = default_predicted, default_plan
 
-    chosen_params = _request_params(
-        request, config, n=n, solver=solver, block_size=block,
-        storage=storage, layout=layout, backend=backend)
     recommended_backend = min(
         ("processes", "serial", "threads"),
-        key=lambda b: (predict_seconds({**chosen_params, "backend": b},
-                                       constants), b))
+        key=lambda b: (predict_plan_seconds(best_plan, constants, backend=b,
+                                            total_cores=total_cores), b))
     return TunerDecision(
-        solver=solver, block_size=block, storage=storage, layout=layout,
-        backend=backend, predicted_seconds=predicted,
+        request=replace(best_plan.request, block_size=best_plan.block_size),
+        n=n, backend=config.backend,
+        predicted_seconds=predicted,
         default_predicted_seconds=default_predicted,
         recommended_backend=recommended_backend,
-        calibration_source=calibration_source, candidates=candidates,
-        n=n, density=density)
+        calibration_source=calibration_source, candidates=len(priced),
+        density=density)
 
 
 def resolve_auto(request: SolveRequest, adjacency, *,
@@ -326,18 +284,11 @@ def resolve_auto(request: SolveRequest, adjacency, *,
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ConfigurationError(
             f"adjacency must be a square matrix, got shape {adjacency.shape}")
-    # The same sniff prepare() resolves layout="auto" with, so the tuner and
-    # the planner cannot disagree — and CSR input is never densified.
-    symmetric = not request.directed and is_symmetric_adjacency(adjacency)
     if constants is None:
         constants, calibration_source = active_calibration()
     decision = choose_config(
-        request, n=int(adjacency.shape[0]), config=config, symmetric=symmetric,
+        request, n=int(adjacency.shape[0]), config=config,
+        symmetric=input_symmetry(request, adjacency),
         constants=constants, calibration_source=calibration_source,
         density=_measured_density(adjacency, request.algebra))
-    if request.solver != "auto":
-        return request, decision
-    resolved = replace(request, solver=decision.solver,
-                       block_size=decision.block_size,
-                       storage=decision.storage, layout=decision.layout)
-    return resolved, decision
+    return (decision.request if request.solver == "auto" else request), decision

@@ -105,6 +105,63 @@ def _print_route(result, adjacency, algebra, route, tolerances) -> bool:
     return verdict in (serve_mod.ROUTE_OK, serve_mod.ROUTE_UNREACHABLE)
 
 
+def _add_solve_arguments(parser: argparse.ArgumentParser, flags: str,
+                         **overrides: dict) -> None:
+    """Declare the named solve / engine flags on ``parser``, in the order given.
+
+    Type, default and choices of each flag are stated once, here; a
+    subcommand lists the flags it takes (its ``--help`` order) and passes,
+    keyed by the flag's dest, only what differs for it — help text, chaos'
+    defaults, ``solve``'s extra ``auto`` solver choice.
+    """
+    shared = {
+        "--solver": dict(choices=available_solvers(), default="blocked-cb"),
+        "--block-size": dict(type=int, default=None),
+        "--partitioner": dict(default="MD"),
+        "--algebra": dict(default="shortest-path", choices=available_algebras()),
+        "--dtype": dict(default=None),
+        "--storage": dict(default=None, choices=("auto", "dense", "packed")),
+        "--layout": dict(default=None, choices=("auto", "triangular", "full")),
+        "--directed": dict(action="store_true"),
+        "--paths": dict(action="store_true"),
+        "--backend": dict(choices=BACKENDS, default="serial"),
+        "--executors": dict(type=int, default=4),
+        "--cores": dict(type=int, default=2),
+    }
+    for flag in flags.split():
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, **{**shared[flag], **overrides.get(dest, {})})
+
+
+def _open_instance(args, **overrides):
+    """The prologue ``solve``, ``route``/``serve`` and ``update`` share.
+
+    Builds the engine config, loads ``--input`` (its own directedness —
+    comment token / MatrixMarket symmetry / structural sniff — merges into
+    the request, so layout resolution needs no second pass over the data)
+    or generates a graph for the algebra, and builds the typed request from
+    whichever :class:`SolveRequest` fields the subcommand's flags carry
+    (``overrides`` win).  Returns ``(config, request, adjacency)``; every
+    unsupported solver x algebra x dtype x storage x layout x paths
+    combination raises :class:`ConfigurationError` here.
+    """
+    config = EngineConfig(backend=args.backend, num_executors=args.executors,
+                          cores_per_executor=args.cores)
+    fields = {name: getattr(args, name)
+              for name in SolveRequest.__dataclass_fields__ if hasattr(args, name)}
+    fields.update(overrides)
+    adjacency = None
+    if args.input is not None:
+        loaded = _load_input_graph(args.input)
+        adjacency = loaded.adjacency
+        fields["directed"] = fields["directed"] or loaded.directed
+    request = SolveRequest(**fields)
+    if adjacency is None:
+        adjacency = bench.graph_for_algebra(args.n, args.seed, request.algebra,
+                                            directed=request.directed)
+    return config, request, adjacency
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("projected", "measured"), default="projected",
                         help="projected: cost model at paper scale; measured: run the engine here")
@@ -137,36 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
                          help="solve this graph instead of generating one: "
                               "a .npz CSR adjacency (scipy.sparse, ingested "
                               "without densifying) or a .npy dense matrix")
-    p_solve.add_argument("--solver",
-                         choices=[*available_solvers(), "auto"],
-                         default="blocked-cb",
-                         help="solver name, or 'auto' to let the calibrated "
-                              "cost model pick solver and block size")
-    p_solve.add_argument("--block-size", type=int, default=None)
-    p_solve.add_argument("--partitioner", default="MD")
-    p_solve.add_argument("--algebra", default="shortest-path",
-                         choices=available_algebras(),
-                         help="path algebra to close the matrix under")
-    p_solve.add_argument("--dtype", default=None,
-                         help="element dtype (e.g. float32); default: the "
-                              "algebra's native dtype")
-    p_solve.add_argument("--storage", default=None,
-                         choices=("auto", "dense", "packed"),
-                         help="block storage layout; auto = the algebra's "
-                              "default (packed bitsets for reachability)")
-    p_solve.add_argument("--layout", default=None,
-                         choices=("auto", "triangular", "full"),
-                         help="block grid layout: triangular stores the upper "
-                              "block triangle (symmetric inputs only), full "
-                              "stores all blocks (asymmetric/directed); "
-                              "auto = inspect the input")
-    p_solve.add_argument("--directed", action="store_true",
-                         help="treat the input as directed: forces the full "
-                              "layout and skips the symmetry requirement")
-    p_solve.add_argument("--paths", action="store_true",
-                         help="track path witnesses: the result carries a "
-                              "predecessor matrix (parent pointers) at ~2x "
-                              "the data traffic")
+    _add_solve_arguments(
+        p_solve, "--solver --block-size --partitioner --algebra --dtype "
+                 "--storage --layout --directed --paths",
+        solver=dict(choices=[*available_solvers(), "auto"],
+                    help="solver name, or 'auto' to let the calibrated "
+                         "cost model pick solver and block size"),
+        algebra=dict(help="path algebra to close the matrix under"),
+        dtype=dict(help="element dtype (e.g. float32); default: the "
+                        "algebra's native dtype"),
+        storage=dict(help="block storage layout; auto = the algebra's "
+                          "default (packed bitsets for reachability)"),
+        layout=dict(help="block grid layout: triangular stores the upper "
+                         "block triangle (symmetric inputs only), full "
+                         "stores all blocks (asymmetric/directed); "
+                         "auto = inspect the input"),
+        directed=dict(help="treat the input as directed: forces the full "
+                           "layout and skips the symmetry requirement"),
+        paths=dict(help="track path witnesses: the result carries a "
+                        "predecessor matrix (parent pointers) at ~2x "
+                        "the data traffic"))
     p_solve.add_argument("--route", nargs=2, type=int, default=None,
                          metavar=("SRC", "DST"),
                          help="reconstruct and print the optimal route "
@@ -176,9 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(recommended for large sparse inputs: the "
                               "reference densifies the graph)")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--executors", type=int, default=4)
-    p_solve.add_argument("--cores", type=int, default=2)
-    p_solve.add_argument("--backend", choices=BACKENDS, default="serial")
+    _add_solve_arguments(p_solve, "--executors --cores --backend")
     p_solve.add_argument("--repeat", type=int, default=1,
                          help="solve the instance this many times on one engine "
                               "session (demonstrates context reuse)")
@@ -191,19 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve this graph instead of generating one "
                             "(.npz CSR, .npy dense, .mtx, or an edge list)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--solver", choices=available_solvers(), default="blocked-cb")
-        p.add_argument("--block-size", type=int, default=None)
-        p.add_argument("--algebra", default="shortest-path",
-                       choices=available_algebras())
-        p.add_argument("--dtype", default=None)
-        p.add_argument("--layout", default=None,
-                       choices=("auto", "triangular", "full"),
-                       help="block grid layout (auto = inspect the input)")
-        p.add_argument("--directed", action="store_true",
-                       help="treat the input as directed (forces full layout)")
-        p.add_argument("--backend", choices=BACKENDS, default="serial")
-        p.add_argument("--executors", type=int, default=4)
-        p.add_argument("--cores", type=int, default=2)
+        _add_solve_arguments(
+            p, "--solver --block-size --algebra --dtype --layout --directed "
+               "--backend --executors --cores",
+            layout=dict(help="block grid layout (auto = inspect the input)"),
+            directed=dict(help="treat the input as directed (forces full "
+                               "layout)"))
         p.add_argument("--cache-rows", type=int, default=None,
                        help="parent-row cache limit in rows (default: unbounded)")
         p.add_argument("--cache-budget-kb", type=float, default=None,
@@ -249,25 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "generated one (.npz CSR, .npy dense, .mtx, "
                                "or an edge list)")
     p_update.add_argument("--seed", type=int, default=0)
-    p_update.add_argument("--solver", choices=available_solvers(),
-                          default="blocked-cb")
-    p_update.add_argument("--block-size", type=int, default=None)
-    p_update.add_argument("--algebra", default="shortest-path",
-                          choices=available_algebras())
-    p_update.add_argument("--dtype", default=None)
-    p_update.add_argument("--storage", default=None,
-                          choices=("auto", "dense", "packed"))
-    p_update.add_argument("--layout", default=None,
-                          choices=("auto", "triangular", "full"))
-    p_update.add_argument("--directed", action="store_true",
-                          help="treat the input as directed (updates touch "
-                               "one orientation instead of both)")
-    p_update.add_argument("--paths", action="store_true",
-                          help="maintain the predecessor matrix through the "
-                               "updates as well")
-    p_update.add_argument("--backend", choices=BACKENDS, default="serial")
-    p_update.add_argument("--executors", type=int, default=4)
-    p_update.add_argument("--cores", type=int, default=2)
+    _add_solve_arguments(
+        p_update, "--solver --block-size --algebra --dtype --storage --layout "
+                  "--directed --paths --backend --executors --cores",
+        directed=dict(help="treat the input as directed (updates touch "
+                           "one orientation instead of both)"),
+        paths=dict(help="maintain the predecessor matrix through the "
+                        "updates as well"))
     p_update.add_argument("--edge", nargs=3, action="append", default=None,
                           metavar=("U", "V", "W"),
                           help="insert or relax one edge (repeatable); "
@@ -294,14 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seed", type=int, default=0,
                          help="seeds the graph, the workload, and every "
                               "fault decision — same seed, same schedule")
-    p_chaos.add_argument("--solver", choices=available_solvers(),
-                         default="blocked-cb")
-    p_chaos.add_argument("--block-size", type=int, default=None)
-    p_chaos.add_argument("--algebra", default="shortest-path",
-                         choices=available_algebras())
-    p_chaos.add_argument("--backend", choices=BACKENDS, default="threads")
-    p_chaos.add_argument("--executors", type=int, default=2)
-    p_chaos.add_argument("--cores", type=int, default=2)
+    _add_solve_arguments(
+        p_chaos, "--solver --block-size --algebra --backend --executors --cores",
+        backend=dict(default="threads"), executors=dict(default=2))
     p_chaos.add_argument("--failure-rate", type=float, default=0.0,
                          help="probability any task's first attempt raises "
                               "an injected failure")
@@ -553,21 +574,7 @@ def _serve_main(args) -> int:
     from repro import serve as serve_mod
     from repro.common.errors import SolverError, ValidationError
     try:
-        config = EngineConfig(backend=args.backend, num_executors=args.executors,
-                              cores_per_executor=args.cores)
-        directed = bool(args.directed)
-        adjacency = None
-        if args.input is not None:
-            loaded = _load_input_graph(args.input)
-            adjacency = loaded.adjacency
-            directed = directed or loaded.directed
-        request = SolveRequest(solver=args.solver, block_size=args.block_size,
-                               algebra=args.algebra, dtype=args.dtype,
-                               layout=args.layout, directed=directed)
-        if adjacency is None:
-            adjacency = bench.graph_for_algebra(args.n, args.seed,
-                                                request.algebra,
-                                                directed=request.directed)
+        config, request, adjacency = _open_instance(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -659,22 +666,7 @@ def _update_main(args) -> int:
     """
     from repro.common.errors import SolverError, ValidationError
     try:
-        config = EngineConfig(backend=args.backend, num_executors=args.executors,
-                              cores_per_executor=args.cores)
-        directed = bool(args.directed)
-        adjacency = None
-        if args.input is not None:
-            loaded = _load_input_graph(args.input)
-            adjacency = loaded.adjacency
-            directed = directed or loaded.directed
-        request = SolveRequest(solver=args.solver, block_size=args.block_size,
-                               algebra=args.algebra, dtype=args.dtype,
-                               storage=args.storage, layout=args.layout,
-                               directed=directed, paths=bool(args.paths))
-        if adjacency is None:
-            adjacency = bench.graph_for_algebra(args.n, args.seed,
-                                                request.algebra,
-                                                directed=request.directed)
+        config, request, adjacency = _open_instance(args)
         edges = []
         for u, v, w in (args.edge or []):
             weight = None if str(w).lower() in ("del", "inf", "none") else float(w)
@@ -789,41 +781,19 @@ def main(argv=None) -> int:
 
     if args.command == "solve":
         algebra = get_algebra(args.algebra)
-        config = EngineConfig(backend=args.backend, num_executors=args.executors,
-                              cores_per_executor=args.cores)
-        want_paths = bool(args.paths or args.route is not None)
-        adjacency = None
-        directed = bool(args.directed)
         try:
-            # The input file is loaded first so its own directedness (comment
-            # token / MatrixMarket symmetry / structural sniff) can inform
-            # layout resolution without a second pass over the data.
-            if args.input is not None:
-                loaded = _load_input_graph(args.input)
-                adjacency = loaded.adjacency
-                directed = directed or loaded.directed
-            # Fails fast on unsupported solver x algebra / algebra x dtype /
-            # algebra x storage / algebra x layout combinations (e.g. the
-            # triangular layout with --directed, or packed storage on a
-            # numeric algebra — incl. packed + --paths).
-            request = SolveRequest(solver=args.solver, block_size=args.block_size,
-                                   partitioner=args.partitioner,
-                                   algebra=args.algebra, dtype=args.dtype,
-                                   storage=args.storage, layout=args.layout,
-                                   directed=directed, paths=want_paths)
+            config, request, adjacency = _open_instance(
+                args, paths=bool(args.paths or args.route is not None))
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if adjacency is not None:
+        if args.input is not None:
             n = adjacency.shape[0]
             kind = "sparse CSR" if sparse_graph.is_sparse(adjacency) else "dense"
             nnz = adjacency.nnz if sparse_graph.is_sparse(adjacency) else None
             print(f"loaded {kind} adjacency from {args.input}: n={n}"
                   + (f", nnz={nnz}" if nnz is not None else "")
-                  + (", directed" if directed else ""))
-        else:
-            adjacency = bench.graph_for_algebra(args.n, args.seed, request.algebra,
-                                                directed=request.directed)
+                  + (", directed" if request.directed else ""))
         verify = not args.no_verify
         reference = None
         if verify:

@@ -199,6 +199,11 @@ class Semiring:
         """
         if dtype is None:
             return np.dtype(self.default_dtype)
+        if isinstance(dtype, str) and dtype in self.dtypes:
+            # Already canonical (every replace() of a validated request):
+            # skip ``np.dtype.name``, a Python-level property that costs more
+            # than the rest of a SolveRequest's validation together.
+            return np.dtype(dtype)
         try:
             resolved = np.dtype(dtype)
         except TypeError as exc:

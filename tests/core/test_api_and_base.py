@@ -1,5 +1,7 @@
 """Tests for the public API front-end and the solver base utilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from repro import APSPResult, available_solvers, solve_apsp
 from repro.common.config import EngineConfig
 from repro.common.errors import ConfigurationError, SolverError, ValidationError
 from repro.core.api import get_solver_class
-from repro.core.base import SolverOptions, SparkAPSPSolver, auto_block_size
+from repro.core.base import SparkAPSPSolver, auto_block_size
 from repro.core.blocked_collect_broadcast import BlockedCollectBroadcastSolver
 from repro.core.blocked_inmemory import BlockedInMemorySolver
 from repro.core.floyd_warshall_2d import FloydWarshall2DSolver
 from repro.core.repeated_squaring import RepeatedSquaringSolver
+from repro.core.request import SolveRequest
 
 
 class TestRegistry:
@@ -101,32 +104,36 @@ class TestAutoBlockSize:
             auto_block_size(0, total_cores=4)
 
 
-class TestSolverOptionsAndResult:
+#: What every real result holds: a request whose layout is resolved.
+CONCRETE = SolveRequest(layout="triangular")
+
+
+class TestRequestDefaultsAndResult:
     def test_options_defaults(self):
-        opts = SolverOptions()
+        opts = SolveRequest()
         assert opts.partitioner == "MD"
         assert opts.partitions_per_core == 2
 
     def test_result_gops(self):
-        result = APSPResult(distances=np.zeros((4, 4)), solver="x", n=4, block_size=2,
-                            q=2, iterations=2, num_partitions=2, partitioner="MD",
-                            pure=True, elapsed_seconds=2.0)
+        result = APSPResult(distances=np.zeros((4, 4)), request=CONCRETE, n=4,
+                            block_size=2, num_partitions=2, iterations=2,
+                            elapsed_seconds=2.0)
         assert result.gops == pytest.approx(64 / 2.0 / 1e9)
 
     def test_validate_result_rejects_bad_diagonal(self):
         bad = np.ones((4, 4))
-        result = APSPResult(distances=bad, solver="x", n=4, block_size=2, q=2,
-                            iterations=1, num_partitions=1, partitioner="MD",
-                            pure=True, elapsed_seconds=1.0)
+        result = APSPResult(distances=bad, request=CONCRETE, n=4,
+                            block_size=2, num_partitions=1, iterations=1,
+                            elapsed_seconds=1.0)
         with pytest.raises(SolverError):
             SparkAPSPSolver.validate_result(result)
 
     def test_validate_result_rejects_asymmetry(self):
         bad = np.zeros((4, 4))
         bad[0, 1] = 1.0
-        result = APSPResult(distances=bad, solver="x", n=4, block_size=2, q=2,
-                            iterations=1, num_partitions=1, partitioner="MD",
-                            pure=True, elapsed_seconds=1.0)
+        result = APSPResult(distances=bad, request=CONCRETE, n=4,
+                            block_size=2, num_partitions=1, iterations=1,
+                            elapsed_seconds=1.0)
         with pytest.raises(SolverError):
             SparkAPSPSolver.validate_result(result)
 
@@ -134,17 +141,57 @@ class TestSolverOptionsAndResult:
         d = np.array([[0.0, 10.0, 1.0],
                       [10.0, 0.0, 1.0],
                       [1.0, 1.0, 0.0]])
-        result = APSPResult(distances=d, solver="x", n=3, block_size=1, q=3,
-                            iterations=1, num_partitions=1, partitioner="MD",
-                            pure=True, elapsed_seconds=1.0)
+        result = APSPResult(distances=d, request=CONCRETE, n=3,
+                            block_size=1, num_partitions=1, iterations=1,
+                            elapsed_seconds=1.0)
         with pytest.raises(SolverError):
             SparkAPSPSolver.validate_result(result, sample=1000)
 
     def test_validate_result_accepts_correct_matrix(self, small_er_graph, small_er_reference):
-        result = APSPResult(distances=small_er_reference, solver="x", n=48, block_size=12,
-                            q=4, iterations=4, num_partitions=4, partitioner="MD",
-                            pure=True, elapsed_seconds=1.0)
+        result = APSPResult(distances=small_er_reference, request=CONCRETE, n=48,
+                            block_size=12, num_partitions=4, iterations=4,
+                            elapsed_seconds=1.0)
         SparkAPSPSolver.validate_result(result)
+
+
+class TestDirectSolverClassPath:
+    """Handing a request to a solver class is as loud as handing it to the engine."""
+
+    @pytest.mark.parametrize("bad", [
+        dict(block_size=0), dict(num_partitions=0), dict(partitions_per_core=0),
+        dict(partitioner="diagonal-ish")])
+    def test_bad_values_raise_instead_of_meaning_auto(self, bad):
+        with pytest.raises(ConfigurationError):
+            BlockedInMemorySolver(request=SolveRequest(**bad))
+
+    def test_partitioner_alias_is_canonicalised(self, small_er_graph):
+        solver = BlockedInMemorySolver(
+            request=SolveRequest(partitioner="multi_diagonal", block_size=12))
+        assert solver.prepare(small_er_graph).describe()["partitioner"] == "MD"
+
+    def test_request_for_another_solver_is_retargeted(self, small_er_graph,
+                                                      small_er_reference):
+        request = SolveRequest(solver="blocked-cb", block_size=12)
+        solver = BlockedInMemorySolver(request=request)
+        assert solver.request == dataclasses.replace(request, solver="blocked-im")
+        result = solver.solve(small_er_graph)
+        assert result.solver == "blocked-im" and result.pure
+        assert np.allclose(result.distances, small_er_reference)
+
+    def test_retargeting_reruns_the_support_checks(self):
+        from repro.core.registry import register_solver, unregister_solver
+
+        @register_solver
+        class TriangularOnly(BlockedInMemorySolver):
+            name = "triangular-only"
+            layouts = ("triangular",)
+
+        try:
+            TriangularOnly(request=SolveRequest(layout="triangular"))
+            with pytest.raises(ConfigurationError, match="layout"):
+                TriangularOnly(request=SolveRequest(layout="full"))
+        finally:
+            unregister_solver("triangular-only")
 
 
 class TestExternalContextReuse:
@@ -153,7 +200,7 @@ class TestExternalContextReuse:
         config = EngineConfig(num_executors=2, cores_per_executor=2)
         with SparkContext(config) as sc:
             solver = BlockedCollectBroadcastSolver(config=config,
-                                                   options=SolverOptions(block_size=16))
+                                                   request=SolveRequest(block_size=16))
             first = solver.solve(small_er_graph, context=sc)
             second = solver.solve(small_er_graph, context=sc)
             assert np.allclose(first.distances, second.distances)

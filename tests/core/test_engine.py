@@ -11,6 +11,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.base import SolvePlan, SparkAPSPSolver
 from repro.core.blocked_collect_broadcast import BlockedCollectBroadcastSolver
 from repro.core.blocked_inmemory import BlockedInMemorySolver
+from repro.core.tuner import TunerDecision
 from repro.core.registry import (get_solver_class, register_solver, solver_catalog,
                                  solver_info, unregister_solver)
 
@@ -66,12 +67,10 @@ class TestSolveRequest:
         assert derived.block_size == 8 and derived.validate
         assert not base.validate  # original untouched
 
-    def test_to_options_round_trip(self):
+    def test_solver_class_holds_the_request(self):
         req = SolveRequest(solver="blocked-im", block_size=16, partitioner="PH",
                            partitions_per_core=3, num_partitions=5)
-        opts = req.to_options()
-        assert (opts.block_size, opts.partitioner, opts.partitions_per_core,
-                opts.num_partitions) == (16, "PH", 3, 5)
+        assert BlockedInMemorySolver(request=req).request is req
 
 
 class TestRegistry:
@@ -252,6 +251,24 @@ class TestEngineSession:
             stats = engine.stats()
             assert stats["jobs_submitted"] == 2 and stats["jobs_completed"] == 2
 
+    def test_auto_planning_keeps_one_decision(self):
+        """1 000 auto plans grow a counter, not the session's memory."""
+        import gc
+
+        def live_decisions() -> int:
+            gc.collect()
+            return sum(isinstance(obj, TunerDecision) for obj in gc.get_objects())
+
+        adj = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 2.0], [np.inf, 2.0, 0.0]])
+        with APSPEngine() as engine:
+            before = live_decisions()
+            for _ in range(1000):
+                engine.plan(adj, solver="auto")
+            assert live_decisions() == before + 1
+            tuner = engine.stats()["tuner"]
+            assert tuner["decisions"] == 1000
+            assert tuner["last"]["solver"] in available_solvers()
+
     def test_clear_jobs_prunes_history_keeps_stats(self, small_er_graph):
         with APSPEngine() as engine:
             engine.solve_many([small_er_graph] * 2, SolveRequest(block_size=16))
@@ -320,15 +337,13 @@ class TestBackwardCompatibility:
 
     def test_solver_classes_still_solve_directly(self, small_er_graph,
                                                  small_er_reference):
-        from repro.core.base import SolverOptions
-        solver = BlockedInMemorySolver(options=SolverOptions(block_size=12))
+        solver = BlockedInMemorySolver(request=SolveRequest(block_size=12))
         result = solver.solve(small_er_graph)
         assert np.allclose(result.distances, small_er_reference)
 
     def test_prepare_execute_split_equivalent_to_solve(self, small_er_graph,
                                                        small_er_reference):
-        from repro.core.base import SolverOptions
-        solver = BlockedCollectBroadcastSolver(options=SolverOptions(block_size=16))
+        solver = BlockedCollectBroadcastSolver(request=SolveRequest(block_size=16))
         plan = solver.prepare(small_er_graph)
         result = solver.execute(plan)
         assert np.allclose(result.distances, small_er_reference)
@@ -365,9 +380,9 @@ class TestValidationSamplingCap:
 
         n = 200  # above the exhaustive-check threshold
         d = np.zeros((n, n))
-        result = APSPResult(distances=d, solver="x", n=n, block_size=50, q=4,
-                            iterations=1, num_partitions=4, partitioner="MD",
-                            pure=True, elapsed_seconds=1.0)
+        result = APSPResult(distances=d, request=SolveRequest(layout="triangular"), n=n,
+                            block_size=50, num_partitions=4, iterations=1,
+                            elapsed_seconds=1.0)
         captured = {}
         real_rng = np.random.default_rng(0)
 

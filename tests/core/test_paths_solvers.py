@@ -155,7 +155,6 @@ class TestPathsPlumbing:
         request = SolveRequest(algebra="reachability", paths=True)
         assert request.paths and request.storage == "dense"
         assert "paths" in request.describe()
-        assert request.to_options().paths
 
     def test_request_rejects_packed_paths(self):
         with pytest.raises(ConfigurationError):
@@ -165,7 +164,7 @@ class TestPathsPlumbing:
         from repro.core.registry import get_solver_class
         adjacency = graph_for_algebra(16, 0, "shortest-path")
         solver = get_solver_class("blocked-cb")(
-            options=SolveRequest(paths=True, block_size=8).to_options())
+            request=SolveRequest(paths=True, block_size=8))
         plan = solver.prepare(adjacency)
         assert plan.paths
         assert plan.describe()["paths"] is True

@@ -11,7 +11,7 @@ from repro.core import (
     BlockedInMemorySolver,
     FloydWarshall2DSolver,
     RepeatedSquaringSolver,
-    SolverOptions,
+    SolveRequest,
 )
 from repro.graph.generators import (
     complete_adjacency,
@@ -30,8 +30,8 @@ BLOCKED_SOLVERS = [BlockedInMemorySolver, BlockedCollectBroadcastSolver]
 
 def run(solver_cls, adjacency, *, block_size=None, partitioner="MD", config=None, **kw):
     config = config or EngineConfig(backend="serial", num_executors=4, cores_per_executor=2)
-    options = SolverOptions(block_size=block_size, partitioner=partitioner, **kw)
-    return solver_cls(config=config, options=options).solve(adjacency)
+    request = SolveRequest(block_size=block_size, partitioner=partitioner, **kw)
+    return solver_cls(config=config, request=request).solve(adjacency)
 
 
 class TestCorrectnessAllSolvers:
@@ -228,7 +228,7 @@ class TestFaultTolerance:
         plan = FaultPlan(fail_task_indices=frozenset({2, 9, 25, 60}))
         context = SparkContext(config, fault_plan=plan)
         solver = BlockedInMemorySolver(config=config,
-                                       options=SolverOptions(block_size=12))
+                                       request=SolveRequest(block_size=12))
         result = solver.solve(small_er_graph, context=context)
         assert context.fault_injector.injected_failures > 0
         assert context.metrics.tasks_retried > 0
@@ -239,7 +239,7 @@ class TestFaultTolerance:
         config = EngineConfig(num_executors=2, cores_per_executor=2)
         plan = FaultPlan(fail_task_indices=frozenset({5, 11}))
         context = SparkContext(config, fault_plan=plan)
-        solver = FloydWarshall2DSolver(config=config, options=SolverOptions(block_size=16))
+        solver = FloydWarshall2DSolver(config=config, request=SolveRequest(block_size=16))
         result = solver.solve(small_er_graph, context=context)
         context.stop()
         assert np.allclose(result.distances, small_er_reference)
