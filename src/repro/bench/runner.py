@@ -19,6 +19,7 @@ from repro.core.engine import APSPEngine
 from repro.core.request import EdgeUpdate
 from repro.graph.generators import (directed_erdos_renyi_adjacency,
                                     erdos_renyi_adjacency)
+from repro.graph.sparse import is_sparse, sparse_to_dense
 from repro.linalg.algebra import get_algebra
 from repro.linalg.kernels import semiring_closure
 from repro.sequential.floyd_warshall import floyd_warshall_reference
@@ -105,8 +106,11 @@ def reference_closure(adjacency: np.ndarray, algebra="shortest-path",
     """The sequential ground-truth closure for an (algebra, dtype) pair.
 
     The (min, +)/float64 case uses the fast SciPy reference; everything else
-    goes through the dense generic closure.
+    goes through the dense generic closure.  Both are dense oracles: a CSR
+    (what a CSR-ingested ``engine.closure.adjacency`` stays) is expanded here.
     """
+    if is_sparse(adjacency):
+        adjacency = sparse_to_dense(adjacency, algebra=algebra)
     if get_algebra(algebra).name == "shortest-path" and dtype in (None, "float64"):
         return floyd_warshall_reference(adjacency)
     return semiring_closure(adjacency, algebra, dtype=dtype)

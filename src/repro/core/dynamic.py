@@ -8,9 +8,10 @@ This module holds the driver-side state and kernels behind
 :meth:`~repro.core.engine.APSPEngine.update`:
 
 * :class:`ClosureState` — the cached artifacts of one solve (closure,
-  prepared adjacency, optional witness planes and packed-bitset mirror)
-  that updates mutate **in place**, so a serving layer holding the same
-  arrays stays coherent for free;
+  adjacency, optional witness planes and packed-bitset mirror).  Updates
+  mutate the arrays **in place**, so a serving layer holding the same
+  arrays stays coherent for free; a CSR adjacency stays CSR and is replaced
+  by a new matrix per edit instead;
 * *improvements* (insertions / weight decreases) as per-edge rank-1 sweeps
   through the dense, packed or witnessed kernels — exact in any absorptive
   semiring because an optimal path uses a freshly improved edge at most
@@ -78,11 +79,14 @@ class ClosureState:
     arrays the solve returned — and, through
     :meth:`~repro.core.engine.APSPEngine.serve`, the same arrays the
     :class:`~repro.serve.service.RouteService` reads — so in-place updates
-    keep every consumer coherent without copies.  ``adjacency`` is the
-    prepared algebra-domain matrix updates classify against and mutate; CSR
-    inputs densify lazily on the first update (an update needs O(n²) sweeps
-    anyway, so the densification is not the asymptotic cost it is at
-    ingestion time).  Packed-storage solves additionally carry a
+    keep every consumer coherent without copies.  ``adjacency`` is the one
+    edge source updates classify against and edit, held for the closure's
+    whole life in the form it was ingested: a prepared dense algebra-domain
+    matrix is written in place; a canonical CSR stays a CSR — every edit
+    rebinds ``adjacency`` to a *new* CSR
+    (:func:`~repro.graph.sparse.csr_with_edge`, O(nnz)) and never writes the
+    old one, so a reader holding it sees one immutable version.
+    Packed-storage solves additionally carry a
     :class:`~repro.linalg.bitset.PackedBlock` mirror of the closure so the
     rank-1 sweeps run on words, not bytes.
     """
@@ -93,9 +97,8 @@ class ClosureState:
         self.algebra = get_algebra(request.algebra)
         self.distances = result.distances
         self.parents = result.parents
-        self._adjacency = adjacency
-        self._dense_adjacency = (None if sparse_mod.is_sparse(adjacency)
-                                 else np.asarray(adjacency))
+        self.adjacency = (adjacency if sparse_mod.is_sparse(adjacency)
+                          else np.asarray(adjacency))
         self.packed = (bitset.PackedBlock.from_dense(self.distances)
                        if request.storage == "packed" else None)
         self.updates_applied = 0
@@ -128,23 +131,8 @@ class ClosureState:
                 self._undirected = False
             else:
                 from repro.graph.adjacency import is_symmetric_adjacency
-                self._undirected = is_symmetric_adjacency(self._adjacency)
+                self._undirected = is_symmetric_adjacency(self.adjacency)
         return self._undirected
-
-    @property
-    def raw_adjacency(self):
-        """The adjacency as cached: prepared dense, or canonical CSR until
-        the first update densifies it."""
-        return self._adjacency
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Dense algebra-domain adjacency, densifying a CSR input on demand."""
-        if self._dense_adjacency is None:
-            self._dense_adjacency = _densify(self._adjacency, self.algebra,
-                                             self.distances.dtype)
-            self._adjacency = self._dense_adjacency
-        return self._dense_adjacency
 
     def replace_closure(self, result) -> None:
         """Adopt a freshly re-solved closure *in place* (resolve fallback).
@@ -164,21 +152,21 @@ class ClosureState:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Copy every mutable artifact, so a failed update can roll back.
+        """Capture every mutable artifact, so a failed update can roll back.
 
-        The engine takes one snapshot per update batch (an O(n²) copy —
-        bounded by the cost of a single rank-1 sweep) and calls
+        The engine takes one snapshot per update batch and calls
         :meth:`restore` if anything in the batch, including a re-solve
-        fallback, raises.  A CSR adjacency is captured by reference: edge
-        mutations always go through the dense plane (see :attr:`adjacency`),
-        so the CSR object itself is never written in place.
+        fallback, raises.  ``distances`` / ``parents`` (and a dense
+        adjacency) are written in place, so they are copied — O(n²), bounded
+        by the cost of a single rank-1 sweep.  A CSR adjacency is captured by
+        reference: edits rebind it and never write the old object.
         """
-        dense = self._dense_adjacency
+        adjacency = self.adjacency
         return {
             "distances": self.distances.copy(),
             "parents": None if self.parents is None else self.parents.copy(),
-            "csr_adjacency": self._adjacency if dense is None else None,
-            "dense_adjacency": None if dense is None else dense.copy(),
+            "adjacency": (adjacency if sparse_mod.is_sparse(adjacency)
+                          else adjacency.copy()),
             "undirected": self._undirected,
             "updates_applied": self.updates_applied,
             "edges_applied": self.edges_applied,
@@ -189,18 +177,17 @@ class ClosureState:
 
         ``distances``/``parents`` (and a dense adjacency) are restored with
         ``np.copyto`` so a serving layer bound to the same ndarrays keeps
-        reading the last good closure; a CSR adjacency that a failed update
-        densified mid-flight is re-bound to the untouched original object.
+        reading the last good closure; a CSR adjacency is re-bound to the
+        identical pre-batch object, which a serving layer never stopped
+        holding.
         """
         np.copyto(self.distances, snapshot["distances"])
         if self.parents is not None and snapshot["parents"] is not None:
             np.copyto(self.parents, snapshot["parents"])
-        if snapshot["dense_adjacency"] is not None:
-            np.copyto(self._dense_adjacency, snapshot["dense_adjacency"])
-            self._adjacency = self._dense_adjacency
+        if sparse_mod.is_sparse(snapshot["adjacency"]):
+            self.adjacency = snapshot["adjacency"]
         else:
-            self._adjacency = snapshot["csr_adjacency"]
-            self._dense_adjacency = None
+            np.copyto(self.adjacency, snapshot["adjacency"])
         if self.packed is not None:
             self.packed = bitset.PackedBlock.from_dense(self.distances)
         self._undirected = snapshot["undirected"]
@@ -258,16 +245,14 @@ def apply_incremental(state: ClosureState, edges: list[EdgeUpdate], *,
     re-solve instead — the state is left adjacency-complete either way.
     """
     algebra, dist = state.algebra, state.distances
-    adj = state.adjacency
     dtype = dist.dtype
-    zero = algebra.zero_like(dtype)
     n = state.n
     outcome = UpdateOutcome(changed=np.zeros(n, dtype=bool))
     rtol = witness._tight_rtol(dtype)
     for index, edge in enumerate(edges):
         _check_endpoints(edge, n)
         new = _domain_value(algebra, dtype, edge.weight)
-        old = adj[edge.u, edge.v]
+        old = _edge_value(state, edge.u, edge.v)
         kind = _classify(algebra, old, new)
         if kind == "noop":
             outcome.noops += 1
@@ -306,12 +291,11 @@ def fold_edges(state: ClosureState, edges: list[EdgeUpdate],
     are maintained here.
     """
     algebra = state.algebra
-    adj = state.adjacency
     dtype = state.distances.dtype
     for edge in edges:
         _check_endpoints(edge, state.n)
         new = _domain_value(algebra, dtype, edge.weight)
-        old = adj[edge.u, edge.v]
+        old = _edge_value(state, edge.u, edge.v)
         kind = _classify(algebra, old, new)
         if kind == "noop":
             outcome.noops += 1
@@ -357,8 +341,30 @@ def _classify(algebra, old, new) -> str:
     return "improve" if combined == new else "worsen"
 
 
+def _edge_value(state: ClosureState, u: int, v: int):
+    """Edge ``(u, v)`` in the algebra's domain and the closure's dtype.
+
+    An unstored CSR cell reads as the algebra's ``zero``; a stored boolean
+    entry is an edge whatever its value (the ingestion rule).
+    """
+    adj = state.adjacency
+    if not sparse_mod.is_sparse(adj):
+        return adj[u, v]
+    dtype = state.distances.dtype
+    stored = sparse_mod.csr_edge(adj, u, v)
+    if stored is None:
+        return state.algebra.zero_like(dtype)
+    return np.True_ if dtype == np.bool_ else dtype.type(stored)
+
+
 def _set_edge(state: ClosureState, u: int, v: int, value) -> None:
     adj = state.adjacency
+    if sparse_mod.is_sparse(adj):
+        if value == state.algebra.zero_like(state.distances.dtype):
+            value = None  # the domain's "no edge" is an unstored cell
+        state.adjacency = sparse_mod.csr_with_edge(adj, u, v, value,
+                                                   mirror=state.undirected)
+        return
     adj[u, v] = value
     if state.undirected:
         adj[v, u] = value
@@ -446,15 +452,19 @@ def _recompute_rows(state: ClosureState, affected: np.ndarray) -> int:
     n = state.n
     rows = np.flatnonzero(affected)
     others = np.flatnonzero(~affected)
+    local = np.arange(rows.size)
+    # The affected rows as a dense |R| x n domain panel, from either form; a
+    # CSR stores no diagonal, the dense plane has ``one`` there.
+    panel = witness._adjacency_row_values(adj, rows, algebra, dtype)
+    panel[local, rows] = one
     if others.size:
-        boundary = semiring_product(adj[np.ix_(rows, others)], dist[others, :],
-                                    algebra)
+        boundary = semiring_product(np.ascontiguousarray(panel[:, others]),
+                                    dist[others, :], algebra)
     else:
         boundary = np.full((rows.size, n), zero, dtype=dtype)
-    local = np.arange(rows.size)
     boundary[local, rows] = algebra.add(boundary[local, rows],
                                         np.full(rows.size, one, dtype=dtype))
-    a_rr = np.ascontiguousarray(adj[np.ix_(rows, rows)])
+    a_rr = np.ascontiguousarray(panel[:, rows])
     solution = boundary
     for _ in range(rows.size):
         relaxed = semiring_relax(boundary, a_rr, solution, algebra)
@@ -468,8 +478,10 @@ def _recompute_rows(state: ClosureState, affected: np.ndarray) -> int:
         state.packed.invalidate_popcount()
     repaired = 0
     if state.witnessed:
+        edges = (witness.CsrEdges.of(adj, dtype) if sparse_mod.is_sparse(adj)
+                 else adj)
         for source in rows.tolist():
-            row = witness.solve_parent_row(source, dist, adj, algebra)
+            row = witness.solve_parent_row(source, dist, edges, algebra)
             reachable = dist[source] != zero
             if not witness.consistent_parent_row(row, source,
                                                  reachable=reachable):
@@ -493,21 +505,3 @@ def _repair_witnesses(state: ClosureState, outcome: UpdateOutcome) -> int:
             source, state.distances, state.adjacency, state.algebra)
         outcome.changed[source] = True
     return int(bad.size)
-
-
-def _densify(csr, algebra, dtype) -> np.ndarray:
-    """Expand a canonical CSR adjacency into the algebra's dense domain.
-
-    Stored entries are edges, unstored cells the algebra's ``zero``, the
-    diagonal its ``one`` — the same mapping
-    :func:`~repro.graph.sparse.sparse_to_blocks` applies per block.
-    """
-    n = csr.shape[0]
-    coo = csr.tocoo()
-    out = np.full((n, n), algebra.zero_like(dtype), dtype=dtype)
-    if np.dtype(dtype) == np.bool_:
-        out[coo.row, coo.col] = True
-    else:
-        out[coo.row, coo.col] = np.asarray(coo.data, dtype=dtype)
-    np.fill_diagonal(out, algebra.one_like(dtype))
-    return out

@@ -330,9 +330,10 @@ class APSPEngine:
         # dense (missing = algebra zero) or canonical CSR — never densified.
         # Binding the service to the cached ClosureState's arrays (same
         # ndarray identity) is what keeps it coherent across update():
-        # in-place closure/adjacency mutations are visible without copies.
+        # in-place closure/adjacency mutations are visible without copies,
+        # and update() hands over each new CSR version it commits.
         assert self._closure is not None
-        service = RouteService(result.distances, self._closure.raw_adjacency,
+        service = RouteService(result.distances, self._closure.adjacency,
                                req.algebra, budget_bytes=budget_bytes,
                                max_rows=max_rows,
                                result=result if keep_result else None)
@@ -485,10 +486,12 @@ class APSPEngine:
     def _resolve_closure(self, state: ClosureState) -> APSPResult:
         """Full re-closure of the state's (already mutated) adjacency.
 
-        The prepared domain adjacency round-trips through the normal solve
-        path — zero-valued cells are absorbed by ⊕ and the diagonal is
-        re-pinned to ``one`` — and the fresh closure is copied *into* the
-        cached arrays so serving-layer bindings survive.
+        The adjacency round-trips through the normal solve path in the form
+        it is held — a prepared domain matrix (zero-valued cells are absorbed
+        by ⊕, the diagonal is re-pinned to ``one``) or a canonical CSR,
+        ingested without densifying as on a first solve — and the fresh
+        closure is copied *into* the cached arrays so serving-layer bindings
+        survive.
         """
         result = self.solve(state.adjacency, state.request)
         state.replace_closure(result)

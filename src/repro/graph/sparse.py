@@ -306,6 +306,50 @@ def validate_sparse_adjacency(adjacency, *, require_symmetric: bool = False,
 
 
 # ---------------------------------------------------------------------------
+# Single-edge reads and edits on a canonical CSR
+# ---------------------------------------------------------------------------
+def _csr_find(indptr, indices, r: int, c: int) -> tuple[int, bool]:
+    lo, hi = indptr[r], indptr[r + 1]
+    pos = int(lo + np.searchsorted(indices[lo:hi], c))
+    return pos, pos < hi and indices[pos] == c
+
+
+def csr_edge(csr, u: int, v: int):
+    """Stored value of cell ``(u, v)`` of a canonical CSR; ``None`` = no edge."""
+    pos, stored = _csr_find(csr.indptr, csr.indices, u, v)
+    return csr.data[pos] if stored else None
+
+
+def csr_with_edge(csr, u: int, v: int, value, *, mirror: bool = False):
+    """A *new* canonical CSR: ``csr`` with edge ``(u, v)`` set to ``value``.
+
+    ``value=None`` physically removes the entry (stored entries are edges, so
+    a deletion must not leave an explicit zero); otherwise the entry is
+    overwritten or inserted in index order.  ``mirror`` applies the same edit
+    to ``(v, u)``.  O(nnz) per edit; ``csr`` itself is never written, so
+    whoever holds it keeps one immutable adjacency version.
+    """
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    for r, c in ((u, v), (v, u)) if mirror else ((u, v),):
+        pos, stored = _csr_find(indptr, indices, r, c)
+        if stored and value is not None:
+            data = data.copy()
+            data[pos] = value
+        elif stored:
+            indices, data = np.delete(indices, pos), np.delete(data, pos)
+            indptr = indptr.copy()
+            indptr[r + 1:] -= 1
+        elif value is not None:
+            indices = np.insert(indices, pos, c)
+            data = np.insert(data, pos, value)
+            indptr = indptr.copy()
+            indptr[r + 1:] += 1
+    out = type(csr)((data, indices, indptr), shape=csr.shape)
+    out.has_canonical_format = True
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Block construction
 # ---------------------------------------------------------------------------
 def sparse_to_blocks(csr, block_size: int, *,

@@ -59,6 +59,8 @@ need to know a block's position in the grid.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.common.errors import SolverError, ValidationError
@@ -554,6 +556,27 @@ def _adjacency_row_values(adjacency, rows: np.ndarray, algebra: Semiring,
     return out
 
 
+class CsrEdges(NamedTuple):
+    """A CSR adjacency's stored edges ``p -> j`` as parallel row-major arrays.
+
+    The form :func:`solve_parent_row` reads a CSR in.  Deriving it costs about
+    as much as the row solve itself, so a caller that solves many rows against
+    one adjacency version derives it once with :meth:`of` and passes it as
+    the ``adjacency``.
+    """
+
+    p_idx: np.ndarray
+    j_idx: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, csr, dtype: np.dtype) -> "CsrEdges":
+        coo = csr.tocoo()
+        return cls(np.asarray(coo.row, dtype=np.int64),
+                   np.asarray(coo.col, dtype=np.int64),
+                   np.asarray(coo.data, dtype=dtype))
+
+
 def rebuild_parent_row(source: int, distances: np.ndarray, adjacency,
                        algebra: Semiring, *, rtol: float | None = None,
                        ) -> np.ndarray:
@@ -648,8 +671,9 @@ def solve_parent_row(source: int, distances: np.ndarray, adjacency,
 
     For every vertex ``j`` the row picks *some* tight predecessor ``p``
     (``D[s, p] ⊗ E[p, j] == D[s, j]`` with ``E[p, j]`` a real edge) in a
-    single vectorized pass — O(n²) for dense adjacency, O(nnz) for CSR,
-    with no BFS layering.  Every pointer is locally valid (a genuine edge on
+    single vectorized pass — O(n²) for dense adjacency, O(nnz) for CSR (or
+    the :class:`CsrEdges` already derived from one), with no BFS layering.
+    Every pointer is locally valid (a genuine edge on
     an optimal path), but on equal-value plateaus (boolean reachability,
     bottleneck ties) independently chosen pointers can form cycles; callers
     must check the row with :func:`consistent_parent_row` and fall back to
@@ -670,10 +694,10 @@ def solve_parent_row(source: int, distances: np.ndarray, adjacency,
     if not reachable.any():
         return parents_row
     if sparse_mod.is_sparse(adjacency):
-        coo = adjacency.tocoo()
-        p_idx = np.asarray(coo.row, dtype=np.int64)
-        j_idx = np.asarray(coo.col, dtype=np.int64)
-        vals = np.asarray(coo.data, dtype=dtype)
+        adjacency = CsrEdges.of(adjacency, dtype)
+    sparse = isinstance(adjacency, CsrEdges)
+    if sparse:
+        p_idx, j_idx, vals = adjacency
         candidate = algebra.mul(d_row[p_idx], vals)
         target = d_row[j_idx]
     else:
@@ -687,7 +711,7 @@ def solve_parent_row(source: int, distances: np.ndarray, adjacency,
         close = np.isclose(candidate, target, rtol=rtol, atol=rtol) \
             | (np.isinf(candidate) & np.isinf(target))
         tight = close & (vals != zero) & (candidate != zero)
-    if sparse_mod.is_sparse(adjacency):
+    if sparse:
         tight &= reachable[j_idx] & (p_idx != j_idx)
         hit = np.flatnonzero(tight)
         # Later writers win — any tight predecessor is locally valid.

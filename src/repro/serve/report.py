@@ -47,11 +47,9 @@ def fold_route(adjacency, path, algebra):
         if sparse:
             # CSR membership check: an absent entry reads as numeric 0,
             # which must not be mistaken for a zero-weight edge.
-            lo, hi = adjacency.indptr[u], adjacency.indptr[u + 1]
-            hit = np.nonzero(adjacency.indices[lo:hi] == v)[0]
-            if hit.size == 0:
+            raw = sparse_graph.csr_edge(adjacency, u, v)
+            if raw is None:
                 raise SolverError(f"route step {u} -> {v} is not an edge")
-            raw = adjacency.data[lo:hi][hit[0]]
         else:
             raw = adjacency[u, v]
             if raw == zero:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import SolverError, ValidationError
+from repro.graph.sparse import is_sparse
 from repro.linalg import witness
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.serve.analytics import ServeAnalytics
@@ -114,7 +115,7 @@ class RouteService:
                 f"adjacency shape {adjacency.shape} does not match the "
                 f"closure shape {dist.shape}")
         self.distances = dist
-        self.adjacency = adjacency
+        self._bind_adjacency(adjacency)
         self.n = dist.shape[0]
         self._zero = self.algebra.zero_like(dist.dtype)
         self.cache = ParentRowCache(budget_bytes=budget_bytes, max_rows=max_rows)
@@ -130,6 +131,13 @@ class RouteService:
         self._last_error: str | None = None
         self._failed_update_batches = 0
         self._degraded_since: float | None = None
+
+    def _bind_adjacency(self, adjacency) -> None:
+        """Bind one adjacency version; a CSR's edge arrays are derived here,
+        once per version, instead of on every cache miss."""
+        self.adjacency = adjacency
+        self._row_edges = (witness.CsrEdges.of(adjacency, self.distances.dtype)
+                           if is_sparse(adjacency) else adjacency)
 
     # ------------------------------------------------------------------ rows
     def parent_row(self, source: int, *,
@@ -160,9 +168,12 @@ class RouteService:
                 # miss now (every parent_row call is exactly one hit or one
                 # miss, no matter how many threads pile onto a cold source).
                 self.cache.lookup(source)
+                # One adjacency version per row: an update may rebind it
+                # between the solve and the repair below.
+                adjacency, row_edges = self.adjacency, self._row_edges
             start = time.perf_counter()
             row = witness.solve_parent_row(source, self.distances,
-                                           self.adjacency, self.algebra)
+                                           row_edges, self.algebra)
             reachable = self.distances[source] != self._zero
             consistent = witness.consistent_parent_row(row, source,
                                                        reachable=reachable)
@@ -172,7 +183,7 @@ class RouteService:
             if not consistent:
                 start = time.perf_counter()
                 row = witness.rebuild_parent_row(source, self.distances,
-                                                 self.adjacency, self.algebra)
+                                                 adjacency, self.algebra)
                 if stages is not None:
                     stages["repair"] = (stages.get("repair", 0.0)
                                         + time.perf_counter() - start)
@@ -191,17 +202,18 @@ class RouteService:
         after a deletion, no longer exist.  ``changed_rows`` is an iterable
         of source indices (``None`` = drop every cached row, the re-solve
         fallback).  ``adjacency`` rebinds the edge source when the update
-        replaced it — e.g. the first update against a CSR-ingested closure
-        densifies the adjacency into the algebra's domain, and row solves
-        must follow it.  Returns the number of rows dropped.
+        replaced it: a dense plane is edited in place and arrives as the
+        object already bound, while every edit of a CSR-ingested closure
+        yields a new CSR that row solves must follow.  Returns the number of
+        rows dropped.
         """
         with self._lock:
-            if adjacency is not None:
+            if adjacency is not None and adjacency is not self.adjacency:
                 if adjacency.shape != self.distances.shape:
                     raise ValidationError(
                         f"updated adjacency shape {adjacency.shape} does not "
                         f"match the closure shape {self.distances.shape}")
-                self.adjacency = adjacency
+                self._bind_adjacency(adjacency)
             if changed_rows is None:
                 return self.cache.invalidate()
             dropped = 0

@@ -175,3 +175,81 @@ class TestDegradedServing:
             # Recovery: the next (incremental) batch succeeds and heals.
             engine.update([(0, 5, 0.01)])
             assert service.stats()["degraded"] is False
+
+
+class TestCsrRollback:
+    """A CSR-ingested closure rolls back to the *identical* pre-batch CSR.
+
+    Edits rebind ``state.adjacency`` to new CSR objects and never write the
+    old one, so the snapshot holds it by reference and a degraded service —
+    which was never handed the half-applied versions — keeps reading it.
+    """
+
+    BATCH = [(0, 5, 0.01), (3, 17, 0.02)]
+
+    @pytest.fixture
+    def csr(self, adjacency):
+        import scipy.sparse as sp
+        rows, cols = np.nonzero(np.isfinite(adjacency)
+                                & ~np.eye(N, dtype=bool))
+        return sp.csr_matrix((adjacency[rows, cols], (rows, cols)),
+                             shape=adjacency.shape)
+
+    def assert_rolled_back(self, engine, service, pre_batch, before, answers):
+        state = engine.closure
+        assert state.adjacency is pre_batch and service.adjacency is pre_batch
+        assert (pre_batch != before["adjacency"]).nnz == 0  # never written
+        assert np.array_equal(state.distances, before["distances"])
+        assert service.stats()["degraded"] is True
+        for (src, dst), clean in answers.items():
+            again = service.route(src, dst)
+            assert (again.distance, again.path) == (clean.distance, clean.path)
+        # A cold source solves its row against the restored adjacency.
+        cold = service.route(N - 1, 0)
+        assert cold.cached is False or cold.path is None
+
+    def serve(self, engine, csr):
+        service = engine.serve(csr, REQUEST)
+        pre_batch = engine.closure.adjacency
+        before = {"adjacency": pre_batch.copy(),
+                  "distances": service.distances.copy()}
+        answers = {(0, dst): service.route(0, dst) for dst in (5, 9, 17)}
+        return service, pre_batch, before, answers
+
+    def test_failure_mid_sweep(self, csr, monkeypatch):
+        real = dynamic._improve_sweep
+        calls = []
+
+        def second_sweep_fails(state, u, v, weight):
+            calls.append(state.adjacency)
+            if len(calls) == 2:
+                raise _InjectedUpdateFailure("injected mid-sweep failure")
+            return real(state, u, v, weight)
+
+        monkeypatch.setattr(dynamic, "_improve_sweep", second_sweep_fails)
+        with _engine() as engine:
+            service, pre_batch, before, answers = self.serve(engine, csr)
+            with pytest.raises(_InjectedUpdateFailure):
+                engine.update(self.BATCH)
+            # The batch really was half applied: two edited CSR versions.
+            assert calls[0] is not pre_batch and calls[1] is not calls[0]
+            self.assert_rolled_back(engine, service, pre_batch, before, answers)
+            monkeypatch.setattr(dynamic, "_improve_sweep", real)
+            engine.update(self.BATCH)
+            assert service.stats()["degraded"] is False
+            assert engine.closure.adjacency is service.adjacency
+            assert service.adjacency is not pre_batch
+            assert service.route(0, 5).distance == pytest.approx(0.01)
+
+    def test_failure_inside_the_resolve(self, csr, monkeypatch):
+        def adoption_fails(self, result):
+            self.distances[0, :] = self.algebra.zero
+            raise _InjectedUpdateFailure("injected re-solve failure")
+
+        monkeypatch.setattr(dynamic.ClosureState, "replace_closure",
+                            adoption_fails)
+        with _engine() as engine:
+            service, pre_batch, before, answers = self.serve(engine, csr)
+            with pytest.raises(_InjectedUpdateFailure):
+                engine.update(self.BATCH, force="resolve")
+            self.assert_rolled_back(engine, service, pre_batch, before, answers)

@@ -20,6 +20,7 @@ from repro.core.engine import APSPEngine
 from repro.core.request import EdgeUpdate, SolveRequest
 from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import PackedBlock
+from repro.linalg.kernels import semiring_closure
 from repro.linalg.witness import NO_VERTEX, consistent_parent_rows, path_weight
 
 #: Algebras whose rank-1 sweeps are exact (absorptive ⊕); longest-path is
@@ -316,3 +317,228 @@ class TestServingCoherence:
         expected = reference_closure(engine.closure.adjacency)
         route = service.route(3, 11)
         assert np.isclose(route.distance, expected[3, 11])
+
+
+# ---------------------------------------------------------------------------
+# CSR-ingested closures: the adjacency stays CSR through update()
+# ---------------------------------------------------------------------------
+CSR_PAYLOADS = {
+    "shortest-f64": dict(algebra="shortest-path"),
+    "shortest-f32": dict(algebra="shortest-path", dtype="float32"),
+    "widest": dict(algebra="widest-path"),
+    "reach-dense": dict(algebra="reachability"),
+    "reach-packed": dict(algebra="reachability", storage="packed"),
+}
+#: A strictly worse weight per algebra (reachability can only delete).
+WORSE_WEIGHT = {"shortest-path": 500.0, "widest-path": 0.5,
+                "reachability": None}
+
+
+def dense_to_csr(mirror):
+    """Canonical CSR of a canonical dense matrix (finite off-diagonal = edge)."""
+    import scipy.sparse as sp
+    rows, cols = np.nonzero(edge_mask(mirror))
+    return sp.csr_matrix((mirror[rows, cols], (rows, cols)), shape=mirror.shape)
+
+
+def edge_mask(mirror):
+    return np.isfinite(mirror) & ~np.eye(mirror.shape[0], dtype=bool)
+
+
+def edit_mirror(mirror, batch, undirected):
+    """Apply a batch to the canonical dense mirror, edge by edge."""
+    for edge in dynamic.coerce_edges(batch):
+        weight = np.inf if edge.weight is None else float(edge.weight)
+        mirror[edge.u, edge.v] = weight
+        if undirected:
+            mirror[edge.v, edge.u] = weight
+
+
+def assert_canonical_csr(adjacency, mirror, undirected):
+    """Sparse, strictly increasing indices per row (sorted, no duplicates),
+    stored pattern == the mirror's edges (so no explicit "no edge" entries),
+    symmetric when undirected."""
+    from repro.graph.sparse import is_sparse
+    assert is_sparse(adjacency) and adjacency.format == "csr"
+    for r in range(adjacency.shape[0]):
+        cols = adjacency.indices[adjacency.indptr[r]:adjacency.indptr[r + 1]]
+        assert np.all(np.diff(cols) > 0)
+    mask = edge_mask(mirror)
+    assert adjacency.nnz == int(mask.sum())
+    coo = adjacency.tocoo()
+    assert mask[coo.row, coo.col].all()
+    if adjacency.dtype != np.bool_:
+        assert np.allclose(coo.data, mirror[coo.row, coo.col], rtol=1e-6)
+    if undirected:
+        assert (adjacency != adjacency.T).nnz == 0
+
+
+def assert_routes_follow_oracle(service, mirror, oracle, rng, count=40):
+    """Every answered route is a real path in the mirror of the oracle's weight."""
+    algebra = service.algebra
+    n = mirror.shape[0]
+    prepared = algebra.prepare_adjacency(mirror, oracle.dtype)
+    zero = algebra.zero_like(oracle.dtype)
+    for src, dst in rng.integers(n, size=(count, 2)).tolist():
+        answer = service.route(src, dst)
+        if oracle[src, dst] == zero:
+            assert answer.path is None
+            continue
+        assert answer.path[0] == src and answer.path[-1] == dst
+        weight = path_weight(prepared, list(answer.path), algebra)
+        assert algebra.allclose(np.asarray(weight), np.asarray(oracle[src, dst]),
+                                rtol=1e-4, atol=1e-6)
+
+
+class TestCsrIngestedClosure:
+    """No other tier-1 test combines CSR input with ``update()``."""
+
+    N = 24
+
+    @pytest.fixture
+    def engine(self):
+        with APSPEngine() as engine:
+            yield engine
+
+    def open(self, engine, payload, directed, seed=11):
+        options = CSR_PAYLOADS[payload]
+        mirror = graph_for_algebra(self.N, seed, options["algebra"],
+                                   directed=directed)
+        request = SolveRequest(solver="blocked-cb", block_size=8,
+                               layout="full" if directed else "triangular",
+                               directed=directed, **options)
+        return engine.serve(dense_to_csr(mirror), request), mirror
+
+    def batches(self, mirror, algebra, rng):
+        """The seven batch kinds, each built against the current mirror."""
+        n = self.N
+
+        def improving(count):
+            return update_batch_for_algebra(n, int(rng.integers(1 << 30)),
+                                            algebra, count)
+
+        def existing():
+            pairs = np.argwhere(edge_mask(mirror))
+            return tuple(int(x) for x in pairs[int(rng.integers(len(pairs)))])
+
+        def missing():
+            pairs = np.argwhere(~np.isfinite(mirror))
+            return tuple(int(x) for x in pairs[int(rng.integers(len(pairs)))])
+
+        yield "improving", lambda: improving(3), None
+        yield "worsening", lambda: [EdgeUpdate(*existing(),
+                                               WORSE_WEIGHT[algebra])], None
+        yield "deletion", lambda: [EdgeUpdate(*existing(), None)], None
+        yield "noop-deletion", lambda: [EdgeUpdate(*missing(), None)], None
+        yield "duplicate", lambda: improving(1) * 2, None
+        yield "forced-resolve", lambda: improving(2), "resolve"
+        yield "past-break-even", None, None
+
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["undirected", "directed"])
+    @pytest.mark.parametrize("payload", sorted(CSR_PAYLOADS))
+    def test_every_batch_kind_keeps_one_canonical_csr(self, engine, payload,
+                                                      directed):
+        service, mirror = self.open(engine, payload, directed)
+        state = engine.closure
+        algebra = state.algebra
+        dtype = CSR_PAYLOADS[payload].get("dtype")
+        rng = np.random.default_rng(5)
+        assert state.undirected is not directed
+        assert state.adjacency is service.adjacency
+        report = None
+        for kind, build, force in self.batches(mirror, algebra.name, rng):
+            batch = (build() if build is not None else
+                     update_batch_for_algebra(self.N, 77, algebra.name,
+                                              report.break_even_edges))
+            before = state.adjacency
+            report = engine.update(batch, force=force)
+            edit_mirror(mirror, batch, state.undirected)
+            if kind == "noop-deletion":
+                assert (report.noops, report.changed_rows) == (1, 0), kind
+                assert state.adjacency is before
+            if kind == "duplicate":
+                assert (report.improvements, report.noops) == (1, 1), kind
+            if kind in ("forced-resolve", "past-break-even"):
+                assert report.mode == "resolve", kind
+            oracle = reference_closure(mirror, algebra.name, dtype=dtype)
+            assert algebra.allclose(state.distances, oracle,
+                                    rtol=1e-4, atol=1e-6), kind
+            if state.packed is not None:
+                assert np.array_equal(state.packed.to_dense(), state.distances)
+            assert state.adjacency is service.adjacency, kind
+            assert_canonical_csr(state.adjacency, mirror, state.undirected)
+            assert_routes_follow_oracle(service, mirror, oracle, rng)
+
+    def test_witnessed_csr_closure_keeps_walkable_parents(self, engine):
+        mirror = graph_for_algebra(self.N, 4)
+        engine.solve(dense_to_csr(mirror), SolveRequest(
+            solver="blocked-cb", block_size=8, paths=True), keep_closure=True)
+        state = engine.closure
+        pairs = np.argwhere(edge_mask(mirror))
+        batch = [EdgeUpdate(2, 19, 0.02),
+                 EdgeUpdate(int(pairs[0][0]), int(pairs[0][1]), None)]
+        report = engine.update(batch, force="incremental")
+        edit_mirror(mirror, batch, True)
+        assert report.mode == "incremental"
+        assert np.allclose(state.distances, reference_closure(mirror))
+        assert_canonical_csr(state.adjacency, mirror, True)
+        assert consistent_parent_rows(state.parents).all()
+
+    def test_update_and_serving_never_expand_the_csr(self, engine, monkeypatch):
+        """serve(csr) -> improve -> delete -> routes -> re-solve, with every
+        CSR -> dense expansion patched to raise."""
+        from repro.graph import sparse as sparse_mod
+        mirror = graph_for_algebra(48, 8)
+        csr = dense_to_csr(mirror)
+
+        def densified(*args, **kwargs):
+            raise AssertionError("a CSR adjacency was densified")
+        for name in ("toarray", "todense"):
+            monkeypatch.setattr(type(csr), name, densified)
+        monkeypatch.setattr(sparse_mod, "sparse_to_dense", densified)
+        service = engine.serve(csr, SolveRequest(solver="blocked-cb",
+                                                 block_size=16))
+        u, v = (int(x) for x in np.argwhere(edge_mask(mirror))[0])
+        batches = [([EdgeUpdate(1, 30, 0.05), EdgeUpdate(7, 22, 0.04)], None),
+                   ([EdgeUpdate(u, v, None)], None),
+                   ([EdgeUpdate(5, 40, 0.03)], "resolve")]
+        for index, (batch, force) in enumerate(batches):
+            engine.update(batch, force=force)
+            edit_mirror(mirror, batch, True)
+            if index == 1:
+                for src in range(48):
+                    service.route(src, (src * 7 + 3) % 48)
+        assert engine.closure.adjacency is service.adjacency
+        assert_canonical_csr(service.adjacency, mirror, True)
+        # The generic dense closure: SciPy's reference converts through CSR.
+        assert np.allclose(service.distances,
+                           semiring_closure(mirror, "shortest-path"))
+
+    def test_incremental_batch_allocates_no_adjacency_sized_array(self, engine):
+        """At n=512 the only n² allocations a batch makes are the snapshot's
+        distance copy and sweep temporaries — nothing n² *survives* it (the
+        first batch used to leave a dense n x n adjacency behind)."""
+        import tracemalloc
+        from repro.graph.sparse import random_geometric_sparse
+        n = 512
+        csr = random_geometric_sparse(n, seed=3)
+        engine.serve(csr, SolveRequest(solver="blocked-cb", block_size=128))
+        state = engine.closure
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            report = engine.update([EdgeUpdate(3, 400, 0.001),
+                                    EdgeUpdate(17, 250, 0.002)])
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert report.mode == "incremental" and report.improvements == 2
+        survived = sum(stat.size_diff
+                       for stat in after.compare_to(before, "filename"))
+        # A float64 n x n plane is 2 MiB; the new CSR and the edge arrays the
+        # service derives from it are ~0.5 MiB.
+        assert survived < n * n * state.distances.itemsize // 2
+        assert state.adjacency is engine.service.adjacency
+        assert state.adjacency.nnz == csr.nnz + 4   # two undirected insertions
+

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.common.config import EngineConfig
 from repro.common.errors import ValidationError
@@ -15,7 +16,8 @@ from repro.graph.adjacency import knn_adjacency
 from repro.graph.generators import (grid_adjacency, paper_edge_probability,
                                     random_geometric_adjacency)
 from repro.graph.io import load_sparse_npz, save_sparse_npz
-from repro.graph.sparse import (erdos_renyi_sparse, grid_sparse, is_sparse,
+from repro.graph.sparse import (csr_edge, csr_with_edge, erdos_renyi_sparse,
+                                grid_sparse, is_sparse,
                                 knn_sparse, random_geometric_sparse,
                                 sparse_to_blocks, sparse_to_dense,
                                 validate_sparse_adjacency)
@@ -302,3 +304,48 @@ class TestSparseGeneratorTwins:
                                                  block_size=12))
         expected = semiring_closure(sparse_to_dense(csr), "shortest-path")
         assert np.allclose(result.distances, expected)
+
+
+# ---------------------------------------------------------------------------
+# Single-edge edits (the dynamic-update path's CSR helper)
+# ---------------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), seed=st.integers(0, 10_000),
+       mirror=st.booleans(), data=st.data())
+def test_csr_edits_equal_dense_edits_then_convert(n, seed, mirror, data):
+    """A random set / delete sequence on a CSR == the same on a dense matrix."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, n)) < 0.3, rng.integers(0, 4, (n, n)), np.inf)
+    if mirror:
+        dense = np.minimum(dense, dense.T)
+    np.fill_diagonal(dense, np.inf)          # inf = unstored; 0.0 is an edge
+
+    def to_csr(matrix):
+        rows, cols = np.nonzero(np.isfinite(matrix))
+        return sp.csr_matrix((matrix[rows, cols], (rows, cols)), shape=(n, n))
+
+    csr = original = to_csr(dense)
+    pristine = original.copy()
+    vertex = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(1, 12))):
+        u, v = data.draw(vertex), data.draw(vertex)
+        value = data.draw(st.one_of(st.none(), st.integers(0, 5)))
+        if u == v:
+            continue
+        assert csr_edge(csr, u, v) == (dense[u, v] if np.isfinite(dense[u, v])
+                                       else None)
+        edited = csr_with_edge(csr, u, v, value, mirror=mirror)
+        assert edited is not csr
+        csr = edited
+        dense[u, v] = np.inf if value is None else value
+        if mirror:
+            dense[v, u] = dense[u, v]
+        want = to_csr(dense)
+        assert csr.has_canonical_format and csr.dtype == want.dtype
+        assert np.array_equal(csr.indptr, want.indptr)
+        assert np.array_equal(csr.indices, want.indices)
+        assert np.array_equal(csr.data, want.data)
+    # Every edit returned a new matrix; the first one was never written.
+    assert np.array_equal(original.indptr, pristine.indptr)
+    assert np.array_equal(original.indices, pristine.indices)
+    assert np.array_equal(original.data, pristine.data)

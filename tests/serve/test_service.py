@@ -193,6 +193,58 @@ class TestSparseInput:
             assert sparse_answer.path == dense_answer.path
             assert sparse_answer.distance == dense_answer.distance
 
+    def test_edge_arrays_are_derived_once_per_adjacency_version(
+            self, adjacency, monkeypatch):
+        """Misses read the arrays bound with the CSR; ``tocoo`` runs when an
+        adjacency is bound (constructor, ``notify_update``), not per miss."""
+        from repro.linalg import witness
+        csr = validate_adjacency(dense_to_csr(adjacency), allow_sparse=True)
+        closure = floyd_warshall_reference(adjacency)
+        conversions = []
+        real = type(csr).tocoo
+        monkeypatch.setattr(type(csr), "tocoo", lambda self, *a, **k: (
+            conversions.append(self), real(self, *a, **k))[1])
+        service = RouteService(closure, csr, "shortest-path")
+        rows = {src: service.parent_row(src) for src in range(N)}
+        assert len(conversions) == 1 and conversions[0] is csr
+        for src, row in rows.items():      # identical to the per-call CSR branch
+            assert np.array_equal(
+                row, witness.solve_parent_row(src, closure, csr,
+                                              service.algebra))
+        del conversions[:]
+        service.notify_update(adjacency=csr)           # same version: no-op
+        assert conversions == []
+        newer = csr.copy()
+        service.notify_update(adjacency=newer)
+        service.parent_row(0)
+        service.parent_row(1)
+        assert len(conversions) == 1 and conversions[0] is newer
+        assert service.adjacency is newer
+
+    def test_one_adjacency_version_per_miss(self, adjacency, monkeypatch):
+        """An update landing between the row solve and its repair must not
+        mix two adjacency versions into one row."""
+        from repro.linalg import witness
+        csr = validate_adjacency(dense_to_csr(adjacency), allow_sparse=True)
+        service = RouteService(floyd_warshall_reference(adjacency), csr,
+                               "shortest-path")
+        newer = csr.copy()
+        seen = []
+
+        def update_lands_then_row_looks_cyclic(row, source, **kwargs):
+            service.notify_update([], adjacency=newer)
+            return False
+
+        monkeypatch.setattr(witness, "consistent_parent_row",
+                            update_lands_then_row_looks_cyclic)
+        real = witness.rebuild_parent_row
+        monkeypatch.setattr(witness, "rebuild_parent_row", lambda src, dist, adj, alg: (
+            seen.append(adj), real(src, dist, adj, alg))[1])
+        service.parent_row(3)
+        assert len(seen) == 1 and seen[0] is csr
+        assert service.adjacency is newer
+
+
 
 class TestConstruction:
     def test_non_square_closure_rejected(self):
