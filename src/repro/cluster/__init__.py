@@ -10,10 +10,10 @@ measured on the host or fixed to the paper's reported sequential throughput
 combine compute, network, storage and Spark-overhead terms
 (:mod:`repro.cluster.costmodel`).
 
-:mod:`repro.cluster.fitting` closes the loop in the other direction: it
-regresses the *measured* ``BENCH_*.json`` archives into per-unit machine
-constants (``apspark bench calibrate``) that the auto-tuner
-(:mod:`repro.core.tuner`) uses to resolve ``solver="auto"`` requests.
+:mod:`repro.cluster.fitting` prices solves on *this* host instead: it loads
+the per-unit machine constants committed in ``benchmarks/calibration.json``
+and prices a resolved plan's structural features with them, which is how the
+auto-tuner (:mod:`repro.core.tuner`) resolves ``solver="auto"`` requests.
 """
 
 from repro.cluster.model import (
@@ -35,17 +35,10 @@ from repro.cluster.costmodel import (
 )
 from repro.cluster.fitting import (
     CALIBRATION_SCHEMA_VERSION,
-    Observation,
-    accuracy_report,
-    build_calibration,
-    extract_observations,
-    fit_constants,
     load_calibration,
     paper_constants,
-    predict_seconds,
-    scenario_features,
+    predict_plan_seconds,
     validate_calibration,
-    write_calibration,
 )
 
 __all__ = [
@@ -64,15 +57,8 @@ __all__ = [
     "ProjectionResult",
     "SOLVER_NAMES",
     "CALIBRATION_SCHEMA_VERSION",
-    "Observation",
-    "accuracy_report",
-    "build_calibration",
-    "extract_observations",
-    "fit_constants",
     "load_calibration",
     "paper_constants",
-    "predict_seconds",
-    "scenario_features",
+    "predict_plan_seconds",
     "validate_calibration",
-    "write_calibration",
 ]

@@ -72,6 +72,42 @@ def coerce_edges(edges) -> list[EdgeUpdate]:
     return out
 
 
+def update_batch_for_algebra(n: int, seed: int, algebra="shortest-path",
+                             count: int = 1) -> list[EdgeUpdate]:
+    """A deterministic batch of *improving* edge updates for an algebra.
+
+    Weights are drawn to dominate the generators' edge-weight ranges under
+    the algebra's ⊕ — shorter than any existing shortest-path edge, wider
+    than any widest-path edge, more reliable than any probability edge —
+    so against a :func:`~repro.graph.generators.graph_for_algebra` graph
+    every update classifies as an improvement and takes the rank-1 sweep.
+    Longest-path draws ordered ``u < v`` pairs so insertions keep the DAG
+    acyclic.  Seeded, so CLI and chaos batches are identical across runs
+    and machines.
+    """
+    name = get_algebra(algebra).name
+    rng = np.random.default_rng(seed)
+    edges: list[EdgeUpdate] = []
+    while len(edges) < count:
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u == v:
+            continue
+        if name == "longest-path" and u > v:
+            u, v = v, u
+        if name == "reachability":
+            weight: float | bool = True
+        elif name == "most-reliable":
+            weight = float(rng.uniform(0.96, 0.999))
+        elif name == "widest-path":
+            weight = float(rng.uniform(50.0, 100.0))
+        elif name == "longest-path":
+            weight = float(rng.uniform(20.0, 30.0))
+        else:
+            weight = float(rng.uniform(0.01, 0.5))
+        edges.append(EdgeUpdate(u, v, weight))
+    return edges
+
+
 class ClosureState:
     """The cached artifacts of one solve that dynamic updates maintain.
 

@@ -1,15 +1,14 @@
-"""Calibrated auto-tuning: resolve ``solver="auto"`` from fitted constants.
+"""Calibrated auto-tuning: resolve ``solver="auto"`` from machine constants.
 
 The paper's pitch is raw speed *without the user knowing the configuration
-space exists*: a cost model, anchored to measured machine constants, picks
-the solver, the decomposition parameter ``b``, and the execution shape.
-This module is that loop's last mile.  ``apspark bench calibrate``
-(:mod:`repro.cluster.fitting`) regresses per-unit machine constants out of
-archived bench results; :func:`resolve_auto` prices every registry-supported
-candidate request for the problem at hand with those constants — each
-resolved by the engine's own :func:`~repro.core.base.resolve_plan` and
-priced on the very same :func:`~repro.cluster.fitting.plan_features` the
-accuracy report grades — and rewrites the request to the cheapest one.
+space exists*: a cost model, anchored to machine constants, picks the
+solver, the decomposition parameter ``b``, and the execution shape.  The
+constants are the committed ``benchmarks/calibration.json`` (or the file
+named by ``APSPARK_CALIBRATION``); :func:`resolve_auto` prices every
+registry-supported candidate request for the problem at hand with them —
+each resolved by the engine's own :func:`~repro.core.base.resolve_plan` and
+priced on :func:`~repro.cluster.fitting.plan_features` — and rewrites the
+request to the cheapest one.
 
 Tuning is deliberately conservative about what it overrides:
 
@@ -50,8 +49,8 @@ from repro.linalg.algebra import get_algebra
 #: repository default.
 CALIBRATION_ENV = "APSPARK_CALIBRATION"
 
-#: Default on-disk location (relative to the working directory) that
-#: ``apspark bench calibrate`` writes and the tuner reads.
+#: Default on-disk location (relative to the working directory) of the
+#: committed calibration the tuner reads.
 DEFAULT_CALIBRATION_PATH = os.path.join("benchmarks", "calibration.json")
 
 #: The documented default configuration the tuner must never beat itself
@@ -135,8 +134,7 @@ def candidate_block_sizes(n: int, total_cores: int,
     """Deterministic block-size candidate set for an ``n x n`` problem.
 
     The heuristic :func:`auto_block_size` pick is always included (it is the
-    documented default), surrounded by the power-of-two ladder the bench
-    suites sweep.  Everything is clamped to ``[1, n]`` and deduplicated.
+    documented default), surrounded by a power-of-two ladder.  Everything is clamped to ``[1, n]`` and deduplicated.
     """
     heuristic = auto_block_size(n, total_cores, partitions_per_core,
                                 layout=layout)
@@ -164,7 +162,7 @@ def _candidate_storages(request: SolveRequest) -> list[str]:
 def _measured_density(adjacency, algebra_name: str) -> float:
     """Fraction of connected off-diagonal entries, for observability.
 
-    The fitted model is density-independent (dense block kernels do the same
+    The cost model is density-independent (dense block kernels do the same
     work either way), but the decision records what it saw so future
     calibrations can add density terms without changing the interface.  CSR
     inputs are counted over their stored entries — the ingestion path never

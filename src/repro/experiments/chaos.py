@@ -11,8 +11,8 @@ Reproducibility contract: every fault decision is a pure function of
 ``(seed, task/write index)`` (see :mod:`repro.spark.faults`), so
 ``apspark chaos --seed S`` injects the same schedule on every invocation
 regardless of thread interleaving.  The workload itself (graph, update
-batches, query pairs) is generated from the same seed through the bench
-helpers.
+batches, query pairs) is generated from the same seed through the shared
+graph and update-batch generators.
 
 Exit is nonzero on any exactness violation — a distance mismatch after the
 solve, after any update batch, or on any served query.
@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import bench
 from repro.common.config import EngineConfig
 from repro.common.rng import derive_seed, make_rng
+from repro.core.dynamic import update_batch_for_algebra
 from repro.core.engine import APSPEngine
 from repro.core.request import SolveRequest
+from repro.graph.generators import graph_for_algebra
 from repro.spark.faults import FaultPlan
 
 #: Fault-plan counters that say "a fault actually happened" — the run report
@@ -152,8 +153,8 @@ def run_chaos(*, n: int = 96, seed: int = 0, solver: str = "blocked-cb",
     say = progress or (lambda line: None)
     request = SolveRequest(solver=solver, block_size=block_size,
                            algebra=algebra)
-    adjacency = bench.graph_for_algebra(n, seed, request.algebra)
-    edges = bench.update_batch_for_algebra(
+    adjacency = graph_for_algebra(n, seed, request.algebra)
+    edges = update_batch_for_algebra(
         n, seed + 7919, request.algebra,
         max(0, update_batches) * max(1, edges_per_batch))
     batches = [edges[i * edges_per_batch:(i + 1) * edges_per_batch]

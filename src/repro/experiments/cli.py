@@ -12,12 +12,6 @@ Run a small measured sweep on this machine::
     apspark figure3 --mode measured
     apspark solve --n 256 --solver blocked-cb --block-size 32
 
-Benchmark suites with machine-readable results and regression gating::
-
-    apspark bench list
-    apspark bench run --suite smoke
-    apspark bench compare --suite smoke --baseline benchmarks/baselines/BENCH_smoke.json
-
 List the registered solvers with their aliases and purity::
 
     apspark solvers
@@ -26,21 +20,22 @@ List the registered solvers with their aliases and purity::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from repro import bench
 from repro.common.config import BACKENDS, EngineConfig
 from repro.common.errors import ConfigurationError
 from repro.common.timing import format_seconds
 from repro.core.api import available_solvers, solver_catalog
+from repro.core.dynamic import update_batch_for_algebra
 from repro.core.engine import APSPEngine
 from repro.core.request import EdgeUpdate, SolveRequest
 from repro.experiments import figure2, figure3, table2, table3_figure5
 from repro.experiments.report import format_table, rows_to_csv
 from repro.graph import io as graph_io
 from repro.graph import sparse as sparse_graph
+from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import available_algebras, get_algebra
+from repro.sequential.floyd_warshall import reference_closure, verify_tolerances
 
 
 def _load_input_graph(path: str):
@@ -157,8 +152,8 @@ def _open_instance(args, **overrides):
         fields["directed"] = fields["directed"] or loaded.directed
     request = SolveRequest(**fields)
     if adjacency is None:
-        adjacency = bench.graph_for_algebra(args.n, args.seed, request.algebra,
-                                            directed=request.directed)
+        adjacency = graph_for_algebra(args.n, args.seed, request.algebra,
+                                      directed=request.directed)
     return config, request, adjacency
 
 
@@ -358,208 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solvers = sub.add_parser("solvers", help="list registered solvers and their metadata")
     p_solvers.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
 
-    p_bench = sub.add_parser("bench", help="benchmark suites, BENCH_*.json results, "
-                                           "and baseline regression gating")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    b_run = bench_sub.add_parser("run", help="run a suite and write BENCH_<suite>.json")
-    b_run.add_argument("--suite", default="smoke", choices=bench.available_suites())
-    b_run.add_argument("--output", default=None,
-                       help="report path (default: ./BENCH_<suite>.json)")
-    b_run.add_argument("--repeats", type=int, default=None,
-                       help="override every scenario's repeat count")
-    b_run.add_argument("--n", type=int, default=None,
-                       help="override every scenario's problem size "
-                            "(like setting APSPARK_BENCH_N)")
-    b_run.add_argument("--layout", default=None,
-                       choices=("auto", "triangular", "full"),
-                       help="override every scenario's block grid layout")
-    b_run.add_argument("--directed", action="store_true",
-                       help="run every scenario on a directed input graph")
-    b_run.add_argument("--verify", action="store_true",
-                       help="check each result against the sequential reference")
-    b_run.add_argument("--quiet", action="store_true",
-                       help="suppress per-scenario progress lines")
-
-    b_compare = bench_sub.add_parser(
-        "compare", help="diff a BENCH_*.json run against a baseline; "
-                        "exits 1 on regression")
-    b_compare.add_argument("--suite", default="smoke",
-                           help="suite name used to locate default file paths")
-    b_compare.add_argument("--baseline", default=None,
-                           help="baseline report "
-                                "(default: benchmarks/baselines/BENCH_<suite>.json)")
-    b_compare.add_argument("--current", default=None,
-                           help="current report (default: ./BENCH_<suite>.json)")
-    b_compare.add_argument("--threshold", type=float, default=None,
-                           help="override every scenario's slowdown gate "
-                                "(e.g. 1.5 = fail at 50%% slower)")
-    b_compare.add_argument("--min-seconds", type=float, default=None,
-                           help="noise floor below which scenarios are not gated")
-    b_compare.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-
-    b_list = bench_sub.add_parser("list", help="list suites (or one suite's scenarios)")
-    b_list.add_argument("--suite", default=None, help="show this suite's scenario grid")
-    b_list.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-
-    b_calibrate = bench_sub.add_parser(
-        "calibrate", help="fit the cost model's machine constants from "
-                          "BENCH_*.json archives and write "
-                          "benchmarks/calibration.json")
-    b_calibrate.add_argument(
-        "--archive", action="append", default=None, metavar="PATH",
-        help="a BENCH_*.json file or a directory of them; repeatable "
-             "(default: benchmarks/baselines plus the working directory)")
-    b_calibrate.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="calibration file to write "
-             "(default: benchmarks/calibration.json)")
-    b_calibrate.add_argument(
-        "--report", default=None, metavar="PATH",
-        help="also write the per-scenario accuracy report as JSON")
-    b_calibrate.add_argument(
-        "--drift-baseline", default=None, metavar="PATH",
-        help="warn-only compare of the fitted constants against this "
-             "committed calibration (never affects the exit code)")
-    b_calibrate.add_argument(
-        "--drift-tolerance", type=float, default=None,
-        help="constant drift ratio beyond which the warn-only compare "
-             "flags a constant (default: 2.0)")
-    b_calibrate.add_argument(
-        "--dry-run", action="store_true",
-        help="fit and report, but do not write the calibration file")
     return parser
-
-
-def _bench_main(args) -> int:
-    if args.bench_command == "list":
-        if args.suite:
-            suite = bench.get_suite(args.suite)
-            rows = [{"name": s.name, **s.params(),
-                     "threshold": f"{s.slowdown_threshold:.2f}x"}
-                    for s in suite.scenarios]
-        else:
-            rows = []
-            for name in bench.available_suites():
-                suite = bench.get_suite(name)
-                rows.append({"suite": suite.name,
-                             "scenarios": len(suite.scenarios),
-                             "description": suite.description})
-        _emit(rows, args)
-        return 0
-
-    if args.bench_command == "run":
-        suite = bench.get_suite(args.suite)
-        if args.n is not None:
-            suite = suite.with_n(args.n)
-        if args.layout is not None or args.directed:
-            from dataclasses import replace
-            changes = {}
-            if args.layout is not None:
-                changes["layout"] = args.layout
-            if args.directed:
-                changes["directed"] = True
-            try:
-                suite = replace(suite, scenarios=tuple(
-                    replace(s, **changes) for s in suite.scenarios))
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        progress = (lambda line: None) if args.quiet else print
-        results = bench.run_suite(suite, repeats=args.repeats,
-                                  verify=args.verify, progress=progress)
-        report = bench.build_report(suite, results)
-        path = bench.write_report(report, args.output
-                                  or bench.default_report_path(suite.name))
-        print(f"wrote {path} ({len(results)} scenario(s))")
-        if args.verify and any(r.verified is False for r in results):
-            print("verification FAILED for at least one scenario", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.bench_command == "compare":
-        baseline_path = args.baseline or os.path.join(
-            "benchmarks", "baselines", f"BENCH_{args.suite}.json")
-        current_path = args.current or bench.default_report_path(args.suite)
-        baseline = bench.load_report(baseline_path)
-        current = bench.load_report(current_path)
-        kwargs = {"threshold": args.threshold}
-        if args.min_seconds is not None:
-            kwargs["min_seconds"] = args.min_seconds
-        rows = bench.compare_reports(baseline, current, **kwargs)
-        _emit([row.as_dict() for row in rows], args)
-        # Keep piped CSV output clean: the human summary goes to stderr then.
-        print(bench.summarize(rows), file=sys.stderr if args.csv else sys.stdout)
-        return 1 if bench.has_regressions(rows) else 0
-
-    if args.bench_command == "calibrate":
-        return _calibrate_main(args)
-
-    return 2
-
-
-def _calibrate_main(args) -> int:
-    """``apspark bench calibrate``: archives in, fitted constants out.
-
-    Exits 2 on a malformed/missing archive (fitting from corrupt walls would
-    silently poison every ``solver="auto"`` decision), 0 otherwise.  The
-    constants-drift compare against ``--drift-baseline`` is warn-only by
-    design: constants legitimately differ across hardware.
-    """
-    from repro.common.errors import ValidationError
-    from repro.cluster import fitting
-    try:
-        paths = bench.discover_archives(args.archive)
-        if not paths:
-            raise ValidationError(
-                "no BENCH_*.json archives found; run 'apspark bench run' "
-                "first or pass --archive")
-        reports = [bench.load_report(path) for path in paths]
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    calibration = fitting.build_calibration(reports, source_paths=paths)
-    accuracy = calibration["accuracy"]
-    constants = calibration["constants"]
-    scenarios = accuracy["scenarios"]
-    print(f"fitted {len(constants['seconds_per_unit'])} machine constant(s) "
-          f"from {scenarios} scenario(s) in {len(paths)} archive(s)")
-    print(f"prediction accuracy: median rel error "
-          f"{accuracy['median_rel_error']:.1%}, "
-          f"mean {accuracy['mean_rel_error']:.1%}")
-    for suite, row in sorted(accuracy["per_suite"].items()):
-        print(f"  {suite:>14s}: {row['scenarios']:3d} scenario(s), "
-              f"median {row['median_rel_error']:.1%}, "
-              f"max {row['max_rel_error']:.1%}")
-    if accuracy["worst"]:
-        print("worst offenders:")
-        for row in accuracy["worst"]:
-            print(f"  {row['suite']}/{row['id']}: "
-                  f"predicted {row['predicted_seconds']:.4f}s "
-                  f"vs actual {row['actual_seconds']:.4f}s "
-                  f"({row['rel_error']:.0%} off)")
-    if not args.dry_run:
-        output = args.output or os.path.join("benchmarks", "calibration.json")
-        fitting.write_calibration(calibration, output)
-        print(f"wrote {output}")
-    if args.report:
-        import json as _json
-        with open(args.report, "w", encoding="utf-8") as fh:
-            _json.dump(accuracy, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote accuracy report {args.report}")
-    if args.drift_baseline:
-        try:
-            baseline = fitting.load_calibration(args.drift_baseline)
-        except ValidationError as exc:
-            print(f"drift compare skipped: {exc}", file=sys.stderr)
-        else:
-            kwargs = ({}
-                      if args.drift_tolerance is None
-                      else {"tolerance": args.drift_tolerance})
-            rows = bench.compare_calibrations(baseline, calibration, **kwargs)
-            print(bench.summarize_calibration_drift(rows))
-    return 0
 
 
 def _serve_main(args) -> int:
@@ -608,7 +402,7 @@ def _serve_main(args) -> int:
     except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tolerances = bench.verify_tolerances(request.dtype)
+    tolerances = verify_tolerances(request.dtype)
     ok = True
     mismatches = 0
     with APSPEngine(config) as engine:
@@ -674,7 +468,7 @@ def _update_main(args) -> int:
         for u, v in (args.delete or []):
             edges.append(EdgeUpdate(int(u), int(v), None))
         if args.batch > 0:
-            edges.extend(bench.update_batch_for_algebra(
+            edges.extend(update_batch_for_algebra(
                 adjacency.shape[0], args.seed + 7919, request.algebra,
                 args.batch))
         if not edges:
@@ -699,11 +493,11 @@ def _update_main(args) -> int:
             ok = True
             if args.verify:
                 algebra = get_algebra(request.algebra)
-                reference = bench.reference_closure(state.adjacency,
-                                                    request.algebra,
-                                                    dtype=request.dtype)
+                reference = reference_closure(state.adjacency,
+                                              request.algebra,
+                                              dtype=request.dtype)
                 ok = algebra.allclose(state.distances, reference,
-                                      **bench.verify_tolerances(request.dtype))
+                                      **verify_tolerances(request.dtype))
                 print(f"verified against the re-closure of the mutated graph: "
                       f"{'OK' if ok else 'MISMATCH'}")
             return 0 if ok else 1
@@ -797,11 +591,9 @@ def main(argv=None) -> int:
         verify = not args.no_verify
         reference = None
         if verify:
-            dense_input = (sparse_graph.sparse_to_dense(adjacency, algebra=algebra)
-                           if sparse_graph.is_sparse(adjacency) else adjacency)
-            reference = bench.reference_closure(dense_input, request.algebra,
-                                                dtype=request.dtype)
-        tolerances = bench.verify_tolerances(request.dtype)
+            reference = reference_closure(adjacency, request.algebra,
+                                          dtype=request.dtype)
+        tolerances = verify_tolerances(request.dtype)
         with APSPEngine(config) as engine:
             jobs = engine.solve_many([adjacency] * max(1, args.repeat), request)
             correct = True
@@ -857,9 +649,6 @@ def main(argv=None) -> int:
             return 2
         print(f"wrote {args.target}: n={n}, nnz={nnz} edge(s)")
         return 0
-
-    if args.command == "bench":
-        return _bench_main(args)
 
     if args.command == "solvers":
         rows = [info.as_dict() for info in solver_catalog()]

@@ -14,6 +14,7 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.common.rng import make_rng
 from repro.common.validation import check_positive_int
+from repro.linalg.algebra import get_algebra
 
 try:
     import networkx as nx  # noqa: F401 — availability probe for the nx helpers
@@ -121,6 +122,41 @@ def directed_erdos_renyi_adjacency(n: int, *, p: float | None = None,
         weights = np.ones((n, n), dtype=np.float64)
     adj[mask] = weights[mask]
     return adj
+
+
+def graph_domain(algebra, *, directed: bool = False) -> str:
+    """The input-graph domain an algebra (and orientation) requires.
+
+    Single source of truth for graph generation *and* any graph cache keyed
+    by it, so the two can never disagree.  The longest-path algebra
+    always needs a DAG; other algebras get a symmetric or directed variant
+    of their weight domain.
+    """
+    name = get_algebra(algebra).name
+    if name == "longest-path":
+        return "dag"
+    domain = "unit-interval" if name == "most-reliable" else "weighted"
+    return f"{domain}-directed" if directed else domain
+
+
+def graph_for_algebra(n: int, seed: int, algebra="shortest-path", *,
+                      directed: bool = False) -> np.ndarray:
+    """Generate an Erdős–Rényi input graph respecting the algebra's domain.
+
+    Most algebras accept the standard weighted input; the (max, ×)
+    ``most-reliable`` algebra needs edge weights in ``[0, 1]``; the
+    longest-path algebra needs a DAG (always directed).  ``directed=True``
+    samples each ordered pair independently, giving the asymmetric inputs
+    the ``layout="full"`` grid stores.
+    """
+    domain = graph_domain(algebra, directed=directed)
+    if domain == "dag":
+        return directed_erdos_renyi_adjacency(n, seed=seed, acyclic=True)
+    weights = ({"weight_low": 0.05, "weight_high": 0.95}
+               if domain.startswith("unit-interval") else {})
+    if domain.endswith("-directed"):
+        return directed_erdos_renyi_adjacency(n, seed=seed, **weights)
+    return erdos_renyi_adjacency(n, seed=seed, **weights)
 
 
 def erdos_renyi_graph(n: int, **kwargs):

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import validate_adjacency
+from repro.graph.sparse import is_sparse, sparse_to_dense
 from repro.linalg import witness as witness_mod
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.kernels import (
     floyd_warshall_inplace,
     floyd_warshall_scipy,
     blocked_floyd_warshall_inplace,
+    semiring_closure,
 )
 
 
@@ -23,6 +25,30 @@ def floyd_warshall_reference(adjacency: np.ndarray) -> np.ndarray:
     """
     adj = validate_adjacency(adjacency)
     return floyd_warshall_scipy(adj)
+
+
+def reference_closure(adjacency: np.ndarray, algebra="shortest-path",
+                      dtype: str | None = None) -> np.ndarray:
+    """The sequential ground-truth closure for an (algebra, dtype) pair.
+
+    The (min, +)/float64 case uses the fast SciPy reference; everything else
+    goes through the dense generic closure.  Both are dense oracles: a CSR
+    (what a CSR-ingested ``engine.closure.adjacency`` stays) is expanded here.
+    """
+    if is_sparse(adjacency):
+        adjacency = sparse_to_dense(adjacency, algebra=algebra)
+    if get_algebra(algebra).name == "shortest-path" and dtype in (None, "float64"):
+        return floyd_warshall_reference(adjacency)
+    return semiring_closure(adjacency, algebra, dtype=dtype)
+
+
+def verify_tolerances(dtype: str | None) -> dict:
+    """Keyword tolerances for comparing a result of ``dtype`` to its reference.
+
+    float32 accumulates rounding in a solver-dependent order and needs a
+    loose gate; float64 (and bool) keep the strict ``np.allclose`` defaults.
+    """
+    return {"rtol": 1e-4, "atol": 1e-6} if dtype == "float32" else {}
 
 
 def _finalize_witnessed(block, prepared: np.ndarray, algebra: Semiring):

@@ -2,8 +2,8 @@
 
 Every distributed solver that declares support for an algebra must agree
 with the dense sequential reference closure; the algebra must round-trip
-through the engine, the CLI and the bench runner; and unsupported
-combinations must fail fast at request construction.
+through the engine and the CLI; and unsupported combinations must fail
+fast at request construction.
 """
 
 import numpy as np
@@ -207,35 +207,3 @@ class TestRoundTrips:
         out = capsys.readouterr().out
         assert code == 0
         assert "float32" in out and "OK" in out
-
-    def test_bench_runner_round_trip(self):
-        from repro.bench import BenchScenario, BenchSuite, run_suite
-        suite = BenchSuite(
-            name="algebra-roundtrip",
-            description="widest-path + reachability through the bench runner",
-            scenarios=(
-                BenchScenario(name="widest", solver="blocked-cb", n=N,
-                              block_size=8, algebra="widest-path",
-                              num_executors=2, cores_per_executor=2),
-                BenchScenario(name="reach-bool", solver="blocked-cb", n=N,
-                              block_size=8, algebra="reachability", dtype="bool",
-                              num_executors=2, cores_per_executor=2),
-                BenchScenario(name="minplus-f32", solver="blocked-cb", n=N,
-                              block_size=8, dtype="float32",
-                              num_executors=2, cores_per_executor=2),
-            ),
-        )
-        results = run_suite(suite, verify=True)
-        assert [r.scenario.name for r in results] == ["widest", "reach-bool",
-                                                      "minplus-f32"]
-        assert all(r.verified for r in results)
-        for r in results:
-            assert r.as_dict()["params"]["algebra"] == r.scenario.algebra
-
-    def test_algebras_suite_registered(self):
-        from repro.bench import available_suites, get_suite
-        assert "algebras" in available_suites()
-        suite = get_suite("algebras")
-        names = {s.name for s in suite.scenarios}
-        assert {"shortest-path-f64", "shortest-path-f32",
-                "reachability-bool"} <= names

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.runner import (graph_for_algebra, reference_closure,
-                                update_batch_for_algebra)
 from repro.common.errors import ConfigurationError, SolverError, ValidationError
 from repro.core import dynamic
+from repro.core.dynamic import update_batch_for_algebra
 from repro.core.engine import APSPEngine
 from repro.core.request import EdgeUpdate, SolveRequest
-from repro.linalg.algebra import get_algebra
+from repro.graph.generators import graph_for_algebra
+from repro.linalg.algebra import available_algebras, get_algebra
 from repro.linalg.bitset import PackedBlock
 from repro.linalg.kernels import semiring_closure
 from repro.linalg.witness import NO_VERTEX, consistent_parent_rows, path_weight
+from repro.sequential.floyd_warshall import reference_closure
 
 #: Algebras whose rank-1 sweeps are exact (absorptive ⊕); longest-path is
 #: excluded by construction and covered by its own refusal tests below.
@@ -64,6 +65,37 @@ def mixed_batch(state, rng, count):
             else:
                 edges.append(EdgeUpdate(u, v, 500.0))         # longer
     return edges
+
+
+class TestImprovingBatchContract:
+    """``update_batch_for_algebra`` against a ``graph_for_algebra`` graph."""
+
+    @pytest.mark.parametrize("algebra", available_algebras())
+    def test_batch_only_improves(self, algebra):
+        n, count = 32, 6
+        directed = algebra == "longest-path"   # a DAG is always directed
+        request = SolveRequest(solver="blocked-cb", block_size=8,
+                               algebra=algebra, directed=directed)
+        engine, state = solve_kept(graph_for_algebra(n, 3, algebra,
+                                                     directed=directed), request)
+        batch = update_batch_for_algebra(n, 5, algebra, count)
+        pairs = {(e.u, e.v) if directed else tuple(sorted((e.u, e.v)))
+                 for e in batch}
+        assert len(pairs) == count
+        if directed:
+            assert all(e.u < e.v for e in batch)
+        # The one improving edge that cannot improve is a reachability edge
+        # already present: True is already ⊕'s top.
+        present = sum(bool(state.adjacency[e.u, e.v] == e.weight) for e in batch)
+        assert present == 0 or algebra == "reachability"
+        with engine:
+            report = engine.update(batch)
+        assert report.worsenings == 0
+        assert (report.improvements, report.noops) == (count - present, present)
+        assert get_algebra(algebra).allclose(
+            state.distances, reference_closure(state.adjacency, algebra))
+        if directed:   # still a DAG: no edge below the diagonal
+            assert not np.isfinite(state.adjacency[np.tril_indices(n, k=-1)]).any()
 
 
 class TestIncrementalEqualsResolve:

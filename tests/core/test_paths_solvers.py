@@ -11,12 +11,13 @@ import pytest
 from repro import APSPEngine, SolveRequest
 from repro.common.config import EngineConfig
 from repro.common.errors import ConfigurationError, SolverError
-from repro.bench.runner import graph_for_algebra, reference_closure
 from repro.core.api import solve_apsp
+from repro.graph.generators import graph_for_algebra
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
 from repro.sequential.floyd_warshall import (floyd_warshall_blocked,
-                                             floyd_warshall_numpy)
+                                             floyd_warshall_numpy,
+                                             reference_closure)
 from repro.sequential.repeated_squaring import repeated_squaring_apsp
 
 ALGEBRAS = ("shortest-path", "widest-path", "most-reliable", "reachability")

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro import APSPEngine, SolveRequest
-from repro.bench.runner import graph_for_algebra
 from repro.common.config import EngineConfig
 from repro.core import building_blocks as bb
 from repro.core.registry import solver_catalog
+from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import get_algebra
 from repro.linalg.kernels import semiring_closure
 from repro.sequential.floyd_warshall import floyd_warshall_numpy

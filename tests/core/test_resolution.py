@@ -1,8 +1,7 @@
-"""One resolved solve: plan, result, fit and tuner cannot disagree.
+"""One resolved solve: plan, result and tuner cannot disagree.
 
 Every consumer of a :class:`~repro.core.request.SolveRequest` — the
-planner, the executed result, the cost-model fit's feature extractor and
-the auto-tuner's decision — goes through
+planner, the executed result and the auto-tuner's decision — goes through
 :func:`repro.core.base.resolve_plan`.  This module states that as a
 property over the registries: every registered solver (plus ``"auto"``) ×
 requested layout × input form × block size × partition count, on tiny,
@@ -11,25 +10,20 @@ ragged and multi-block problem sizes.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.cluster import fitting
 from repro.common.config import EngineConfig
 from repro.core.engine import APSPEngine
 from repro.core.registry import available_solvers
 from repro.core.request import SolveRequest
-from repro.core.tuner import active_calibration
 from repro.graph.adjacency import is_symmetric_adjacency
 from repro.graph.generators import (directed_erdos_renyi_adjacency,
                                     erdos_renyi_adjacency)
 from repro.linalg.blocks import BlockGrid, num_blocks
 
 CONFIG = EngineConfig(backend="serial", num_executors=2, cores_per_executor=2)
-REQUEST_FIELDS = tuple(SolveRequest.__dataclass_fields__)
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +36,6 @@ def geometry(record) -> tuple:
     """What a plan, a result and a decision must agree on."""
     return (record.solver, record.n, record.block_size, record.storage,
             record.layout)
-
-
-def archived_params(request: SolveRequest, n: int) -> dict:
-    """The flat dict a bench archive records for ``request`` on this engine."""
-    params = {name: getattr(request, name) for name in REQUEST_FIELDS
-              if name not in ("validate", "tag")}
-    return {**params, "n": n, "backend": CONFIG.backend,
-            "num_executors": CONFIG.num_executors,
-            "cores_per_executor": CONFIG.cores_per_executor}
 
 
 @pytest.mark.parametrize("num_partitions", [None, 3])
@@ -98,13 +83,3 @@ def test_plan_result_fit_and_tuner_agree(engine, solver, n, layout, symmetric,
         assert (decision["solver"], decision["n"], decision["block_size"],
                 decision["storage"], decision["layout"]) == geometry(plan)
 
-    # The fit is handed the same plan, and prices the archived params dict
-    # exactly as it prices the request that dict round-trips to.
-    params = archived_params(plan.request, n)
-    refit, total_cores = fitting.plan_from_params(params)
-    assert total_cores == CONFIG.total_cores
-    assert dataclasses.replace(plan, adjacency=None) == refit
-    constants, _ = active_calibration()
-    assert fitting.predict_seconds(params, constants) == \
-        fitting.predict_plan_seconds(plan, constants, backend=CONFIG.backend,
-                                     total_cores=total_cores)

@@ -10,13 +10,13 @@ for a fixed calibration document.
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench import graph_for_algebra
 from repro.cluster import fitting
 from repro.common.config import EngineConfig
 from repro.common.errors import ConfigurationError
@@ -24,6 +24,7 @@ from repro.core import tuner
 from repro.core.engine import APSPEngine
 from repro.core.registry import solver_info, solvers_for
 from repro.core.request import SolveRequest
+from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import available_algebras, get_algebra
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -181,8 +182,8 @@ class TestTunerEdges:
 
     def test_calibration_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "cal.json"
+        shutil.copyfile(CALIBRATION_PATH, target)
         doc = fitting.load_calibration(CALIBRATION_PATH)
-        fitting.write_calibration(doc, str(target))
         monkeypatch.setenv(tuner.CALIBRATION_ENV, str(target))
         constants, source = tuner.active_calibration()
         assert source == str(target)
