@@ -70,8 +70,7 @@ def element_bytes(algebra=None, dtype: str | None = None,
 
 def rank1_update_seconds(n: int, *, algebra=None, dtype: str | None = None,
                          storage: str | None = None, orientations: int = 1,
-                         witnessed: bool = False,
-                         calibration: KernelCalibration | None = None) -> float:
+                         witnessed: bool = False) -> float:
     """Estimated seconds to relax a cached ``n x n`` closure through one edge.
 
     One edge insertion is a rank-1 sweep — one ⊗ and one ⊕ per closure cell,
@@ -81,16 +80,15 @@ def rank1_update_seconds(n: int, *, algebra=None, dtype: str | None = None,
     narrower element storage scales the bandwidth-bound sweep by its byte
     ratio against the float64 the calibration rates were anchored on.
     """
-    cal = calibration if calibration is not None else KernelCalibration.paper()
-    seconds = float(n) * n * max(1, int(orientations)) / cal.minplus_rate
+    seconds = (float(n) * n * max(1, int(orientations))
+               / KernelCalibration.paper().minplus_rate)
     if witnessed:
         seconds *= 2.0
     return seconds * element_bytes(algebra, dtype, storage) / 8.0
 
 
 def full_resolve_seconds(n: int, *, algebra=None, dtype: str | None = None,
-                         storage: str | None = None,
-                         calibration: KernelCalibration | None = None) -> float:
+                         storage: str | None = None) -> float:
     """Estimated seconds to rebuild the closure from scratch (``n^3`` sweep).
 
     The alternative a batched update is weighed against: the sequential
@@ -98,15 +96,13 @@ def full_resolve_seconds(n: int, *, algebra=None, dtype: str | None = None,
     ratio as :func:`rank1_update_seconds` so the comparison stays
     apples-to-apples under packed or narrow-dtype storage.
     """
-    cal = calibration if calibration is not None else KernelCalibration.paper()
-    seconds = float(n) ** 3 / cal.floyd_warshall_rate
+    seconds = float(n) ** 3 / KernelCalibration.paper().floyd_warshall_rate
     return seconds * element_bytes(algebra, dtype, storage) / 8.0
 
 
 def update_break_even(n: int, *, algebra=None, dtype: str | None = None,
                       storage: str | None = None, orientations: int = 1,
-                      witnessed: bool = False,
-                      calibration: KernelCalibration | None = None) -> int:
+                      witnessed: bool = False) -> int:
     """Batch size past which a full re-closure beats per-edge rank-1 sweeps.
 
     ``full_resolve_seconds / rank1_update_seconds`` — roughly ``0.46 n`` for
@@ -116,9 +112,9 @@ def update_break_even(n: int, *, algebra=None, dtype: str | None = None,
     """
     per_edge = rank1_update_seconds(n, algebra=algebra, dtype=dtype,
                                     storage=storage, orientations=orientations,
-                                    witnessed=witnessed, calibration=calibration)
+                                    witnessed=witnessed)
     resolve = full_resolve_seconds(n, algebra=algebra, dtype=dtype,
-                                   storage=storage, calibration=calibration)
+                                   storage=storage)
     if per_edge <= 0.0:
         return 1
     return max(1, int(resolve / per_edge))
@@ -127,8 +123,7 @@ def update_break_even(n: int, *, algebra=None, dtype: str | None = None,
 def predicted_task_seconds(n: int, block_size: int, *,
                            num_partitions: int | None = None,
                            algebra=None, dtype: str | None = None,
-                           storage: str | None = None,
-                           calibration: KernelCalibration | None = None) -> float:
+                           storage: str | None = None) -> float:
     """Estimated wall seconds of one stage task (one partition's block kernels).
 
     The scheduler's *soft* task timeout is this prediction times
@@ -139,11 +134,10 @@ def predicted_task_seconds(n: int, block_size: int, *,
     only needs to be the right order of magnitude (the scheduler floors the
     derived timeout well above any test-scale task wall).
     """
-    cal = calibration if calibration is not None else KernelCalibration.paper()
     q = num_blocks(n, block_size)
     parts = max(1, int(num_partitions) if num_partitions else 1)
     blocks_per_task = max(1.0, float(q) * q / parts)
-    per_block = float(block_size) ** 3 / cal.minplus_rate
+    per_block = float(block_size) ** 3 / KernelCalibration.paper().minplus_rate
     return blocks_per_task * per_block * element_bytes(algebra, dtype, storage) / 8.0
 
 
@@ -492,19 +486,6 @@ class CostModel:
                                 algebra=algebra, dtype=dtype, storage=storage,
                                 layout=layout)
         return best
-
-    # ------------------------------------------------------------------ dynamic updates
-    def rank1_update_seconds(self, n: int, **kwargs) -> float:
-        """Per-edge incremental-update estimate under this model's calibration."""
-        return rank1_update_seconds(n, calibration=self.calibration, **kwargs)
-
-    def full_resolve_seconds(self, n: int, **kwargs) -> float:
-        """Full re-closure estimate under this model's calibration."""
-        return full_resolve_seconds(n, calibration=self.calibration, **kwargs)
-
-    def update_break_even(self, n: int, **kwargs) -> int:
-        """Incremental-vs-resolve break-even batch size under this calibration."""
-        return update_break_even(n, calibration=self.calibration, **kwargs)
 
     # ------------------------------------------------------------------ baselines
     def sequential_seconds(self, n: int) -> float:

@@ -8,10 +8,11 @@ This module holds the driver-side state and kernels behind
 :meth:`~repro.core.engine.APSPEngine.update`:
 
 * :class:`ClosureState` — the cached artifacts of one solve (closure,
-  adjacency, optional witness planes and packed-bitset mirror).  Updates
-  mutate the arrays **in place**, so a serving layer holding the same
-  arrays stays coherent for free; a CSR adjacency stays CSR and is replaced
-  by a new matrix per edit instead;
+  adjacency, optional witness planes and packed-bitset mirror).  A batch
+  runs on a private :meth:`~ClosureState.fork` and is published by
+  :meth:`~ClosureState.commit`, so arrays a reader already holds are never
+  written — every committed batch is a new version, the way each iteration
+  of the paper's solvers derives a new RDD; a CSR adjacency stays CSR;
 * *improvements* (insertions / weight decreases) as per-edge rank-1 sweeps
   through the dense, packed or witnessed kernels — exact in any absorptive
   semiring because an optimal path uses a freshly improved edge at most
@@ -36,6 +37,7 @@ iterations of ``X ← B ⊕ (A_RR ⊗ X)``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,17 +113,17 @@ def update_batch_for_algebra(n: int, seed: int, algebra="shortest-path",
 class ClosureState:
     """The cached artifacts of one solve that dynamic updates maintain.
 
-    ``distances`` (and ``parents`` for witnessed solves) are the *same*
-    arrays the solve returned — and, through
-    :meth:`~repro.core.engine.APSPEngine.serve`, the same arrays the
-    :class:`~repro.serve.service.RouteService` reads — so in-place updates
-    keep every consumer coherent without copies.  ``adjacency`` is the one
-    edge source updates classify against and edit, held for the closure's
-    whole life in the form it was ingested: a prepared dense algebra-domain
-    matrix is written in place; a canonical CSR stays a CSR — every edit
-    rebinds ``adjacency`` to a *new* CSR
-    (:func:`~repro.graph.sparse.csr_with_edge`, O(nnz)) and never writes the
-    old one, so a reader holding it sees one immutable version.
+    One instance is the session's closure for its whole life, but the
+    arrays it holds are a *published version*: nothing writes them once they
+    are bound here.  An update batch edits a private :meth:`fork` in place
+    (rank-1 sweeps, row recomputes, or :meth:`adopt` of a re-solve), and
+    :meth:`commit` rebinds this state to the draft — so a
+    :class:`~repro.serve.service.RouteService` handed the old arrays keeps
+    reading one consistent closure, and a failed batch is simply a dropped
+    draft.  ``adjacency`` is the one edge source updates classify against
+    and edit, held in the form it was ingested: a prepared dense
+    algebra-domain matrix, or a canonical CSR that every edit rebinds to a
+    *new* CSR (:func:`~repro.graph.sparse.csr_with_edge`, O(nnz)).
     Packed-storage solves additionally carry a
     :class:`~repro.linalg.bitset.PackedBlock` mirror of the closure so the
     rank-1 sweeps run on words, not bytes.
@@ -170,65 +172,41 @@ class ClosureState:
                 self._undirected = is_symmetric_adjacency(self.adjacency)
         return self._undirected
 
-    def replace_closure(self, result) -> None:
-        """Adopt a freshly re-solved closure *in place* (resolve fallback).
-
-        ``np.copyto`` preserves the identity of ``distances``/``parents``,
-        which is what keeps a serving layer bound to the same arrays live.
-        """
-        np.copyto(self.distances,
-                  np.asarray(result.distances, dtype=self.distances.dtype))
-        if self.parents is not None:
-            if result.parents is None:
-                raise ValidationError(
-                    "re-solve of a witnessed closure returned no parents")
-            np.copyto(self.parents, result.parents)
-        if self.packed is not None:
-            self.packed = bitset.PackedBlock.from_dense(self.distances)
-
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Capture every mutable artifact, so a failed update can roll back.
+    def fork(self) -> "ClosureState":
+        """A private draft of this state for one update batch to work on.
 
-        The engine takes one snapshot per update batch and calls
-        :meth:`restore` if anything in the batch, including a re-solve
-        fallback, raises.  ``distances`` / ``parents`` (and a dense
-        adjacency) are written in place, so they are copied — O(n²), bounded
-        by the cost of a single rank-1 sweep.  A CSR adjacency is captured by
-        reference: edits rebind it and never write the old object.
+        ``distances`` / ``parents`` (and a dense adjacency) are copied —
+        O(n²), bounded by the cost of a single rank-1 sweep — so the batch
+        may write them freely; a CSR adjacency is held by reference, since
+        edits rebind it and never write the old object.
         """
-        adjacency = self.adjacency
-        return {
-            "distances": self.distances.copy(),
-            "parents": None if self.parents is None else self.parents.copy(),
-            "adjacency": (adjacency if sparse_mod.is_sparse(adjacency)
-                          else adjacency.copy()),
-            "undirected": self._undirected,
-            "updates_applied": self.updates_applied,
-            "edges_applied": self.edges_applied,
-        }
+        draft = copy.copy(self)
+        draft.distances = self.distances.copy()
+        if self.parents is not None:
+            draft.parents = self.parents.copy()
+        if not sparse_mod.is_sparse(self.adjacency):
+            draft.adjacency = self.adjacency.copy()
+        if self.packed is not None:
+            draft.packed = self.packed.copy()
+        return draft
 
-    def restore(self, snapshot: dict) -> None:
-        """Roll back to a :meth:`snapshot`, preserving array identity.
-
-        ``distances``/``parents`` (and a dense adjacency) are restored with
-        ``np.copyto`` so a serving layer bound to the same ndarrays keeps
-        reading the last good closure; a CSR adjacency is re-bound to the
-        identical pre-batch object, which a serving layer never stopped
-        holding.
-        """
-        np.copyto(self.distances, snapshot["distances"])
-        if self.parents is not None and snapshot["parents"] is not None:
-            np.copyto(self.parents, snapshot["parents"])
-        if sparse_mod.is_sparse(snapshot["adjacency"]):
-            self.adjacency = snapshot["adjacency"]
-        else:
-            np.copyto(self.adjacency, snapshot["adjacency"])
+    def adopt(self, result) -> None:
+        """Bind a fresh re-solve of this draft's adjacency (resolve fallback)."""
+        if self.parents is not None and result.parents is None:
+            raise ValidationError(
+                "re-solve of a witnessed closure returned no parents")
+        self.distances, self.parents = result.distances, result.parents
         if self.packed is not None:
             self.packed = bitset.PackedBlock.from_dense(self.distances)
-        self._undirected = snapshot["undirected"]
-        self.updates_applied = snapshot["updates_applied"]
-        self.edges_applied = snapshot["edges_applied"]
+
+    def commit(self, draft: "ClosureState") -> None:
+        """Publish a finished draft: rebind every field of this state to it.
+
+        The arrays this state held before are never written again, so a
+        reader still holding them keeps one consistent version.
+        """
+        vars(self).update(vars(draft))
 
 
 @dataclass
@@ -244,18 +222,14 @@ class UpdateOutcome:
     changed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
 
-def update_estimates(state: ClosureState, batch_size: int, *,
-                     calibration=None) -> dict:
+def update_estimates(state: ClosureState, batch_size: int) -> dict:
     """Cost-model verdict for a batch against this state: sweep vs re-solve."""
     orientations = 2 if state.undirected else 1
     kwargs = dict(algebra=state.algebra, dtype=state.request.dtype,
-                  storage=state.request.storage, calibration=calibration)
+                  storage=state.request.storage)
     per_edge = rank1_update_seconds(state.n, orientations=orientations,
                                     witnessed=state.witnessed, **kwargs)
-    resolve = full_resolve_seconds(state.n, algebra=state.algebra,
-                                   dtype=state.request.dtype,
-                                   storage=state.request.storage,
-                                   calibration=calibration)
+    resolve = full_resolve_seconds(state.n, **kwargs)
     break_even = update_break_even(state.n, orientations=orientations,
                                    witnessed=state.witnessed, **kwargs)
     return {

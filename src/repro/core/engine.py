@@ -135,6 +135,9 @@ class APSPEngine:
         self._started_at: float | None = None
         self._service: RouteService | None = None
         self._closure: ClosureState | None = None
+        #: The closure ``_service`` was opened on: update() publishes to the
+        #: service only while that is still the session's closure.
+        self._served_closure: ClosureState | None = None
         self._update_batches = 0
         self._update_edges = 0
         self._updates_incremental = 0
@@ -328,16 +331,15 @@ class APSPEngine:
         result = self.solve(adjacency, req, keep_closure=True)
         # Row solves read edges from the same domain the solver saw: prepared
         # dense (missing = algebra zero) or canonical CSR — never densified.
-        # Binding the service to the cached ClosureState's arrays (same
-        # ndarray identity) is what keeps it coherent across update():
-        # in-place closure/adjacency mutations are visible without copies,
-        # and update() hands over each new CSR version it commits.
+        # The service starts on the closure's first version; update()
+        # publishes each later one to it.
         assert self._closure is not None
         service = RouteService(result.distances, self._closure.adjacency,
                                req.algebra, budget_bytes=budget_bytes,
                                max_rows=max_rows,
                                result=result if keep_result else None)
         self._service = service
+        self._served_closure = self._closure
         return service
 
     def route(self, src: int, dst: int) -> RouteAnswer:
@@ -361,8 +363,7 @@ class APSPEngine:
         """The cached closure from the last ``keep_closure`` solve / serve()."""
         return self._closure
 
-    def update(self, edges, *, force: str | None = None,
-               calibration=None) -> UpdateReport:
+    def update(self, edges, *, force: str | None = None) -> UpdateReport:
         """Apply a batch of edge updates to the session's cached closure.
 
         ``edges`` is an iterable of :class:`~repro.core.request.EdgeUpdate`
@@ -383,8 +384,14 @@ class APSPEngine:
         model (a non-absorptive algebra such as longest-path still refuses
         ``"incremental"``: rank-1 sweeps are unsound there).
 
-        An open serving session bound to this closure is kept coherent:
-        exactly the changed rows are invalidated from its parent-row cache.
+        The batch runs on a private draft of the closure
+        (:meth:`~repro.core.dynamic.ClosureState.fork`) and is published only
+        once it has fully succeeded: the cached closure is rebound to the
+        draft, and a serving session opened on this closure receives the new
+        version plus exactly the changed rows to drop from its parent-row
+        cache.  On any failure — mid-sweep or in the re-solve fallback —
+        nothing is published: closure and service keep the last good
+        version, the service is marked degraded, and the error is re-raised.
         Returns an :class:`~repro.core.request.UpdateReport` with the
         decision, per-kind edge counts, and the cost-model estimates.
         """
@@ -397,8 +404,7 @@ class APSPEngine:
             raise ConfigurationError(
                 f"force must be None, 'incremental' or 'resolve', got {force!r}")
         batch = dynamic.coerce_edges(edges)
-        estimates = dynamic.update_estimates(state, len(batch),
-                                             calibration=calibration)
+        estimates = dynamic.update_estimates(state, len(batch))
         if not batch:
             return UpdateReport(
                 mode="noop", reason="empty batch", edges=0,
@@ -428,37 +434,32 @@ class APSPEngine:
                       f"{estimates['break_even_edges']}")
         start = time.perf_counter()
         changed_rows: np.ndarray | None = None  # None = every row changed
-        bound_service = (self._service if self._service is not None
-                         and self._service.distances is state.distances
+        bound_service = (self._service if self._served_closure is state
                          else None)
-        # The whole batch is transactional: any failure — mid-sweep or in the
-        # re-solve fallback — rolls the closure back to this snapshot, so a
-        # bound RouteService keeps answering from the last good closure
-        # (degraded, but never torn).
-        snapshot = state.snapshot()
+        draft = state.fork()
         try:
             if mode == "incremental":
                 outcome = dynamic.apply_incremental(
-                    state, batch, allow_fallback=force != "incremental")
+                    draft, batch, allow_fallback=force != "incremental")
                 if outcome.fallback_reason is not None:
                     mode, reason = "resolve", outcome.fallback_reason
-                    self._resolve_closure(state)
+                    self._resolve_closure(draft)
                 else:
                     changed_rows = np.flatnonzero(outcome.changed)
             else:
                 outcome = dynamic.fold_edges(
-                    state, batch,
+                    draft, batch,
                     dynamic.UpdateOutcome(changed=np.ones(state.n, dtype=bool)))
-                self._resolve_closure(state)
-        except Exception as exc:  # noqa: BLE001 — rolled back, then re-raised
-            state.restore(snapshot)
+                self._resolve_closure(draft)
+        except Exception as exc:  # noqa: BLE001 — draft dropped, re-raised
             self._updates_failed += 1
             if bound_service is not None:
                 bound_service.mark_degraded(exc)
             raise
         elapsed = time.perf_counter() - start
-        state.updates_applied += 1
-        state.edges_applied += len(batch)
+        draft.updates_applied += 1
+        draft.edges_applied += len(batch)
+        state.commit(draft)
         self._update_batches += 1
         self._update_edges += len(batch)
         self._update_seconds += elapsed
@@ -467,8 +468,8 @@ class APSPEngine:
         else:
             self._updates_resolved += 1
         if bound_service is not None:
-            bound_service.notify_update(changed_rows,
-                                        adjacency=state.adjacency)
+            bound_service.publish(state.distances, state.adjacency,
+                                  changed_rows)
             bound_service.mark_healthy()
         return UpdateReport(
             mode=mode, reason=reason, edges=len(batch),
@@ -483,19 +484,16 @@ class APSPEngine:
             estimated_resolve_seconds=estimates["resolve_seconds"],
             break_even_edges=estimates["break_even_edges"])
 
-    def _resolve_closure(self, state: ClosureState) -> APSPResult:
-        """Full re-closure of the state's (already mutated) adjacency.
+    def _resolve_closure(self, draft: ClosureState) -> None:
+        """Full re-closure of a draft's (already edited) adjacency.
 
         The adjacency round-trips through the normal solve path in the form
         it is held — a prepared domain matrix (zero-valued cells are absorbed
         by ⊕, the diagonal is re-pinned to ``one``) or a canonical CSR,
-        ingested without densifying as on a first solve — and the fresh
-        closure is copied *into* the cached arrays so serving-layer bindings
-        survive.
+        ingested without densifying as on a first solve — and the draft
+        adopts the fresh arrays; nothing is copied.
         """
-        result = self.solve(state.adjacency, state.request)
-        state.replace_closure(result)
-        return result
+        draft.adopt(self.solve(draft.adjacency, draft.request))
 
     # ------------------------------------------------------------------ planning
     def plan(self, adjacency: np.ndarray, request: SolveRequest | None = None,

@@ -23,6 +23,11 @@ byte/row budget, and every query feeds the
 :class:`~repro.serve.analytics.ServeAnalytics` stream (latency percentiles,
 per-stage attribution), so ``stats()`` can say not just *how slow* but
 *which stage* and *whose cache miss*.
+
+The closure itself is served as immutable *versions*: each committed
+:meth:`~repro.core.engine.APSPEngine.update` batch is handed over by
+:meth:`RouteService.publish`, every query reads one version from start to
+finish, and the cache only ever holds rows of the newest one.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,13 +84,22 @@ class RouteAnswer:
         return f"{self.src} -> {self.dst}: {route} ({self.distance})"
 
 
+class _Version(NamedTuple):
+    """One published closure, its adjacency and the edges row solves read."""
+
+    distances: np.ndarray
+    adjacency: object
+    row_edges: object
+
+
 class RouteService:
     """Answer distance + path queries from a solved closure, one row at a time.
 
     Parameters
     ----------
     distances:
-        The solved ``n x n`` closure matrix (any witness-capable algebra).
+        The solved ``n x n`` closure matrix (any witness-capable algebra) —
+        the first version served; :meth:`publish` replaces it.
     adjacency:
         The *prepared* adjacency the closure was solved from — dense in the
         algebra's domain (missing edges = ``zero``, diagonal = ``one``) or
@@ -110,21 +125,17 @@ class RouteService:
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValidationError(
                 f"closure matrix must be square, got shape {dist.shape}")
-        if adjacency.shape != dist.shape:
-            raise ValidationError(
-                f"adjacency shape {adjacency.shape} does not match the "
-                f"closure shape {dist.shape}")
-        self.distances = dist
-        self._bind_adjacency(adjacency)
         self.n = dist.shape[0]
         self._zero = self.algebra.zero_like(dist.dtype)
+        self._version = self._bind(dist, adjacency, None)
         self.cache = ParentRowCache(budget_bytes=budget_bytes, max_rows=max_rows)
         self.analytics = ServeAnalytics()
         self.closure_result = result
-        # One lock serializes cache/analytics/degradation mutations (queries
-        # under the threads backend arrive concurrently); per-source locks
-        # dedup row solves so N simultaneous misses for one source pay one
-        # O(n²) solve, while misses for different sources still parallelize.
+        # One lock serializes version swaps and cache/analytics/degradation
+        # mutations (queries under the threads backend arrive concurrently);
+        # per-source locks dedup row solves so N simultaneous misses for one
+        # source pay one O(n²) solve, while misses for different sources
+        # still parallelize.
         self._lock = threading.RLock()
         self._row_locks: dict[int, threading.Lock] = {}
         self._degraded = False
@@ -132,12 +143,50 @@ class RouteService:
         self._failed_update_batches = 0
         self._degraded_since: float | None = None
 
-    def _bind_adjacency(self, adjacency) -> None:
-        """Bind one adjacency version; a CSR's edge arrays are derived here,
-        once per version, instead of on every cache miss."""
-        self.adjacency = adjacency
-        self._row_edges = (witness.CsrEdges.of(adjacency, self.distances.dtype)
-                           if is_sparse(adjacency) else adjacency)
+    def _bind(self, distances, adjacency, current: _Version | None) -> _Version:
+        """Validate one closure version; a CSR's edge arrays are derived here,
+        once per adjacency version, instead of on every cache miss."""
+        dist = np.asarray(distances)
+        if adjacency.shape != dist.shape or dist.shape != (self.n, self.n):
+            raise ValidationError(
+                f"adjacency shape {adjacency.shape} / closure shape "
+                f"{dist.shape} does not match n={self.n}")
+        if current is not None and adjacency is current.adjacency:
+            row_edges = current.row_edges
+        elif is_sparse(adjacency):
+            row_edges = witness.CsrEdges.of(adjacency, dist.dtype)
+        else:
+            row_edges = adjacency
+        return _Version(dist, adjacency, row_edges)
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The closure matrix of the newest published version."""
+        return self._version.distances
+
+    @property
+    def adjacency(self):
+        """The adjacency of the newest published version."""
+        return self._version.adjacency
+
+    def publish(self, distances, adjacency, changed_rows=None) -> int:
+        """Serve a new closure version and drop the cached rows it changed.
+
+        Called once per committed :meth:`~repro.core.engine.APSPEngine.update`
+        batch with arrays nothing writes afterwards; queries already running
+        finish on the version they started with.  ``changed_rows`` lists the
+        sources whose parent rows may have changed (``None`` = every row, the
+        re-solve fallback).  Returns the number of rows dropped.
+        """
+        version = self._bind(distances, adjacency, self._version)
+        with self._lock:
+            self._version = version
+            if changed_rows is None:
+                return self.cache.invalidate()
+            dropped = 0
+            for source in np.asarray(changed_rows).reshape(-1).tolist():
+                dropped += self.cache.invalidate(int(source))
+            return dropped
 
     # ------------------------------------------------------------------ rows
     def parent_row(self, source: int, *,
@@ -154,27 +203,36 @@ class RouteService:
         finds the row cached (their second lookup counts as the hit it is).
         """
         source = self._check_vertex(source, "source")
+        return self._parent_row(source, self._version, stages)[0]
+
+    def _parent_row(self, source: int, version: _Version,
+                    stages: dict[str, float] | None
+                    ) -> tuple[np.ndarray, bool]:
+        """``(row, cached)`` for ``source`` under one closure version.
+
+        The cache holds rows of the current version only: a call on a
+        superseded version solves its own row and leaves the cache alone.
+        """
         with self._lock:
-            if self.cache.peek(source) is not None:
-                return self.cache.lookup(source)
+            if version is self._version and self.cache.peek(source) is not None:
+                return self.cache.lookup(source), True
             row_lock = self._row_locks.setdefault(source, threading.Lock())
         with row_lock:
             with self._lock:
-                if self.cache.peek(source) is not None:
+                current = version is self._version
+                if current and self.cache.peek(source) is not None:
                     # A concurrent solver beat us to the store while we
                     # waited on the row lock; count the hit it is.
-                    return self.cache.lookup(source)
-                # We are the solver for this source: count this call's one
-                # miss now (every parent_row call is exactly one hit or one
-                # miss, no matter how many threads pile onto a cold source).
-                self.cache.lookup(source)
-                # One adjacency version per row: an update may rebind it
-                # between the solve and the repair below.
-                adjacency, row_edges = self.adjacency, self._row_edges
+                    return self.cache.lookup(source), True
+                if current:
+                    # We are the solver for this source: count this call's
+                    # one miss now (every current-version call is exactly one
+                    # hit or miss, however many threads pile onto a source).
+                    self.cache.lookup(source)
             start = time.perf_counter()
-            row = witness.solve_parent_row(source, self.distances,
-                                           row_edges, self.algebra)
-            reachable = self.distances[source] != self._zero
+            row = witness.solve_parent_row(source, version.distances,
+                                           version.row_edges, self.algebra)
+            reachable = version.distances[source] != self._zero
             consistent = witness.consistent_parent_row(row, source,
                                                        reachable=reachable)
             solve_seconds = time.perf_counter() - start
@@ -182,52 +240,29 @@ class RouteService:
                 stages["row_solve"] = stages.get("row_solve", 0.0) + solve_seconds
             if not consistent:
                 start = time.perf_counter()
-                row = witness.rebuild_parent_row(source, self.distances,
-                                                 adjacency, self.algebra)
+                row = witness.rebuild_parent_row(source, version.distances,
+                                                 version.adjacency, self.algebra)
                 if stages is not None:
                     stages["repair"] = (stages.get("repair", 0.0)
                                         + time.perf_counter() - start)
             with self._lock:
-                self.cache.store(source, row)
+                self._store(source, row, version)
                 self._row_locks.pop(source, None)
-        return row
+        return row, False
 
-    def notify_update(self, changed_rows=None, *, adjacency=None) -> int:
-        """Drop parent rows whose sources a dynamic closure update changed.
-
-        The engine calls this after :meth:`~repro.core.engine.APSPEngine.update`
-        mutated the closure in place: the distances array the service reads
-        is already current (same ndarray), but cached parent rows for the
-        changed sources describe paths that may no longer be optimal — or,
-        after a deletion, no longer exist.  ``changed_rows`` is an iterable
-        of source indices (``None`` = drop every cached row, the re-solve
-        fallback).  ``adjacency`` rebinds the edge source when the update
-        replaced it: a dense plane is edited in place and arrives as the
-        object already bound, while every edit of a CSR-ingested closure
-        yields a new CSR that row solves must follow.  Returns the number of
-        rows dropped.
-        """
+    def _store(self, source: int, row: np.ndarray, version: _Version) -> None:
+        """Cache a row unless a newer version was published since its solve."""
         with self._lock:
-            if adjacency is not None and adjacency is not self.adjacency:
-                if adjacency.shape != self.distances.shape:
-                    raise ValidationError(
-                        f"updated adjacency shape {adjacency.shape} does not "
-                        f"match the closure shape {self.distances.shape}")
-                self._bind_adjacency(adjacency)
-            if changed_rows is None:
-                return self.cache.invalidate()
-            dropped = 0
-            for source in np.asarray(changed_rows).reshape(-1).tolist():
-                dropped += self.cache.invalidate(int(source))
-            return dropped
+            if version is self._version:
+                self.cache.store(source, row)
 
     # ------------------------------------------------------------------ degradation
     def mark_degraded(self, error: BaseException) -> None:
-        """Enter degraded mode: a closure update failed and was rolled back.
+        """Enter degraded mode: a closure update failed and published nothing.
 
-        The service keeps answering every query from the last good closure
-        (the rollback restored it in place); this only records *that* the
-        closure is stale and why, for :meth:`stats` to surface.
+        The service keeps answering every query from the last version it
+        was published; this only records *that* that version is stale and
+        why, for :meth:`stats` to surface.
         """
         with self._lock:
             self._degraded = True
@@ -267,6 +302,9 @@ class RouteService:
     def route(self, src: int, dst: int) -> RouteAnswer:
         """Answer one query: distance plus the optimal path's vertex list.
 
+        The distance, the parent row and any repair all come from the one
+        closure version that was published when the query started, so an
+        update committing mid-query never mixes two versions into an answer.
         Unreachable pairs return ``path=None`` (valid answer; no parent row
         is ever solved for them).  Endpoint validation errors raise before
         anything is recorded; a genuinely inconsistent closure raises
@@ -277,7 +315,8 @@ class RouteService:
         dst = self._check_vertex(dst, "destination")
         start = time.perf_counter()
         stages: dict[str, float] = {}
-        distance = self.distances[src, dst]
+        version = self._version
+        distance = version.distances[src, dst]
         if src == dst:
             elapsed = time.perf_counter() - start
             with self._lock:
@@ -289,10 +328,8 @@ class RouteService:
                 self.analytics.record_query(elapsed, stages=stages,
                                             unreachable=True)
             return RouteAnswer(src, dst, distance, None, None, False, elapsed)
-        with self._lock:
-            hit = src in self.cache
         try:
-            row = self.parent_row(src, stages=stages)
+            row, hit = self._parent_row(src, version, stages)
             walk_start = time.perf_counter()
             try:
                 path = witness.walk_parent_row(row, src, dst)
@@ -302,10 +339,9 @@ class RouteService:
                 stages["path_walk"] = (stages.get("path_walk", 0.0)
                                        + time.perf_counter() - walk_start)
                 repair_start = time.perf_counter()
-                row = witness.rebuild_parent_row(src, self.distances,
-                                                 self.adjacency, self.algebra)
-                with self._lock:
-                    self.cache.store(src, row)
+                row = witness.rebuild_parent_row(src, version.distances,
+                                                 version.adjacency, self.algebra)
+                self._store(src, row, version)
                 stages["repair"] = (stages.get("repair", 0.0)
                                     + time.perf_counter() - repair_start)
                 walk_start = time.perf_counter()

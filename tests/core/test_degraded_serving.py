@@ -1,11 +1,12 @@
 """Transactional updates + degraded-mode serving tests.
 
-``engine.update()`` is all-or-nothing: when any part of a batch fails, the
-cached :class:`ClosureState` is rolled back to its pre-batch snapshot (same
-ndarray identity, so serving bindings survive) and a bound
-:class:`RouteService` keeps answering from the last good closure, surfacing
-``degraded`` / ``last_error`` / ``staleness`` through ``stats()`` until a
-later batch succeeds.
+``engine.update()`` is all-or-nothing: a batch runs on a private draft of the
+cached :class:`ClosureState` and is published only once it has fully
+succeeded.  When any part of it fails the draft is dropped — the closure
+keeps the very arrays it had — and a bound :class:`RouteService` keeps
+answering from the last published version, surfacing ``degraded`` /
+``last_error`` / ``staleness`` through ``stats()`` until a later batch
+succeeds.
 """
 
 import numpy as np
@@ -37,14 +38,14 @@ class _InjectedUpdateFailure(SolverError):
 
 @pytest.fixture
 def failing_incremental(monkeypatch):
-    """Make the next incremental update blow up mid-apply (after mutation)."""
+    """Make the next incremental update blow up mid-apply (after writing)."""
     real = dynamic.apply_incremental
     state = {"arm": 0}
 
     def wrapper(closure, batch, **kwargs):
         if state["arm"] > 0:
             state["arm"] -= 1
-            # Mutate first so the test proves rollback, not merely "no-op".
+            # Write first so the test proves isolation, not merely "no-op".
             closure.distances[0, :] = closure.algebra.zero
             raise _InjectedUpdateFailure("injected mid-update failure")
         return real(closure, batch, **kwargs)
@@ -80,17 +81,24 @@ class TestTransactionalRollback:
             assert report.mode == "incremental"
             assert engine.closure.distances[0, 5] == pytest.approx(0.01)
 
-    def test_snapshot_restore_roundtrip_is_exact(self, adjacency):
+    def test_failed_batch_leaves_published_arrays_untouched(
+            self, adjacency, failing_incremental):
         with _engine() as engine:
-            engine.solve(adjacency, REQUEST, keep_closure=True)
+            engine.solve(adjacency, SolveRequest(solver="blocked-cb",
+                                                 block_size=8, paths=True),
+                         keep_closure=True)
             state = engine.closure
-            snapshot = state.snapshot()
-            before = np.array(state.distances, copy=True)
-            state.distances[:] = 0.0
-            state.updates_applied += 5
-            state.restore(snapshot)
-            assert np.array_equal(state.distances, before)
-            assert state.updates_applied == snapshot["updates_applied"]
+            published = {"distances": state.distances,
+                         "parents": state.parents,
+                         "adjacency": state.adjacency}
+            before = {name: array.copy() for name, array in published.items()}
+            failing_incremental["arm"] = 1
+            with pytest.raises(_InjectedUpdateFailure):
+                engine.update([(0, 5, 0.01)])
+            for name, array in published.items():
+                assert getattr(state, name) is array, name
+                assert np.array_equal(array, before[name]), name
+            assert state.updates_applied == 0
 
 
 class TestDegradedServing:
@@ -178,10 +186,10 @@ class TestDegradedServing:
 
 
 class TestCsrRollback:
-    """A CSR-ingested closure rolls back to the *identical* pre-batch CSR.
+    """A failed batch leaves a CSR-ingested closure on the *identical* CSR.
 
-    Edits rebind ``state.adjacency`` to new CSR objects and never write the
-    old one, so the snapshot holds it by reference and a degraded service —
+    Edits rebind the draft's adjacency to new CSR objects and never write the
+    old one, so the draft holds it by reference and a degraded service —
     which was never handed the half-applied versions — keeps reading it.
     """
 
@@ -204,7 +212,7 @@ class TestCsrRollback:
         for (src, dst), clean in answers.items():
             again = service.route(src, dst)
             assert (again.distance, again.path) == (clean.distance, clean.path)
-        # A cold source solves its row against the restored adjacency.
+        # A cold source solves its row against the last published adjacency.
         cold = service.route(N - 1, 0)
         assert cold.cached is False or cold.path is None
 
@@ -242,12 +250,11 @@ class TestCsrRollback:
             assert service.route(0, 5).distance == pytest.approx(0.01)
 
     def test_failure_inside_the_resolve(self, csr, monkeypatch):
-        def adoption_fails(self, result):
-            self.distances[0, :] = self.algebra.zero
+        def adoption_fails(draft, result):
+            draft.distances[0, :] = draft.algebra.zero
             raise _InjectedUpdateFailure("injected re-solve failure")
 
-        monkeypatch.setattr(dynamic.ClosureState, "replace_closure",
-                            adoption_fails)
+        monkeypatch.setattr(dynamic.ClosureState, "adopt", adoption_fails)
         with _engine() as engine:
             service, pre_batch, before, answers = self.serve(engine, csr)
             with pytest.raises(_InjectedUpdateFailure):

@@ -548,17 +548,19 @@ class TestCsrIngestedClosure:
                            semiring_closure(mirror, "shortest-path"))
 
     def test_incremental_batch_allocates_no_adjacency_sized_array(self, engine):
-        """At n=512 the only n² allocations a batch makes are the snapshot's
-        distance copy and sweep temporaries — nothing n² *survives* it (the
-        first batch used to leave a dense n x n adjacency behind)."""
+        """At n=512 the only n² allocations a batch makes are the draft's
+        distance copy — which replaces the published version it was forked
+        from — and sweep temporaries: nothing n² *survives* it on net (the
+        first batch used to leave a dense n x n adjacency behind).  Tracing
+        starts before the solve so the released version is counted too."""
         import tracemalloc
         from repro.graph.sparse import random_geometric_sparse
         n = 512
         csr = random_geometric_sparse(n, seed=3)
-        engine.serve(csr, SolveRequest(solver="blocked-cb", block_size=128))
-        state = engine.closure
         tracemalloc.start()
         try:
+            engine.serve(csr, SolveRequest(solver="blocked-cb", block_size=128))
+            state = engine.closure
             before = tracemalloc.take_snapshot()
             report = engine.update([EdgeUpdate(3, 400, 0.001),
                                     EdgeUpdate(17, 250, 0.002)])

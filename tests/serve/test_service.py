@@ -196,7 +196,7 @@ class TestSparseInput:
     def test_edge_arrays_are_derived_once_per_adjacency_version(
             self, adjacency, monkeypatch):
         """Misses read the arrays bound with the CSR; ``tocoo`` runs when an
-        adjacency is bound (constructor, ``notify_update``), not per miss."""
+        adjacency is bound (constructor, ``publish``), not per miss."""
         from repro.linalg import witness
         csr = validate_adjacency(dense_to_csr(adjacency), allow_sparse=True)
         closure = floyd_warshall_reference(adjacency)
@@ -212,10 +212,10 @@ class TestSparseInput:
                 row, witness.solve_parent_row(src, closure, csr,
                                               service.algebra))
         del conversions[:]
-        service.notify_update(adjacency=csr)           # same version: no-op
+        service.publish(closure, csr, [])             # same adjacency: no-op
         assert conversions == []
         newer = csr.copy()
-        service.notify_update(adjacency=newer)
+        service.publish(closure, newer, [])
         service.parent_row(0)
         service.parent_row(1)
         assert len(conversions) == 1 and conversions[0] is newer
@@ -232,7 +232,7 @@ class TestSparseInput:
         seen = []
 
         def update_lands_then_row_looks_cyclic(row, source, **kwargs):
-            service.notify_update([], adjacency=newer)
+            service.publish(service.distances, newer, [])
             return False
 
         monkeypatch.setattr(witness, "consistent_parent_row",
@@ -345,6 +345,8 @@ class TestRouteQuery:
 
 
 class TestNotifyUpdate:
+    """``publish``: how an update batch notifies the service."""
+
     def _service(self, adjacency):
         closure = floyd_warshall_reference(adjacency)
         edges = validate_adjacency(adjacency, algebra="shortest-path")
@@ -354,7 +356,8 @@ class TestNotifyUpdate:
         service = self._service(adjacency)
         service.route(0, 5)
         service.route(7, 3)
-        dropped = service.notify_update([0, 9])
+        dropped = service.publish(service.distances, service.adjacency,
+                                  [0, 9])
         assert dropped == 1                      # only source 0 was cached
         assert service.stats()["cache_invalidations"] == 1
 
@@ -362,20 +365,18 @@ class TestNotifyUpdate:
         service = self._service(adjacency)
         service.route(0, 5)
         service.route(7, 3)
-        assert service.notify_update() == 2
+        assert service.publish(service.distances, service.adjacency) == 2
 
     def test_adjacency_rebind_shape_checked(self, adjacency):
         service = self._service(adjacency)
         with pytest.raises(ValidationError):
-            service.notify_update([0], adjacency=np.eye(3))
+            service.publish(service.distances, np.eye(3), [0])
 
     def test_rebound_adjacency_serves_new_routes(self, adjacency):
         service = self._service(adjacency)
         new_adjacency = validate_adjacency(adjacency, algebra="shortest-path")
         new_adjacency[0, 5] = new_adjacency[5, 0] = 0.001
-        closure = service.distances
-        closure[:] = floyd_warshall_reference(new_adjacency)
-        service.notify_update(adjacency=new_adjacency)
+        service.publish(floyd_warshall_reference(new_adjacency), new_adjacency)
         answer = service.route(0, 5)
         assert tuple(answer.path) == (0, 5)
         assert np.isclose(answer.distance, 0.001)

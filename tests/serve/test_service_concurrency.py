@@ -3,19 +3,27 @@
 Many threads issue route queries against one :class:`RouteService` (and its
 shared :class:`ParentRowCache`) while updates invalidate rows underneath —
 answers must stay correct, counters must reconcile, and concurrent misses for
-one source must be deduplicated into a single row solve.
+one source must be deduplicated into a single row solve.  Queries racing
+``engine.update()`` must each be answered from one published closure version.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.common.config import EngineConfig
+from repro.common.errors import SolverError
+from repro.core.dynamic import update_batch_for_algebra
+from repro.core.engine import APSPEngine
+from repro.core.request import SolveRequest
 from repro.graph.generators import erdos_renyi_adjacency
 from repro.linalg import witness
 from repro.sequential.floyd_warshall import floyd_warshall_reference
 from repro.graph.adjacency import validate_adjacency
+from repro.serve import fold_route
 from repro.serve.cache import ParentRowCache
 from repro.serve.service import RouteService
 
@@ -127,7 +135,7 @@ class TestRouteHammer:
         assert stats["cache_hits"] == THREADS - 1
 
     def test_hammer_with_concurrent_invalidation(self, adjacency, closure):
-        """Queries racing notify_update: every answer matches the reference."""
+        """Queries racing publish: every answer matches the reference."""
         service = _service(closure, adjacency, max_rows=4)
         rng = np.random.default_rng(13)
         stop = threading.Event()
@@ -135,7 +143,8 @@ class TestRouteHammer:
 
         def invalidator():
             while not stop.is_set():
-                service.notify_update([int(rng.integers(N))])
+                service.publish(closure, service.adjacency,
+                                [int(rng.integers(N))])
 
         def querier(seed):
             q_rng = np.random.default_rng(seed)
@@ -177,3 +186,114 @@ class TestRouteHammer:
             flip.join()
         service.mark_healthy()
         assert service.stats()["degraded"] is False
+
+
+def _answered_by(answer, distances, adjacency) -> bool:
+    """True when one closure version gives both the answer's distance and a
+    path of that weight."""
+    if distances[answer.src, answer.dst] != answer.distance:
+        return False
+    if answer.path is None:
+        return bool(np.isinf(answer.distance))
+    try:
+        weight = fold_route(adjacency, answer.path, "shortest-path")
+    except SolverError:  # a step that is not an edge of this version
+        return False
+    return bool(np.isclose(weight, answer.distance))
+
+
+class TestPublishedVersions:
+    """``engine.update()`` racing queries on the service it publishes to."""
+
+    N = 40
+    REQUEST = SolveRequest(solver="blocked-cb", block_size=8)
+
+    @pytest.fixture(params=["dense", "csr"])
+    def graph(self, request):
+        adjacency = erdos_renyi_adjacency(self.N, seed=9)
+        if request.param == "dense":
+            return adjacency
+        import scipy.sparse as sp
+        rows, cols = np.nonzero(np.isfinite(adjacency)
+                                & ~np.eye(self.N, dtype=bool))
+        return sp.csr_matrix((adjacency[rows, cols], (rows, cols)),
+                             shape=adjacency.shape)
+
+    def test_row_solved_before_an_update_is_not_cached(self, graph,
+                                                       monkeypatch):
+        """A miss solves source 0's row; before it is stored, an update
+        commits a shortcut out of source 0.  The stale row must not answer
+        any later query."""
+        real = witness.solve_parent_row
+        solved, release = threading.Event(), threading.Event()
+
+        def solve_then_block(source, *args, **kwargs):
+            row = real(source, *args, **kwargs)
+            if source == 0 and not solved.is_set():
+                solved.set()
+                assert release.wait(5.0)
+            return row
+
+        with APSPEngine(EngineConfig(backend="serial")) as engine:
+            service = engine.serve(graph, self.REQUEST)
+            old_adjacency = service.adjacency
+            monkeypatch.setattr(witness, "solve_parent_row", solve_then_block)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                in_flight = pool.submit(service.route, 0, 32)
+                try:
+                    assert solved.wait(5.0)
+                    engine.update([(0, 32, 1e-3)])
+                finally:
+                    release.set()
+                before = in_flight.result(timeout=5.0)
+            answer = service.route(0, 32)
+            assert answer.distance == pytest.approx(1e-3)
+            assert fold_route(service.adjacency, answer.path,
+                              "shortest-path") == pytest.approx(answer.distance)
+            # The in-flight query was answered whole from its own version.
+            assert fold_route(old_adjacency, before.path,
+                              "shortest-path") == pytest.approx(before.distance)
+
+    def test_every_answer_reads_one_committed_version(self, graph):
+        n = self.N
+        with APSPEngine(EngineConfig(backend="serial")) as engine:
+            service = engine.serve(graph, self.REQUEST, max_rows=8)
+            versions = [(service.distances, service.adjacency)]
+            answers, errors = [], []
+            stop = threading.Event()
+
+            def querier(seed):
+                rng = np.random.default_rng(seed)
+                try:
+                    while not stop.is_set():
+                        src, dst = rng.integers(n, size=2).tolist()
+                        answers.append(service.route(src, dst))
+                        time.sleep(1e-4)  # leave the updater the GIL
+                except Exception as exc:  # noqa: BLE001 — asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=querier, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            try:
+                batches = [update_batch_for_algebra(n, seed, count=3)
+                           for seed in range(4)]
+                first = batches[0][0]
+                batches.append([(first.u, first.v)])  # delete an inserted edge
+                for batch in batches:
+                    time.sleep(0.01)
+                    engine.update(batch)
+                    state = engine.closure
+                    versions.append((state.distances, state.adjacency))
+                time.sleep(0.01)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join()
+        assert errors == []
+        assert len(answers) > len(batches)
+        distinct = {(a.src, a.dst, a.distance, a.path): a for a in answers}
+        for answer in distinct.values():
+            assert any(_answered_by(answer, *version)
+                       for version in versions), answer
