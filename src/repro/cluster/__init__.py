@@ -19,11 +19,9 @@ auto-tuner (:mod:`repro.core.tuner`) resolves ``solver="auto"`` requests.
 from repro.cluster.model import (
     NodeSpec,
     NetworkSpec,
-    SharedStorageSpec,
     SparkOverheadSpec,
     ClusterSpec,
     paper_cluster,
-    small_test_cluster,
 )
 from repro.cluster.calibration import KernelCalibration, measure_kernel_times
 from repro.cluster.costmodel import (
@@ -44,11 +42,9 @@ from repro.cluster.fitting import (
 __all__ = [
     "NodeSpec",
     "NetworkSpec",
-    "SharedStorageSpec",
     "SparkOverheadSpec",
     "ClusterSpec",
     "paper_cluster",
-    "small_test_cluster",
     "KernelCalibration",
     "measure_kernel_times",
     "element_bytes",

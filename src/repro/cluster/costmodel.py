@@ -127,12 +127,13 @@ def predicted_task_seconds(n: int, block_size: int, *,
     """Estimated wall seconds of one stage task (one partition's block kernels).
 
     The scheduler's *soft* task timeout is this prediction times
-    ``EngineConfig.task_timeout_multiplier``: an attempt running far past the
-    modelled kernel time is a straggler and worth speculating against.  The
-    estimate is deliberately simple — blocks per partition × the calibrated
-    per-block min-plus product time, scaled by element width — because it
-    only needs to be the right order of magnitude (the scheduler floors the
-    derived timeout well above any test-scale task wall).
+    :data:`~repro.spark.scheduler.SOFT_TIMEOUT_MULTIPLIER`: an attempt
+    running far past the modelled kernel time is a straggler and worth
+    speculating against.  The estimate is deliberately simple — blocks per
+    partition × the calibrated per-block min-plus product time, scaled by
+    element width — because it only needs to be the right order of
+    magnitude (the scheduler floors the derived timeout well above any
+    test-scale task wall).
     """
     q = num_blocks(n, block_size)
     parts = max(1, int(num_partitions) if num_partitions else 1)
@@ -219,7 +220,8 @@ class CostModel:
     #: Per-task driver-side dispatch cost and per-stage fixed cost (scheduling,
     #: synchronization, Python-worker round trips).  Anchored on the 2D
     #: Floyd-Warshall iterations of Table 2, which are nearly pure scheduling
-    #: overhead (~17 s per iteration with ~2 stages x 2048 tasks at p = 1024).
+    #: overhead: ~16-21 s per iteration at p = 1024, B = 2, essentially
+    #: independent of the block size (~17 s with ~2 stages x 2048 tasks).
     task_dispatch_seconds: float = 1.0e-3
     stage_overhead_seconds: float = 4.0
     #: Straggler slack when there is little over-decomposition: Spark can only
@@ -227,14 +229,6 @@ class CostModel:
     #: through, which is why the paper insists on B >= 2 (Section 5.3).  The
     #: compute and shuffle terms are multiplied by ``1 + coefficient / B``.
     straggler_coefficient: float = 0.3
-    #: When true, the model charges both orientations of each stored
-    #: upper-triangular block as separate kernel invocations (Section 4 notes
-    #: that symmetric storage "increases computational costs of processing
-    #: tasks").  The paper's measured single-iteration times are consistent
-    #: with the transpose update being obtained for free (it is the transpose
-    #: of the stored update), so the default is False; Repeated Squaring always
-    #: pays both roles because its column products genuinely differ.
-    duplicate_transpose_work: bool = False
     #: Memo for partitioner-imbalance factors (they are pure functions of the
     #: partitioner, q and the partition count, and expensive for large q).
     _imbalance_cache: dict = field(default_factory=dict, repr=False)
@@ -321,7 +315,6 @@ class CostModel:
         element_size = element_bytes(algebra, dtype, storage)
         block_bytes = self._block_bytes(b, element_size)
         stored_blocks = float(BlockGrid(q, layout).count)
-        role_factor = 2.0 if self.duplicate_transpose_work else 1.0
         imbalance = self.imbalance_factor(partitioner, n, block_size, p,
                                           partitions_per_core, layout)
         imbalance *= 1.0 + self.straggler_coefficient / max(1, partitions_per_core)
@@ -348,7 +341,7 @@ class CostModel:
 
         if solver == "fw-2d":
             # Rank-1 update of every stored block: b^2 work per block.
-            update_ops = stored_blocks * role_factor * float(b) ** 2
+            update_ops = stored_blocks * float(b) ** 2
             compute = update_ops / mp_rate / p * imbalance
             # The broadcast pivot column is a dense vector even under packed
             # block storage, so it is sized by the element dtype alone.
@@ -373,8 +366,10 @@ class CostModel:
         else:
             # Blocked methods share the three-phase structure.
             sequential = float(b) ** 3 / fw_rate                       # phase 1 pivot block
-            phase2_products = 2.0 * (q - 1) * role_factor
-            phase3_products = max(0.0, stored_blocks - 2 * (q - 1) - 1) * role_factor
+            # One product per stored block: a mirror's update is the transpose
+            # of the stored one, so symmetric storage adds no kernel work.
+            phase2_products = 2.0 * (q - 1)
+            phase3_products = max(0.0, stored_blocks - 2 * (q - 1) - 1)
             # Granularity: phase 2 rarely has enough tasks to fill p cores.
             phase2_time = math.ceil(phase2_products / p) * float(b) ** 3 / mp_rate
             phase3_time = phase3_products * float(b) ** 3 / mp_rate / p * imbalance

@@ -1,9 +1,10 @@
 """Machine model of the evaluation cluster.
 
-Defaults follow Section 5 of the paper: 32 nodes, two 16-core Skylake
-processors and 192 GB of RAM per node (1,024 cores / 6 TB total), 1 TB of
-local SSD per node used by Spark for shuffle staging, GbE interconnect, and a
-shared GPFS file system used by the impure solvers as a broadcast channel.
+Defaults follow Section 5 of the paper: 32 nodes of two 16-core Skylake
+processors (1,024 cores total), 1 TB of local SSD per node used by Spark for
+shuffle staging, and a GbE interconnect.  The shared GPFS file system the
+impure solvers use as a broadcast channel is priced by
+:class:`~repro.cluster.costmodel.CostModel`'s own bandwidths.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ MIB = 1024 ** 2
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One cluster node."""
+    """One cluster node: its cores and the local SSD Spark stages shuffles on."""
 
     cores: int = 32
-    memory_bytes: int = 192 * GIB
     local_storage_bytes: int = 1024 * GIB      # 1 TB SSD for Spark local staging
     #: Effective sequential SSD bandwidth for shuffle restaging (writes are
     #: absorbed by the page cache and overlap with compute, so the effective
@@ -42,39 +42,29 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class SharedStorageSpec:
-    """Shared persistent storage (GPFS) available to the driver and all executors."""
-
-    write_bandwidth: float = 1024 * MIB        # aggregate write bandwidth, bytes/s
-    read_bandwidth_per_node: float = 500 * MIB # per-client read bandwidth, bytes/s
-
-
-@dataclass(frozen=True)
 class SparkOverheadSpec:
-    """Empirical Spark runtime overheads.
+    """Spark's driver -> executors broadcast channel.
 
-    ``task_overhead`` models scheduling + serialization + Python worker
-    dispatch per task; ``stage_overhead`` models per-stage fixed latency
-    (DAG scheduling, synchronization).  The defaults are chosen so the 2D
-    Floyd-Warshall per-iteration time reported in Table 2 (~16-21 s at
-    p = 1024, B = 2, essentially independent of the block size) is reproduced,
-    since that solver's iterations are almost pure overhead.
+    Scheduling overheads are priced by
+    :class:`~repro.cluster.costmodel.CostModel` itself
+    (``task_dispatch_seconds``, ``stage_overhead_seconds``), which also
+    carries the driver collect bandwidth.
     """
 
-    task_overhead: float = 4.0e-3
-    stage_overhead: float = 0.5
-    collect_bandwidth: float = 125 * MIB       # executors -> driver, bytes/s
     broadcast_bandwidth: float = 125 * MIB     # driver -> executors, bytes/s
 
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """A homogeneous cluster."""
+    """A homogeneous cluster: ``num_nodes`` identical nodes on one network.
+
+    The shared GPFS bandwidths the impure solvers stage through are
+    :class:`~repro.cluster.costmodel.CostModel` fields.
+    """
 
     num_nodes: int = 32
     node: NodeSpec = field(default_factory=NodeSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
-    shared_storage: SharedStorageSpec = field(default_factory=SharedStorageSpec)
     spark: SparkOverheadSpec = field(default_factory=SparkOverheadSpec)
 
     def __post_init__(self) -> None:
@@ -86,38 +76,7 @@ class ClusterSpec:
         """Cores across all nodes."""
         return self.num_nodes * self.node.cores
 
-    @property
-    def total_memory_bytes(self) -> int:
-        """Aggregate RAM across all nodes."""
-        return self.num_nodes * self.node.memory_bytes
-
-    @property
-    def total_local_storage_bytes(self) -> int:
-        """Aggregate local (spill) storage across all nodes."""
-        return self.num_nodes * self.node.local_storage_bytes
-
-    def with_cores(self, total_cores: int) -> "ClusterSpec":
-        """Return a cluster scaled to ``total_cores`` (same per-node shape).
-
-        Used by the weak-scaling study, which varies ``p`` from 64 to 1024 on
-        the same hardware by using fewer nodes.
-        """
-        if total_cores <= 0:
-            raise ConfigurationError("total_cores must be positive")
-        cores_per_node = self.node.cores
-        nodes = max(1, (total_cores + cores_per_node - 1) // cores_per_node)
-        return ClusterSpec(num_nodes=nodes, node=self.node, network=self.network,
-                           shared_storage=self.shared_storage, spark=self.spark)
-
 
 def paper_cluster() -> ClusterSpec:
     """The 32-node / 1,024-core cluster of Section 5."""
     return ClusterSpec()
-
-
-def small_test_cluster() -> ClusterSpec:
-    """A small cluster model for unit tests (4 nodes x 4 cores, tiny storage)."""
-    return ClusterSpec(
-        num_nodes=4,
-        node=NodeSpec(cores=4, memory_bytes=8 * GIB, local_storage_bytes=2 * GIB),
-    )

@@ -9,11 +9,10 @@ from repro.common.errors import (
     FaultInjectedError,
 )
 from repro.common.config import EngineConfig, default_config
-from repro.common.rng import make_rng, spawn_rngs
+from repro.common.rng import make_rng
 from repro.common.timing import Timer, Stopwatch, format_seconds
 from repro.common.validation import (
     check_square_matrix,
-    check_nonnegative_weights,
     check_block_size,
     check_positive_int,
 )
@@ -28,12 +27,10 @@ __all__ = [
     "EngineConfig",
     "default_config",
     "make_rng",
-    "spawn_rngs",
     "Timer",
     "Stopwatch",
     "format_seconds",
     "check_square_matrix",
-    "check_nonnegative_weights",
     "check_block_size",
     "check_positive_int",
 ]

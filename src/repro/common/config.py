@@ -49,9 +49,6 @@ class EngineConfig:
     shared_fs_dir:
         Directory backing the shared-filesystem broadcast channel (paper:
         GPFS).  ``None`` means "create a temporary directory on first use".
-    default_parallelism:
-        Default number of partitions for RDDs created without an explicit
-        partition count.
     retry:
         The :class:`~repro.common.retry.BackoffPolicy` governing every retry
         site (task re-execution, worker-crash recovery, staged-block repair).
@@ -59,23 +56,15 @@ class EngineConfig:
         :attr:`seed` by the scheduler so distinct engine sessions decorrelate.
     task_timeout_seconds:
         Explicit soft per-task timeout.  ``None`` derives it from the cost
-        model's predicted task wall × :attr:`task_timeout_multiplier` when a
-        solver publishes a prediction; without either, no soft timeout.
-    task_timeout_multiplier:
-        Factor applied to the cost model's predicted per-task wall to obtain
-        the soft timeout (stragglers slower than this trigger speculation).
+        model's predicted task wall (see
+        :data:`~repro.spark.scheduler.SOFT_TIMEOUT_MULTIPLIER`) when a solver
+        publishes a prediction; without either, no soft timeout.
     speculation:
         Launch a speculative copy of a task whose soft timeout expired
         (``threads``/``processes`` backends); first result wins.
     stage_timeout_seconds:
         Hard deadline for one stage.  Expiry raises a diagnosable
         :class:`~repro.common.errors.TaskTimeoutError` instead of hanging.
-    staging_lineage_limit:
-        Bound on the shared-filesystem lineage registry (staged values the
-        driver retains for re-staging lost/corrupt blocks).
-    staging_restage_limit:
-        Re-stages allowed per staged block before the loss becomes a
-        :class:`~repro.common.errors.LineageError`.
     """
 
     backend: str = "serial"
@@ -83,15 +72,11 @@ class EngineConfig:
     cores_per_executor: int = 2
     local_storage_bytes: int | None = None
     shared_fs_dir: str | None = None
-    default_parallelism: int | None = None
     seed: int = 1234
     retry: BackoffPolicy = field(default_factory=BackoffPolicy)
     task_timeout_seconds: float | None = None
-    task_timeout_multiplier: float = 4.0
     speculation: bool = True
     stage_timeout_seconds: float | None = None
-    staging_lineage_limit: int = 256
-    staging_restage_limit: int = 3
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -105,14 +90,8 @@ class EngineConfig:
             raise ConfigurationError("local_storage_bytes must be >= 0 or None")
         if self.task_timeout_seconds is not None and self.task_timeout_seconds <= 0:
             raise ConfigurationError("task_timeout_seconds must be > 0 or None")
-        if self.task_timeout_multiplier <= 0:
-            raise ConfigurationError("task_timeout_multiplier must be > 0")
         if self.stage_timeout_seconds is not None and self.stage_timeout_seconds <= 0:
             raise ConfigurationError("stage_timeout_seconds must be > 0 or None")
-        if self.staging_lineage_limit < 0:
-            raise ConfigurationError("staging_lineage_limit must be >= 0")
-        if self.staging_restage_limit < 0:
-            raise ConfigurationError("staging_restage_limit must be >= 0")
 
     @property
     def total_cores(self) -> int:
@@ -122,8 +101,6 @@ class EngineConfig:
     @property
     def parallelism(self) -> int:
         """Default number of partitions used when none is requested."""
-        if self.default_parallelism is not None:
-            return self.default_parallelism
         return max(2, self.total_cores)
 
     def resolve_shared_fs_dir(self) -> str:

@@ -21,21 +21,6 @@ def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | np.random.Generator | None, count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` independent child generators from a parent seed.
-
-    Used when work is split across partitions/tasks and each task needs its
-    own statistically independent stream (e.g. per-partition edge sampling in
-    the distributed Erdős–Rényi generator).
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    parent = make_rng(seed)
-    return [np.random.default_rng(s) for s in parent.bit_generator.seed_seq.spawn(count)] \
-        if hasattr(parent.bit_generator, "seed_seq") and parent.bit_generator.seed_seq is not None \
-        else [np.random.default_rng(parent.integers(0, 2**63 - 1)) for _ in range(count)]
-
-
 def derive_seed(seed: int, *components: int) -> int:
     """Derive a stable 63-bit seed from a base seed and integer components."""
     mask = (1 << 64) - 1

@@ -46,25 +46,6 @@ def check_square_matrix(matrix: np.ndarray, name: str = "matrix", *,
     return np.asarray(arr, dtype=dtype)
 
 
-def check_nonnegative_weights(matrix: np.ndarray, name: str = "matrix", *,
-                              algebra=None) -> np.ndarray:
-    """Validate ``matrix`` against an algebra's weight precondition.
-
-    Historically this enforced non-negativity unconditionally; that is really
-    a (min, +) precondition, so the check now lives behind the algebra's
-    input-validator hook: ``most-reliable`` requires weights in ``[0, 1]``,
-    ``longest-path`` requires a DAG, and ``reachability`` needs nothing.
-    With no ``algebra`` (the default) the behaviour is unchanged — the
-    (min, +) non-negativity check on a float64 matrix.
-    """
-    from repro.linalg.algebra import get_algebra
-    resolved = get_algebra(algebra)
-    arr = check_square_matrix(matrix, name,
-                              dtype=np.float64 if algebra is None else None)
-    resolved.validate_input(arr, name)
-    return arr
-
-
 def check_block_size(block_size: int, n: int) -> int:
     """Validate a block-decomposition parameter ``b`` against problem size ``n``."""
     b = check_positive_int(block_size, "block_size")
@@ -72,19 +53,3 @@ def check_block_size(block_size: int, n: int) -> int:
     if b > n:
         raise ValidationError(f"block_size ({b}) must not exceed n ({n})")
     return b
-
-
-def check_symmetric(matrix: np.ndarray, name: str = "matrix", *, atol: float = 0.0,
-                    dtype: np.dtype | str | None = np.float64) -> np.ndarray:
-    """Validate that ``matrix`` equals its transpose (treating inf==inf as equal)."""
-    arr = check_square_matrix(matrix, name, dtype=dtype)
-    if arr.dtype == np.bool_:
-        if not bool(np.array_equal(arr, arr.T)):
-            raise ValidationError(f"{name} must be symmetric (undirected graph)")
-        return arr
-    a, at = arr, arr.T
-    both_inf = np.isinf(a) & np.isinf(at) & (np.sign(a) == np.sign(at))
-    close = np.isclose(a, at, atol=atol, rtol=0.0, equal_nan=True) | both_inf
-    if not bool(close.all()):
-        raise ValidationError(f"{name} must be symmetric (undirected graph)")
-    return arr

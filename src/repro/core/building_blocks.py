@@ -247,20 +247,6 @@ class FloydWarshallBlock:
         return key, ops.fw_inplace(ops.copy(block), self.algebra)
 
 
-def mat_min(record: BlockRecord, other: np.ndarray,
-            algebra: Semiring | str | None = None) -> BlockRecord:
-    """``MatMin``: elementwise ⊕ of the record's block with ``other``."""
-    key, block = record
-    return key, elementwise_combine(block, other, algebra)
-
-
-def mat_prod(record: BlockRecord, other: np.ndarray,
-             algebra: Semiring | str | None = None) -> BlockRecord:
-    """``MatProd``: semiring product of the record's block with ``other``."""
-    key, block = record
-    return key, semiring_product(block, other, algebra)
-
-
 def min_plus(record: BlockRecord, other: np.ndarray, *, other_on_left: bool = False,
              algebra: Semiring | str | None = None) -> BlockRecord:
     """``MinPlus``: ``MatProd`` followed by ``MatMin`` against the original block.

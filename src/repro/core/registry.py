@@ -170,11 +170,6 @@ def solver_supports_algebra(solver_name: str, algebra: str) -> bool:
     return solver_info(solver_name).supports_algebra(algebra)
 
 
-def solver_supports_layout(solver_name: str, layout: str) -> bool:
-    """True when the (resolved) solver declares support for the block layout."""
-    return solver_info(solver_name).supports_layout(layout)
-
-
 def available_solvers() -> list[str]:
     """Return the canonical names of the registered solvers, sorted."""
     return sorted(_REGISTRY)

@@ -264,11 +264,6 @@ class EdgeUpdate:
                     f"edge weight must be a number or None, got "
                     f"{self.weight!r}") from None
 
-    @property
-    def is_deletion(self) -> bool:
-        """True when this update removes the edge (``weight is None``)."""
-        return self.weight is None
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         if self.weight is None:

@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from repro.common.config import BACKENDS, EngineConfig
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.timing import format_seconds
 from repro.core.api import available_solvers, solver_catalog
 from repro.core.dynamic import update_batch_for_algebra
@@ -46,7 +46,6 @@ def _load_input_graph(path: str):
     a :class:`repro.graph.io.LoadedGraph` — the adjacency plus the
     directedness the file resolved to, which feeds ``layout="auto"``.
     """
-    from repro.common.errors import ValidationError
     try:
         return graph_io.load_graph(path)
     except (ValidationError, OSError) as exc:
@@ -76,7 +75,7 @@ def _print_route(result, adjacency, algebra, route, tolerances) -> bool:
     unreachable pair is reported but is not an error.
     """
     from repro import serve as serve_mod
-    from repro.common.errors import SolverError, ValidationError
+    from repro.common.errors import SolverError
     from repro.linalg.witness import NO_VERTEX
     src, dst = route
     try:
@@ -366,15 +365,22 @@ def _serve_main(args) -> int:
     """
     import numpy as np
     from repro import serve as serve_mod
-    from repro.common.errors import SolverError, ValidationError
+    from repro.common.errors import SolverError
+    budget = (None if args.cache_budget_kb is None
+              else int(args.cache_budget_kb * 1024))
     try:
+        if args.cache_rows is not None and args.cache_rows < 1:
+            raise ConfigurationError(
+                f"--cache-rows must be >= 1, got {args.cache_rows}")
+        if budget is not None and budget < 1:
+            raise ConfigurationError(
+                f"--cache-budget-kb must allow at least 1 byte, "
+                f"got {args.cache_budget_kb}")
         config, request, adjacency = _open_instance(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     n = adjacency.shape[0]
-    budget = (None if args.cache_budget_kb is None
-              else max(1, int(args.cache_budget_kb * 1024)))
     try:
         if args.command == "route":
             if len(args.pairs) % 2:
@@ -458,7 +464,7 @@ def _update_main(args) -> int:
     the decision: chosen mode, reason, per-kind edge counts, and the cost
     model's incremental-vs-resolve estimates next to the measured time.
     """
-    from repro.common.errors import SolverError, ValidationError
+    from repro.common.errors import SolverError
     try:
         config, request, adjacency = _open_instance(args)
         edges = []
@@ -508,7 +514,7 @@ def _update_main(args) -> int:
 
 def _chaos_main(args) -> int:
     """Driver for ``apspark chaos``: exit 0 only when recovery was exact."""
-    from repro.common.errors import SolverError, ValidationError
+    from repro.common.errors import SolverError
     from repro.experiments import chaos
     try:
         plan = chaos.build_fault_plan(
@@ -578,7 +584,7 @@ def main(argv=None) -> int:
         try:
             config, request, adjacency = _open_instance(
                 args, paths=bool(args.paths or args.route is not None))
-        except ConfigurationError as exc:
+        except (ConfigurationError, ValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.input is not None:
@@ -641,7 +647,6 @@ def main(argv=None) -> int:
         return _chaos_main(args)
 
     if args.command == "convert":
-        from repro.common.errors import ValidationError
         try:
             n, nnz = graph_io.convert_graph(args.source, args.target)
         except (ValidationError, OSError) as exc:

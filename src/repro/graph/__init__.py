@@ -28,7 +28,7 @@ from repro.graph.adjacency import (
     validate_adjacency,
     num_reachable_pairs,
 )
-from repro.graph.io import (LoadedGraph, save_edge_list, load_edge_list,
+from repro.graph.io import (LoadedGraph, save_edge_list,
                             save_matrix, load_matrix, save_sparse_npz,
                             load_sparse_npz, load_graph, load_external_edges,
                             load_mtx, convert_graph)
@@ -65,7 +65,6 @@ __all__ = [
     "validate_adjacency",
     "num_reachable_pairs",
     "save_edge_list",
-    "load_edge_list",
     "save_matrix",
     "load_matrix",
     "LoadedGraph",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.common.validation import check_square_matrix
-from repro.graph.adjacency import adjacency_from_edges, is_symmetric_adjacency
+from repro.graph.adjacency import is_symmetric_adjacency
 
 
 class LoadedGraph(NamedTuple):
@@ -53,32 +53,6 @@ def save_edge_list(adjacency: np.ndarray, path: str | os.PathLike, *,
             fh.write(f"{u} {v} {float(arr[u, v])!r}\n")
             count += 1
     return count
-
-
-def load_edge_list(path: str | os.PathLike) -> np.ndarray:
-    """Load an edge list written by :func:`save_edge_list` back into a matrix."""
-    n = None
-    directed = False
-    edges: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("n="):
-                        n = int(token[2:])
-                    elif token.startswith("directed="):
-                        directed = bool(int(token[len("directed="):]))
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValidationError(f"malformed edge line: {line!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if n is None:
-        n = 1 + max((max(u, v) for u, v, _ in edges), default=0)
-    return adjacency_from_edges(n, edges, directed=directed)
 
 
 def save_matrix(matrix: np.ndarray, path: str | os.PathLike) -> None:
@@ -151,8 +125,9 @@ def load_external_edges(path: str | os.PathLike, *, directed: bool = False,
     ``#`` and ``%`` start comments.  Unweighted lines get ``default_weight``.
     Vertex ids are taken verbatim (0-based), with ``n`` inferred as the
     largest id + 1; a comment token ``n=N`` pins it explicitly and
-    ``directed=0/1`` overrides the keyword (so files written by
-    :func:`save_edge_list` load with the right orientation).  The default
+    ``directed=0/1`` overrides the keyword.  This is the reader of
+    :func:`save_edge_list`'s format too: its ``# n=N directed=0/1`` header
+    restores the vertex count and orientation.  The default
     ``directed=False`` matches :func:`save_edge_list`,
     :func:`repro.graph.adjacency.adjacency_from_edges` and :func:`load_mtx` —
     the repo-wide canonical default.  Undirected edges are mirrored,

@@ -42,8 +42,6 @@ from repro.linalg.semiring import (
     elementwise_combine,
     closure_iterations,
     minplus_product,
-    minplus_power,
-    elementwise_min,
 )
 from repro.linalg.kernels import (
     floyd_warshall_inplace,
@@ -57,10 +55,8 @@ from repro.linalg.blocks import (
     BlockId,
     num_blocks,
     block_range,
-    block_of_index,
     matrix_to_blocks,
     blocks_to_matrix,
-    BlockedMatrix,
 )
 
 __all__ = [
@@ -91,8 +87,6 @@ __all__ = [
     "closure_iterations",
     "semiring_closure",
     "minplus_product",
-    "minplus_power",
-    "elementwise_min",
     "floyd_warshall_inplace",
     "floyd_warshall",
     "floyd_warshall_scipy",
@@ -101,8 +95,6 @@ __all__ = [
     "BlockId",
     "num_blocks",
     "block_range",
-    "block_of_index",
     "matrix_to_blocks",
     "blocks_to_matrix",
-    "BlockedMatrix",
 ]

@@ -254,11 +254,6 @@ class Semiring:
         return requested
 
     # -- layout policy -----------------------------------------------------
-    @property
-    def default_layout(self) -> str:
-        """The block grid layout this algebra prefers for symmetric inputs."""
-        return self.layouts[0]
-
     def resolve_layout(self, layout: str | None = None, *,
                        directed: bool = False) -> str:
         """Resolve a requested block grid layout against this algebra.

@@ -337,17 +337,6 @@ def packed_or(a: PackedBlock, b: PackedBlock, out: PackedBlock | None = None) ->
     return out
 
 
-def packed_and(a: PackedBlock, b: PackedBlock, out: PackedBlock | None = None) -> PackedBlock:
-    """Elementwise ⊗ (boolean AND), 64 cells per word operation."""
-    _check_same_shape(a, b, "packed ⊗")
-    if out is None:
-        return PackedBlock(np.bitwise_and(a.words, b.words), a.shape)
-    _check_same_shape(a, out, "packed ⊗ (out)")
-    np.bitwise_and(a.words, b.words, out=out.words)
-    out.invalidate_popcount()
-    return out
-
-
 #: Inner indices expanded per vectorized step of the dense-path product; the
 #: ``(m, _K_CHUNK, w)`` uint64 temporary stays well inside L2 for the block
 #: sizes the paper sweeps.

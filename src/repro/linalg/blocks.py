@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.validation import check_block_size, check_square_matrix
-from repro.linalg import witness as witness_mod
-from repro.linalg.payload import WITNESS, payload_ops, storage_ops
+from repro.linalg.payload import payload_ops, storage_ops
 
 #: A block key: (block-row index I, block-column index J).
 BlockId = tuple[int, int]
@@ -43,13 +42,6 @@ def block_range(index: int, block_size: int, n: int) -> slice:
     if start >= n:
         raise ValidationError(f"block index {index} out of range for n={n}, b={block_size}")
     return slice(start, min(start + block_size, n))
-
-
-def block_of_index(i: int, block_size: int) -> int:
-    """Return the block index containing global row/column ``i``."""
-    if i < 0:
-        raise ValidationError("index must be non-negative")
-    return i // block_size
 
 
 def block_shape(block_id: BlockId, block_size: int, n: int) -> tuple[int, int]:
@@ -221,148 +213,3 @@ def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
                 out[block_range(r, b, n), block_range(c, b, n)] = \
                     out[block_range(i, b, n), block_range(j, b, n)].T
     return out
-
-
-@dataclass
-class BlockedMatrix:
-    """A dictionary-backed blocked matrix on a :class:`BlockGrid`.
-
-    This is the in-memory (non-RDD) counterpart of the paper's blocked
-    representation; the Spark solvers use plain ``((I, J), block)`` records in
-    RDDs but share the decomposition helpers above.
-    """
-
-    n: int
-    block_size: int
-    blocks: dict[BlockId, np.ndarray]
-    layout: str = "triangular"
-    storage: str = "dense"
-    #: True when the stored payloads are witnessed (value + parent planes).
-    witness: bool = False
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, block_size: int, *,
-                    layout: str = "triangular",
-                    storage: str = "dense",
-                    witness: bool = False,
-                    algebra=None) -> "BlockedMatrix":
-        """Cut a dense matrix into a dictionary-backed blocked matrix.
-
-        With ``witness=True`` every stored payload is a
-        :class:`~repro.linalg.witness.WitnessBlock` carrying parent (and, on
-        the mirrored triangular grid, successor) planes alongside the values;
-        the matrix must already be in the algebra's domain.
-        """
-        arr = check_square_matrix(matrix, dtype=None)
-        return cls(
-            n=arr.shape[0],
-            block_size=check_block_size(block_size, arr.shape[0]),
-            blocks=dict(matrix_to_blocks(arr, block_size, layout=layout,
-                                         storage=storage, witness=witness,
-                                         algebra=algebra)),
-            layout=layout,
-            storage=storage,
-            witness=witness,
-        )
-
-    @property
-    def q(self) -> int:
-        """Number of block rows/columns."""
-        return num_blocks(self.n, self.block_size)
-
-    @property
-    def grid(self) -> BlockGrid:
-        """The grid deciding which keys are stored and how mirrors are read."""
-        return BlockGrid(self.q, self.layout)
-
-    def get_block(self, i: int, j: int) -> np.ndarray:
-        """Return block ``(i, j)``, transposing its stored mirror if the grid says so.
-
-        Mirrored lookups return a *read-only* transposed view of the stored
-        block: the data is shared (no copy), but writing through it would
-        silently corrupt block ``(j, i)``, so mutation raises instead — call
-        :meth:`set_block` to update.
-
-        On a grid without mirroring, asking for a missing block whose
-        transpose *is* stored raises a :class:`ValidationError` rather than
-        silently answering with the (wrong, transposed) mirror data.
-        """
-        key, transposed = self.grid.locate(i, j)
-        if key not in self.blocks:
-            if (j, i) not in self.blocks:
-                raise KeyError((i, j))
-            raise ValidationError(
-                f"block {(i, j)} is not stored and the {self.layout} layout has "
-                f"no mirror-transpose lookup for it; block {(j, i)} is a distinct "
-                "block of an asymmetric matrix, not this block's transpose")
-        stored = self.blocks[key]
-        if transposed:
-            return payload_ops(stored).transpose(stored, readonly=True)
-        return stored
-
-    def set_block(self, i: int, j: int, value: np.ndarray) -> None:
-        """Store block ``(i, j)`` under the key (and orientation) the grid keeps it at.
-
-        The value is stored in this matrix's representation: dense and packed
-        values convert into each other, witnessed matrices accept only
-        :class:`~repro.linalg.witness.WitnessBlock` values (and plain ones
-        refuse them) — witness planes cannot be invented or dropped.
-        """
-        ops = payload_ops(value)
-        own = storage_ops(self.storage, witness=self.witness)
-        if (ops is WITNESS) != (own is WITNESS):
-            raise ValidationError(
-                f"cannot store a {ops.name} block in a {own.name} BlockedMatrix")
-        if own is not WITNESS:
-            dense = ops.to_dense(value)
-            if dense.dtype.kind not in "fb":
-                dense = dense.astype(np.float64)
-            value = own.encode(dense, copy=False)
-        expected = block_shape((i, j), self.block_size, self.n)
-        if tuple(value.shape) != expected:
-            raise ValidationError(
-                f"block {(i, j)} has shape {tuple(value.shape)}, expected {expected}")
-        key, transposed = self.grid.locate(i, j)
-        if transposed:
-            value = own.transpose(value)
-        self.blocks[key] = own.copy(value)
-
-    def to_matrix(self) -> np.ndarray:
-        """Assemble the dense (values) matrix."""
-        return blocks_to_matrix(self.blocks.items(), self.n, self.block_size,
-                                layout=self.layout)
-
-    def to_matrices(self, *, fill, dtype=None):
-        """Assemble ``(values, parents)`` from a witnessed blocked matrix."""
-        if not self.witness:
-            raise ValidationError(
-                "to_matrices requires a witnessed BlockedMatrix; "
-                "use to_matrix for plain blocks")
-        return witness_mod.witness_blocks_to_matrices(
-            self.blocks.items(), self.n, self.block_size,
-            layout=self.layout, fill=fill, dtype=dtype)
-
-    def block_ids(self) -> list[BlockId]:
-        """Return the stored block keys, sorted row-major."""
-        return sorted(self.blocks.keys())
-
-    def nbytes(self) -> int:
-        """Total bytes held by the stored blocks."""
-        return sum(payload_ops(b).nbytes(b) for b in self.blocks.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockedMatrix):
-            return NotImplemented
-        if (self.n, self.block_size, self.layout) != (other.n, other.block_size, other.layout):
-            return False
-        if set(self.blocks) != set(other.blocks):
-            return False
-
-        def block_equal(a, b) -> bool:
-            """Compare two block payloads, across representations by value."""
-            ops_a, ops_b = payload_ops(a), payload_ops(b)
-            if WITNESS in (ops_a, ops_b):
-                return ops_a is ops_b and a == b
-            return bool(np.array_equal(ops_a.to_dense(a), ops_b.to_dense(b)))
-
-        return all(block_equal(self.blocks[k], other.blocks[k]) for k in self.blocks)

@@ -49,9 +49,7 @@ class PayloadOps:
     * ``encode(window, row_start, col_start, algebra, *, single_plane, copy)``
       — a prepared dense window at a global offset becomes a block
       (``copy=False`` promises the caller owns ``window``);
-    * ``to_dense(block)`` — the values as an ndarray;
-    * ``transpose(block, *, readonly=False)`` — the mirrored role ``A_JI``
-      of ``A_IJ``, optionally frozen so writes cannot reach the source.
+    * ``to_dense(block)`` — the values as an ndarray.
 
     The operations that are compositions of those (``relax``, the
     cache-blocked Floyd-Warshall) are written once, here.
@@ -67,10 +65,6 @@ class PayloadOps:
     def copy(self, block):
         """A deep copy the caller may mutate."""
         return block.copy()
-
-    def nbytes(self, block) -> int:
-        """Bytes the block occupies in memory, in a shuffle and on the wire."""
-        return int(block.nbytes)
 
     def view(self, block, rows: slice, cols: slice):
         """The sub-block ``[rows, cols]``; write results back with :meth:`store`."""
@@ -230,13 +224,6 @@ class DenseOps(PayloadOps):
         """``np.array(block, copy=True)`` (accepts any array-like)."""
         return np.array(block, copy=True)
 
-    def transpose(self, block, *, readonly=False):
-        """A transposed view, optionally frozen so writes cannot reach the mirror."""
-        mirror = np.asarray(block).T
-        if readonly:
-            mirror.flags.writeable = False
-        return mirror
-
     def view(self, block, rows, cols):
         """A writable ndarray view."""
         return block[rows, cols]
@@ -302,10 +289,6 @@ class PackedOps(PayloadOps):
         """Unpack to a boolean ndarray."""
         return block.to_dense()
 
-    def transpose(self, block, *, readonly=False):
-        """A fresh repack of the transposed bits — never aliases the source."""
-        return block.T
-
     def blocked_fw_inplace(self, block, block_size, algebra):
         """Sub-blocks are not word-aligned: run the packed kernel on the whole block."""
         check_block_size(block_size, block.shape[0])
@@ -356,14 +339,6 @@ class WitnessOps(PayloadOps):
     def to_dense(self, block):
         """The values plane."""
         return block.values
-
-    def transpose(self, block, *, readonly=False):
-        """Swap the parent/successor planes; ``readonly`` freezes the views."""
-        mirror = block.T
-        if readonly:
-            for plane in (mirror.values, mirror.parents, mirror.succs):
-                plane.flags.writeable = False
-        return mirror
 
     def view(self, block, rows, cols):
         """A witnessed block of plane views (single-plane stays single-plane)."""

@@ -37,11 +37,6 @@ def elementwise_combine(a, b, algebra: Semiring | str | None = None):
     return payload_ops(a, b, algebra=algebra).combine(a, b, algebra)
 
 
-def elementwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise minimum of two equally-shaped matrices (``MatMin`` of Table 1)."""
-    return elementwise_combine(a, b, None)
-
-
 def semiring_product(a, b,
                      algebra: Semiring | str | None = None, *,
                      out: np.ndarray | None = None):
@@ -96,11 +91,6 @@ def semiring_square(a: np.ndarray,
     return semiring_relax(a, a, a, algebra)
 
 
-def minplus_square(a: np.ndarray) -> np.ndarray:
-    """Min-plus square ``A ⊗ A`` combined with element-wise minimum against ``A``."""
-    return semiring_square(a, None)
-
-
 def semiring_power(a: np.ndarray, exponent: int,
                    algebra: Semiring | str | None = None) -> np.ndarray:
     """Semiring matrix power ``A^exponent`` computed by repeated squaring.
@@ -119,11 +109,6 @@ def semiring_power(a: np.ndarray, exponent: int,
         result = semiring_square(result, algebra)
         e *= 2
     return result
-
-
-def minplus_power(a: np.ndarray, exponent: int) -> np.ndarray:
-    """Min-plus matrix power ``A^exponent`` computed by repeated squaring."""
-    return semiring_power(a, exponent, None)
 
 
 def closure_iterations(n: int) -> int:

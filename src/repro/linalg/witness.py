@@ -28,8 +28,8 @@ With both planes the transpose is closed::
     (V, P, R).T  =  (V.T, R.T, P.T)
 
 which is what lets witnessed blocks flow through ``CopyCol``, the mirror
-lookups of :class:`~repro.linalg.blocks.BlockedMatrix`, and the
-repeated-squaring column orientation completely unchanged.
+reads of :func:`witness_blocks_to_matrices`, and the repeated-squaring
+column orientation completely unchanged.
 
 The successor plane exists *only* to serve those mirrored reads.  Under the
 full-grid directed layout nothing is ever mirrored, so blocks carry a

@@ -3,7 +3,8 @@
 The paper's solvers use a small but specific subset of the Apache Spark RDD
 API: ``parallelize``, ``map``, ``flatMap``, ``filter``, ``union``,
 ``reduceByKey``, ``combineByKey``, ``partitionBy`` with a custom partitioner,
-``cartesian``, ``collect``, ``cache`` and broadcast variables, plus the
+``collect``, ``count``, ``cache`` and broadcast variables (plus
+``mapPartitions``), and the
 behaviours that drive the paper's performance story — shuffles staged through
 per-node local storage, ``union`` preserving parent partitioning, pySpark's
 ``portable_hash`` key partitioning, and a shared file system used as an

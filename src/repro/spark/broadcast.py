@@ -19,29 +19,12 @@ class Broadcast:
     _next_id = 0
 
     def __init__(self, value, metrics=None, num_executors: int = 1) -> None:
-        self._value = value
-        self._destroyed = False
+        self.value = value
         self.nbytes = estimate_size(value)
         self.id = Broadcast._next_id
         Broadcast._next_id += 1
         if metrics is not None:
             metrics.broadcast_performed(self.nbytes * max(1, num_executors))
 
-    @property
-    def value(self):
-        """The broadcast value; raises after :meth:`destroy`."""
-        if self._destroyed:
-            raise RuntimeError("broadcast variable was destroyed")
-        return self._value
-
-    def unpersist(self) -> None:
-        """No-op in-process; kept for API parity with pySpark."""
-
-    def destroy(self) -> None:
-        """Release the value; subsequent access raises."""
-        self._destroyed = True
-        self._value = None
-
     def __repr__(self) -> str:
-        state = "destroyed" if self._destroyed else f"{self.nbytes} bytes"
-        return f"Broadcast(id={self.id}, {state})"
+        return f"Broadcast(id={self.id}, {self.nbytes} bytes)"

@@ -70,11 +70,6 @@ class SparkContext:
         return self._rdd_counter
 
     @property
-    def default_parallelism(self) -> int:
-        """Default partition count (cores x over-decomposition)."""
-        return self.config.parallelism
-
-    @property
     def total_cores(self) -> int:
         """Total executor cores of the simulated cluster."""
         return self.config.total_cores
@@ -91,7 +86,7 @@ class SparkContext:
         if partitioner is not None:
             slices = partitioner.num_partitions
         else:
-            slices = num_partitions or self.default_parallelism
+            slices = num_partitions or self.config.parallelism
         return ParallelCollectionRDD(self, data, slices, partitioner)
 
     def union(self, rdds: Sequence[RDD]) -> RDD:
@@ -116,9 +111,7 @@ class SparkContext:
             self._shared_fs_root = self.config.resolve_shared_fs_dir()
             self._shared_fs = SharedFileSystem(
                 os.path.join(self._shared_fs_root, "sharedfs"), self.metrics,
-                fault_injector=self.fault_injector,
-                lineage_limit=self.config.staging_lineage_limit,
-                restage_limit=self.config.staging_restage_limit)
+                fault_injector=self.fault_injector)
         return self._shared_fs
 
     def _repair_staged_block(self, exc) -> bool:

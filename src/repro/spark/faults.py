@@ -94,13 +94,6 @@ class FaultPlan:
             raise ConfigurationError(
                 f"delay_seconds must be >= 0, got {self.delay_seconds}")
 
-    def is_empty(self) -> bool:
-        """True when this plan injects nothing (the fault-free fast path)."""
-        return (not self.fail_task_indices and not self.crash_task_indices
-                and not self.delay_task_indices and not self.corrupt_write_indices
-                and not self.drop_write_indices
-                and self.failure_rate <= 0.0 and self.crash_rate <= 0.0)
-
 
 def _rate_hit(seed: int, kind: int, index: int, rate: float) -> bool:
     """Deterministic per-index Bernoulli draw (order-independent)."""
@@ -147,11 +140,6 @@ class FaultInjector:
     def injected_delays(self) -> int:
         """Number of straggler delays injected so far."""
         return self._c.delays
-
-    @property
-    def injected_write_faults(self) -> int:
-        """Number of staged writes corrupted or dropped so far."""
-        return self._c.corrupted_writes + self._c.dropped_writes
 
     def counters(self) -> dict:
         """Snapshot of the injection tallies (for chaos-run reconciliation)."""

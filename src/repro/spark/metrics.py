@@ -1,7 +1,7 @@
 """Engine metrics: the observable quantities the paper's analysis hinges on.
 
 The qualitative claims of Sections 4 and 5 — Repeated Squaring's all-to-all
-``cartesian`` shuffle, the Blocked In-Memory solver's shuffle spills exceeding
+product shuffle, the Blocked In-Memory solver's shuffle spills exceeding
 local SSD capacity, the Collect/Broadcast solver trading shuffles for driver
 collects and shared-filesystem traffic — are all statements about measurable
 data movement.  :class:`EngineMetrics` records those quantities per run so

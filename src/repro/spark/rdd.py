@@ -1,21 +1,16 @@
 """Resilient Distributed Dataset: lazy, lineage-tracked, partitioned collections.
 
-The RDD API implemented here is a superset of what the paper's four APSP
-solvers use (Algorithms 1-4: ``filter``, ``map``/``map_preserving``,
-``flatMap``, ``union``, ``partitionBy``, ``combineByKey``, ``reduceByKey``,
-``collect``, ``count``, ``cache``/``unpersist``); the rest (``mapValues``,
-``mapPartitions``, ``groupByKey``, ``cartesian``, ``take``, ``reduce``, ...)
-are the pySpark neighbours the paper discusses or the examples and engine
-tests exercise.  Narrow transformations (``map``,
-``filter``, ``flatMap``, ``mapValues``, ``mapPartitions``) are evaluated
-lazily per partition and recomputed from lineage when needed; wide
-transformations (``partitionBy``, ``reduceByKey``, ``combineByKey``,
-``groupByKey``) materialize a shuffle through the
+The RDD API implemented here is what the paper's four APSP solvers use
+(Algorithms 1-4) plus ``mapPartitions``: the narrow ``map``/
+``map_preserving``, ``flatMap``, ``filter`` and ``mapPartitions``; the wide
+``partitionBy``, ``reduceByKey`` and ``combineByKey``; the actions
+``collect`` and ``count``; and ``cache``/``unpersist``.  Narrow
+transformations are evaluated lazily per partition and recomputed from
+lineage when needed; wide transformations materialize a shuffle through the
 :class:`~repro.spark.shuffle.ShuffleManager`, which charges spill volume to
-executors; ``cartesian`` enumerates partition pairs like Spark's all-to-all
-product; ``union`` concatenates parent partitions (and therefore loses the
-partitioner), which is the partition-explosion behaviour Section 5.2 warns
-about.
+executors.  ``SparkContext.union`` builds a :class:`UnionRDD`, which
+concatenates parent partitions (and therefore loses the partitioner): the
+partition-explosion behaviour Section 5.2 warns about.
 """
 
 from __future__ import annotations
@@ -74,18 +69,6 @@ class _FlatMapAdapter:
         return out
 
 
-class _MapValuesAdapter:
-    """Partition adapter applying ``func`` to values of (key, value) records."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func: Callable) -> None:
-        self.func = func
-
-    def __call__(self, index: int, records: list) -> list:
-        return [(record_key(x), self.func(x[1])) for x in records]
-
-
 class _WholePartitionAdapter:
     """Partition adapter applying ``func`` to the whole partition."""
 
@@ -96,23 +79,6 @@ class _WholePartitionAdapter:
 
     def __call__(self, index: int, records: list) -> list:
         return list(self.func(records))
-
-
-class _IndexedPartitionAdapter:
-    """Partition adapter applying ``func(index, partition)`` to the whole partition."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func: Callable) -> None:
-        self.func = func
-
-    def __call__(self, index: int, records: list) -> list:
-        return list(self.func(index, records))
-
-
-def _record_value(record):
-    """Module-level value extractor (picklable, unlike a lambda)."""
-    return record[1]
 
 
 class RDD:
@@ -133,10 +99,6 @@ class RDD:
     @property
     def num_partitions(self) -> int:
         """Partition count of this RDD."""
-        return self._num_partitions
-
-    def getNumPartitions(self) -> int:
-        """pySpark-compatible alias of :attr:`num_partitions`."""
         return self._num_partitions
 
     def parents(self) -> list["RDD"]:
@@ -248,7 +210,7 @@ class RDD:
         """Store remotely-computed records in the persistence cache (if enabled).
 
         Remote execution bypasses :meth:`iterator`, so the driver re-inserts
-        results here to keep ``persist()`` semantics identical across
+        results here to keep ``cache()`` semantics identical across
         backends.
         """
         if not self._persisted:
@@ -261,12 +223,10 @@ class RDD:
             sum(estimate_size(r) for r in records))
 
     # ------------------------------------------------------------------ persistence
-    def persist(self) -> "RDD":
+    def cache(self) -> "RDD":
         """Keep computed partitions in memory (Spark's ``MEMORY_ONLY``)."""
         self._persisted = True
         return self
-
-    cache = persist
 
     def unpersist(self) -> "RDD":
         """Drop any cached partitions (lineage stays intact)."""
@@ -274,10 +234,6 @@ class RDD:
         with self._cache_lock:
             self._cache.clear()
         return self
-
-    def is_cached(self) -> bool:
-        """True when cache() has been requested."""
-        return self._persisted
 
     # ------------------------------------------------------------------ narrow transformations
     def map(self, func: Callable) -> "RDD":
@@ -305,37 +261,10 @@ class RDD:
         return MapPartitionsRDD(self, _FilterAdapter(predicate),
                                 preserves_partitioning=True)
 
-    def mapValues(self, func: Callable) -> "RDD":
-        """Apply ``func`` to the value of every (key, value) record, keeping keys and partitioning."""
-        return MapPartitionsRDD(self, _MapValuesAdapter(func), preserves_partitioning=True)
-
     def mapPartitions(self, func: Callable, *, preserves_partitioning: bool = False) -> "RDD":
         """Apply ``func`` to each whole partition (an iterable) returning an iterable."""
         return MapPartitionsRDD(self, _WholePartitionAdapter(func),
                                 preserves_partitioning=preserves_partitioning)
-
-    def mapPartitionsWithIndex(self, func: Callable, *, preserves_partitioning: bool = False) -> "RDD":
-        """Like :meth:`mapPartitions` but ``func`` also receives the partition index."""
-        return MapPartitionsRDD(self, _IndexedPartitionAdapter(func),
-                                preserves_partitioning=preserves_partitioning)
-
-    def keys(self) -> "RDD":
-        """RDD of the keys of key-value records."""
-        return MapPartitionsRDD(self, _PerRecordAdapter(record_key),
-                                preserves_partitioning=False)
-
-    def values(self) -> "RDD":
-        """RDD of the values of key-value records."""
-        return MapPartitionsRDD(self, _PerRecordAdapter(_record_value),
-                                preserves_partitioning=False)
-
-    def union(self, other: "RDD") -> "RDD":
-        """Concatenate two RDDs; partitions are concatenated and the partitioner is lost."""
-        return UnionRDD(self.context, [self, other])
-
-    def cartesian(self, other: "RDD") -> "RDD":
-        """All pairs of records — the all-to-all product the paper found impractical."""
-        return CartesianRDD(self, other)
 
     # ------------------------------------------------------------------ wide transformations
     def partitionBy(self, partitioner: Partitioner | int,
@@ -351,35 +280,23 @@ class RDD:
             return self
         return ShuffledRDD(self, partitioner)
 
-    def groupByKey(self, partitioner: Partitioner | int | None = None) -> "RDD":
-        """Group values by key into lists."""
-        partitioner = _as_partitioner(partitioner, None, default=self._default_partitioner())
-        return ShuffledRDD(self, partitioner,
-                           create_combiner=lambda v: [v],
-                           merge_value=lambda acc, v: acc + [v],
-                           merge_combiners=lambda a, b: a + b,
-                           map_side_combine=False)
-
     def reduceByKey(self, func: Callable, partitioner: Partitioner | int | None = None) -> "RDD":
         """Merge values per key with ``func`` (map-side combined, like Spark)."""
         partitioner = _as_partitioner(partitioner, None, default=self._default_partitioner())
         return ShuffledRDD(self, partitioner,
                            create_combiner=lambda v: v,
                            merge_value=func,
-                           merge_combiners=func,
-                           map_side_combine=True)
+                           merge_combiners=func)
 
     def combineByKey(self, create_combiner: Callable, merge_value: Callable,
                      merge_combiners: Callable,
-                     partitioner: Partitioner | int | None = None, *,
-                     map_side_combine: bool = True) -> "RDD":
+                     partitioner: Partitioner | int | None = None) -> "RDD":
         """General per-key aggregation (the paper uses it to pair blocks via ``ListAppend``)."""
         partitioner = _as_partitioner(partitioner, None, default=self._default_partitioner())
         return ShuffledRDD(self, partitioner,
                            create_combiner=create_combiner,
                            merge_value=merge_value,
-                           merge_combiners=merge_combiners,
-                           map_side_combine=map_side_combine)
+                           merge_combiners=merge_combiners)
 
     def _default_partitioner(self) -> Partitioner:
         if self.partitioner is not None:
@@ -394,59 +311,10 @@ class RDD:
         self.context.metrics.collect_performed(sum(estimate_size(r) for r in result))
         return result
 
-    def collectAsMap(self) -> dict:
-        """Collect a pair RDD as a dictionary (last write wins for duplicate keys)."""
-        return {record_key(r): r[1] for r in self.collect()}
-
     def count(self) -> int:
         """Number of records across all partitions."""
         parts = self.context.run_job(self, lambda records: len(records))
         return int(sum(parts))
-
-    def countByKey(self) -> dict:
-        """Dict of key -> occurrence count (driver-side)."""
-        counts: dict = defaultdict(int)
-        for record in self.collect():
-            counts[record_key(record)] += 1
-        return dict(counts)
-
-    def take(self, n: int) -> list:
-        """First n records (computing as few partitions as possible)."""
-        if n <= 0:
-            return []
-        out: list = []
-        self.prepare()
-        for index in range(self.num_partitions):
-            out.extend(self.iterator(index))
-            if len(out) >= n:
-                break
-        return out[:n]
-
-    def first(self):
-        """First record; raises on an empty RDD."""
-        result = self.take(1)
-        if not result:
-            raise ValueError("RDD is empty")
-        return result[0]
-
-    def reduce(self, func: Callable):
-        """Fold all records with a binary function (driver-side)."""
-        records = self.collect()
-        if not records:
-            raise ValueError("cannot reduce an empty RDD")
-        acc = records[0]
-        for record in records[1:]:
-            acc = func(acc, record)
-        return acc
-
-    def foreach(self, func: Callable) -> None:
-        """Apply a side-effecting function to every record."""
-        for record in self.collect():
-            func(record)
-
-    def glom(self) -> list[list]:
-        """Return the partition contents as a list of lists (testing/debugging aid)."""
-        return self.context.run_job(self)
 
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:
@@ -557,34 +425,6 @@ class UnionRDD(RDD):
         return rdd.remote_payload(parent_index)
 
 
-class CartesianRDD(RDD):
-    """All pairs of records of two RDDs; ``n_a * n_b`` output partitions.
-
-    Every output partition reads one full partition from each parent, so each
-    parent partition is read ``num_partitions(other)`` times — the all-to-all
-    traffic is charged to the shuffle counters to reflect the data movement a
-    real cluster would perform.
-    """
-
-    def __init__(self, left: RDD, right: RDD) -> None:
-        super().__init__(left.context, left.num_partitions * right.num_partitions,
-                         None, parents=[left, right])
-        self._left = left
-        self._right = right
-
-    def compute_partition(self, index: int) -> list:
-        """Pair records of one left x right partition product."""
-        left_index = index // self._right.num_partitions
-        right_index = index % self._right.num_partitions
-        left_records = self._left.iterator(left_index)
-        right_records = self._right.iterator(right_index)
-        nbytes = sum(estimate_size(r) for r in left_records) + \
-            sum(estimate_size(r) for r in right_records)
-        executor = self.context.shuffle_manager.executor_for_partition(index)
-        self.context.metrics.shuffle_write(executor, len(left_records) + len(right_records), nbytes)
-        return [(a, b) for a in left_records for b in right_records]
-
-
 class ShuffledRDD(RDD):
     """Wide transformation: repartition (and optionally aggregate) by key.
 
@@ -597,27 +437,25 @@ class ShuffledRDD(RDD):
     def __init__(self, parent: RDD, partitioner: Partitioner,
                  create_combiner: Callable | None = None,
                  merge_value: Callable | None = None,
-                 merge_combiners: Callable | None = None, *,
-                 map_side_combine: bool = True) -> None:
+                 merge_combiners: Callable | None = None) -> None:
         super().__init__(parent.context, partitioner.num_partitions, partitioner,
                          parents=[parent])
         self._create_combiner = create_combiner
         self._merge_value = merge_value
         self._merge_combiners = merge_combiners
-        self._map_side_combine = map_side_combine and create_combiner is not None
         self._shuffle_id: int | None = None
         self._materialize_lock = threading.Lock()
 
     @property
     def aggregates(self) -> bool:
-        """True when map-side combining is configured."""
+        """True when the shuffle aggregates by key (and so map-side combines)."""
         return self._create_combiner is not None
 
     def _bucket_records(self, records: list) -> dict[int, list]:
         """Partition (and optionally map-side combine) one map task's records."""
         partitioner = self.partitioner
         buckets: dict[int, list] = defaultdict(list)
-        if self._map_side_combine:
+        if self.aggregates:
             combined: dict[int, dict] = defaultdict(dict)
             for record in records:
                 key = record_key(record)
@@ -660,11 +498,5 @@ class ShuffledRDD(RDD):
             return list(raw)
         merged: dict = {}
         for key, value in raw:
-            if key in merged:
-                if self._map_side_combine:
-                    merged[key] = self._merge_combiners(merged[key], value)
-                else:
-                    merged[key] = self._merge_value(merged[key], value)
-            else:
-                merged[key] = value if self._map_side_combine else self._create_combiner(value)
+            merged[key] = self._merge_combiners(merged[key], value) if key in merged else value
         return list(merged.items())

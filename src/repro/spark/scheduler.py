@@ -35,7 +35,7 @@ Three failure classes are survived per attempt:
   driver when the stage was built.  Counted as ``worker_restarts`` /
   ``tasks_recomputed``.
 * **Stragglers** — when a soft per-task timeout is known (explicit config, or
-  the cost model's predicted task wall × ``task_timeout_multiplier``), an
+  the cost model's predicted task wall × :data:`SOFT_TIMEOUT_MULTIPLIER`), an
   attempt that overruns it races a speculative copy; first result wins and
   the loser is cancelled (threads can't be killed, so a *running* loser is
   simply discarded when it finishes).  A hard stage deadline
@@ -79,6 +79,10 @@ MAX_TASK_ATTEMPTS = 4
 #: double work for nothing.  Only genuine stalls should trip the derived
 #: timeout; an explicit ``task_timeout_seconds`` is honoured verbatim.
 MIN_DERIVED_SOFT_TIMEOUT = 0.25
+
+#: Factor applied to the cost model's predicted per-task wall to obtain the
+#: soft timeout (stragglers slower than this trigger speculation).
+SOFT_TIMEOUT_MULTIPLIER = 4.0
 
 
 def _mp_context():
@@ -222,7 +226,7 @@ class TaskScheduler:
         if hint is None:
             return None
         return max(MIN_DERIVED_SOFT_TIMEOUT,
-                   hint * self.config.task_timeout_multiplier)
+                   hint * SOFT_TIMEOUT_MULTIPLIER)
 
     # ------------------------------------------------------------------ execution
     def _invoke(self, task: Callable[[], object]) -> object:

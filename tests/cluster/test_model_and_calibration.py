@@ -7,10 +7,8 @@ from repro.cluster.model import (
     ClusterSpec,
     NetworkSpec,
     NodeSpec,
-    SharedStorageSpec,
     SparkOverheadSpec,
     paper_cluster,
-    small_test_cluster,
     GIB,
 )
 from repro.common.errors import ConfigurationError
@@ -23,24 +21,6 @@ class TestClusterSpec:
         assert cluster.node.cores == 32
         assert cluster.total_cores == 1024
         assert cluster.node.local_storage_bytes == 1024 * GIB
-        assert cluster.total_memory_bytes == 32 * 192 * GIB
-
-    def test_small_test_cluster(self):
-        cluster = small_test_cluster()
-        assert cluster.total_cores == 16
-
-    def test_with_cores_scales_node_count(self):
-        cluster = paper_cluster().with_cores(256)
-        assert cluster.num_nodes == 8
-        assert cluster.total_cores == 256
-
-    def test_with_cores_rounds_up(self):
-        cluster = paper_cluster().with_cores(100)
-        assert cluster.num_nodes == 4
-
-    def test_with_cores_invalid(self):
-        with pytest.raises(ConfigurationError):
-            paper_cluster().with_cores(0)
 
     def test_invalid_nodes(self):
         with pytest.raises(ConfigurationError):
@@ -52,8 +32,7 @@ class TestClusterSpec:
 
     def test_defaults_are_gbe_and_gpfs(self):
         assert NetworkSpec().bandwidth_per_node == 125 * 1024 ** 2
-        assert SharedStorageSpec().write_bandwidth > 0
-        assert SparkOverheadSpec().task_overhead > 0
+        assert SparkOverheadSpec().broadcast_bandwidth == 125 * 1024 ** 2
 
 
 class TestKernelCalibration:

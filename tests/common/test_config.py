@@ -22,10 +22,6 @@ class TestEngineConfig:
         cfg = EngineConfig(num_executors=4, cores_per_executor=4)
         assert cfg.parallelism == 16
 
-    def test_parallelism_override(self):
-        cfg = EngineConfig(default_parallelism=7)
-        assert cfg.parallelism == 7
-
     def test_parallelism_has_floor_of_two(self):
         cfg = EngineConfig(num_executors=1, cores_per_executor=1)
         assert cfg.parallelism >= 2

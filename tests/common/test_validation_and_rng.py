@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.common.rng import make_rng, spawn_rngs, derive_seed
+from repro.common.rng import make_rng, derive_seed
 from repro.common.validation import (
     check_block_size,
-    check_nonnegative_weights,
     check_positive_int,
     check_square_matrix,
-    check_symmetric,
 )
+from repro.graph.adjacency import is_symmetric_adjacency
+from repro.linalg.algebra import get_algebra
 
 
 class TestCheckPositiveInt:
@@ -44,30 +44,6 @@ class TestCheckSquareMatrix:
         with pytest.raises(ValidationError):
             check_square_matrix(np.zeros((0, 0)))
 
-
-class TestCheckNonnegativeWeights:
-    def test_accepts_inf_entries(self):
-        m = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        check_nonnegative_weights(m)
-
-    def test_rejects_negative(self):
-        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ValidationError):
-            check_nonnegative_weights(m)
-
-    def test_algebra_conditional(self):
-        # Non-negativity is a (min, +) precondition, not a universal one:
-        # the check routes through the algebra's input-validator hook.
-        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        check_nonnegative_weights(m, algebra="reachability")  # no precondition
-        with pytest.raises(ValidationError):
-            check_nonnegative_weights(m, algebra="widest-path")
-        probs = np.array([[0.0, 0.5], [0.5, 0.0]])
-        check_nonnegative_weights(probs, algebra="most-reliable")
-        too_big = np.array([[0.0, 2.0], [2.0, 0.0]])
-        with pytest.raises(ValidationError):
-            check_nonnegative_weights(too_big, algebra="most-reliable")
-
     def test_check_square_dtype_none_preserves_native(self):
         m32 = np.zeros((2, 2), dtype=np.float32)
         assert check_square_matrix(m32, dtype=None).dtype == np.float32
@@ -75,6 +51,30 @@ class TestCheckNonnegativeWeights:
         assert check_square_matrix(mb, dtype=None).dtype == np.bool_
         mi = np.zeros((2, 2), dtype=np.int32)
         assert check_square_matrix(mi, dtype=None).dtype == np.float64
+
+
+class TestAlgebraWeightPreconditions:
+    def test_accepts_inf_entries(self):
+        m = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        get_algebra(None).validate_input(m)
+
+    def test_rejects_negative(self):
+        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            get_algebra(None).validate_input(m)
+
+    def test_algebra_conditional(self):
+        # Non-negativity is a (min, +) precondition, not a universal one:
+        # the check routes through the algebra's input-validator hook.
+        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        get_algebra("reachability").validate_input(m)  # no precondition
+        with pytest.raises(ValidationError):
+            get_algebra("widest-path").validate_input(m)
+        probs = np.array([[0.0, 0.5], [0.5, 0.0]])
+        get_algebra("most-reliable").validate_input(probs)
+        too_big = np.array([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(ValidationError):
+            get_algebra("most-reliable").validate_input(too_big)
 
 
 class TestCheckBlockSize:
@@ -90,15 +90,14 @@ class TestCheckBlockSize:
             check_block_size(0, 16)
 
 
-class TestCheckSymmetric:
+class TestIsSymmetricAdjacency:
     def test_symmetric_with_inf_passes(self):
         m = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        check_symmetric(m)
+        assert is_symmetric_adjacency(m)
 
     def test_asymmetric_rejected(self):
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValidationError):
-            check_symmetric(m)
+        assert not is_symmetric_adjacency(m)
 
 
 class TestRng:
@@ -110,16 +109,6 @@ class TestRng:
     def test_make_rng_passthrough(self):
         gen = np.random.default_rng(0)
         assert make_rng(gen) is gen
-
-    def test_spawn_rngs_are_independent(self):
-        rngs = spawn_rngs(0, 3)
-        assert len(rngs) == 3
-        streams = [r.random(4).tolist() for r in rngs]
-        assert streams[0] != streams[1] != streams[2]
-
-    def test_spawn_rngs_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
     def test_derive_seed_is_stable_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

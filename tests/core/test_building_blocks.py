@@ -8,7 +8,7 @@ from repro.core import building_blocks as bb
 from repro.graph.generators import erdos_renyi_adjacency
 from repro.linalg.blocks import BlockGrid, matrix_to_blocks
 from repro.linalg.kernels import floyd_warshall
-from repro.linalg.semiring import minplus_product
+from repro.linalg.semiring import elementwise_combine, minplus_product, semiring_product
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +104,9 @@ class TestBlockKernels:
         _, blocks = blocks16
         a = blocks[(0, 1)]
         other = np.full_like(a, 2.0)
-        assert np.allclose(bb.mat_min(((0, 1), a), other)[1], np.minimum(a, 2.0))
-        assert np.allclose(bb.mat_prod(((0, 1), a), other)[1], minplus_product(a, other))
+        assert np.allclose(elementwise_combine(a, other), np.minimum(a, 2.0))
+        assert np.allclose(semiring_product(a, other),
+                           np.min(a[:, :, None] + other[None, :, :], axis=1))
 
     def test_min_plus_orientation(self, blocks16):
         _, blocks = blocks16

@@ -18,14 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import EngineConfig
-from repro.common.errors import ValidationError
 from repro.core.engine import APSPEngine
 from repro.core.registry import solver_catalog
 from repro.core.request import SolveRequest
 from repro.graph.generators import (directed_erdos_renyi_adjacency,
                                     erdos_renyi_adjacency)
 from repro.linalg.algebra import get_algebra
-from repro.linalg.blocks import BlockedMatrix, matrix_to_blocks
+from repro.linalg.blocks import BlockGrid, matrix_to_blocks
 from repro.linalg.kernels import semiring_closure
 
 SOLVERS = tuple(info.name for info in solver_catalog())
@@ -224,27 +223,24 @@ class TestAutoLayoutProperty:
         assert plan.layout == "full"
 
 
-class TestFullGridBlockedMatrix:
+class TestFullGridBlocks:
     """No mirror-transpose lookups exist under the full-grid layout."""
 
-    def test_missing_mirror_block_raises(self):
+    def test_lower_block_is_its_own_record(self):
         adj = directed_graph(8, seed=3)
         blocks = dict(matrix_to_blocks(adj, 4, layout="full"))
-        del blocks[(1, 0)]
-        bm = BlockedMatrix(n=8, block_size=4, blocks=blocks, layout="full")
-        with pytest.raises(ValidationError, match="mirror"):
-            bm.get_block(1, 0)
-        # The stored orientation still answers.
-        assert np.array_equal(bm.get_block(0, 1), adj[0:4, 4:8])
+        assert BlockGrid(2, "full").locate(1, 0) == ((1, 0), False)
+        assert np.array_equal(blocks[(1, 0)], adj[4:8, 0:4])
+        assert np.array_equal(blocks[(0, 1)], adj[0:4, 4:8])
 
     def test_full_layout_stores_all_blocks(self):
         adj = directed_graph(16, seed=3)
-        bm = BlockedMatrix.from_matrix(adj, 4, layout="full")
-        assert len(bm.blocks) == bm.q * bm.q
-        for i in range(bm.q):
-            for j in range(bm.q):
+        blocks = dict(matrix_to_blocks(adj, 4, layout="full"))
+        assert len(blocks) == 4 * 4
+        for i in range(4):
+            for j in range(4):
                 assert np.array_equal(
-                    bm.get_block(i, j),
+                    blocks[(i, j)],
                     adj[i * 4:(i + 1) * 4, j * 4:(j + 1) * 4])
 
 

@@ -57,7 +57,7 @@ def computed(monkeypatch):
     """Log of every driver-side ``compute_partition`` as ``(rdd.id, index)``."""
     log = []
     for cls in (rdd_mod.ParallelCollectionRDD, rdd_mod.MapPartitionsRDD,
-                rdd_mod.UnionRDD, rdd_mod.CartesianRDD, rdd_mod.ShuffledRDD):
+                rdd_mod.UnionRDD, rdd_mod.ShuffledRDD):
         def compute_partition(self, index, _original=cls.compute_partition):
             log.append((self.id, index))    # list.append is atomic under threads
             return _original(self, index)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import APSPEngine
 from repro.experiments.cli import main
 
 COMMON = ["--n", "32", "--block-size", "8"]
@@ -86,6 +87,35 @@ class TestServeCommand:
                      "--cache-budget-kb", "0.25"]) == 0
         out = capsys.readouterr().out
         assert "budget 256B" in out
+
+
+class TestBadInputFailsBeforeSolving:
+    """Bad sizes and cache bounds are usage errors caught before any solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved despite a usage error")
+        monkeypatch.setattr(APSPEngine, "solve", solve)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["serve", "--n", "48", "--queries", "5", "--cache-rows", "0"],
+         "--cache-rows"),
+        (["route", "0", "1", "--n", "48", "--cache-rows", "-2"], "--cache-rows"),
+        (["serve", "--n", "48", "--queries", "5", "--cache-budget-kb", "0"],
+         "--cache-budget-kb"),
+        (["serve", "--n", "48", "--queries", "5", "--cache-budget-kb", "-1"],
+         "--cache-budget-kb"),
+        (["serve", "--n", "0"], "n must be positive"),
+        (["route", "0", "1", "--n", "0"], "n must be positive"),
+        (["solve", "--n", "0"], "n must be positive"),
+    ], ids=["serve-cache-rows-0", "route-cache-rows-negative",
+            "serve-cache-budget-0", "serve-cache-budget-negative",
+            "serve-n-0", "route-n-0", "solve-n-0"])
+    def test_usage_error_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestConvertCommand:

@@ -13,7 +13,8 @@ from repro.graph.adjacency import (
     validate_adjacency,
 )
 from repro.graph.generators import erdos_renyi_adjacency, path_adjacency
-from repro.graph.io import load_edge_list, load_matrix, save_edge_list, save_matrix
+from repro.graph.io import load_graph, load_matrix, save_edge_list, save_matrix
+from repro.graph.sparse import sparse_to_dense
 
 
 class TestAdjacencyFromEdges:
@@ -124,7 +125,9 @@ class TestIo:
         path = tmp_path / "graph.txt"
         count = save_edge_list(adj, path)
         assert count == np.isfinite(adj[np.triu_indices(25, 1)]).sum()
-        loaded = load_edge_list(path)
+        graph = load_graph(path)
+        assert not graph.directed
+        loaded = sparse_to_dense(graph.adjacency)
         assert np.allclose(np.where(np.isfinite(adj), adj, -1),
                            np.where(np.isfinite(loaded), loaded, -1))
 
@@ -134,7 +137,9 @@ class TestIo:
         adj[0, 1] = 2.0
         path = tmp_path / "digraph.txt"
         save_edge_list(adj, path, directed=True)
-        loaded = load_edge_list(path)
+        graph = load_graph(path)
+        assert graph.directed
+        loaded = sparse_to_dense(graph.adjacency)
         assert loaded[0, 1] == 2.0
         assert np.isinf(loaded[1, 0])
 
@@ -146,6 +151,6 @@ class TestIo:
 
     def test_malformed_edge_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("0 1\n")
+        path.write_text("0 1 2.0 3\n")
         with pytest.raises(ValidationError):
-            load_edge_list(path)
+            load_graph(path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ValidationError
 from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import (PackedBlock, is_packed, pack_bits, unpack_bits,
-                                 packed_and, packed_closure,
+                                 packed_closure,
                                  packed_floyd_warshall_inplace, packed_or,
                                  packed_product, packed_rank1_update,
                                  packed_width)
@@ -131,7 +131,6 @@ def test_packed_elementwise_and_rank1():
     b = random_bits(rng, 20, 70)
     pa, pb = PackedBlock.from_dense(a), PackedBlock.from_dense(b)
     assert np.array_equal(packed_or(pa, pb).to_dense(), a | b)
-    assert np.array_equal(packed_and(pa, pb).to_dense(), a & b)
     out = pa.copy()
     packed_or(pa, pb, out=out)
     assert np.array_equal(out.to_dense(), a | b)

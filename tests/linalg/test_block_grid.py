@@ -9,9 +9,8 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.core import building_blocks as bb
 from repro.linalg.algebra import get_algebra
-from repro.linalg.blocks import (LAYOUTS, BlockGrid, BlockedMatrix,
-                                 block_range, blocks_to_matrix,
-                                 matrix_to_blocks)
+from repro.linalg.blocks import (LAYOUTS, BlockGrid, block_range, blocks_to_matrix,
+                                 matrix_to_blocks, num_blocks)
 from repro.linalg.payload import payload_ops
 from repro.linalg.witness import NO_VERTEX, witness_blocks_to_matrices
 
@@ -134,16 +133,19 @@ class TestRoundTrip:
         assert np.array_equal(parents, expected)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_blocked_matrix_reads_every_logical_block(self, layout):
+    def test_records_read_every_logical_block(self, layout):
         matrix = random_matrix(N, layout, seed=4)
-        bm = BlockedMatrix.from_matrix(matrix, B, layout=layout)
-        assert len(bm.blocks) == bm.grid.count
-        for r in range(bm.q):
-            for c in range(bm.q):
+        blocks = dict(matrix_to_blocks(matrix, B, layout=layout))
+        grid = BlockGrid(num_blocks(N, B), layout)
+        assert len(blocks) == grid.count
+        for r in range(grid.q):
+            for c in range(grid.q):
+                key, transposed = grid.locate(r, c)
+                block = blocks[key].T if transposed else blocks[key]
                 assert np.array_equal(
-                    bm.get_block(r, c),
-                    matrix[block_range(r, B, N), block_range(c, B, N)])
-        assert np.array_equal(bm.to_matrix(), matrix)
+                    block, matrix[block_range(r, B, N), block_range(c, B, N)])
+        assert np.array_equal(
+            blocks_to_matrix(blocks.items(), N, B, layout=layout), matrix)
 
     def test_asymmetric_matrix_does_not_survive_the_mirrored_grid(self):
         matrix = random_matrix(N, "full", seed=5)

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ValidationError
 from repro.graph.generators import erdos_renyi_adjacency
 from repro.linalg.blocks import (
-    BlockedMatrix,
+    BlockGrid,
     all_block_ids,
-    block_of_index,
     block_range,
     block_shape,
     blocks_to_matrix,
@@ -31,11 +30,6 @@ class TestGeometry:
     def test_block_range_out_of_bounds(self):
         with pytest.raises(ValidationError):
             block_range(3, 4, 10)
-
-    def test_block_of_index(self):
-        assert block_of_index(0, 4) == 0
-        assert block_of_index(7, 4) == 1
-        assert block_of_index(8, 4) == 2
 
     def test_block_shape_edge_block(self):
         assert block_shape((2, 2), 4, 10) == (2, 2)
@@ -89,73 +83,33 @@ class TestRoundTrip:
         assert np.array_equal(rebuilt, adj)
 
 
-class TestBlockedMatrix:
+class TestBlockRecords:
     def test_from_matrix_and_back(self):
         adj = erdos_renyi_adjacency(14, seed=6)
-        bm = BlockedMatrix.from_matrix(adj, 4)
-        assert bm.q == 4
-        assert np.array_equal(bm.to_matrix(), adj)
+        assert num_blocks(14, 4) == 4
+        assert np.array_equal(blocks_to_matrix(matrix_to_blocks(adj, 4), 14, 4), adj)
 
-    def test_get_block_transposes_lower_triangle(self):
+    def test_lower_triangle_is_the_stored_mirror_transposed(self):
         adj = erdos_renyi_adjacency(12, seed=7)
-        bm = BlockedMatrix.from_matrix(adj, 4)
-        assert np.array_equal(bm.get_block(2, 0), bm.get_block(0, 2).T)
-        assert np.array_equal(bm.get_block(2, 0), adj[8:12, 0:4])
+        blocks = dict(matrix_to_blocks(adj, 4))
+        key, transposed = BlockGrid(3).locate(2, 0)
+        assert (key, transposed) == ((0, 2), True)
+        assert np.array_equal(blocks[key].T, adj[8:12, 0:4])
 
-    def test_get_missing_block_raises(self):
-        bm = BlockedMatrix(n=8, block_size=4, blocks={}, layout="triangular")
-        with pytest.raises(KeyError):
-            bm.get_block(0, 1)
-
-    def test_mirror_lookup_returns_readonly_view(self):
-        # Regression: the transposed view of the stored (j, i) block shares
-        # memory — writing through it used to silently corrupt block (0, 2).
+    def test_records_are_writable_copies(self):
         adj = erdos_renyi_adjacency(12, seed=7)
-        bm = BlockedMatrix.from_matrix(adj, 4)
-        stored_before = bm.get_block(0, 2).copy()
-        mirror = bm.get_block(2, 0)
-        assert not mirror.flags.writeable
-        with pytest.raises(ValueError):
-            mirror[0, 0] = -99.0
-        assert np.array_equal(bm.get_block(0, 2), stored_before)
-
-    def test_direct_lookup_stays_writable(self):
-        adj = erdos_renyi_adjacency(12, seed=7)
-        bm = BlockedMatrix.from_matrix(adj, 4)
-        block = bm.get_block(0, 2)
+        block = dict(matrix_to_blocks(adj, 4))[(0, 2)]
         assert block.flags.writeable  # mutating the stored block is intended
+        assert not np.shares_memory(block, adj)
 
     def test_float32_blocks_preserved(self):
         adj = erdos_renyi_adjacency(8, seed=13).astype(np.float32)
-        bm = BlockedMatrix.from_matrix(adj, 4)
-        assert all(b.dtype == np.float32 for b in bm.blocks.values())
-        assert bm.to_matrix().dtype == np.float32
+        blocks = list(matrix_to_blocks(adj, 4))
+        assert all(b.dtype == np.float32 for _, b in blocks)
+        assert blocks_to_matrix(blocks, 8, 4).dtype == np.float32
 
-    def test_set_block_normalizes_to_upper(self):
-        adj = erdos_renyi_adjacency(8, seed=8)
-        bm = BlockedMatrix.from_matrix(adj, 4)
-        new_block = np.full((4, 4), 2.0)
-        bm.set_block(1, 0, new_block)
-        assert np.array_equal(bm.get_block(0, 1), new_block.T)
-
-    def test_set_block_shape_check(self):
-        bm = BlockedMatrix.from_matrix(erdos_renyi_adjacency(8, seed=9), 4)
+    def test_assembly_shape_check(self):
+        blocks = dict(matrix_to_blocks(erdos_renyi_adjacency(8, seed=9), 4))
+        blocks[(0, 0)] = np.zeros((2, 2))
         with pytest.raises(ValidationError):
-            bm.set_block(0, 0, np.zeros((2, 2)))
-
-    def test_block_ids_sorted(self):
-        bm = BlockedMatrix.from_matrix(erdos_renyi_adjacency(12, seed=10), 4)
-        assert bm.block_ids() == sorted(bm.block_ids())
-
-    def test_nbytes_positive(self):
-        bm = BlockedMatrix.from_matrix(erdos_renyi_adjacency(8, seed=11), 4)
-        assert bm.nbytes() == sum(b.nbytes for b in bm.blocks.values())
-
-    def test_equality(self):
-        adj = erdos_renyi_adjacency(8, seed=12)
-        a = BlockedMatrix.from_matrix(adj, 4)
-        b = BlockedMatrix.from_matrix(adj, 4)
-        c = BlockedMatrix.from_matrix(adj, 2)
-        assert a == b
-        assert a != c
-        assert a != "not a matrix"
+            blocks_to_matrix(blocks.items(), 8, 4)

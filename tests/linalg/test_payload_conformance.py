@@ -23,7 +23,7 @@ from repro.core import building_blocks as bb
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import PackedBlock, packed_floyd_warshall_inplace
-from repro.linalg.blocks import BlockGrid, BlockedMatrix, block_encoder
+from repro.linalg.blocks import BlockGrid, block_encoder, matrix_to_blocks
 from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
                                   floyd_warshall_inplace, fw_rank1_update,
                                   fw_rank1_update_inplace)
@@ -229,18 +229,15 @@ class TestOperations:
         clone = rep.ops.copy(block)
         assert np.array_equal(values_of(clone), window)
         assert not np.shares_memory(values_of(clone), values_of(block))
-        assert rep.ops.nbytes(block) == block.nbytes > 0
+        assert block.nbytes > 0
         if rep.id == "witness-1":
             with pytest.raises(ValidationError):
-                rep.ops.transpose(block)
+                block.T
             return
-        mirror = rep.ops.transpose(block, readonly=True)
+        mirror = block.T
         assert np.array_equal(values_of(mirror), window.T)
         if rep.ops is WITNESS:
             assert np.array_equal(mirror.parents, block.succs.T)
-        if rep.ops is not PACKED:            # views are frozen, repacks are fresh
-            with pytest.raises(ValueError):
-                values_of(mirror)[0, 0] = values_of(mirror)[0, 0]
 
     def test_view_and_store(self, rep):
         window = rep.prepared(12)
@@ -331,9 +328,7 @@ class TestMixedOperandsRaise:
 
     def test_building_blocks(self, algebra, a, b):
         record = ((0, 1), a)
-        for call in (lambda: bb.mat_min(record, b, algebra),
-                     lambda: bb.mat_prod(record, b, algebra),
-                     lambda: bb.min_plus(record, b, algebra=algebra),
+        for call in (lambda: bb.min_plus(record, b, algebra=algebra),
                      lambda: bb.min_plus(record, b, other_on_left=True,
                                          algebra=algebra),
                      lambda: bb.ElementwiseCombine(algebra)(a, b),
@@ -378,21 +373,13 @@ class TestUnsupportedCellsRaise:
             with pytest.raises(ValidationError):
                 call()
 
-    def test_blocked_matrix_refuses_to_invent_or_drop_witnesses(self):
+    def test_witness_planes_cannot_be_packed(self):
         prepared = REPRESENTATIONS[0].prepared(20, (8, 8))
-        witnessed = BlockedMatrix.from_matrix(prepared, 4, witness=True,
-                                              algebra="shortest-path")
-        plain = BlockedMatrix.from_matrix(prepared, 4)
-        packed = BlockedMatrix.from_matrix(prepared != np.inf, 4, storage="packed")
         with pytest.raises(ValidationError):
-            witnessed.set_block(0, 0, np.zeros((4, 4)))
-        with pytest.raises(ValidationError):
-            plain.set_block(0, 0, witnessed.get_block(0, 0))
-        with pytest.raises(ValidationError):
-            packed.set_block(0, 0, witnessed.get_block(0, 0))
-        # dense <-> packed values convert into the matrix's own storage
-        packed.set_block(1, 0, np.ones((4, 4), dtype=bool))
-        assert payload_ops(packed.get_block(0, 1)) is PACKED
-        plain.set_block(0, 1, PackedBlock.from_dense(np.ones((4, 4), dtype=bool)))
-        assert payload_ops(plain.get_block(0, 1)) is DENSE
-        assert witnessed != BlockedMatrix.from_matrix(prepared, 4)
+            list(matrix_to_blocks(prepared != np.inf, 4, storage="packed",
+                                  witness=True, algebra="reachability"))
+        packed = dict(matrix_to_blocks(prepared != np.inf, 4, storage="packed"))
+        assert payload_ops(packed[(0, 1)]) is PACKED
+        witnessed = dict(matrix_to_blocks(prepared, 4, witness=True,
+                                          algebra="shortest-path"))
+        assert payload_ops(witnessed[(0, 1)]) is WITNESS

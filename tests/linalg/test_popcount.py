@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.bitset import (PackedBlock, packed_and,
+from repro.linalg.bitset import (PackedBlock,
                                  packed_floyd_warshall_inplace, packed_or,
                                  packed_product, packed_rank1_update,
                                  popcount_words)
@@ -82,8 +82,6 @@ class TestKernelInvalidation:
         assert out.bits_set == 0                  # prime the cache
         packed_or(PackedBlock.from_dense(a), PackedBlock.from_dense(b), out=out)
         assert out.bits_set == int((a | b).sum())
-        packed_and(PackedBlock.from_dense(a), PackedBlock.from_dense(b), out=out)
-        assert out.bits_set == int((a & b).sum())
 
     @pytest.mark.parametrize("density", [0.05, 0.6])
     def test_packed_product_accumulate(self, density):

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.linalg.semiring import (
-    elementwise_min,
     closure_iterations,
-    minplus_power,
+    elementwise_combine,
     minplus_product,
-    minplus_square,
+    semiring_power,
+    semiring_square,
 )
 
 
@@ -104,16 +104,16 @@ class TestElementwiseMin:
     def test_basic(self):
         a = np.array([[1.0, 5.0]])
         b = np.array([[2.0, 3.0]])
-        assert np.array_equal(elementwise_min(a, b), [[1.0, 3.0]])
+        assert np.array_equal(elementwise_combine(a, b), [[1.0, 3.0]])
 
     def test_inf_handling(self):
         a = np.array([[np.inf]])
         b = np.array([[4.0]])
-        assert elementwise_min(a, b)[0, 0] == 4.0
+        assert elementwise_combine(a, b)[0, 0] == 4.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            elementwise_min(np.zeros((2, 2)), np.zeros((3, 3)))
+            elementwise_combine(np.zeros((2, 2)), np.zeros((3, 3)))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 10_000))
@@ -121,8 +121,8 @@ class TestElementwiseMin:
         rng = np.random.default_rng(seed)
         a = random_weight_matrix(rng, n, n)
         b = random_weight_matrix(rng, n, n)
-        assert np.array_equal(elementwise_min(a, b), elementwise_min(b, a))
-        assert np.array_equal(elementwise_min(a, a), a)
+        assert np.array_equal(elementwise_combine(a, b), elementwise_combine(b, a))
+        assert np.array_equal(elementwise_combine(a, a), a)
 
 
 class TestMinplusPower:
@@ -132,7 +132,7 @@ class TestMinplusPower:
         np.fill_diagonal(adj, 0.0)
         for i in range(3):
             adj[i, i + 1] = adj[i + 1, i] = 1.0
-        closure = minplus_power(adj, 4)
+        closure = semiring_power(adj, 4)
         assert closure[0, 3] == 3.0
         assert closure[3, 0] == 3.0
 
@@ -140,12 +140,12 @@ class TestMinplusPower:
         adj = np.full((3, 3), np.inf)
         np.fill_diagonal(adj, 0.0)
         adj[0, 1] = adj[1, 0] = 2.0
-        squared = minplus_square(adj)
+        squared = semiring_square(adj)
         assert squared[0, 1] == 2.0
 
     def test_invalid_exponent(self):
         with pytest.raises(ValidationError):
-            minplus_power(np.zeros((2, 2)), 0)
+            semiring_power(np.zeros((2, 2)), 0)
 
 
 class TestClosureIterations:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import SolverError, ValidationError
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
-from repro.linalg.blocks import BlockedMatrix, blocks_to_matrix, matrix_to_blocks
+from repro.linalg.blocks import blocks_to_matrix, matrix_to_blocks
 from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
                                   floyd_warshall_inplace, semiring_closure)
 from repro.linalg.semiring import elementwise_combine, semiring_product
@@ -331,29 +331,21 @@ class TestWitnessBlocks:
             list(matrix_to_blocks(prepared, 4, witness=True, storage="packed",
                                   algebra=alg))
 
-    def test_blocked_matrix_witnessed_mirror_is_readonly(self):
+    def test_witnessed_mirror_follows_the_transpose_rule(self):
         alg = get_algebra("shortest-path")
         prepared = alg.prepare_adjacency(random_adjacency(10, 2, "shortest-path"))
-        bm = BlockedMatrix.from_matrix(prepared, 4, witness=True, algebra=alg)
-        assert bm.witness
-        mirror = bm.get_block(2, 0)  # transposed view of stored (0, 2)
+        blocks = dict(matrix_to_blocks(prepared, 4, witness=True, algebra=alg))
+        mirror = blocks[(0, 2)].T  # logical block (2, 0)
         assert W.is_witnessed(mirror)
-        with pytest.raises(ValueError):
-            mirror.values[0, 0] = 1.0
-        stored = bm.get_block(0, 2)
-        assert np.array_equal(mirror.parents, stored.succs.T)
-        values, parents = bm.to_matrices(fill=np.inf)
+        assert np.array_equal(mirror.parents, blocks[(0, 2)].succs.T)
+        values, parents = W.witness_blocks_to_matrices(
+            blocks.items(), 10, 4, fill=np.inf)
         assert np.array_equal(values, prepared)
-        del parents
+        assert np.array_equal(parents[8:10, 0:4], mirror.parents)
 
-    def test_blocked_matrix_witness_type_enforcement(self):
+    def test_plain_blocks_are_refused_as_witnessed(self):
         alg = get_algebra("shortest-path")
         prepared = alg.prepare_adjacency(random_adjacency(8, 3, "shortest-path"))
-        bm = BlockedMatrix.from_matrix(prepared, 4, witness=True, algebra=alg)
+        plain = matrix_to_blocks(prepared, 4)
         with pytest.raises(ValidationError):
-            bm.set_block(0, 0, np.zeros((4, 4)))
-        plain = BlockedMatrix.from_matrix(prepared, 4)
-        with pytest.raises(ValidationError):
-            plain.set_block(0, 0, bm.get_block(0, 0))
-        with pytest.raises(ValidationError):
-            plain.to_matrices(fill=np.inf)
+            W.witness_blocks_to_matrices(plain, 8, 4, fill=np.inf)

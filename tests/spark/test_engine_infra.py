@@ -239,12 +239,6 @@ class TestBroadcast:
         b = Broadcast([1, 2, 3])
         assert b.value == [1, 2, 3]
 
-    def test_destroy(self):
-        b = Broadcast("x")
-        b.destroy()
-        with pytest.raises(RuntimeError):
-            _ = b.value
-
     def test_traffic_accounted_per_executor(self):
         metrics = EngineMetrics()
         Broadcast(np.zeros(100), metrics=metrics, num_executors=4)
@@ -323,7 +317,8 @@ class TestSparkContext:
 
     def test_default_parallelism(self, engine_config):
         with SparkContext(engine_config) as sc:
-            assert sc.default_parallelism == engine_config.parallelism
+            assert sc.parallelize(list(range(100))).num_partitions == \
+                engine_config.parallelism
             assert sc.total_cores == engine_config.total_cores
 
     def test_shared_fs_lazily_created(self, engine_config):

@@ -23,7 +23,8 @@ from repro.graph.generators import erdos_renyi_adjacency
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultInjector, FaultPlan
 from repro.spark.metrics import EngineMetrics
-from repro.spark.scheduler import MIN_DERIVED_SOFT_TIMEOUT, TaskScheduler
+from repro.spark.scheduler import (MIN_DERIVED_SOFT_TIMEOUT, SOFT_TIMEOUT_MULTIPLIER,
+                                   TaskScheduler)
 
 N = 48
 REQUEST = SolveRequest(solver="blocked-cb", block_size=16)
@@ -165,7 +166,7 @@ class TestTimeoutsAndSpeculation:
                 assert scheduler._soft_timeout() == MIN_DERIVED_SOFT_TIMEOUT
             with scheduler.task_wall_hint(10.0):
                 assert scheduler._soft_timeout() == pytest.approx(
-                    10.0 * scheduler.config.task_timeout_multiplier)
+                    10.0 * SOFT_TIMEOUT_MULTIPLIER)
         finally:
             scheduler.shutdown()
 

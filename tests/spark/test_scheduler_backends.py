@@ -196,7 +196,7 @@ class TestRemoteExecution:
         rdd.collect()
         # abs is picklable, so partitions were computed remotely; the driver
         # must still have backfilled the persistence cache.
-        assert rdd.is_cached()
+        assert rdd._persisted
         assert len(rdd._cache) == 4
         assert process_context.metrics.cached_partitions >= 4
 
