@@ -34,6 +34,12 @@ class TestClusterSpec:
         assert NetworkSpec().bandwidth_per_node == 125 * 1024 ** 2
         assert SparkOverheadSpec().broadcast_bandwidth == 125 * 1024 ** 2
 
+    def test_total_cores_multiplies_nodes_by_node_cores(self):
+        assert ClusterSpec(num_nodes=3, node=NodeSpec(cores=5)).total_cores == 15
+
+    def test_paper_cluster_is_the_default_spec(self):
+        assert paper_cluster() == ClusterSpec()
+
 
 class TestKernelCalibration:
     def test_paper_rates(self):

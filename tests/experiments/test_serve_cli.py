@@ -88,6 +88,11 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "budget 256B" in out
 
+    def test_one_byte_cache_budget_is_accepted(self, capsys):
+        assert main(["serve", *COMMON, "--queries", "8", "--sources", "4",
+                     "--cache-budget-kb", "0.001"]) == 0
+        assert "budget 1B" in capsys.readouterr().out
+
 
 class TestBadInputFailsBeforeSolving:
     """Bad sizes and cache bounds are usage errors caught before any solve."""
@@ -109,9 +114,22 @@ class TestBadInputFailsBeforeSolving:
         (["serve", "--n", "0"], "n must be positive"),
         (["route", "0", "1", "--n", "0"], "n must be positive"),
         (["solve", "--n", "0"], "n must be positive"),
+        (["route", "0", "1", "--n", "48", "--cache-rows", "0"], "--cache-rows"),
+        (["serve", "--n", "48", "--queries", "5", "--cache-rows", "-3"],
+         "--cache-rows"),
+        (["route", "0", "1", "--n", "48", "--cache-budget-kb", "0"],
+         "--cache-budget-kb"),
+        (["route", "0", "1", "--n", "48", "--cache-budget-kb", "-0.5"],
+         "--cache-budget-kb"),
+        (["serve", "--n", "48", "--queries", "5", "--cache-budget-kb", "0.0001"],
+         "--cache-budget-kb"),
+        (["solve", "--n", "-4"], "n must be positive"),
     ], ids=["serve-cache-rows-0", "route-cache-rows-negative",
             "serve-cache-budget-0", "serve-cache-budget-negative",
-            "serve-n-0", "route-n-0", "solve-n-0"])
+            "serve-n-0", "route-n-0", "solve-n-0",
+            "route-cache-rows-0", "serve-cache-rows-negative",
+            "route-cache-budget-0", "route-cache-budget-negative",
+            "serve-cache-budget-under-one-byte", "solve-n-negative"])
     def test_usage_error_exits_2(self, argv, message, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -249,6 +249,17 @@ class TestBroadcast:
         assert np.array_equal(b.value, np.arange(5))
         assert spark_context.metrics.broadcast_count == 1
 
+    def test_context_broadcast_charges_every_executor(self, spark_context):
+        value = np.zeros(10)
+        spark_context.broadcast(value)
+        executors = spark_context.config.num_executors
+        assert spark_context.metrics.broadcast_bytes == executors * value.nbytes
+
+    def test_ids_are_distinct(self):
+        first, second = Broadcast(1), Broadcast(2)
+        assert second.id > first.id
+        assert f"id={second.id}" in repr(second)
+
 
 class TestFaultInjection:
     def test_planned_task_fails_once(self):

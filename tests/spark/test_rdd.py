@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import EngineConfig
+from repro.common.errors import ConfigurationError
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import MultiDiagonalPartitioner, PortableHashPartitioner
 from repro.spark.rdd import ShuffledRDD
@@ -44,6 +45,31 @@ class TestBasicTransformations:
         rdd.collect()
         assert sorted(calls) == [1, 2, 3]
 
+    def test_map_partitions_sees_each_whole_partition(self, spark_context):
+        rdd = spark_context.parallelize(list(range(12)), num_partitions=3)
+        sums = rdd.mapPartitions(lambda records: [sum(records)]).collect()
+        assert len(sums) == 3
+        assert sum(sums) == sum(range(12))
+
+    def test_map_partitions_keeps_partitioner_only_when_asked(self, spark_context):
+        partitioner = PortableHashPartitioner(4)
+        rdd = spark_context.parallelize([(i, i) for i in range(10)], partitioner=partitioner)
+        assert rdd.mapPartitions(lambda records: records).partitioner is None
+        kept = rdd.mapPartitions(lambda records: records, preserves_partitioning=True)
+        assert kept.partitioner == partitioner
+
+    def test_flatmap_may_drop_records(self, spark_context):
+        rdd = spark_context.parallelize(list(range(10)))
+        kept = rdd.flatMap(lambda x: [] if x % 2 else [x])
+        assert sorted(kept.collect()) == [0, 2, 4, 6, 8]
+
+    def test_filter_can_empty_every_partition(self, spark_context):
+        rdd = spark_context.parallelize(list(range(10)), num_partitions=4)
+        empty = rdd.filter(lambda x: False)
+        assert empty.collect() == []
+        assert empty.count() == 0
+        assert empty.num_partitions == 4
+
 
 class TestActions:
     def test_count(self, spark_context):
@@ -53,6 +79,19 @@ class TestActions:
         before = spark_context.metrics.collect_bytes
         spark_context.parallelize([np.zeros(1000)]).collect()
         assert spark_context.metrics.collect_bytes >= before + 8000
+
+    def test_count_of_empty_rdd(self, spark_context):
+        assert spark_context.parallelize([], num_partitions=3).count() == 0
+
+    def test_count_does_not_account_driver_traffic(self, spark_context):
+        before = spark_context.metrics.collect_bytes
+        assert spark_context.parallelize([np.zeros(1000)] * 3).count() == 3
+        assert spark_context.metrics.collect_bytes == before
+
+    def test_parallelize_partition_count(self, spark_context):
+        assert spark_context.parallelize(list(range(10)), num_partitions=5).num_partitions == 5
+        default = spark_context.parallelize(list(range(10)))
+        assert default.num_partitions == spark_context.config.parallelism
 
 
 class TestByKeyOperations:
@@ -84,6 +123,39 @@ class TestByKeyOperations:
         reduced = rdd.reduceByKey(min, partitioner)
         assert reduced.partitioner == partitioner
         assert dict(reduced.collect()) == {(0, 1): 3, (2, 3): 1}
+
+    def test_combine_by_key_merges_across_partitions(self, spark_context):
+        data = [(k, 1) for _ in range(6) for k in range(5)]
+        rdd = spark_context.parallelize(data, num_partitions=4)
+        counts = rdd.combineByKey(lambda v: v, lambda acc, v: acc + v,
+                                  lambda a, b: a + b, 3)
+        assert dict(counts.collect()) == {k: 6 for k in range(5)}
+
+    def test_aggregating_shuffle_combines_map_side(self, spark_context):
+        data = [("k", 1)] * 200
+        moved = spark_context.parallelize(data, num_partitions=2).partitionBy(2)
+        assert not moved.aggregates
+        moved.collect()
+        plain_records = spark_context.metrics.shuffle_records
+        reduced = spark_context.parallelize(data, num_partitions=2) \
+            .reduceByKey(lambda a, b: a + b, 2)
+        assert reduced.aggregates
+        assert reduced.collect() == [("k", 200)]
+        # One combined record per map task instead of every input record.
+        assert spark_context.metrics.shuffle_records - plain_records == 2
+        assert plain_records == 200
+
+    def test_partition_by_keeps_duplicate_keys(self, spark_context):
+        rdd = spark_context.parallelize([(1, "a"), (1, "b"), (2, "c")]).partitionBy(2)
+        assert sorted(rdd.collect()) == [(1, "a"), (1, "b"), (2, "c")]
+
+    def test_reduce_by_key_defaults_to_parent_partitioner(self, spark_context):
+        partitioner = PortableHashPartitioner(3)
+        rdd = spark_context.parallelize([(i % 4, i) for i in range(12)],
+                                        partitioner=partitioner)
+        reduced = rdd.reduceByKey(max)
+        assert reduced.partitioner == partitioner
+        assert dict(reduced.collect()) == {0: 8, 1: 9, 2: 10, 3: 11}
 
 
 class TestPartitioning:
@@ -126,6 +198,21 @@ class TestPartitioning:
         b = spark_context.parallelize([3])
         assert sorted(spark_context.union([a, b]).collect()) == [1, 2, 3]
 
+    def test_union_keeps_duplicates(self, spark_context):
+        a = spark_context.parallelize([1, 2], num_partitions=2)
+        union = spark_context.union([a, a])
+        assert union.num_partitions == 4
+        assert sorted(union.collect()) == [1, 1, 2, 2]
+
+    def test_union_of_nothing_raises(self, spark_context):
+        with pytest.raises(ConfigurationError):
+            spark_context.union([])
+
+    def test_partition_by_rejects_unknown_spec(self, spark_context):
+        rdd = spark_context.parallelize([(1, 1)])
+        with pytest.raises(ConfigurationError):
+            rdd.partitionBy("hash")
+
 class TestCaching:
     def test_cache_avoids_recomputation(self, spark_context):
         calls = []
@@ -147,6 +234,11 @@ class TestCaching:
         rdd.unpersist()
         rdd.collect()
         assert len(calls) == 2
+
+    def test_unpersist_returns_self_and_clears_flag(self, spark_context):
+        rdd = spark_context.parallelize([1]).cache()
+        assert rdd.unpersist() is rdd
+        assert not rdd._persisted
 
     def test_cached_flag(self, spark_context):
         rdd = spark_context.parallelize([1])
