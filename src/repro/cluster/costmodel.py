@@ -4,47 +4,87 @@ Table 2 of the paper is itself a projection: the authors measure the time of a
 single outer iteration at full scale and multiply by the iteration count.
 Running at full scale is impossible here, so the projection goes one step
 further: per-iteration times are assembled from an explicit breakdown —
-per-block kernel throughput (calibrated, see
-:class:`~repro.cluster.calibration.KernelCalibration`), data volumes implied
-by each algorithm's structure, cluster bandwidths, Spark scheduling overheads,
-and the load imbalance induced by the chosen partitioner (computed from the
-partitioner's *actual* block distribution, the quantity shown in the bottom
-panel of Figure 3).
+per-block kernel throughput, data volumes implied by each algorithm's
+structure, cluster bandwidths, Spark scheduling overheads, and the load
+imbalance induced by the chosen partitioner (computed from the partitioner's
+*actual* block distribution, the quantity shown in the bottom panel of
+Figure 3).
 
-The constants are documented with the observation that anchors them; the goal
-is that the *shape* of the paper's results is reproduced (orderings,
-crossovers, infeasibility regions), with absolute numbers in the right
-ballpark.  EXPERIMENTS.md records the paper-vs-model numbers side by side.
+The paper's machine is the one block of constants below, each documented with
+the observation that anchors it; nothing else in the program writes a paper
+rate.  The goal is that the *shape* of the paper's results is reproduced
+(orderings, crossovers, infeasibility regions), with absolute numbers in the
+right ballpark.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.calibration import KernelCalibration
-from repro.cluster.model import ClusterSpec, paper_cluster, GIB
 from repro.common.errors import ConfigurationError
 from repro.linalg.blocks import BlockGrid, num_blocks
 from repro.linalg.semiring import closure_iterations
 from repro.spark.partitioner import partitioner_by_name
 
-#: Canonical solver names understood by the cost model.
-SOLVER_NAMES = ("repeated-squaring", "fw-2d", "blocked-im", "blocked-cb")
+GIB = 1024 ** 3
+MIB = 1024 ** 2
 
+# ---------------------------------------------------------------------------
+# The paper's machine (Section 5).  ``b^3`` operations are counted per
+# ``b x b`` block kernel, so a rate ``r`` (op/s per core) predicts ``b^3 / r``.
+
+#: 32 nodes of two 16-core Skylake processors: 1,024 cores.
+NUM_NODES = 32
+NODE_CORES = 32
+#: 1 TB of local SSD per node, used by Spark for shuffle staging.
+LOCAL_STORAGE_BYTES = 1024 * GIB
+#: Effective sequential SSD bandwidth for shuffle restaging (writes are
+#: absorbed by the page cache and overlap with compute, so the effective
+#: figure exceeds the raw device write rate).
+LOCAL_STORAGE_BANDWIDTH = 1024 * MIB
+#: GbE interconnect: 1 Gbit/s ≈ 125 MB/s per node (bytes/s), and the
+#: per-message latency of MPI over TCP/GbE (seconds).
+NETWORK_BANDWIDTH = 125 * MIB
+NETWORK_LATENCY = 2.5e-4
+#: Spark's driver -> executors broadcast channel (bytes/s).
+BROADCAST_BANDWIDTH = 125 * MIB
 #: Effective per-node shuffle bandwidth (bytes/s).  Although the interconnect
 #: is GbE, Spark compresses shuffle blocks (early-iteration distance blocks are
 #: dominated by +inf and compress extremely well) and overlaps serialization
 #: with transfers, so the effective rate implied by the paper's measured
 #: single-iteration times is well above the raw 125 MB/s.
-DEFAULT_SHUFFLE_BANDWIDTH = 1 * GIB
+SHUFFLE_BANDWIDTH = 1 * GIB
+#: Driver collect and shared GPFS effective bandwidths (bytes/s); the impure
+#: solvers stage their broadcasts through the shared file system.
+COLLECT_BANDWIDTH = 1 * GIB
+SHAREDFS_WRITE_BANDWIDTH = 1 * GIB
+SHAREDFS_READ_BANDWIDTH_PER_NODE = 2 * GIB
+#: Sequential SciPy Floyd-Warshall on one core: 0.762 Gop/s, the T1 = 0.022 s
+#: at n = 256 reference of Section 5.4.
+FLOYD_WARSHALL_RATE = 0.762e9
+#: MatProd + MatMin per core, assumed comparable to the sequential reference.
+MINPLUS_RATE = 0.70e9
+#: The optimized DC solver's effective rate per core, back-computed from its
+#: reported 2 h 52 m at n = 262,144 on 1,024 cores.
+DC_OPTIMIZED_RATE = 1.7e9
+#: Per-task driver-side dispatch cost and per-stage fixed cost (scheduling,
+#: synchronization, Python-worker round trips).  Anchored on the 2D
+#: Floyd-Warshall iterations of Table 2, which are nearly pure scheduling
+#: overhead: ~16-21 s per iteration at p = 1024, B = 2, essentially
+#: independent of the block size (~17 s with ~2 stages x 2048 tasks).
+TASK_DISPATCH_SECONDS = 1.0e-3
+STAGE_OVERHEAD_SECONDS = 4.0
+#: Straggler slack when there is little over-decomposition: Spark can only
+#: load-balance dynamically if each core has several partitions to work
+#: through, which is why the paper insists on B >= 2 (Section 5.3).  The
+#: compute and shuffle terms are multiplied by ``1 + coefficient / B``.
+STRAGGLER_COEFFICIENT = 0.3
 
-#: Driver collect / shared-storage effective bandwidths (bytes/s).
-DEFAULT_COLLECT_BANDWIDTH = 1 * GIB
-DEFAULT_SHAREDFS_WRITE_BANDWIDTH = 1 * GIB
-DEFAULT_SHAREDFS_READ_BANDWIDTH_PER_NODE = 2 * GIB
+#: Canonical solver names understood by the cost model.
+SOLVER_NAMES = ("repeated-squaring", "fw-2d", "blocked-im", "blocked-cb")
 
 
 def element_bytes(algebra=None, dtype: str | None = None,
@@ -78,10 +118,9 @@ def rank1_update_seconds(n: int, *, algebra=None, dtype: str | None = None,
     sweeps both directions).  Witness tracking roughly doubles the sweep (the
     parents/succs planes are gathered and rewritten alongside the values);
     narrower element storage scales the bandwidth-bound sweep by its byte
-    ratio against the float64 the calibration rates were anchored on.
+    ratio against the float64 the paper rates were anchored on.
     """
-    seconds = (float(n) * n * max(1, int(orientations))
-               / KernelCalibration.paper().minplus_rate)
+    seconds = float(n) * n * max(1, int(orientations)) / MINPLUS_RATE
     if witnessed:
         seconds *= 2.0
     return seconds * element_bytes(algebra, dtype, storage) / 8.0
@@ -92,11 +131,11 @@ def full_resolve_seconds(n: int, *, algebra=None, dtype: str | None = None,
     """Estimated seconds to rebuild the closure from scratch (``n^3`` sweep).
 
     The alternative a batched update is weighed against: the sequential
-    Floyd-Warshall at the calibrated rate, scaled by the same storage byte
+    Floyd-Warshall at the paper's rate, scaled by the same storage byte
     ratio as :func:`rank1_update_seconds` so the comparison stays
     apples-to-apples under packed or narrow-dtype storage.
     """
-    seconds = float(n) ** 3 / KernelCalibration.paper().floyd_warshall_rate
+    seconds = float(n) ** 3 / FLOYD_WARSHALL_RATE
     return seconds * element_bytes(algebra, dtype, storage) / 8.0
 
 
@@ -130,7 +169,7 @@ def predicted_task_seconds(n: int, block_size: int, *,
     :data:`~repro.spark.scheduler.SOFT_TIMEOUT_MULTIPLIER`: an attempt
     running far past the modelled kernel time is a straggler and worth
     speculating against.  The estimate is deliberately simple — blocks per
-    partition × the calibrated per-block min-plus product time, scaled by
+    partition × the paper's per-block min-plus product time, scaled by
     element width — because it only needs to be the right order of
     magnitude (the scheduler floors the derived timeout well above any
     test-scale task wall).
@@ -138,7 +177,7 @@ def predicted_task_seconds(n: int, block_size: int, *,
     q = num_blocks(n, block_size)
     parts = max(1, int(num_partitions) if num_partitions else 1)
     blocks_per_task = max(1.0, float(q) * q / parts)
-    per_block = float(block_size) ** 3 / KernelCalibration.paper().minplus_rate
+    per_block = float(block_size) ** 3 / MINPLUS_RATE
     return blocks_per_task * per_block * element_bytes(algebra, dtype, storage) / 8.0
 
 
@@ -207,35 +246,21 @@ class ProjectionResult:
         return float(self.n) ** 3 / self.projected_total_seconds / self.p / 1e9
 
 
-@dataclass
 class CostModel:
-    """Analytic cost model for the four Spark solvers and the two MPI baselines."""
+    """Analytic cost model for the four Spark solvers and the two MPI baselines.
 
-    cluster: ClusterSpec = field(default_factory=paper_cluster)
-    calibration: KernelCalibration = field(default_factory=KernelCalibration.paper)
-    shuffle_bandwidth_per_node: float = DEFAULT_SHUFFLE_BANDWIDTH
-    collect_bandwidth: float = DEFAULT_COLLECT_BANDWIDTH
-    sharedfs_write_bandwidth: float = DEFAULT_SHAREDFS_WRITE_BANDWIDTH
-    sharedfs_read_bandwidth_per_node: float = DEFAULT_SHAREDFS_READ_BANDWIDTH_PER_NODE
-    #: Per-task driver-side dispatch cost and per-stage fixed cost (scheduling,
-    #: synchronization, Python-worker round trips).  Anchored on the 2D
-    #: Floyd-Warshall iterations of Table 2, which are nearly pure scheduling
-    #: overhead: ~16-21 s per iteration at p = 1024, B = 2, essentially
-    #: independent of the block size (~17 s with ~2 stages x 2048 tasks).
-    task_dispatch_seconds: float = 1.0e-3
-    stage_overhead_seconds: float = 4.0
-    #: Straggler slack when there is little over-decomposition: Spark can only
-    #: load-balance dynamically if each core has several partitions to work
-    #: through, which is why the paper insists on B >= 2 (Section 5.3).  The
-    #: compute and shuffle terms are multiplied by ``1 + coefficient / B``.
-    straggler_coefficient: float = 0.3
-    #: Memo for partitioner-imbalance factors (they are pure functions of the
-    #: partitioner, q and the partition count, and expensive for large q).
-    _imbalance_cache: dict = field(default_factory=dict, repr=False)
+    Every term is priced from the module's paper-machine constants.
+    """
+
+    def __init__(self) -> None:
+        #: Memo for partitioner-imbalance factors (they are pure functions of
+        #: the partitioner, q and the partition count, and expensive for
+        #: large q).
+        self._imbalance_cache: dict = {}
 
     # ------------------------------------------------------------------ helpers
     def _nodes_for(self, p: int) -> int:
-        return max(1, math.ceil(p / self.cluster.node.cores))
+        return max(1, math.ceil(p / NODE_CORES))
 
     @staticmethod
     def _block_bytes(b: int, element_size: float = 8.0) -> float:
@@ -317,7 +342,7 @@ class CostModel:
         stored_blocks = float(BlockGrid(q, layout).count)
         imbalance = self.imbalance_factor(partitioner, n, block_size, p,
                                           partitions_per_core, layout)
-        imbalance *= 1.0 + self.straggler_coefficient / max(1, partitions_per_core)
+        imbalance *= 1.0 + STRAGGLER_COEFFICIENT / max(1, partitions_per_core)
         iterations = self.iteration_count(solver, n, block_size)
 
         # The per-core kernel rates were anchored on float64 operands; the
@@ -325,12 +350,11 @@ class CostModel:
         # speed them up by their byte ratio (packed reachability kernels are
         # word-parallel: 64 cells per uint64 op).
         kernel_scale = element_size / 8.0
-        mp_rate = self.calibration.minplus_rate / kernel_scale
-        fw_rate = self.calibration.floyd_warshall_rate / kernel_scale
+        mp_rate = MINPLUS_RATE / kernel_scale
+        fw_rate = FLOYD_WARSHALL_RATE / kernel_scale
         def sched(stages, tasks):
             """Driver scheduling overhead for a stage/task mix."""
-            return (stages * self.stage_overhead_seconds
-                    + tasks * self.task_dispatch_seconds)
+            return stages * STAGE_OVERHEAD_SECONDS + tasks * TASK_DISPATCH_SECONDS
 
         sequential = 0.0
         compute = 0.0
@@ -346,8 +370,8 @@ class CostModel:
             # The broadcast pivot column is a dense vector even under packed
             # block storage, so it is sized by the element dtype alone.
             column_bytes = max(element_size, 1.0) * n
-            driver = column_bytes / self.collect_bandwidth \
-                + column_bytes * nodes / self.cluster.spark.broadcast_bandwidth
+            driver = column_bytes / COLLECT_BANDWIDTH \
+                + column_bytes * nodes / BROADCAST_BANDWIDTH
             overhead = sched(stages=2, tasks=2 * partitions)
         elif solver == "repeated-squaring":
             # One iteration = one column-block sweep: every stored block performs a
@@ -357,11 +381,11 @@ class CostModel:
             products = stored_blocks * 2.0
             compute = products * float(b) ** 3 / mp_rate / p * imbalance
             contribution_bytes = products * block_bytes
-            shuffle = contribution_bytes / nodes / self.shuffle_bandwidth_per_node
+            shuffle = contribution_bytes / nodes / SHUFFLE_BANDWIDTH
             column_bytes = q * block_bytes
-            driver = column_bytes / self.collect_bandwidth
-            sharedfs = column_bytes / self.sharedfs_write_bandwidth + \
-                contribution_bytes / nodes / self.sharedfs_read_bandwidth_per_node
+            driver = column_bytes / COLLECT_BANDWIDTH
+            sharedfs = column_bytes / SHAREDFS_WRITE_BANDWIDTH + \
+                contribution_bytes / nodes / SHAREDFS_READ_BANDWIDTH_PER_NODE
             overhead = sched(stages=3, tasks=3 * partitions)
         else:
             # Blocked methods share the three-phase structure.
@@ -381,16 +405,16 @@ class CostModel:
                 copies_volume = ((q - 1) + 2.0 * phase3_blocks) * block_bytes
                 repartition_volume = stored_blocks * block_bytes
                 shuffle = (copies_volume + repartition_volume) / nodes \
-                    / self.shuffle_bandwidth_per_node * imbalance
+                    / SHUFFLE_BANDWIDTH * imbalance
                 overhead = sched(stages=4, tasks=4 * partitions)
             else:  # blocked-cb
                 collected = (2.0 * (q - 1) + 1.0) * block_bytes
-                driver = collected / self.collect_bandwidth
+                driver = collected / COLLECT_BANDWIDTH
                 reads = 2.0 * stored_blocks * block_bytes
-                sharedfs = collected / self.sharedfs_write_bandwidth + \
-                    reads / nodes / self.sharedfs_read_bandwidth_per_node
+                sharedfs = collected / SHAREDFS_WRITE_BANDWIDTH + \
+                    reads / nodes / SHAREDFS_READ_BANDWIDTH_PER_NODE
                 restage = stored_blocks * block_bytes / nodes \
-                    / self.cluster.node.local_storage_bandwidth
+                    / LOCAL_STORAGE_BANDWIDTH
                 shuffle = restage
                 overhead = sched(stages=3, tasks=3 * partitions)
 
@@ -434,7 +458,7 @@ class CostModel:
             spill = self.spill_per_node_bytes(solver, n, block_size, p,
                                               algebra=algebra, dtype=dtype,
                                               storage=storage, layout=layout)
-            capacity = self.cluster.node.local_storage_bytes
+            capacity = LOCAL_STORAGE_BYTES
             if spill > capacity:
                 feasible = False
                 reason = (f"local storage exhausted: {spill / GIB:.0f} GiB spilled per node "
@@ -485,7 +509,7 @@ class CostModel:
     # ------------------------------------------------------------------ baselines
     def sequential_seconds(self, n: int) -> float:
         """T1: single-core SciPy Floyd-Warshall."""
-        return self.calibration.sequential_apsp_seconds(n)
+        return float(n) ** 3 / FLOYD_WARSHALL_RATE
 
     def mpi_fw2d_seconds(self, n: int, p: int, *,
                          algebra=None, dtype: str | None = None,
@@ -504,11 +528,10 @@ class CostModel:
         """
         g = max(1, int(round(math.sqrt(p))))
         local = n / g
-        net = self.cluster.network
         element_size = element_bytes(algebra, dtype, storage)
-        bcast = (g - 1) * (net.latency
-                           + element_size * local / net.bandwidth_per_node)
-        update = local * local / self.calibration.floyd_warshall_rate
+        bcast = (g - 1) * (NETWORK_LATENCY
+                           + element_size * local / NETWORK_BANDWIDTH)
+        update = local * local / FLOYD_WARSHALL_RATE
         return n * (2.0 * bcast + update)
 
     def mpi_dc_seconds(self, n: int, p: int, *,
@@ -522,12 +545,11 @@ class CostModel:
         (historically a hardcoded 8 bytes/word); latency and compute are
         element-size independent.
         """
-        net = self.cluster.network
         element_size = element_bytes(algebra, dtype, storage)
-        compute = float(n) ** 3 / p / self.calibration.dc_optimized_rate
+        compute = float(n) ** 3 / p / DC_OPTIMIZED_RATE
         bandwidth_term = (element_size * float(n) ** 2 / math.sqrt(p)
-                          / net.bandwidth_per_node)
-        latency_term = math.sqrt(p) * (math.log2(max(2, p)) ** 2) * net.latency
+                          / NETWORK_BANDWIDTH)
+        latency_term = math.sqrt(p) * (math.log2(max(2, p)) ** 2) * NETWORK_LATENCY
         return compute + bandwidth_term + latency_term
 
     # ------------------------------------------------------------------ experiment-level helpers

@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from repro.cluster.costmodel import element_bytes
+from repro.cluster.costmodel import MINPLUS_RATE, element_bytes
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.linalg.algebra import get_algebra
 from repro.linalg.semiring import closure_iterations
@@ -41,7 +41,7 @@ BACKENDS = ("serial", "threads", "processes")
 #: paper-flavoured orders of magnitude, not measurements — the tuner still
 #: ranks candidates sensibly with them, just less sharply.
 FALLBACK_SECONDS_PER_UNIT = {
-    "ops": 8.0 / 0.70e9,        # per float64-equivalent byte of kernel work
+    "ops": 8.0 / MINPLUS_RATE,  # per float64-equivalent byte of kernel work
     "stages": 3.0e-4,
     "tasks": 1.5e-5,
     "bytes": 2.0e-8,

@@ -34,7 +34,8 @@ class StorageExhaustedError(SolverError):
     small block sizes / large core counts (Section 5.2 and Table 3, the ``–``
     entry for p = 1024).  The shuffle manager raises this when accumulated
     spill volume on any simulated node exceeds
-    :attr:`repro.cluster.model.NodeSpec.local_storage_bytes`.
+    :attr:`repro.common.config.EngineConfig.local_storage_bytes`; the
+    projector's wall is :data:`repro.cluster.costmodel.LOCAL_STORAGE_BYTES`.
     """
 
     def __init__(self, message: str, *, node: int | None = None,

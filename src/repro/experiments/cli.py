@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="delete one edge (repeatable)")
     p_update.add_argument("--batch", type=int, default=0,
                           help="also apply this many seeded improving edges "
-                               "(the dynamic bench suite's workload)")
+                               "(random vertex pairs weighted to beat every "
+                               "generated edge under the algebra)")
     p_update.add_argument("--mode", choices=("auto", "incremental", "resolve"),
                           default="auto",
                           help="auto lets the cost model pick; incremental/"

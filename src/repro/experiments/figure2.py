@@ -3,12 +3,13 @@
 The paper sweeps block sizes from ~500 to 10,000 and observes O(b^3) growth
 with a knee once blocks no longer fit in cache.  The measured mode sweeps
 block sizes that fit this machine's time budget; the projected mode evaluates
-the calibrated kernel model at the paper's block sizes.
+the paper's kernel rates at the paper's block sizes.
 """
 
 from __future__ import annotations
 
-from repro.cluster.calibration import KernelCalibration, measure_kernel_times
+from repro.cluster.calibration import measure_kernel_times
+from repro.cluster.costmodel import FLOYD_WARSHALL_RATE, MINPLUS_RATE
 
 #: Block sizes the paper's Figure 2 spans.
 PAPER_BLOCK_SIZES = (1000, 2000, 3000, 4000, 6000, 8000, 10000)
@@ -28,18 +29,12 @@ def run_measured(block_sizes=DEFAULT_MEASURED_BLOCK_SIZES, *, repeats: int = 2,
     return rows
 
 
-def run_projected(block_sizes=PAPER_BLOCK_SIZES,
-                  calibration: KernelCalibration | None = None) -> list[dict]:
-    """Evaluate the calibrated kernel model at the paper's block sizes."""
-    calibration = calibration or KernelCalibration.paper()
-    rows = []
-    for b in block_sizes:
-        rows.append({
-            "block_size": b,
-            "minplus_seconds": calibration.minplus_seconds(b),
-            "floyd_warshall_seconds": calibration.floyd_warshall_seconds(b),
-        })
-    return rows
+def run_projected(block_sizes=PAPER_BLOCK_SIZES) -> list[dict]:
+    """Evaluate the paper's kernel rates at the paper's block sizes."""
+    return [{"block_size": b,
+             "minplus_seconds": float(b) ** 3 / MINPLUS_RATE,
+             "floyd_warshall_seconds": float(b) ** 3 / FLOYD_WARSHALL_RATE}
+            for b in block_sizes]
 
 
 def check_cubic_growth(rows: list[dict], *, key: str = "floyd_warshall_seconds",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.costmodel import CostModel
+from repro.cluster.costmodel import NODE_CORES, NUM_NODES, CostModel
 from repro.common.config import EngineConfig
 from repro.core.engine import APSPEngine
 from repro.core.request import SolveRequest
@@ -24,7 +24,7 @@ from repro.spark.partitioner import partitioner_by_name
 
 #: Paper configuration for Figure 3.
 PAPER_N = 131072
-PAPER_P = 1024
+PAPER_P = NUM_NODES * NODE_CORES
 PAPER_BLOCK_SIZES = (512, 768, 1024, 1280, 1536, 1792, 2048)
 
 
@@ -48,10 +48,9 @@ def partition_size_distribution(n: int, block_size: int, num_partitions: int,
 
 
 def run_projected(*, n: int = PAPER_N, p: int = PAPER_P,
-                  block_sizes=PAPER_BLOCK_SIZES,
-                  cost_model: CostModel | None = None) -> list[dict]:
+                  block_sizes=PAPER_BLOCK_SIZES) -> list[dict]:
     """Projected total times at paper scale for IM/CB x {PH, MD} x B ∈ {1, 2}."""
-    cm = cost_model or CostModel()
+    cm = CostModel()
     rows: list[dict] = []
     for solver in ("blocked-im", "blocked-cb"):
         for partitioner in ("PH", "MD"):

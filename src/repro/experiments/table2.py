@@ -11,7 +11,7 @@ totals the same way the paper does.
 
 from __future__ import annotations
 
-from repro.cluster.costmodel import CostModel
+from repro.cluster.costmodel import NODE_CORES, NUM_NODES, CostModel
 from repro.common.config import EngineConfig
 from repro.common.timing import format_seconds
 from repro.core.engine import APSPEngine
@@ -20,7 +20,7 @@ from repro.graph.generators import erdos_renyi_adjacency
 
 #: The paper's Table 2 configuration.
 PAPER_N = 262144
-PAPER_P = 1024
+PAPER_P = NUM_NODES * NODE_CORES
 PAPER_B_FACTOR = 2
 PAPER_BLOCK_SIZES = (256, 512, 1024, 2048, 4096)
 SOLVERS = ("repeated-squaring", "fw-2d", "blocked-im", "blocked-cb")
@@ -29,10 +29,9 @@ PARTITIONERS = ("MD", "PH")
 
 def run_projected(*, n: int = PAPER_N, p: int = PAPER_P,
                   block_sizes=PAPER_BLOCK_SIZES, solvers=SOLVERS,
-                  partitioners=PARTITIONERS,
-                  cost_model: CostModel | None = None) -> list[dict]:
+                  partitioners=PARTITIONERS) -> list[dict]:
     """Regenerate Table 2 rows from the cost model."""
-    cm = cost_model or CostModel()
+    cm = CostModel()
     rows: list[dict] = []
     for solver in solvers:
         for partitioner in partitioners:

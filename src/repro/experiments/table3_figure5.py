@@ -31,10 +31,9 @@ PAPER_T1_GOPS = 0.762
 
 
 def run_projected(*, vertices_per_core: int = PAPER_VERTICES_PER_CORE,
-                  core_counts=PAPER_CORE_COUNTS,
-                  cost_model: CostModel | None = None) -> list[dict]:
+                  core_counts=PAPER_CORE_COUNTS) -> list[dict]:
     """Regenerate Table 3 / Figure 5 from the cost model."""
-    cm = cost_model or CostModel()
+    cm = CostModel()
     rows: list[dict] = []
     for entry in cm.weak_scaling(vertices_per_core=vertices_per_core,
                                  core_counts=core_counts):

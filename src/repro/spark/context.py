@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import weakref
 from typing import Callable, Iterable, Sequence
 
 from repro.common.config import EngineConfig, default_config
@@ -39,7 +40,9 @@ class SparkContext:
         self.shuffle_manager = ShuffleManager(self.config, self.metrics)
         self._shared_fs: SharedFileSystem | None = None
         self._shared_fs_root: str | None = None
-        self._owns_shared_fs = False
+        #: Removes the temp dir the context created: on :meth:`stop`, or
+        #: when a context dropped without ``stop()`` is collected.
+        self._remove_owned_root: weakref.finalize | None = None
         self._rdd_counter = 0
         self._stopped = False
 
@@ -55,12 +58,10 @@ class SparkContext:
         if self._stopped:
             return
         self.scheduler.shutdown()
-        if self._shared_fs is not None:
-            self._shared_fs.close(remove_root=self._owns_shared_fs)
-        if self._owns_shared_fs and self._shared_fs_root is not None:
+        if self._remove_owned_root is not None:
             # The context created this temp dir, so the context removes it —
             # nothing is written back into (or leaked through) the config.
-            shutil.rmtree(self._shared_fs_root, ignore_errors=True)
+            self._remove_owned_root()
             self._shared_fs_root = None
         self._stopped = True
 
@@ -103,12 +104,16 @@ class SparkContext:
         """The shared persistent storage used by the impure solvers (lazily created).
 
         When the config names no directory, the context creates a private
-        temp dir, owns it for its lifetime, and removes it on :meth:`stop` —
-        the (possibly shared) config object is never mutated.
+        temp dir, owns it for its lifetime, and removes it on :meth:`stop`
+        (or when it is garbage-collected unstopped) — the (possibly shared)
+        config object is never mutated.
         """
         if self._shared_fs is None:
-            self._owns_shared_fs = self.config.shared_fs_dir is None
+            owned = self.config.shared_fs_dir is None
             self._shared_fs_root = self.config.resolve_shared_fs_dir()
+            if owned:
+                self._remove_owned_root = weakref.finalize(
+                    self, shutil.rmtree, self._shared_fs_root, ignore_errors=True)
             self._shared_fs = SharedFileSystem(
                 os.path.join(self._shared_fs_root, "sharedfs"), self.metrics,
                 fault_injector=self.fault_injector)

@@ -30,9 +30,22 @@ INCREMENTAL_ALGEBRAS = ("shortest-path", "widest-path", "most-reliable",
                         "reachability")
 
 
+#: Engines :func:`solve_kept` started in the running test.
+_KEPT_ENGINES = []
+
+
+@pytest.fixture(autouse=True)
+def _stop_kept_engines():
+    """Stop every engine :func:`solve_kept` started, once the test ends."""
+    yield
+    while _KEPT_ENGINES:
+        _KEPT_ENGINES.pop().stop()
+
+
 def solve_kept(adjacency, request):
     """Solve with a kept closure and return ``(engine, state)``."""
     engine = APSPEngine()
+    _KEPT_ENGINES.append(engine)
     engine.solve(adjacency, request, keep_closure=True)
     return engine, engine.closure
 
@@ -324,12 +337,12 @@ class TestCostModelEstimates:
 class TestServingCoherence:
     def test_served_routes_reflect_updates(self):
         adjacency = graph_for_algebra(24, 6)
-        engine = APSPEngine()
-        service = engine.serve(adjacency, SolveRequest(solver="blocked-cb",
-                                                       block_size=8))
-        before = service.route(0, 17)
-        report = engine.update([EdgeUpdate(0, 17, 0.01)])
-        after = service.route(0, 17)
+        with APSPEngine() as engine:
+            service = engine.serve(adjacency, SolveRequest(solver="blocked-cb",
+                                                           block_size=8))
+            before = service.route(0, 17)
+            report = engine.update([EdgeUpdate(0, 17, 0.01)])
+            after = service.route(0, 17)
         assert after.distance <= before.distance
         assert np.isclose(after.distance, 0.01)
         stats = service.stats()
@@ -341,13 +354,13 @@ class TestServingCoherence:
     def test_resolve_update_keeps_service_bound(self):
         n = 20
         adjacency = graph_for_algebra(n, 6)
-        engine = APSPEngine()
-        service = engine.serve(adjacency, SolveRequest(solver="blocked-cb",
-                                                       block_size=4))
-        engine.update(update_batch_for_algebra(n, 9, count=n * 2))
-        # The resolve path rewrote distances in place; routes stay coherent.
-        expected = reference_closure(engine.closure.adjacency)
-        route = service.route(3, 11)
+        with APSPEngine() as engine:
+            service = engine.serve(adjacency, SolveRequest(solver="blocked-cb",
+                                                           block_size=4))
+            engine.update(update_batch_for_algebra(n, 9, count=n * 2))
+            # The resolve path rewrote distances in place; routes stay coherent.
+            expected = reference_closure(engine.closure.adjacency)
+            route = service.route(3, 11)
         assert np.isclose(route.distance, expected[3, 11])
 
 

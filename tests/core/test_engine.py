@@ -1,5 +1,6 @@
 """Tests for the session API: APSPEngine, APSPJob, SolveRequest, and the registry."""
 
+import gc
 import os
 
 import numpy as np
@@ -326,6 +327,16 @@ class TestSharedFsOwnership:
                 two.solve(small_er_graph, request)
                 root_two = two.context._shared_fs_root
                 assert root_one != root_two
+
+    def test_dropped_engine_removes_its_tempdir(self, small_er_graph):
+        engine = APSPEngine(EngineConfig(num_executors=2, cores_per_executor=2))
+        engine.solve(small_er_graph, SolveRequest(solver="blocked-cb",
+                                                  block_size=16))
+        root = engine.context._shared_fs_root
+        assert root is not None and os.path.isdir(root)
+        del engine  # never stopped
+        gc.collect()
+        assert not os.path.exists(root)
 
 
 class TestBackwardCompatibility:
