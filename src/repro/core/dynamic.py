@@ -285,7 +285,7 @@ def apply_incremental(state: ClosureState, edges: list[EdgeUpdate], *,
             fold_edges(state, edges[index + 1:], outcome)
             outcome.changed[:] = True
             return outcome
-        outcome.repaired_parent_rows += _recompute_rows(state, affected)
+        _recompute_rows(state, affected)
         outcome.changed |= affected
     if state.witnessed and outcome.changed.any():
         outcome.repaired_parent_rows += _repair_witnesses(state, outcome)
@@ -333,7 +333,8 @@ def _domain_value(algebra, dtype, weight):
     if weight is None:
         return zero
     if np.dtype(dtype) == np.bool_:
-        return np.bool_(bool(weight))
+        # Any finite weight is an edge (0.0 included), as at ingestion.
+        return np.bool_(np.isfinite(weight))
     value = np.dtype(dtype).type(weight)
     if np.isfinite(value) and algebra.input_validator is not validate_dag_weights:
         algebra.validate_input(np.asarray([value]), "edge weight")
@@ -444,15 +445,14 @@ def _affected_rows(state: ClosureState, u: int, v: int, old,
     return affected
 
 
-def _recompute_rows(state: ClosureState, affected: np.ndarray) -> int:
+def _recompute_rows(state: ClosureState, affected: np.ndarray) -> None:
     """Fixpoint-recompute the affected closure rows against the new adjacency.
 
     ``X = (A_RR)* ⊗ B`` with boundary ``B = A[R, ~R] ⊗ D[~R, :] ⊕ I[R, :]``
     (see the module docstring), converging in at most ``|R|`` iterations.
-    Witnessed states rebuild the parent row of every affected source (values
-    alone cannot tell whether a still-equal plateau pointer walked through
-    the removed edge).  Returns the number of parent rows that needed the
-    BFS-layering rebuild.
+    Witnessed states derive the parent row of every affected source again
+    (values alone cannot tell whether a still-equal plateau pointer walked
+    through the removed edge).
     """
     algebra, dist = state.algebra, state.distances
     adj = state.adjacency
@@ -486,19 +486,11 @@ def _recompute_rows(state: ClosureState, affected: np.ndarray) -> int:
     if state.packed is not None:
         state.packed.words[rows] = bitset.pack_bits(dist[rows, :])
         state.packed.invalidate_popcount()
-    repaired = 0
     if state.witnessed:
-        edges = (witness.CsrEdges.of(adj, dtype) if sparse_mod.is_sparse(adj)
-                 else adj)
+        edges = witness.CsrEdges.of(adj, algebra, dtype)
         for source in rows.tolist():
-            row = witness.solve_parent_row(source, dist, edges, algebra)
-            reachable = dist[source] != zero
-            if not witness.consistent_parent_row(row, source,
-                                                 reachable=reachable):
-                row = witness.rebuild_parent_row(source, dist, adj, algebra)
-                repaired += 1
-            state.parents[source] = row
-    return repaired
+            state.parents[source] = witness.parent_row(source, dist, edges,
+                                                       algebra)
 
 
 def _repair_witnesses(state: ClosureState, outcome: UpdateOutcome) -> int:
@@ -506,12 +498,15 @@ def _repair_witnesses(state: ClosureState, outcome: UpdateOutcome) -> int:
 
     Per-cell rank-1 witnesses are locally valid but can disagree across
     cells on equal-value plateaus, exactly as during a distributed solve —
-    the same detection/rebuild pass runs here, and any rebuilt row is also
-    marked changed so the serving cache drops it.
+    the same detection runs here, each flagged row is derived again, and is
+    also marked changed so the serving cache drops it.
     """
     bad = np.flatnonzero(~witness.consistent_parent_rows(state.parents))
-    for source in bad.tolist():
-        state.parents[source] = witness.rebuild_parent_row(
-            source, state.distances, state.adjacency, state.algebra)
-        outcome.changed[source] = True
+    if bad.size:
+        edges = witness.CsrEdges.of(state.adjacency, state.algebra,
+                                    state.distances.dtype)
+        for source in bad.tolist():
+            state.parents[source] = witness.parent_row(
+                source, state.distances, edges, state.algebra)
+        outcome.changed[bad] = True
     return int(bad.size)

@@ -291,19 +291,24 @@ def load_graph(path: str | os.PathLike) -> LoadedGraph:
     adjacency: text formats resolve it from their ``directed=`` comment
     tokens (or MatrixMarket symmetry), binary formats (``.npz``/``.npy``)
     sniff structural symmetry — either way a single pass decides how
-    ``layout="auto"`` should treat the graph.
+    ``layout="auto"`` should treat the graph.  A graph with no vertices
+    (an empty edge list, say) raises :class:`ValidationError`.
     """
     name = os.fspath(path)
     lower = name.lower()
     if lower.endswith(".npz"):
         csr = load_sparse_npz(name)
-        return LoadedGraph(csr, not is_symmetric_adjacency(csr))
-    if lower.endswith(".npy"):
+        loaded = LoadedGraph(csr, not is_symmetric_adjacency(csr))
+    elif lower.endswith(".npy"):
         dense = load_matrix(name)
-        return LoadedGraph(dense, not is_symmetric_adjacency(dense))
-    if lower.endswith(".mtx"):
-        return LoadedGraph(*_load_mtx_resolved(name))
-    return LoadedGraph(*_load_external_edges_resolved(name))
+        loaded = LoadedGraph(dense, not is_symmetric_adjacency(dense))
+    elif lower.endswith(".mtx"):
+        loaded = LoadedGraph(*_load_mtx_resolved(name))
+    else:
+        loaded = LoadedGraph(*_load_external_edges_resolved(name))
+    if loaded.adjacency.shape[0] == 0:
+        raise ValidationError("the graph has no vertices")
+    return loaded
 
 
 def convert_graph(source: str | os.PathLike, target: str | os.PathLike) -> tuple[int, int]:

@@ -297,8 +297,11 @@ def validate_sparse_adjacency(adjacency, *, require_symmetric: bool = False,
             raise ValidationError("adjacency must be symmetric for undirected solvers")
 
     if dt == np.bool_:
-        if csr.dtype != np.bool_:
-            csr = csr.astype(bool)
+        # Every stored entry is an edge, a stored 0.0 weight included: a
+        # plain astype(bool) would store it as False.
+        csr = _sp.csr_matrix((np.ones(csr.nnz, dtype=bool),
+                              csr.indices.copy(), csr.indptr.copy()),
+                             shape=csr.shape)
     elif csr.dtype != dt:
         csr = csr.astype(dt)
     csr.sort_indices()

@@ -17,6 +17,7 @@ from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.payload import payload_ops
 
 try:  # SciPy is a hard dependency of the package, but keep the import local.
+    from scipy.sparse.csgraph import csgraph_from_dense as _csgraph_from_dense
     from scipy.sparse.csgraph import floyd_warshall as _scipy_floyd_warshall
     _HAVE_SCIPY = True
 except Exception:  # pragma: no cover - exercised only without SciPy
@@ -78,7 +79,9 @@ def floyd_warshall_scipy(matrix: np.ndarray) -> np.ndarray:
         return floyd_warshall(arr)
     work = arr.copy()
     np.fill_diagonal(work, 0.0)
-    return np.asarray(_scipy_floyd_warshall(work, directed=True), dtype=np.float64)
+    # A dense csgraph reads 0 as "no edge"; only non-finite entries are.
+    graph = _csgraph_from_dense(work, null_value=np.inf)
+    return np.asarray(_scipy_floyd_warshall(graph, directed=True), dtype=np.float64)
 
 
 def fw_rank1_update(block: np.ndarray, col_i: np.ndarray, row_j: np.ndarray,

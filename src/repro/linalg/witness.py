@@ -62,6 +62,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.common.errors import SolverError, ValidationError
 from repro.linalg.algebra import Semiring, get_algebra
@@ -491,7 +493,7 @@ def witness_rank1_update_inplace(block: WitnessBlock, col_i, row_j: WitnessVecto
 
 
 # ---------------------------------------------------------------------------
-# Global consistency: detection + tight-edge repair
+# Global consistency: detection + the one parent row
 # ---------------------------------------------------------------------------
 def _tight_rtol(dtype: np.dtype) -> float:
     """Relative tolerance for the tight-edge test, matched to the dtype.
@@ -557,12 +559,15 @@ def _adjacency_row_values(adjacency, rows: np.ndarray, algebra: Semiring,
 
 
 class CsrEdges(NamedTuple):
-    """A CSR adjacency's stored edges ``p -> j`` as parallel row-major arrays.
+    """An adjacency's edges ``p -> j`` as parallel row-major arrays.
 
-    The form :func:`solve_parent_row` reads a CSR in.  Deriving it costs about
-    as much as the row solve itself, so a caller that solves many rows against
-    one adjacency version derives it once with :meth:`of` and passes it as
-    the ``adjacency``.
+    The one form :func:`parent_row` reads edges in, derived by :meth:`of`
+    from either adjacency form: a canonical CSR's stored entries, or a dense
+    prepared matrix's off-diagonal cells that are not the algebra's
+    ``zero``.  Deriving it costs about as much as one row, so a caller that
+    derives many rows against one adjacency version derives it once.
+    ``p_idx`` is non-decreasing, which is what lets :func:`parent_row` build
+    its tight-edge CSR from a ``bincount``.
     """
 
     p_idx: np.ndarray
@@ -570,163 +575,78 @@ class CsrEdges(NamedTuple):
     vals: np.ndarray
 
     @classmethod
-    def of(cls, csr, dtype: np.dtype) -> "CsrEdges":
-        coo = csr.tocoo()
-        return cls(np.asarray(coo.row, dtype=np.int64),
-                   np.asarray(coo.col, dtype=np.int64),
-                   np.asarray(coo.data, dtype=dtype))
+    def of(cls, adjacency, algebra: Semiring, dtype: np.dtype) -> "CsrEdges":
+        """The edges of a dense prepared or canonical CSR adjacency."""
+        from repro.graph import sparse as sparse_mod
+        dtype = np.dtype(dtype)
+        zero = algebra.zero_like(dtype)
+        if sparse_mod.is_sparse(adjacency):
+            coo = adjacency.tocoo()
+            rows, cols = coo.row, coo.col
+            vals = np.asarray(coo.data, dtype=dtype)
+        else:
+            arr = np.asarray(adjacency, dtype=dtype)
+            rows, cols = np.nonzero(arr != zero)
+            vals = arr[rows, cols]
+        keep = (rows != cols) & (vals != zero)
+        return cls(rows[keep].astype(np.intp), cols[keep].astype(np.intp),
+                   vals[keep])
 
 
-def rebuild_parent_row(source: int, distances: np.ndarray, adjacency,
-                       algebra: Semiring, *, rtol: float | None = None,
-                       ) -> np.ndarray:
-    """Recompute one source row of the predecessor matrix from the closure.
+def parent_row(source: int, distances: np.ndarray, edges: CsrEdges,
+               algebra: Semiring) -> np.ndarray:
+    """The parent row of ``source``, derived from the closure's row.
 
-    Tight-edge BFS layering: starting from the source, a vertex ``j`` joins
-    the tree once some already-layered vertex ``p`` has an edge to ``j``
-    that *extends optimally* (``D[i, p] ⊗ E[p, j] == D[i, j]``, within a
-    dtype-matched tolerance for floats).  In an absorptive selective
-    semiring such a layering reaches every vertex with a finite closure
-    entry, and the resulting pointers strictly decrease the BFS layer —
-    walks cannot cycle.  This is the consistency backstop for plateau-heavy
-    algebras (reachability, bottleneck ties) where independently-chosen
-    per-cell witnesses can disagree across cells.
+    An edge ``p -> j`` is *tight* when it extends an optimal path:
+    ``D[s, p] ⊗ E[p, j] == D[s, j]`` (within a dtype-matched tolerance for
+    floats, exactly for bool).  One breadth-first search from ``source``
+    over the tight edges assigns every vertex it reaches the vertex it was
+    reached from, so the pointers strictly decrease the BFS depth: every
+    walk ends at the source, and folds to the closure entry one tight edge
+    at a time.  In an absorptive selective semiring the tight edges reach
+    every vertex with a non-``zero`` closure entry; when they do not, the
+    closure and the edges disagree and :class:`SolverError` is raised.
     """
     d_row = np.asarray(distances)[source]
     n = d_row.shape[0]
     dtype = d_row.dtype
     zero = algebra.zero_like(dtype)
-    if rtol is None:
+    p_idx, j_idx, vals = edges
+    candidate = algebra.mul(d_row[p_idx], vals)
+    target = d_row[j_idx]
+    if dtype == np.bool_:
+        tight = candidate & target
+    else:
+        # np.isclose(candidate, target, rtol=rtol, atol=rtol), or both
+        # infinite, written out: on this per-row path it costs half as much.
         rtol = _tight_rtol(dtype)
-    parents_row = np.full(n, NO_VERTEX, dtype=np.int32)
-    reachable = d_row != zero
-    reachable[source] = False
-    assigned = np.zeros(n, dtype=bool)
-    assigned[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    while frontier.size:
-        edge_vals = _adjacency_row_values(adjacency, frontier, algebra, dtype)
-        candidate = algebra.mul(d_row[frontier][:, None], edge_vals)
-        if dtype == np.bool_:
-            tight = candidate & (edge_vals != zero)
-        else:
-            close = np.isclose(candidate, d_row[None, :], rtol=rtol,
-                               atol=rtol) | (np.isinf(candidate)
-                                             & np.isinf(d_row[None, :]))
-            tight = close & (edge_vals != zero) & (candidate != zero)
-        tight &= (reachable & ~assigned)[None, :]
-        covered = tight.any(axis=0)
-        new_vertices = np.flatnonzero(covered)
-        if new_vertices.size == 0:
-            break
-        first_hit = np.argmax(tight[:, new_vertices], axis=0)
-        parents_row[new_vertices] = frontier[first_hit].astype(np.int32)
-        assigned[new_vertices] = True
-        frontier = new_vertices
-    missing = reachable & ~assigned
+        with np.errstate(invalid="ignore"):
+            tight = np.abs(candidate - target) <= rtol * (1 + np.abs(target))
+        tight &= np.isfinite(target)
+        tight |= (candidate == target) | (np.isinf(candidate) & np.isinf(target))
+        tight &= candidate != zero
+    hit = np.flatnonzero(tight)
+    # float64 data and int32 indices are the layout csgraph works on, so it
+    # reads this matrix without copying it.
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(p_idx[hit], minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(hit.size), j_idx[hit].astype(np.int32),
+                        indptr), shape=(n, n))
+    _, predecessors = breadth_first_order(graph, source, directed=True,
+                                          return_predecessors=True)
+    row = np.where(predecessors < 0, NO_VERTEX, predecessors).astype(np.int32)
+    missing = (d_row != zero) & (row == NO_VERTEX)
+    missing[source] = False
     if missing.any():
         raise SolverError(
-            f"path repair could not layer {int(missing.sum())} vertices for "
+            f"no tight-edge path reaches {int(missing.sum())} vertices from "
             f"source {source}; closure and adjacency are inconsistent")
-    return parents_row
-
-
-def consistent_parent_row(parents_row: np.ndarray, source: int, *,
-                          reachable: np.ndarray | None = None) -> bool:
-    """Single-row counterpart of :func:`consistent_parent_rows`.
-
-    True when every assigned pointer chain of ``parents_row`` terminates at
-    ``source`` (checked by pointer doubling, O(n log n)).  With ``reachable``
-    given (a boolean mask of vertices the closure says the source reaches),
-    additionally require that every reachable vertex *is* assigned — the
-    property a route cache needs before trusting a row for arbitrary
-    destinations.
-    """
-    row = np.asarray(parents_row)
-    n = row.shape[0]
-    if n == 0:
-        return True
-    unassigned = row == NO_VERTEX
-    if reachable is not None:
-        must_assign = np.asarray(reachable, dtype=bool).copy()
-        must_assign[source] = False
-        if bool(np.any(must_assign & unassigned)):
-            return False
-    sentinel = n  # virtual absorbing node for "-1" (unassigned / dead end)
-    chase = np.where(unassigned, sentinel, row).astype(np.int64)
-    chase[source] = source
-    padded = np.empty(n + 1, dtype=np.int64)
-    doublings = max(1, int(np.ceil(np.log2(max(2, n)))) + 1)
-    for _ in range(doublings):
-        padded[:n] = chase
-        padded[n] = sentinel
-        chase = padded[chase]
-    return bool(np.all((chase == source) | unassigned))
-
-
-def solve_parent_row(source: int, distances: np.ndarray, adjacency,
-                     algebra: Semiring, *, rtol: float | None = None,
-                     ) -> np.ndarray:
-    """One-shot vectorized parent row for ``source`` from the cached closure.
-
-    For every vertex ``j`` the row picks *some* tight predecessor ``p``
-    (``D[s, p] ⊗ E[p, j] == D[s, j]`` with ``E[p, j]`` a real edge) in a
-    single vectorized pass — O(n²) for dense adjacency, O(nnz) for CSR (or
-    the :class:`CsrEdges` already derived from one), with no BFS layering.
-    Every pointer is locally valid (a genuine edge on
-    an optimal path), but on equal-value plateaus (boolean reachability,
-    bottleneck ties) independently chosen pointers can form cycles; callers
-    must check the row with :func:`consistent_parent_row` and fall back to
-    :func:`rebuild_parent_row` when it fails.  This fast-path/repair split is
-    the serving layer's per-row analogue of the solver-side
-    :func:`repair_parents` pass.
-    """
-    from repro.graph import sparse as sparse_mod
-    d_row = np.asarray(distances)[source]
-    n = d_row.shape[0]
-    dtype = d_row.dtype
-    zero = algebra.zero_like(dtype)
-    if rtol is None:
-        rtol = _tight_rtol(dtype)
-    parents_row = np.full(n, NO_VERTEX, dtype=np.int32)
-    reachable = d_row != zero
-    reachable[source] = False
-    if not reachable.any():
-        return parents_row
-    if sparse_mod.is_sparse(adjacency):
-        adjacency = CsrEdges.of(adjacency, dtype)
-    sparse = isinstance(adjacency, CsrEdges)
-    if sparse:
-        p_idx, j_idx, vals = adjacency
-        candidate = algebra.mul(d_row[p_idx], vals)
-        target = d_row[j_idx]
-    else:
-        edge_vals = np.asarray(adjacency, dtype=dtype)
-        candidate = algebra.mul(d_row[:, None], edge_vals)
-        target = d_row[None, :]
-        vals = edge_vals
-    if dtype == np.bool_:
-        tight = candidate & (vals != zero)
-    else:
-        close = np.isclose(candidate, target, rtol=rtol, atol=rtol) \
-            | (np.isinf(candidate) & np.isinf(target))
-        tight = close & (vals != zero) & (candidate != zero)
-    if sparse:
-        tight &= reachable[j_idx] & (p_idx != j_idx)
-        hit = np.flatnonzero(tight)
-        # Later writers win — any tight predecessor is locally valid.
-        parents_row[j_idx[hit]] = p_idx[hit].astype(np.int32)
-    else:
-        tight &= reachable[None, :]
-        np.fill_diagonal(tight, False)
-        covered = tight.any(axis=0)
-        parents_row[covered] = np.argmax(tight[:, covered], axis=0).astype(np.int32)
-    return parents_row
+    return row
 
 
 def repair_parents(distances: np.ndarray, parents: np.ndarray, adjacency,
-                   algebra: Semiring | str | None = None, *,
-                   rtol: float | None = None) -> tuple[np.ndarray, int]:
+                   algebra: Semiring | str | None = None,
+                   ) -> tuple[np.ndarray, int]:
     """Make a predecessor matrix globally walk-consistent, row by row.
 
     The distributed solvers produce *locally* valid witnesses — every
@@ -734,18 +654,18 @@ def repair_parents(distances: np.ndarray, parents: np.ndarray, adjacency,
     equal-value plateaus (boolean reachability, shared bottlenecks)
     independently-updated cells can point at each other, leaving a source
     row whose walk cycles.  This pass detects such rows with
-    :func:`consistent_parent_rows` and rebuilds only those via
-    :func:`rebuild_parent_row`; consistent rows keep the solver's witnesses
+    :func:`consistent_parent_rows` and derives only those again with
+    :func:`parent_row`; consistent rows keep the solver's witnesses
     untouched.  Returns ``(parents, repaired_row_count)`` (``parents`` is
     modified in place).
     """
     algebra = get_algebra(algebra)
     parents = np.asarray(parents)
-    ok = consistent_parent_rows(parents)
-    bad_rows = np.flatnonzero(~ok)
-    for source in bad_rows:
-        parents[source] = rebuild_parent_row(int(source), distances, adjacency,
-                                             algebra, rtol=rtol)
+    bad_rows = np.flatnonzero(~consistent_parent_rows(parents))
+    if bad_rows.size:
+        edges = CsrEdges.of(adjacency, algebra, np.asarray(distances).dtype)
+        for source in bad_rows.tolist():
+            parents[source] = parent_row(source, distances, edges, algebra)
     return parents, int(bad_rows.size)
 
 
@@ -802,24 +722,3 @@ def reconstruct_path(parents: np.ndarray, src: int, dst: int) -> list[int]:
         raise ValidationError(
             f"route endpoints ({src}, {dst}) out of range for n={n}")
     return walk_parent_row(parents[src], src, dst)
-
-
-def path_weight(prepared: np.ndarray, path: list[int],
-                algebra: Semiring | str | None = None):
-    """Fold a path's edge weights under the algebra's ⊗.
-
-    ``prepared`` must be the adjacency in the algebra's domain (missing
-    edges are ``zero``).  Raises when the path traverses a missing edge —
-    the check the route validation in tests and the CLI relies on.  A
-    single-vertex path folds to the algebra's ``one``.
-    """
-    algebra = get_algebra(algebra)
-    arr = np.asarray(prepared)
-    fold = algebra.one_like(arr.dtype)
-    zero = algebra.zero_like(arr.dtype)
-    for u, v in zip(path[:-1], path[1:]):
-        weight = arr[u, v]
-        if weight == zero:
-            raise SolverError(f"path step {u} -> {v} is not an edge")
-        fold = algebra.mul(fold, weight)
-    return fold

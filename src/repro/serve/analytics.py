@@ -1,17 +1,16 @@
 """Request-level serving analytics: latency percentiles + per-stage attribution.
 
 Aggregate wall time alone cannot tell you *which* stage of a route query is
-the bottleneck — a slow p99 could be cold-row solves, plateau repairs, or
-long path walks.  Following the two-level analytics idiom (aggregate stats
-over the whole query stream, cost attribution per pipeline stage),
-:class:`ServeAnalytics` records both:
+the bottleneck — a slow p99 could be cold-row solves or long path walks.
+Following the two-level analytics idiom (aggregate stats over the whole
+query stream, cost attribution per pipeline stage), :class:`ServeAnalytics`
+records both:
 
 * per-query latency, summarized as p50/p95/p99 percentiles over a bounded
   reservoir (a heavy-traffic session must not grow memory with query count);
-* per-stage cost — ``row_solve`` (the vectorized tight-predecessor sweep on
-  a cache miss), ``path_walk`` (the pointer chase answering the query), and
-  ``repair`` (the BFS rebuild when a plateau made the fast row cyclic) —
-  as both cumulative seconds and invocation counts.
+* per-stage cost — ``row_solve`` (the tight-edge BFS that derives a parent
+  row on a cache miss) and ``path_walk`` (the pointer chase answering the
+  query) — as both cumulative seconds and invocation counts.
 
 Cache behaviour (hits/misses/evictions) lives with the cache itself;
 :meth:`RouteService.stats` merges the two views into one report.
@@ -24,7 +23,7 @@ import random
 from repro.spark.metrics import latency_summary
 
 #: The serving pipeline's stages, in execution order.
-STAGES = ("row_solve", "path_walk", "repair")
+STAGES = ("row_solve", "path_walk")
 
 #: Default latency-reservoir capacity: enough for exact percentiles on any
 #: bench/CI workload, bounded for production-length sessions.

@@ -8,15 +8,10 @@ even once, for large ``n``) is exactly the memory wall the serving layer
 exists to avoid.  :class:`RouteService` instead solves **per-source parent
 rows lazily** from the cached closure:
 
-1. *row_solve* — on a cache miss, a single vectorized tight-predecessor
-   sweep (:func:`~repro.linalg.witness.solve_parent_row`, O(n²) dense /
-   O(nnz) CSR) builds the ``4 n``-byte parent row for the query's source;
-2. *repair* — when equal-value plateaus made the fast row cyclic
-   (:func:`~repro.linalg.witness.consistent_parent_row` fails), the row is
-   rebuilt by tight-edge BFS layering
-   (:func:`~repro.linalg.witness.rebuild_parent_row`) — the per-row analogue
-   of the solver-side ``repair_parents`` pass;
-3. *path_walk* — the pointer chase that actually answers the query.
+1. *row_solve* — on a cache miss, :func:`~repro.linalg.witness.parent_row`
+   (one breadth-first search over the tight edges, O(nnz)) builds the
+   ``4 n``-byte parent row for the query's source;
+2. *path_walk* — the pointer chase that actually answers the query.
 
 Rows live in an LRU :class:`~repro.serve.cache.ParentRowCache` under a
 byte/row budget, and every query feeds the
@@ -40,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.common.errors import SolverError, ValidationError
-from repro.graph.sparse import is_sparse
 from repro.linalg import witness
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.serve.analytics import ServeAnalytics
@@ -57,8 +51,7 @@ class RouteAnswer:
     unreachable pairs, whatever the algebra's ``zero`` is).  ``cached`` says
     whether the parent row came from the cache (``None`` when no row was
     needed: trivial ``src == dst`` and unreachable queries are answered from
-    the closure alone).  ``repaired`` flags that this query paid the
-    plateau-repair stage.
+    the closure alone).
     """
 
     src: int
@@ -66,7 +59,6 @@ class RouteAnswer:
     distance: object
     path: tuple[int, ...] | None
     cached: bool | None
-    repaired: bool
     seconds: float
 
     @property
@@ -103,7 +95,7 @@ class RouteService:
     adjacency:
         The *prepared* adjacency the closure was solved from — dense in the
         algebra's domain (missing edges = ``zero``, diagonal = ``one``) or
-        canonical CSR (stored entries = edges).  Row solves and repairs read
+        canonical CSR (stored entries = edges).  Row solves read their
         edges from here; it is never densified for CSR inputs.
     algebra:
         Name or :class:`~repro.linalg.algebra.Semiring`; must support
@@ -144,8 +136,8 @@ class RouteService:
         self._degraded_since: float | None = None
 
     def _bind(self, distances, adjacency, current: _Version | None) -> _Version:
-        """Validate one closure version; a CSR's edge arrays are derived here,
-        once per adjacency version, instead of on every cache miss."""
+        """Validate one closure version; the edge arrays row solves read are
+        derived here, once per adjacency version, not on every cache miss."""
         dist = np.asarray(distances)
         if adjacency.shape != dist.shape or dist.shape != (self.n, self.n):
             raise ValidationError(
@@ -153,10 +145,8 @@ class RouteService:
                 f"{dist.shape} does not match n={self.n}")
         if current is not None and adjacency is current.adjacency:
             row_edges = current.row_edges
-        elif is_sparse(adjacency):
-            row_edges = witness.CsrEdges.of(adjacency, dist.dtype)
         else:
-            row_edges = adjacency
+            row_edges = witness.CsrEdges.of(adjacency, self.algebra, dist.dtype)
         return _Version(dist, adjacency, row_edges)
 
     @property
@@ -193,10 +183,9 @@ class RouteService:
                    stages: dict[str, float] | None = None) -> np.ndarray:
         """The parent row for ``source``: cached, or lazily solved + cached.
 
-        A miss runs the vectorized row solve, validates the row's pointer
-        chains, repairs it by BFS layering if a plateau made them cyclic,
-        and stores the result.  ``stages`` (when given) receives the
-        per-stage seconds of whatever work this call actually did.
+        A miss derives the row with :func:`~repro.linalg.witness.parent_row`
+        and stores it.  ``stages`` (when given) receives the per-stage
+        seconds of whatever work this call actually did.
 
         Concurrent misses for the same source are deduplicated: the first
         caller solves under that source's lock, everyone else waits and then
@@ -230,31 +219,16 @@ class RouteService:
                     # hit or miss, however many threads pile onto a source).
                     self.cache.lookup(source)
             start = time.perf_counter()
-            row = witness.solve_parent_row(source, version.distances,
-                                           version.row_edges, self.algebra)
-            reachable = version.distances[source] != self._zero
-            consistent = witness.consistent_parent_row(row, source,
-                                                       reachable=reachable)
-            solve_seconds = time.perf_counter() - start
+            row = witness.parent_row(source, version.distances,
+                                     version.row_edges, self.algebra)
             if stages is not None:
-                stages["row_solve"] = stages.get("row_solve", 0.0) + solve_seconds
-            if not consistent:
-                start = time.perf_counter()
-                row = witness.rebuild_parent_row(source, version.distances,
-                                                 version.adjacency, self.algebra)
-                if stages is not None:
-                    stages["repair"] = (stages.get("repair", 0.0)
-                                        + time.perf_counter() - start)
+                stages["row_solve"] = time.perf_counter() - start
             with self._lock:
-                self._store(source, row, version)
+                # Cache the row unless a newer version was published since.
+                if version is self._version:
+                    self.cache.store(source, row)
                 self._row_locks.pop(source, None)
         return row, False
-
-    def _store(self, source: int, row: np.ndarray, version: _Version) -> None:
-        """Cache a row unless a newer version was published since its solve."""
-        with self._lock:
-            if version is self._version:
-                self.cache.store(source, row)
 
     # ------------------------------------------------------------------ degradation
     def mark_degraded(self, error: BaseException) -> None:
@@ -302,8 +276,8 @@ class RouteService:
     def route(self, src: int, dst: int) -> RouteAnswer:
         """Answer one query: distance plus the optimal path's vertex list.
 
-        The distance, the parent row and any repair all come from the one
-        closure version that was published when the query started, so an
+        The distance and the parent row both come from the one closure
+        version that was published when the query started, so an
         update committing mid-query never mixes two versions into an answer.
         Unreachable pairs return ``path=None`` (valid answer; no parent row
         is ever solved for them).  Endpoint validation errors raise before
@@ -321,33 +295,18 @@ class RouteService:
             elapsed = time.perf_counter() - start
             with self._lock:
                 self.analytics.record_query(elapsed, stages=stages)
-            return RouteAnswer(src, dst, distance, (src,), None, False, elapsed)
+            return RouteAnswer(src, dst, distance, (src,), None, elapsed)
         if distance == self._zero:
             elapsed = time.perf_counter() - start
             with self._lock:
                 self.analytics.record_query(elapsed, stages=stages,
                                             unreachable=True)
-            return RouteAnswer(src, dst, distance, None, None, False, elapsed)
+            return RouteAnswer(src, dst, distance, None, None, elapsed)
         try:
             row, hit = self._parent_row(src, version, stages)
             walk_start = time.perf_counter()
-            try:
-                path = witness.walk_parent_row(row, src, dst)
-            except SolverError:
-                # Defensive second chance: a cached row can only be walked
-                # into a dead end if it predates a repair; rebuild and retry.
-                stages["path_walk"] = (stages.get("path_walk", 0.0)
-                                       + time.perf_counter() - walk_start)
-                repair_start = time.perf_counter()
-                row = witness.rebuild_parent_row(src, version.distances,
-                                                 version.adjacency, self.algebra)
-                self._store(src, row, version)
-                stages["repair"] = (stages.get("repair", 0.0)
-                                    + time.perf_counter() - repair_start)
-                walk_start = time.perf_counter()
-                path = witness.walk_parent_row(row, src, dst)
-            stages["path_walk"] = (stages.get("path_walk", 0.0)
-                                   + time.perf_counter() - walk_start)
+            path = witness.walk_parent_row(row, src, dst)
+            stages["path_walk"] = time.perf_counter() - walk_start
         except SolverError:
             with self._lock:
                 self.analytics.record_query(time.perf_counter() - start,
@@ -356,8 +315,7 @@ class RouteService:
         elapsed = time.perf_counter() - start
         with self._lock:
             self.analytics.record_query(elapsed, stages=stages)
-        return RouteAnswer(src, dst, distance, tuple(path), hit,
-                           "repair" in stages, elapsed)
+        return RouteAnswer(src, dst, distance, tuple(path), hit, elapsed)
 
     def routes(self, pairs) -> list[RouteAnswer]:
         """Answer a batch of queries in order.

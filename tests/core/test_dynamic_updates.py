@@ -21,8 +21,9 @@ from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import available_algebras, get_algebra
 from repro.linalg.bitset import PackedBlock
 from repro.linalg.kernels import semiring_closure
-from repro.linalg.witness import NO_VERTEX, consistent_parent_rows, path_weight
+from repro.linalg.witness import NO_VERTEX, consistent_parent_rows
 from repro.sequential.floyd_warshall import reference_closure
+from repro.serve import fold_route
 
 #: Algebras whose rank-1 sweeps are exact (absorptive ⊕); longest-path is
 #: excluded by construction and covered by its own refusal tests below.
@@ -161,6 +162,21 @@ class TestIncrementalEqualsResolve:
         assert np.array_equal(state.packed.words,
                               PackedBlock.from_dense(state.distances).words)
 
+    def test_zero_weight_is_an_edge_under_reachability(self):
+        """Weight 0.0 is finite, so it inserts the edge under reachability
+        exactly as it does under shortest-path."""
+        adjacency = np.full((4, 4), np.inf)
+        np.fill_diagonal(adjacency, 0.0)
+        adjacency[1, 2] = adjacency[2, 1] = 1.0
+        for algebra in ("shortest-path", "reachability"):
+            engine, state = solve_kept(
+                adjacency, SolveRequest(block_size=2, algebra=algebra))
+            report = engine.update([(0, 1, 0.0)])
+            assert (report.improvements, report.noops) == (1, 0)
+            assert state.distances[0, 2] == reference_closure(
+                state.adjacency, algebra)[0, 2]
+            assert state.distances[0, 2] != get_algebra(algebra).zero
+
     def test_float32_closure_updates_in_dtype(self):
         adjacency = graph_for_algebra(16, 5)
         request = SolveRequest(solver="blocked-cb", block_size=8,
@@ -198,7 +214,7 @@ class TestWitnessedUpdates:
                     path.append(int(state.parents[i, path[-1]]))
                 path.reverse()
                 assert np.isclose(
-                    path_weight(state.adjacency, path, algebra),
+                    fold_route(state.adjacency, path, algebra),
                     expected[i, j])
 
     def test_unreachable_cells_keep_no_vertex(self):
@@ -430,7 +446,7 @@ def assert_routes_follow_oracle(service, mirror, oracle, rng, count=40):
             assert answer.path is None
             continue
         assert answer.path[0] == src and answer.path[-1] == dst
-        weight = path_weight(prepared, list(answer.path), algebra)
+        weight = fold_route(prepared, list(answer.path), algebra)
         assert algebra.allclose(np.asarray(weight), np.asarray(oracle[src, dst]),
                                 rtol=1e-4, atol=1e-6)
 

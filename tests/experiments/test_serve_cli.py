@@ -136,6 +136,46 @@ class TestBadInputFailsBeforeSolving:
         assert err.startswith("error: ") and message in err
 
 
+class TestEmptyInputGraph:
+    """An ``--input`` graph with no vertices is a usage error in every
+    subcommand that loads one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["route", "0", "1"], ["serve", "--queries", "5"],
+        ["update", "--batch", "1"],
+    ], ids=["solve", "route", "serve", "update"])
+    def test_empty_edge_list_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved an empty graph")
+        monkeypatch.setattr(APSPEngine, "solve", solve)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n")
+        assert main(argv + ["--input", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no vertices" in err
+
+
+class TestZeroWeightEdges:
+    """A 0-weight edge is an edge: served under reachability, verified by
+    the float64 shortest-path oracle."""
+
+    @pytest.fixture
+    def zero_edge(self, tmp_path):
+        path = tmp_path / "zero-edge.txt"
+        path.write_text("0 1 0\n1 2 1.0\n")
+        return str(path)
+
+    def test_reachability_route_over_a_zero_weight_edge(self, zero_edge,
+                                                         capsys):
+        assert main(["route", "0", "2", "--input", zero_edge,
+                     "--algebra", "reachability"]) == 0
+        assert "0 -> 1 -> 2" in capsys.readouterr().out
+
+    def test_solve_verifies_against_the_oracle(self, zero_edge, capsys):
+        assert main(["solve", "--input", zero_edge]) == 0
+        assert "MISMATCH" not in capsys.readouterr().out
+
+
 class TestConvertCommand:
     def test_edge_list_to_npz_then_served(self, tmp_path, capsys):
         src = tmp_path / "demo.txt"

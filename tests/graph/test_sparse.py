@@ -63,6 +63,14 @@ def test_erdos_renyi_sparse_options():
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
+def test_reachability_ingestion_stores_every_edge_as_true():
+    """A stored 0.0 weight is an edge; under reachability it is stored True."""
+    csr = sp.csr_matrix((np.array([0.0, 1.0]), (np.array([0, 1]), np.array([1, 2]))),
+                        shape=(3, 3))
+    out = validate_sparse_adjacency(csr, algebra="reachability")
+    assert out.dtype == np.bool_ and out.nnz == 2 and out.data.all()
+
+
 def test_validate_sparse_adjacency_basics():
     csr = erdos_renyi_sparse(120, seed=3)
     out = validate_sparse_adjacency(csr, require_symmetric=True,

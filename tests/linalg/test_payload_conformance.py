@@ -32,6 +32,7 @@ from repro.linalg.payload import (DENSE, PACKED, WITNESS, payload_ops,
 from repro.linalg.semiring import (elementwise_combine, semiring_power,
                                    semiring_product, semiring_relax,
                                    semiring_square)
+from repro.serve import fold_route
 
 N = 12  # matrix side; sub-blocks of 5 leave a ragged edge
 
@@ -100,7 +101,7 @@ def assert_parents_walk(block, prepared, algebra) -> None:
                 assert parents[i, j] == W.NO_VERTEX
                 continue
             path = W.reconstruct_path(parents, i, j)
-            assert np.isclose(W.path_weight(prepared, path, algebra), values[i, j])
+            assert np.isclose(fold_route(prepared, path, algebra), values[i, j])
 
 
 # ---------------------------------------------------------------------------

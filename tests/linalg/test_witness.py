@@ -13,6 +13,7 @@ from repro.linalg.blocks import blocks_to_matrix, matrix_to_blocks
 from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
                                   floyd_warshall_inplace, semiring_closure)
 from repro.linalg.semiring import elementwise_combine, semiring_product
+from repro.serve import fold_route
 
 WITNESS_ALGEBRAS = ("shortest-path", "widest-path", "most-reliable", "reachability")
 
@@ -52,7 +53,7 @@ def assert_paths_valid(algebra, prepared, distances, parents):
             path = W.reconstruct_path(parents, i, j)
             assert path[0] == i and path[-1] == j
             assert len(set(path)) == len(path)  # simple path
-            fold = W.path_weight(prepared, path, alg)
+            fold = fold_route(prepared, path, alg)
             assert np.isclose(float(fold), float(distances[i, j]),
                               rtol=1e-6, atol=1e-9)
 
@@ -230,12 +231,13 @@ class TestRepair:
         assert not ok[0]
         assert ok[1] and ok[2] and ok[3]
 
-    def test_rebuild_row_layers_tight_edges(self):
+    def test_parent_row_follows_tight_edges(self):
         alg = get_algebra("widest-path")
         adj = random_adjacency(20, 9, "widest-path")
         prepared = alg.prepare_adjacency(adj)
         closure = semiring_closure(adj, alg)
-        row = W.rebuild_parent_row(0, closure, prepared, alg)
+        edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        row = W.parent_row(0, closure, edges, alg)
         parents = np.full(closure.shape, W.NO_VERTEX, dtype=np.int32)
         parents[0] = row
         zero = alg.zero_like(closure.dtype)
@@ -243,8 +245,74 @@ class TestRepair:
             if j == 0 or closure[0, j] == zero:
                 continue
             path = W.reconstruct_path(parents, 0, j)
-            fold = W.path_weight(prepared, path, alg)
+            fold = fold_route(prepared, path, alg)
             assert np.isclose(float(fold), float(closure[0, j]))
+
+    @pytest.mark.parametrize("algebra,dtype", [
+        (algebra, dtype) for algebra in WITNESS_ALGEBRAS
+        for dtype in (None, "float32") if dtype in get_algebra(algebra).dtypes
+        or dtype is None])
+    def test_parent_row_matches_a_python_bfs_over_isclose(self, algebra, dtype):
+        """The loop reference: a Python BFS visiting edges in row-major order
+        and marking them tight with ``np.isclose`` gives the same row."""
+        alg = get_algebra(algebra)
+        adj = random_adjacency(16, 7, algebra)
+        adj[np.isfinite(adj) & (adj > 5.0)] = 5.0       # plateau weights
+        prepared = alg.prepare_adjacency(adj, dtype=dtype)
+        closure = semiring_closure(adj, alg, dtype=dtype)
+        zero = alg.zero_like(closure.dtype)
+        rtol = W._tight_rtol(closure.dtype)
+        edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        for source in range(16):
+            d = closure[source]
+            expected = np.full(16, W.NO_VERTEX, dtype=np.int32)
+            seen, queue = {source}, [source]
+            for p in queue:
+                for j in range(16):
+                    weight = prepared[p, j]
+                    if j == p or j in seen or weight == zero:
+                        continue
+                    cand = alg.mul(d[p], weight)
+                    if closure.dtype == np.bool_:
+                        tight = bool(cand and d[j])
+                    else:
+                        tight = cand != zero and (
+                            np.isclose(cand, d[j], rtol=rtol, atol=rtol)
+                            or (np.isinf(cand) and np.isinf(d[j])))
+                    if tight:
+                        expected[j] = p
+                        seen.add(j)
+                        queue.append(j)
+            assert np.array_equal(W.parent_row(source, closure, edges, alg),
+                                  expected)
+
+    def test_parent_row_is_the_same_from_either_adjacency_form(self):
+        import scipy.sparse as sp
+        alg = get_algebra("reachability")
+        adj = random_adjacency(18, 2, "reachability")
+        prepared = alg.prepare_adjacency(adj)
+        closure = semiring_closure(adj, alg)
+        csr = sp.csr_matrix(prepared & ~np.eye(18, dtype=bool))
+        dense_edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        csr_edges = W.CsrEdges.of(csr, alg, closure.dtype)
+        for field in W.CsrEdges._fields:
+            assert np.array_equal(getattr(dense_edges, field),
+                                  getattr(csr_edges, field))
+        for source in range(18):
+            assert np.array_equal(W.parent_row(source, closure, dense_edges, alg),
+                                  W.parent_row(source, closure, csr_edges, alg))
+
+    def test_parent_row_rejects_a_closure_its_edges_cannot_realize(self):
+        alg = get_algebra("shortest-path")
+        prepared = alg.prepare_adjacency(np.array([[0.0, 1.0, np.inf],
+                                                   [1.0, 0.0, np.inf],
+                                                   [np.inf, np.inf, 0.0]]))
+        closure = semiring_closure(prepared, alg)
+        closure[0, 2] = 5.0                 # no edge reaches vertex 2
+        edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        assert W.parent_row(1, closure, edges, alg).tolist() == [1, -1, -1]
+        with pytest.raises(SolverError, match="1 vertices from source 0"):
+            W.parent_row(0, closure, edges, alg)
 
     def test_repair_only_touches_bad_rows(self):
         alg = get_algebra("shortest-path")
@@ -293,16 +361,16 @@ class TestReconstruction:
         with pytest.raises(SolverError):
             W.reconstruct_path(parents, 0, 1)
 
-    def test_path_weight_rejects_non_edges(self):
+    def test_fold_route_rejects_non_edges(self):
         alg = get_algebra("shortest-path")
         prepared = alg.prepare_adjacency(
             np.array([[0.0, 1.0, np.inf],
                       [1.0, 0.0, np.inf],
                       [np.inf, np.inf, 0.0]]))
-        assert W.path_weight(prepared, [0, 1], alg) == 1.0
-        assert W.path_weight(prepared, [2], alg) == 0.0
+        assert fold_route(prepared, [0, 1], alg) == 1.0
+        assert fold_route(prepared, [2], alg) == 0.0
         with pytest.raises(SolverError):
-            W.path_weight(prepared, [0, 2], alg)
+            fold_route(prepared, [0, 2], alg)
 
 
 # ---------------------------------------------------------------------------

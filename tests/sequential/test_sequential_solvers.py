@@ -16,6 +16,8 @@ from repro.sequential import (
     johnson_apsp,
     repeated_squaring_apsp,
 )
+from repro.linalg.kernels import semiring_closure
+from repro.sequential.floyd_warshall import reference_closure
 
 ALL_APSP = [
     ("floyd_warshall_reference", floyd_warshall_reference),
@@ -47,6 +49,15 @@ class TestAllSequentialSolversAgree:
         assert dist[0, 1] == 1.0
         assert np.isinf(dist[0, 3])
         assert dist[3, 4] == 2.0
+
+    def test_reference_keeps_zero_weight_edges(self):
+        """The SciPy oracle reads only non-finite entries as missing edges."""
+        inf = np.inf
+        adj = np.array([[0.0, 0.0, inf], [0.0, 0.0, 1.0], [inf, 1.0, 0.0]])
+        expected = semiring_closure(adj, "shortest-path")
+        assert expected[0, 1] == 0.0 and expected[0, 2] == 1.0
+        assert np.array_equal(reference_closure(adj), expected)
+        assert np.array_equal(floyd_warshall_reference(adj), expected)
 
     @pytest.mark.parametrize("name,solver", ALL_APSP, ids=[n for n, _ in ALL_APSP])
     def test_single_vertex(self, name, solver):

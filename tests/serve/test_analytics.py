@@ -34,7 +34,7 @@ class TestRecordQuery:
         snap = analytics.as_dict()
         assert snap["stage_seconds"]["row_solve"] == pytest.approx(0.4)
         assert snap["stage_seconds"]["path_walk"] == pytest.approx(0.3)
-        assert snap["stage_counts"] == {"row_solve": 1, "path_walk": 2, "repair": 0}
+        assert snap["stage_counts"] == {"row_solve": 1, "path_walk": 2}
 
     def test_stage_shape_is_complete_even_when_idle(self):
         snap = ServeAnalytics().as_dict()

@@ -120,8 +120,8 @@ class TestUnreachable:
 
 class TestPlateauRepair:
     def test_reachability_routes_survive_plateaus(self, adjacency):
-        """Boolean closures are all-plateau; repairs must kick in and still
-        produce walkable, edge-by-edge-valid routes."""
+        """Boolean closures are all-plateau; every row is still derived in
+        one stage and gives walkable, edge-by-edge-valid routes."""
         algebra = get_algebra("reachability")
         edges = validate_adjacency(adjacency, algebra=algebra, dtype="bool")
         closure = semiring_closure(adjacency, algebra, dtype="bool")
@@ -133,9 +133,9 @@ class TestPlateauRepair:
             assert answer.reachable == bool(closure[answer.src, answer.dst])
             if answer.path is not None and len(answer.path) > 1:
                 assert bool(fold_route(edges, answer.path, algebra)) is True
-        repaired = sum(a.repaired for a in answers)
-        assert repaired == service.analytics.stage_counts["repair"]
-        assert service.stats()["stage_counts"]["row_solve"] >= 1
+        stats = service.stats()
+        assert set(stats["stage_counts"]) == {"row_solve", "path_walk"}
+        assert stats["stage_counts"]["row_solve"] == stats["cache_misses"] >= 1
 
 
 class TestCacheBehaviour:
@@ -207,10 +207,10 @@ class TestSparseInput:
         service = RouteService(closure, csr, "shortest-path")
         rows = {src: service.parent_row(src) for src in range(N)}
         assert len(conversions) == 1 and conversions[0] is csr
-        for src, row in rows.items():      # identical to the per-call CSR branch
+        edges = witness.CsrEdges.of(csr, service.algebra, closure.dtype)
+        for src, row in rows.items():      # identical to a direct derivation
             assert np.array_equal(
-                row, witness.solve_parent_row(src, closure, csr,
-                                              service.algebra))
+                row, witness.parent_row(src, closure, edges, service.algebra))
         del conversions[:]
         service.publish(closure, csr, [])             # same adjacency: no-op
         assert conversions == []
@@ -222,28 +222,29 @@ class TestSparseInput:
         assert service.adjacency is newer
 
     def test_one_adjacency_version_per_miss(self, adjacency, monkeypatch):
-        """An update landing between the row solve and its repair must not
-        mix two adjacency versions into one row."""
+        """An update landing while a miss derives its row must not mix two
+        adjacency versions into that row, nor cache it for the newer one."""
         from repro.linalg import witness
         csr = validate_adjacency(dense_to_csr(adjacency), allow_sparse=True)
         service = RouteService(floyd_warshall_reference(adjacency), csr,
                                "shortest-path")
         newer = csr.copy()
+        newer.data[:] = 1.0
         seen = []
+        real = witness.parent_row
 
-        def update_lands_then_row_looks_cyclic(row, source, **kwargs):
+        def update_lands_mid_row(source, distances, edges, algebra):
             service.publish(service.distances, newer, [])
-            return False
+            seen.append(edges)
+            return real(source, distances, edges, algebra)
 
-        monkeypatch.setattr(witness, "consistent_parent_row",
-                            update_lands_then_row_looks_cyclic)
-        real = witness.rebuild_parent_row
-        monkeypatch.setattr(witness, "rebuild_parent_row", lambda src, dist, adj, alg: (
-            seen.append(adj), real(src, dist, adj, alg))[1])
+        monkeypatch.setattr(witness, "parent_row", update_lands_mid_row)
         service.parent_row(3)
-        assert len(seen) == 1 and seen[0] is csr
+        expected = witness.CsrEdges.of(csr, service.algebra, csr.dtype)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].vals, expected.vals)
         assert service.adjacency is newer
-
+        assert len(service.cache) == 0
 
 
 class TestConstruction:

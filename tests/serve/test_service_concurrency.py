@@ -111,14 +111,14 @@ class TestRouteHammer:
                                                          closure, monkeypatch):
         service = _service(closure, adjacency)
         solves = []
-        real = witness.solve_parent_row
+        real = witness.parent_row
         gate = threading.Barrier(THREADS, timeout=5.0)
 
         def counting_solve(source, *args, **kwargs):
             solves.append(source)
             return real(source, *args, **kwargs)
 
-        monkeypatch.setattr(witness, "solve_parent_row", counting_solve)
+        monkeypatch.setattr(witness, "parent_row", counting_solve)
 
         def worker():
             gate.wait()
@@ -224,7 +224,7 @@ class TestPublishedVersions:
         """A miss solves source 0's row; before it is stored, an update
         commits a shortcut out of source 0.  The stale row must not answer
         any later query."""
-        real = witness.solve_parent_row
+        real = witness.parent_row
         solved, release = threading.Event(), threading.Event()
 
         def solve_then_block(source, *args, **kwargs):
@@ -237,7 +237,7 @@ class TestPublishedVersions:
         with APSPEngine(EngineConfig(backend="serial")) as engine:
             service = engine.serve(graph, self.REQUEST)
             old_adjacency = service.adjacency
-            monkeypatch.setattr(witness, "solve_parent_row", solve_then_block)
+            monkeypatch.setattr(witness, "parent_row", solve_then_block)
             with ThreadPoolExecutor(max_workers=1) as pool:
                 in_flight = pool.submit(service.route, 0, 32)
                 try:
