@@ -11,8 +11,13 @@ tests can assert them and the cost model can consume them.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
+
+#: How many of the most recent :class:`StageRecord` entries a context keeps.
+#: ``num_stages`` counts every stage; the records are a window, so a
+#: long-lived context's stage history stays bounded.
+STAGE_RECORDS_KEPT = 256
 
 
 @dataclass
@@ -30,12 +35,18 @@ class EngineMetrics:
 
     Attributes are grouped by subsystem:
 
-    * tasks/stages — ``tasks_launched``, ``tasks_failed``, ``tasks_retried``, ``stages``
+    * tasks/stages — ``tasks_launched``, ``tasks_failed``, ``tasks_retried``,
+      ``num_stages``, and ``stages``: the last :data:`STAGE_RECORDS_KEPT`
+      stage records
     * fault tolerance — ``tasks_recomputed``, ``worker_restarts``,
       ``speculative_launched``/``speculative_wins``, ``task_timeouts``,
       ``sharedfs_restages``/``sharedfs_integrity_failures``
     * shuffle — ``shuffle_count``, ``shuffle_records``, ``shuffle_bytes``,
       ``spilled_bytes_per_executor`` (cumulative local-storage usage per node)
+    * live state — ``live_shuffles``, ``live_shuffle_bytes``: gauges of the
+      shuffles the :class:`~repro.spark.shuffle.ShuffleManager` still holds
+      (written and not yet released); unlike the counters above they go
+      down, and :meth:`reset` leaves them alone
     * driver traffic — ``collect_count``, ``collect_bytes``, ``broadcast_count``,
       ``broadcast_bytes``
     * shared filesystem — ``sharedfs_files_written``, ``sharedfs_bytes_written``,
@@ -43,11 +54,15 @@ class EngineMetrics:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Re-entrant: a shuffle's release runs as a finalizer, which the
+        # cyclic collector may fire inside one of these critical sections.
+        self._lock = threading.RLock()
+        self.live_shuffles = 0
+        self.live_shuffle_bytes = 0
         self.reset()
 
     def reset(self) -> None:
-        """Zero all counters."""
+        """Zero all counters (the live-state gauges describe held data and stay)."""
         with getattr(self, "_lock", threading.Lock()):
             self.tasks_launched = 0
             self.tasks_failed = 0
@@ -57,7 +72,8 @@ class EngineMetrics:
             self.speculative_launched = 0
             self.speculative_wins = 0
             self.task_timeouts = 0
-            self.stages: list[StageRecord] = []
+            self.num_stages = 0
+            self.stages: deque[StageRecord] = deque(maxlen=STAGE_RECORDS_KEPT)
             self.shuffle_count = 0
             self.shuffle_records = 0
             self.shuffle_bytes = 0
@@ -116,15 +132,28 @@ class EngineMetrics:
             self.task_timeouts += 1
 
     def stage_finished(self, stage_id: int, kind: str, num_tasks: int, duration: float) -> None:
-        """Record one finished stage and its wall time."""
+        """Count one finished stage and keep its record (and wall time)."""
         with self._lock:
+            self.num_stages += 1
             self.stages.append(StageRecord(stage_id, kind, num_tasks, duration))
 
     # -- shuffle accounting --------------------------------------------------------
     def shuffle_started(self) -> None:
-        """Count the start of one shuffle."""
+        """Count the start of one shuffle (and hold it live until released)."""
         with self._lock:
             self.shuffle_count += 1
+            self.live_shuffles += 1
+
+    def shuffle_retained(self, nbytes: int) -> None:
+        """Count one map output's bytes as held by a live shuffle."""
+        with self._lock:
+            self.live_shuffle_bytes += nbytes
+
+    def shuffle_released(self, nbytes: int) -> None:
+        """Drop one released shuffle (holding ``nbytes``) from the live gauges."""
+        with self._lock:
+            self.live_shuffles -= 1
+            self.live_shuffle_bytes -= nbytes
 
     def shuffle_write(self, executor: int, records: int, nbytes: int) -> None:
         """Record shuffle records/bytes written by an executor."""
@@ -193,22 +222,25 @@ class EngineMetrics:
         counters (e.g. shared-filesystem reads) against its own collector and
         ships the delta back with the task result; the driver merges it here
         so per-solve metric deltas stay accurate across process boundaries.
-        Only counters this object already knows are merged; ``num_stages`` is
-        derived and therefore skipped.
+        Only counters this object already knows are merged.  A worker runs
+        no stage and holds no shuffle, so its ``num_stages`` and live-state
+        deltas are 0.
         """
         with self._lock:
             for key, value in delta.items():
                 if key == "spilled_bytes_per_executor" and isinstance(value, dict):
                     for executor, nbytes in value.items():
                         self.spilled_bytes_per_executor[int(executor)] += nbytes
-                elif key == "num_stages":
-                    continue
                 elif (isinstance(value, (int, float)) and not isinstance(value, bool)
                         and isinstance(getattr(self, key, None), (int, float))):
                     setattr(self, key, getattr(self, key) + value)
 
     def as_dict(self) -> dict:
-        """Snapshot of all counters as a plain dictionary (for reports and tests)."""
+        """Snapshot of all counters and gauges as a plain dictionary (for reports and tests).
+
+        Through :func:`metrics_delta`, a gauge's delta is the net change over
+        the window (e.g. the shuffles a solve left held).
+        """
         with self._lock:
             return {
                 "tasks_launched": self.tasks_launched,
@@ -219,7 +251,7 @@ class EngineMetrics:
                 "speculative_launched": self.speculative_launched,
                 "speculative_wins": self.speculative_wins,
                 "task_timeouts": self.task_timeouts,
-                "num_stages": len(self.stages),
+                "num_stages": self.num_stages,
                 "shuffle_count": self.shuffle_count,
                 "shuffle_records": self.shuffle_records,
                 "shuffle_bytes": self.shuffle_bytes,
@@ -235,6 +267,8 @@ class EngineMetrics:
                 "sharedfs_integrity_failures": self.sharedfs_integrity_failures,
                 "cached_partitions": self.cached_partitions,
                 "cached_bytes": self.cached_bytes,
+                "live_shuffles": self.live_shuffles,
+                "live_shuffle_bytes": self.live_shuffle_bytes,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

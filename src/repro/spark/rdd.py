@@ -16,6 +16,7 @@ partition-explosion behaviour Section 5.2 warns about.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import defaultdict
 from typing import Callable, Iterable, Sequence
 
@@ -432,6 +433,8 @@ class ShuffledRDD(RDD):
     a map stage partitions (and map-side combines) every parent partition,
     writes the buckets through the shuffle manager (charging local-storage
     spills), and the reduce side then serves partitions from those buckets.
+    The buckets live exactly as long as this RDD: a finalizer releases them
+    when it is collected (the spill accounting stays).
     """
 
     def __init__(self, parent: RDD, partitioner: Partitioner,
@@ -481,6 +484,9 @@ class ShuffledRDD(RDD):
             parent = self._parents[0]
             manager = self.context.shuffle_manager
             shuffle_id = manager.new_shuffle()
+            # Binds the manager and the id, never ``self``: the buckets go
+            # when the last RDD that can read them goes.
+            weakref.finalize(self, manager.release, shuffle_id)
             # One task per parent partition; bucketing is the driver-side finish.
             tasks = parent.stage_tasks(
                 lambda map_index, records: (map_index, self._bucket_records(records)))

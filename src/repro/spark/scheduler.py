@@ -112,6 +112,30 @@ def _die_worker() -> None:  # pragma: no cover - executes in a worker process
     os._exit(86)
 
 
+class _Once:
+    """A pool work item that lets go of its call before its future resolves.
+
+    A ``ThreadPoolExecutor`` worker drops its finished work item — and so the
+    task closure and, through it, the task's RDDs — only after it has
+    delivered the result, racing the driver that already holds it.  Clearing the
+    call while it runs means a finished stage holds nothing of its tasks, so
+    an RDD (and the shuffle buckets its finalizer releases) dies as soon as
+    the driver drops it.  A speculated copy still running keeps its task
+    until it finishes.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable, *args) -> None:
+        self.fn = fn
+        self.args = args
+
+    def __call__(self):
+        fn, args = self.fn, self.args
+        self.fn = self.args = None
+        return fn(*args)
+
+
 class TaskScheduler:
     """Runs stages of independent tasks on the configured backend."""
 
@@ -307,13 +331,13 @@ class TaskScheduler:
                 time.sleep(delay)
             return self._invoke(task)
 
-        first = pool.submit(primary)
+        first = pool.submit(_Once(primary))
         try:
             return first.result(timeout=soft)
         except FuturesTimeoutError:
             pass
         self.metrics.speculation_launched()
-        second = pool.submit(self._invoke, task)
+        second = pool.submit(_Once(self._invoke, task))
         done, _pending = wait([first, second], return_when=FIRST_COMPLETED)
         if first in done:
             second.cancel()
@@ -415,7 +439,7 @@ class TaskScheduler:
             if not tasks:
                 results: list = []
             elif self._pool is not None and len(tasks) > 1:
-                futures = [self._pool.submit(self._run_task, task) for task in tasks]
+                futures = [self._pool.submit(_Once(self._run_task, task)) for task in tasks]
                 results = self._gather(futures, kind=kind, deadline=deadline,
                                        total=len(tasks))
             else:

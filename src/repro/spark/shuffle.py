@@ -1,13 +1,26 @@
 """Shuffle manager: data movement between stages, staged through local storage.
 
-In Spark every wide transformation writes its map-side output to the local
-disks of the executors before the reduce side fetches it; those spills are
-kept for fault tolerance, so their volume accumulates over the lifetime of an
-application.  Section 5.2 of the paper shows this is exactly what breaks the
-Blocked In-Memory solver for small block sizes: the per-iteration
-``partitionBy`` shuffles exceed the 1 TB of local SSD per node.  The shuffle
-manager reproduces that mechanism: every map-side write is charged against the
-executor that produced it and checked against the configured capacity.
+A shuffle has two halves with two lifetimes.
+
+* **The spill accounting persists.**  In Spark every wide transformation
+  writes its map-side output to the local disks of the executors before the
+  reduce side fetches it; those spills are kept for fault tolerance, so their
+  volume accumulates over the lifetime of an application.  Section 5.2 of the
+  paper shows this is exactly what breaks the Blocked In-Memory solver for
+  small block sizes: the per-iteration ``partitionBy`` shuffles exceed the
+  1 TB of local SSD per node.  Every map-side write is therefore charged
+  against the executor that produced it (``spilled_bytes_per_executor``) and
+  checked against the configured capacity
+  (:class:`~repro.common.errors.StorageExhaustedError`) for the context's
+  whole life; nothing below ever un-charges it.
+* **The buckets are freed.**  The records themselves (:attr:`MapOutput.buckets`)
+  are only needed while an RDD can still read them.  The
+  :class:`~repro.spark.rdd.ShuffledRDD` that wrote a shuffle holds a
+  ``weakref.finalize`` that calls :meth:`ShuffleManager.release` when the RDD
+  is collected — Spark's ``ContextCleaner`` dropping an unreachable
+  ``ShuffleDependency`` — so a long-lived context holds the shuffles its live
+  RDDs can read and not its history.  Reading a released shuffle raises
+  :class:`~repro.common.errors.LineageError`.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.common.config import EngineConfig
-from repro.common.errors import StorageExhaustedError
+from repro.common.errors import LineageError, StorageExhaustedError
 from repro.spark.metrics import EngineMetrics
 from repro.spark.util import estimate_size
 
@@ -33,7 +46,12 @@ class MapOutput:
 
 
 class ShuffleManager:
-    """Tracks shuffle writes, enforces local-storage capacity, serves reduce reads."""
+    """Tracks shuffle writes, enforces local-storage capacity, serves reduce reads.
+
+    ``_outputs`` holds the map outputs of every shuffle not yet released; the
+    ``live_shuffles``/``live_shuffle_bytes`` gauges of :class:`EngineMetrics`
+    mirror it.
+    """
 
     def __init__(self, config: EngineConfig, metrics: EngineMetrics) -> None:
         self.config = config
@@ -79,21 +97,40 @@ class ShuffleManager:
                     node=executor, required_bytes=used, capacity_bytes=capacity)
         with self._lock:
             self._outputs[shuffle_id].append(output)
+        self.metrics.shuffle_retained(nbytes)
         return output
 
     def read_reduce_input(self, shuffle_id: int, reduce_partition: int) -> list:
-        """Return all records destined for ``reduce_partition``, in map-task order."""
+        """Return all records destined for ``reduce_partition``, in map-task order.
+
+        Raises :class:`~repro.common.errors.LineageError` for a shuffle that
+        was released (or never registered): an empty read would be a silently
+        wrong result.
+        """
         with self._lock:
-            outputs = list(self._outputs.get(shuffle_id, ()))
+            outputs = self._outputs.get(shuffle_id)
+            if outputs is None:
+                raise LineageError(f"shuffle {shuffle_id} was released or never registered; "
+                                   "its reduce input is gone")
+            outputs = list(outputs)
         records: list = []
         for output in sorted(outputs, key=lambda o: o.map_partition):
             records.extend(output.buckets.get(reduce_partition, ()))
         return records
 
     def release(self, shuffle_id: int) -> None:
-        """Drop in-memory shuffle data (spill accounting is intentionally kept)."""
-        with self._lock:
-            self._outputs.pop(shuffle_id, None)
+        """Drop a shuffle's buckets (spill accounting is intentionally kept).
+
+        Called once per shuffle, by the finalizer of the
+        :class:`~repro.spark.rdd.ShuffledRDD` that wrote it; releasing an
+        unknown id is a no-op.  It takes no lock of this manager: the cyclic
+        collector runs finalizers at an arbitrary allocation, possibly inside
+        one of this thread's critical sections.  ``dict.pop`` is atomic, and
+        it only ever removes the id of a shuffle no live RDD can read.
+        """
+        outputs = self._outputs.pop(shuffle_id, None)
+        if outputs is not None:
+            self.metrics.shuffle_released(sum(o.nbytes for o in outputs))
 
     def spilled_bytes(self) -> dict[int, int]:
         """Cumulative spilled bytes per executor."""

@@ -8,7 +8,7 @@ from repro.common.errors import FaultInjectedError, LineageError, SolverError, S
 from repro.spark.broadcast import Broadcast
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultInjector, FaultPlan
-from repro.spark.metrics import EngineMetrics
+from repro.spark.metrics import STAGE_RECORDS_KEPT, EngineMetrics
 from repro.spark.scheduler import TaskScheduler, MAX_TASK_ATTEMPTS
 from repro.spark.sharedfs import SharedFileSystem
 from repro.spark.shuffle import ShuffleManager
@@ -131,6 +131,14 @@ class TestMetrics:
         assert len(m.stages) == 1
         assert m.stages[0].kind == "result"
 
+    def test_stage_records_are_a_bounded_window(self):
+        m = EngineMetrics()
+        for stage_id in range(STAGE_RECORDS_KEPT + 5):
+            m.stage_finished(stage_id, "result", 1, 0.0)
+        assert m.as_dict()["num_stages"] == STAGE_RECORDS_KEPT + 5
+        assert len(m.stages) == STAGE_RECORDS_KEPT
+        assert m.stages[0].stage_id == 5 and m.stages[-1].stage_id == STAGE_RECORDS_KEPT + 4
+
 
 class TestShuffleManager:
     def _config(self, capacity=None):
@@ -187,8 +195,23 @@ class TestShuffleManager:
         sid = manager.new_shuffle()
         manager.write_map_output(sid, 0, {0: [("a", 1)]})
         manager.release(sid)
-        assert manager.read_reduce_input(sid, 0) == []
+        with pytest.raises(LineageError, match=f"shuffle {sid} "):
+            manager.read_reduce_input(sid, 0)
         assert metrics.shuffle_records == 1
+
+    def test_live_gauges_follow_held_buckets(self):
+        metrics = EngineMetrics()
+        manager = ShuffleManager(self._config(), metrics)
+        first, second = manager.new_shuffle(), manager.new_shuffle()
+        manager.write_map_output(first, 0, {0: [np.zeros(10)]})
+        manager.write_map_output(second, 1, {0: [np.zeros(20)]})
+        assert metrics.as_dict()["live_shuffles"] == 2
+        assert metrics.as_dict()["live_shuffle_bytes"] == 80 + 160
+        manager.release(first)
+        manager.release(first)              # a second release is a no-op
+        snap = metrics.as_dict()
+        assert (snap["live_shuffles"], snap["live_shuffle_bytes"]) == (1, 160)
+        assert snap["shuffle_bytes"] == 240 and metrics.total_spilled_bytes == 240
 
 
 class TestSharedFileSystem:
