@@ -8,6 +8,8 @@ setup(
                 "Large Graphs Using Apache Spark' (ICPP 2019)",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The compiled dense kernel's source, built on first use (repro.linalg.native).
+    package_data={"repro.linalg": ["*.c"]},
     python_requires=">=3.9",
     install_requires=["numpy", "scipy"],
     entry_points={

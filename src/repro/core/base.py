@@ -17,6 +17,7 @@ from repro.cluster.costmodel import predicted_task_seconds
 from repro.core.request import SolveRequest, _RequestView
 from repro.graph import sparse as sparse_mod
 from repro.graph.adjacency import is_symmetric_adjacency, validate_adjacency
+from repro.linalg import native
 from repro.linalg import witness as witness_mod
 from repro.linalg.algebra import ABSORPTIVE_ALGEBRAS, Semiring, get_algebra
 from repro.linalg.blocks import BlockGrid, blocks_to_matrix, matrix_to_blocks
@@ -355,6 +356,7 @@ class SparkAPSPSolver:
                                                  plan.block_size, **assemble)
             elapsed = time.perf_counter() - start
             metrics = metrics_delta(metrics_before, sc.metrics.as_dict())
+            metrics.update(native.describe())
             if request.paths:
                 metrics["path_rows_repaired"] = paths_repaired
         finally:

@@ -38,6 +38,7 @@ from repro.core.dynamic import ClosureState
 from repro.core.registry import get_solver_class
 from repro.core.request import SolveRequest, UpdateReport
 from repro.core.tuner import TunerDecision, resolve_auto
+from repro.linalg import native
 from repro.serve.service import RouteAnswer, RouteService
 from repro.spark.context import SparkContext
 
@@ -563,6 +564,7 @@ class APSPEngine:
                                 if self._started_at is not None else 0.0),
         }
         stats.update(self.metrics)
+        stats.update(native.describe())
         if self._service is not None:
             stats["serve"] = self._service.stats()
         if self._last_tuner_decision is not None:

@@ -3,11 +3,15 @@
 These are the "bare metal" kernels of the paper (Section 4.1): semiring
 matrix product (min-plus by default), elementwise ⊕, the Floyd-Warshall
 block kernel and the rank-1 Floyd-Warshall update.  In the paper they are
-dispatched to NumPy/SciPy/Numba; here they are vectorized NumPy (BLAS-free
-but cache-aware: the product's broadcast cube is streamed through L2-sized
-row panels, see :meth:`~repro.linalg.algebra.Semiring.mul_panels`),
-parameterized by a :class:`~repro.linalg.algebra.Semiring` so the same
-kernels also compute widest paths, most-reliable paths, DAG longest paths and
+dispatched to NumPy/SciPy/Numba; here float blocks under the numeric
+algebras run one compiled relax loop (``relax.c``, built on first use by
+:mod:`repro.linalg.native`), and everything else — and every process where
+that loop did not load — runs vectorized NumPy (BLAS-free but cache-aware:
+the product's broadcast cube is streamed through L2-sized row panels, see
+:meth:`~repro.linalg.algebra.Semiring.mul_panels`).  Both give the same bits;
+:class:`~repro.linalg.payload.DenseOps` is the one place that chooses.  The
+kernels are parameterized by a :class:`~repro.linalg.algebra.Semiring` so
+they also compute widest paths, most-reliable paths, DAG longest paths and
 transitive closure.
 """
 

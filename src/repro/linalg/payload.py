@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.common.validation import check_block_size
-from repro.linalg import bitset, witness
+from repro.linalg import bitset, native, witness
 from repro.linalg.algebra import Semiring
 
 
@@ -107,16 +107,37 @@ class PayloadOps:
         return block
 
 
-class DenseOps(PayloadOps):
-    """Bare ``ndarray`` blocks: vectorized NumPy kernels in the algebra's dtype.
+#: The largest block whose rank-1 pass stays on NumPy.  A compiled call pays
+#: a fixed 10-20 µs to marshal its four arrays through ctypes, most of it
+#: Python that two threads cannot overlap: up to 128 x 128 cells NumPy's two
+#: passes cost less (fw-2d at b=128 on two threads ran 15-20 % slower
+#: compiled), from 256 x 256 on they cost several times more, because their
+#: block-sized temporaries no longer fit the cache (timed on a 2-core x86-64
+#: host; see CHANGES.md).
+_NUMPY_RANK1_CELLS = 128 * 128
 
-    The product is a broadcast-and-reduce over *row panels* of the left
+
+class DenseOps(PayloadOps):
+    """Bare ``ndarray`` blocks, in the algebra's dtype (``float32`` stays ``float32``).
+
+    This is the one dispatch point between the two dense kernels.  Float
+    blocks under the four numeric algebras run ``relax``, ``product``,
+    ``rank1``/``rank1_inplace`` (on blocks larger than
+    :data:`_NUMPY_RANK1_CELLS`) and ``fw_inplace`` through the compiled
+    loop of :mod:`repro.linalg.native` whenever it loaded: dtypes are
+    coerced first, operands without unit-stride rows (mirror ``.T`` views,
+    column-strided sub-blocks) are copied to C order, and the product is a
+    relax with no base, the rank-1 pass a relax with an inner dimension of
+    one.  Everything else (bool blocks, other algebras, a product with a
+    single output column, mixed-dtype relaxes) and every process where the
+    kernel did not load runs the NumPy kernels, which give the same bits:
+
+    the product is a broadcast-and-reduce over *row panels* of the left
     operand (:meth:`~repro.linalg.algebra.Semiring.mul_panels`): a few rows
     of ``A`` at a time are ⊗-broadcast against all of ``B`` into one reused,
-    L2-sized ``(rows, k, n)`` buffer and ⊕-reduced over the whole inner axis,
-    instead of materializing the ``m x k x n`` cube.  The algebra's
-    operations are plain NumPy ufuncs, and dtype is preserved (``float32``
-    operands stay ``float32``).
+    L2-sized ``(rows, k, n)`` buffer and ⊕-reduced over the whole inner
+    axis, instead of materializing the ``m x k x n`` cube; Floyd-Warshall is
+    a k-loop of vectorized rank-1 updates.
     """
 
     name = "dense"
@@ -126,7 +147,7 @@ class DenseOps(PayloadOps):
         return True
 
     def product(self, a, b, algebra, *, out=None):
-        """Row-panel broadcast-and-reduce product (see the class docstring)."""
+        """``MatProd`` into a new block or ``out`` (see the class docstring)."""
         a, b = algebra.product_operands(a, b)
         shape = (a.shape[0], b.shape[1])
         if out is None:
@@ -139,8 +160,31 @@ class DenseOps(PayloadOps):
             raise ValidationError("out must not overlap a MatProd operand")
         if not a.shape[1]:
             out[...] = algebra.zero_like(a.dtype)
+            return out
+        compiled = native.kernel_for(algebra, a.dtype)
+        # NumPy ⊕-reduces a single output column along the inner axis in its
+        # own vectorized order, which decides the sign of a zero result: that
+        # shape stays on NumPy, and so does an ``out`` NumPy would cast into.
+        if compiled is not None and shape[1] > 1 and out.dtype == a.dtype:
+            kernel, code = compiled
+            kernel.relax(code, out, a, b)
+            return out
         for rows, cube in algebra.mul_panels(a, b):
             algebra.add_reduce(cube, axis=1, out=out[rows])
+        return out
+
+    def relax(self, base, left, right, algebra):
+        """``base ⊕ (left ⊗ right)`` in one compiled pass, when it can run."""
+        left, right = algebra.product_operands(left, right)
+        base = np.asarray(base)
+        compiled = native.kernel_for(algebra, left.dtype)
+        if (compiled is None or not left.shape[1] or right.shape[1] < 2
+                or base.shape != (left.shape[0], right.shape[1])
+                or algebra.result_dtype(base, left) != left.dtype):
+            return super().relax(base, left, right, algebra)
+        kernel, code = compiled
+        out = np.empty(base.shape, dtype=left.dtype)
+        kernel.relax(code, out, left, right, base.astype(left.dtype, copy=False))
         return out
 
     def combine(self, a, b, algebra):
@@ -166,13 +210,18 @@ class DenseOps(PayloadOps):
             raise ValidationError(f"{op} needs a 2-D block, got ndim={block.ndim}")
 
     def fw_inplace(self, block, algebra):
-        """Sequential k-loop of vectorized rank-1 updates; array-likes are converted."""
+        """Floyd-Warshall sweeps, pivot by pivot; array-likes are converted."""
         if not isinstance(block, np.ndarray):
             block = np.asarray(block, dtype=algebra.resolve_dtype(None))
         self._require_mutable(block, algebra, "floyd_warshall_inplace")
         if block.shape[0] != block.shape[1]:
             raise ValidationError(
                 f"distance matrix must be square, got shape {block.shape}")
+        compiled = native.kernel_for(algebra, block.dtype)
+        if compiled is not None:
+            kernel, code = compiled
+            kernel.fw(code, block)
+            return block
         for k in range(block.shape[0]):
             # block[i, j] = block[i, j] ⊕ (block[i, k] ⊗ block[k, j])
             algebra.add(block, algebra.mul(block[:, k, None], block[None, k, :]),
@@ -192,7 +241,14 @@ class DenseOps(PayloadOps):
             raise ValidationError(
                 f"pivot slices have lengths {col.shape[0]}/{row.shape[0]} "
                 f"but block is {block.shape}")
-        return algebra.add(block, algebra.mul(col[:, None], row[None, :]))
+        compiled = (native.kernel_for(algebra, dtype)
+                    if block.size > _NUMPY_RANK1_CELLS else None)
+        if compiled is None:
+            return algebra.add(block, algebra.mul(col[:, None], row[None, :]))
+        kernel, code = compiled
+        out = np.empty(block.shape, dtype=dtype)
+        kernel.relax(code, out, col[:, None], row[None, :], block)
+        return out
 
     def rank1_inplace(self, block, col, row, algebra):
         """Relax through :meth:`rank1`, write improved blocks back."""

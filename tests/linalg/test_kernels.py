@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.graph.generators import erdos_renyi_adjacency, grid_adjacency, path_adjacency
+from repro.linalg import native
 from repro.linalg.kernels import (
     blocked_floyd_warshall_inplace,
     floyd_warshall,
@@ -14,6 +15,18 @@ from repro.linalg.kernels import (
     fw_rank1_update,
 )
 from repro.linalg.semiring import minplus_product, semiring_relax
+
+
+@pytest.fixture(scope="module", autouse=True, params=["native", "numpy"])
+def dense_kernel(request):
+    """Every test here on the compiled dense kernel and on NumPy, its oracle."""
+    if request.param == "numpy":
+        with native._forced("numpy"):
+            yield
+    elif native.kernel() is None:
+        pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+    else:
+        yield
 
 
 class TestFloydWarshall:
@@ -177,3 +190,4 @@ class TestBlockedFloydWarshall:
         adj = erdos_renyi_adjacency(n, seed=seed, p=0.3)
         assert np.allclose(blocked_floyd_warshall_inplace(adj.copy(), b),
                            floyd_warshall(adj))
+

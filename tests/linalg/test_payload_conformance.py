@@ -12,14 +12,18 @@ cell.  Mixed operands and unsupported payload × algebra cells must raise
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import pickle
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.core import building_blocks as bb
+from repro.linalg import native
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import PackedBlock, packed_floyd_warshall_inplace
@@ -46,6 +50,7 @@ class Representation:
     dtype: str
     ops: object
     encoder: dict
+    kernel: str = "default"     # "numpy": forced off the compiled dense loop
 
     def prepared(self, seed: int, shape=(N, N), *, square: bool = True):
         """A random window in the algebra's domain (diagonal = one when square)."""
@@ -79,12 +84,22 @@ REPRESENTATIONS = [
                    {"witness": True}),
     Representation("witness-1", "shortest-path", "float64", WITNESS,
                    {"witness": True, "layout": "full"}),
+    # The float rows again on NumPy; the rows above take the compiled dense
+    # kernel whenever it loaded.
+    Representation("dense-f64-numpy", "shortest-path", "float64", DENSE, {},
+                   kernel="numpy"),
+    Representation("dense-f32-numpy", "widest-path", "float32", DENSE, {},
+                   kernel="numpy"),
 ]
 
 
 @pytest.fixture(params=REPRESENTATIONS, ids=lambda r: r.id)
 def rep(request):
-    return request.param
+    if request.param.kernel == "numpy":
+        with native._forced("numpy"):
+            yield request.param
+    else:
+        yield request.param
 
 
 def values_of(block) -> np.ndarray:
@@ -384,3 +399,171 @@ class TestUnsupportedCellsRaise:
         witnessed = dict(matrix_to_blocks(prepared, 4, witness=True,
                                           algebra="shortest-path"))
         assert payload_ops(witnessed[(0, 1)]) is WITNESS
+
+
+# ---------------------------------------------------------------------------
+# The compiled dense kernel and NumPy give the same bits
+# ---------------------------------------------------------------------------
+NUMERIC_CELLS = [(name, dtype) for name in ("shortest-path", "widest-path",
+                                            "most-reliable", "longest-path")
+                 for dtype in ("float64", "float32")]
+SIDES = (1, 2, 5, 12)
+#: Cell pools: ordinary weights with missing edges, every special value, and
+#: signed zeros alone (no term is NaN, so the kernel's NaN-free loop runs and
+#: the tie between 0.0 and -0.0 decides the bits).
+POOLS = {"specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 2.5]),
+         "zeros": np.array([0.0, -0.0, 1.0, 2.5])}
+
+
+def _transposed(x):
+    return np.ascontiguousarray(x.T).T
+
+
+def _strided(x):
+    rows, cols = x.shape
+    backing = np.zeros((2 * rows + 1, 3 * cols + 2), dtype=x.dtype)
+    view = backing[1::2, 2::3]
+    view[...] = x
+    return view
+
+
+OPERAND_LAYOUTS = {"C": np.ascontiguousarray, "transposed": _transposed,
+                   "strided": _strided}
+
+
+def _cells(rng, shape, dtype, pool):
+    """Random cells: ordinary weights, or drawn from one of :data:`POOLS`."""
+    if pool in POOLS:
+        return rng.choice(POOLS[pool], shape).astype(dtype)
+    cells = rng.uniform(0.0, 4.0, shape).astype(dtype)
+    cells[rng.random(shape) < 0.3] = np.inf
+    return cells
+
+
+def assert_same_bits(got, expected):
+    """Equal dtype and shape, NaN in the same cells, every other cell bit-equal."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    word = np.uint64 if got.dtype.itemsize == 8 else np.uint32
+    assert np.array_equal(np.ascontiguousarray(got).view(word)[~nan],
+                          np.ascontiguousarray(expected).view(word)[~nan])
+
+
+def on_both_kernels(compute):
+    """``compute()`` on the compiled kernel, then on NumPy: ``(native, numpy)``."""
+    if native.kernel() is None:
+        pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+    got = compute()
+    with native._forced("numpy"):
+        expected = compute()
+    return got, expected
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered",
+                            "ignore:overflow encountered")
+@pytest.mark.parametrize("pool", ["weights", *POOLS])
+@pytest.mark.parametrize("algebra,dtype", NUMERIC_CELLS)
+class TestKernelsAgree:
+    """Every dense float kernel, ragged sides 1/2/5/12, C / transposed / strided."""
+
+    def test_product_and_relax(self, algebra, dtype, pool):
+        rng = np.random.default_rng(zlib.crc32(f"{algebra}{dtype}{pool}".encode()))
+        for m, k, n in itertools.product(SIDES, repeat=3):
+            for layout in OPERAND_LAYOUTS.values():
+                a = layout(_cells(rng, (m, k), dtype, pool))
+                b = layout(_cells(rng, (k, n), dtype, pool))
+                base = layout(_cells(rng, (m, n), dtype, pool))
+                assert_same_bits(*on_both_kernels(
+                    lambda: semiring_product(a, b, algebra)))
+                assert_same_bits(*on_both_kernels(
+                    lambda: semiring_relax(base, a, b, algebra)))
+                assert_same_bits(*on_both_kernels(
+                    lambda: semiring_product(a, b, algebra,
+                                             out=_strided(np.empty((m, n), dtype)))))
+
+    def test_square_power_and_rank1(self, algebra, dtype, pool):
+        rng = np.random.default_rng(zlib.crc32(f"{algebra}{dtype}{pool}r1".encode()))
+        for n in SIDES:
+            for layout in OPERAND_LAYOUTS.values():
+                window = layout(_cells(rng, (n, n), dtype, pool))
+                assert_same_bits(*on_both_kernels(
+                    lambda: semiring_square(window, algebra)))
+                assert_same_bits(*on_both_kernels(
+                    lambda: semiring_power(window, n, algebra)))
+                col = _cells(rng, n, dtype, pool)
+                row = layout(_cells(rng, (3, n), dtype, pool))[1]
+                assert_same_bits(*on_both_kernels(
+                    lambda: fw_rank1_update(window, col, row, algebra)))
+
+                def inplace():
+                    block = layout(window.copy())
+                    mask = fw_rank1_update_inplace(block, col, row, algebra)
+                    return np.column_stack([block, mask.astype(dtype)])
+                assert_same_bits(*on_both_kernels(inplace))
+
+    def test_rank1_past_the_numpy_size(self, algebra, dtype, pool):
+        # Blocks of more than 128 x 128 cells take the compiled rank-1 pass.
+        rng = np.random.default_rng(zlib.crc32(f"{algebra}{dtype}{pool}big".encode()))
+        for layout in OPERAND_LAYOUTS.values():
+            window = layout(_cells(rng, (129, 131), dtype, pool))
+            col, row = _cells(rng, 129, dtype, pool), _cells(rng, 131, dtype, pool)
+            assert_same_bits(*on_both_kernels(
+                lambda: fw_rank1_update(window, col, row, algebra)))
+
+            def inplace():
+                block = layout(window.copy())
+                mask = fw_rank1_update_inplace(block, col, row, algebra)
+                return np.column_stack([block, mask.astype(dtype)])
+            assert_same_bits(*on_both_kernels(inplace))
+
+    def test_fw_inplace_and_blocked(self, algebra, dtype, pool):
+        # The diagonal is random, not ``one``: row and column k move during
+        # sweep k, so only a sweep over copies of them matches NumPy.
+        rng = np.random.default_rng(zlib.crc32(f"{algebra}{dtype}{pool}fw".encode()))
+        for n in SIDES:
+            for layout in OPERAND_LAYOUTS.values():
+                window = _cells(rng, (n, n), dtype, pool)
+                if pool == "weights":
+                    window -= np.dtype(dtype).type(1.0)   # negative cells too
+
+                def closed():
+                    block = layout(window.copy())
+                    assert floyd_warshall_inplace(block, algebra) is block
+                    return np.array(block)
+                assert_same_bits(*on_both_kernels(closed))
+
+                def blocked():
+                    block = layout(window.copy())
+                    blocked_floyd_warshall_inplace(block, max(1, n // 2), algebra)
+                    return np.array(block)
+                assert_same_bits(*on_both_kernels(blocked))
+
+    def test_out_overlapping_an_operand_raises(self, algebra, dtype, pool):
+        rng = np.random.default_rng(3)
+        a, b = _cells(rng, (5, 5), dtype, pool), _cells(rng, (5, 5), dtype, pool)
+        for kernel in (contextlib.nullcontext(), native._forced("numpy")):
+            with kernel:
+                for out in (a, b, a.T, b[:, ::-1]):
+                    with pytest.raises(ValidationError):
+                        semiring_product(a, b, algebra, out=out)
+                with pytest.raises(ValidationError):
+                    semiring_product(a, b, algebra, out=np.empty((5, 4), dtype))
+
+    def test_read_only_targets_raise_and_a_casting_out_matches(self, algebra,
+                                                                dtype, pool):
+        rng = np.random.default_rng(4)
+        a = _cells(rng, (5, 5), dtype, pool)
+        frozen = a.copy()
+        frozen.flags.writeable = False
+        for kernel in (contextlib.nullcontext(), native._forced("numpy")):
+            with kernel:
+                with pytest.raises(ValueError):
+                    floyd_warshall_inplace(frozen, algebra)
+                with pytest.raises(ValueError):
+                    semiring_product(a, a, algebra, out=frozen)
+        assert_same_bits(frozen, a)
+        other = "float32" if dtype == "float64" else "float64"
+        assert_same_bits(*on_both_kernels(lambda: semiring_product(
+            a, a, algebra, out=np.empty((5, 5), other))))
+
