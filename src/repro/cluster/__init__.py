@@ -9,10 +9,10 @@ priced from one table of the paper's machine constants
 (:mod:`repro.cluster.costmodel`), and a timer for the per-block kernels on
 the host (:mod:`repro.cluster.calibration`, Figure 2's measured mode).
 
-:mod:`repro.cluster.fitting` prices solves on *this* host instead: it loads
-the per-unit machine constants committed in ``benchmarks/calibration.json``
-and prices a resolved plan's structural features with them, which is how the
-auto-tuner (:mod:`repro.core.tuner`) resolves ``solver="auto"`` requests.
+:mod:`repro.cluster.fitting` prices solves on *this* host instead: it dots a
+resolved plan's structural features with one in-code table of per-unit
+machine constants, which is how the auto-tuner (:mod:`repro.core.tuner`)
+resolves ``solver="auto"`` requests.
 """
 
 from repro.cluster.calibration import measure_kernel_times
@@ -23,13 +23,7 @@ from repro.cluster.costmodel import (
     SOLVER_NAMES,
     element_bytes,
 )
-from repro.cluster.fitting import (
-    CALIBRATION_SCHEMA_VERSION,
-    load_calibration,
-    paper_constants,
-    predict_plan_seconds,
-    validate_calibration,
-)
+from repro.cluster.fitting import predict_plan_seconds
 
 __all__ = [
     "measure_kernel_times",
@@ -38,9 +32,5 @@ __all__ = [
     "IterationEstimate",
     "ProjectionResult",
     "SOLVER_NAMES",
-    "CALIBRATION_SCHEMA_VERSION",
-    "load_calibration",
-    "paper_constants",
     "predict_plan_seconds",
-    "validate_calibration",
 ]

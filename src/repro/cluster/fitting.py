@@ -1,54 +1,63 @@
-"""Price a resolved solve plan with the committed machine constants.
+"""Price a resolved solve plan with one table of per-unit machine constants.
 
 The cluster cost model (:mod:`repro.cluster.costmodel`) projects *paper-scale*
 runtimes from paper-anchored constants.  This module prices solves on *this*
 host instead: each plan becomes a set of **structural features** (kernel
 element-ops by algebra × dtype × storage, scheduler stages and tasks by
 backend, staging/IPC byte volumes, per-solver driver work), and the predicted
-wall is their dot product with per-unit constants.
+wall is their dot product with the per-unit rates of :data:`SECONDS_PER_UNIT`.
 
 Features are computed from the plan alone — never from measured metrics — so
 the auto-tuner (:mod:`repro.core.tuner`) can rank candidate (solver, block
 size, storage, layout, backend) configurations for an unseen problem.  The
-constants come from ``benchmarks/calibration.json`` (or the file named by
-``APSPARK_CALIBRATION``), loaded and validated here; a feature the document
-carries no constant for falls back to a sibling rate or a documented default.
+table is the only place the tuner reads a price from, so a decision does not
+depend on the working directory or the environment.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
-import numpy as np
-
 from repro.cluster.costmodel import MINPLUS_RATE, element_bytes
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.linalg.algebra import get_algebra
 from repro.linalg.semiring import closure_iterations
-
-#: Bump when the calibration document layout changes incompatibly.
-CALIBRATION_SCHEMA_VERSION = 1
-
-#: Keys every calibration document must carry to be considered well-formed.
-_REQUIRED_KEYS = ("schema_version", "constants", "accuracy")
 
 #: Engine backends the stage/task constants are keyed by.
 BACKENDS = ("serial", "threads", "processes")
 
-#: Last-resort per-unit constants used when a feature has no constant in the
-#: calibration document (or when no calibration file exists at all).  They are
-#: paper-flavoured orders of magnitude, not measurements — the tuner still
-#: ranks candidates sensibly with them, just less sharply.
-FALLBACK_SECONDS_PER_UNIT = {
-    "ops": 8.0 / MINPLUS_RATE,  # per float64-equivalent byte of kernel work
-    "stages": 3.0e-4,
-    "tasks": 1.5e-5,
-    "bytes": 2.0e-8,
-    "bytes:ipc": 4.0e-8,
-    "taskbytes": 5.0e-9,
-    "driver": 3.0e-4,
-    "kernels": 1.5e-4,
+#: Physical parallelism of the host the rates describe: kernel ops divide by
+#: ``min(total_cores, CPU_COUNT)`` on the pooled backends.
+CPU_COUNT = 1
+
+#: Seconds per unit of every structural feature :func:`plan_features` emits.
+#: The rates were fitted once, by regression over 55 timed solves on one
+#: single-core reference machine, before the compiled relax kernel; they are
+#: stale, and a 0.0 is a fit that came out free, not a measurement.  The two
+#: float32 rates the fit never saw carry the median per-byte rate of the
+#: fitted kernels.  Re-measuring them one unit at a time lands here
+#: (ROADMAP ``[cost-model]`` (b)/(c)).
+SECONDS_PER_UNIT = {
+    "ops:longest-path|float32|dense": 2.429694581088e-09,
+    "ops:longest-path|float64|dense": 7.943766217331e-09,
+    "ops:most-reliable|float32|dense": 2.429694581088e-09,
+    "ops:most-reliable|float64|dense": 4.536065374569e-09,
+    "ops:reachability|bool|dense": 2.600916497916e-10,
+    "ops:reachability|bool|packed": 1.888234011069e-10,
+    "ops:shortest-path|float32|dense": 2.54082007854e-09,
+    "ops:shortest-path|float64|dense": 4.793148132908e-09,
+    "ops:widest-path|float32|dense": 2.462815095722e-09,
+    "ops:widest-path|float64|dense": 4.520468318106e-09,
+    "stages:processes": 0.002206710164668,
+    "stages:serial": 0.0003156934875099,
+    "stages:threads": 0.0,
+    "tasks:processes": 0.0,
+    "tasks:serial": 0.0,
+    "tasks:threads": 0.0,
+    "bytes": 0.0,
+    "bytes:ipc": 1.827347356401e-08,
+    "taskbytes:threads": 3.56040954156e-08,
+    "kernels:packed": 0.0001481016414223,
+    "driver:fw-2d": 0.000158298562444,
+    "driver:repeated-squaring": 0.0001504667537761,
 }
 
 
@@ -107,16 +116,14 @@ def _solver_shape(solver: str, n: int, block: int, q: int, stored: float,
     raise ConfigurationError(f"unknown solver {solver!r}")
 
 
-def plan_features(plan, *, backend: str, total_cores: int,
-                  cpu_count: int = 1) -> dict[str, float]:
+def plan_features(plan, *, backend: str, total_cores: int) -> dict[str, float]:
     """Structural cost features of one resolved solve plan.
 
-    ``cpu_count`` is the *physical* parallelism of the host the constants
-    describe: the kernel-ops features are divided by the effective worker
-    parallelism ``min(total_cores, cpu_count)`` for the threads/processes
-    backends (the serial backend always runs on one core).  Every feature is
-    a plain non-negative number; the predicted wall is the dot product with
-    the per-unit constants.
+    The kernel-ops features are divided by the effective worker parallelism
+    ``min(total_cores, CPU_COUNT)`` for the threads/processes backends (the
+    serial backend always runs on one core).  Every feature is a plain
+    non-negative number; the predicted wall is the dot product with
+    :data:`SECONDS_PER_UNIT`.
     """
     request = plan.request
     algebra = get_algebra(request.algebra)
@@ -127,7 +134,7 @@ def plan_features(plan, *, backend: str, total_cores: int,
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     parallelism = 1.0 if backend == "serial" else float(
-        max(1, min(total_cores, max(1, int(cpu_count)))))
+        max(1, min(total_cores, CPU_COUNT)))
 
     ops, stages, bytes_moved, kernel_calls, driver = _solver_shape(
         request.solver, n, block, q, stored, element_size)
@@ -163,113 +170,21 @@ def plan_features(plan, *, backend: str, total_cores: int,
     return {key: float(value) for key, value in features.items() if value > 0.0}
 
 
-def paper_constants(*, cpu_count: int | None = None) -> dict:
-    """Fallback constants used when no calibration file is available.
-
-    Every prediction then rides on :data:`FALLBACK_SECONDS_PER_UNIT` — the
-    paper-flavoured defaults — which keeps the auto-tuner functional (and
-    deterministic for a fixed host) without a calibration document.
-    """
-    return {
-        "source": "paper-default",
-        "cpu_count": max(1, int(cpu_count if cpu_count is not None
-                                else (os.cpu_count() or 1))),
-        "observations": 0,
-        "residual": 0.0,
-        "seconds_per_unit": {},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
-def _fallback_rate(key: str, fitted: dict[str, float]) -> float:
-    """Per-unit rate for a feature the calibration carries no constant for.
+def _rate(key: str) -> float:
+    """Seconds per unit of one feature.
 
-    Unseen kernel keys borrow the median *per-byte* rate of the fitted
-    kernel keys (so an unfitted float32 algebra still prices ~2x faster
-    than its float64 twin); other families fall back to the documented
-    defaults.
+    A kernel key the table has no rate for belongs to an algebra registered
+    at runtime; it is priced per byte at the paper's min-plus rate.
     """
-    family = key.split(":", 1)[0] if not key.startswith("ops:") else "ops"
-    if key.startswith("ops:"):
-        per_byte: list[float] = []
-        for fit_key, rate in fitted.items():
-            if not fit_key.startswith("ops:") or rate <= 0.0:
-                continue
-            algebra, dtype, storage = fit_key[4:].split("|")
-            per_byte.append(rate / element_bytes(algebra, dtype, storage))
-        element_size = element_bytes(*key[4:].split("|"))
-        if per_byte:
-            return float(np.median(per_byte)) * element_size
-        return FALLBACK_SECONDS_PER_UNIT["ops"] / 8.0 * element_size
-    if family in ("stages", "tasks", "driver", "taskbytes", "kernels"):
-        siblings = [rate for fit_key, rate in fitted.items()
-                    if fit_key.startswith(family + ":") and rate > 0.0]
-        if siblings:
-            return float(np.median(siblings))
-        return FALLBACK_SECONDS_PER_UNIT[family]
-    return FALLBACK_SECONDS_PER_UNIT.get(key, FALLBACK_SECONDS_PER_UNIT.get(
-        family, 0.0))
+    if key.startswith("ops:") and key not in SECONDS_PER_UNIT:
+        return element_bytes(*key[4:].split("|")) / MINPLUS_RATE
+    return SECONDS_PER_UNIT[key]
 
 
-def _price(features: dict[str, float], constants: dict) -> float:
-    """Dot product of structural features with the fitted per-unit rates."""
-    rates = constants.get("seconds_per_unit") or {}
-    total = 0.0
-    for key, value in features.items():
-        rate = rates.get(key)
-        if rate is None:
-            # No constant for this feature.  A constant of zero is kept as
-            # zero — the calibration says that cost is free.
-            rate = _fallback_rate(key, rates)
-        total += value * rate
-    return total
-
-
-def predict_plan_seconds(plan, constants: dict, *, backend: str,
-                         total_cores: int) -> float:
+def predict_plan_seconds(plan, *, backend: str, total_cores: int) -> float:
     """Predicted wall seconds of one resolved solve plan (the tuner's pricing)."""
-    return _price(plan_features(
-        plan, backend=backend, total_cores=total_cores,
-        cpu_count=int(constants.get("cpu_count", 1))), constants)
-
-
-# ---------------------------------------------------------------------------
-# Calibration documents
-# ---------------------------------------------------------------------------
-def validate_calibration(calibration: dict, path: str = "<calibration>") -> dict:
-    """Check a loaded calibration document; returns it on success."""
-    if not isinstance(calibration, dict):
-        raise ValidationError(f"{path}: calibration must be a JSON object")
-    missing = [key for key in _REQUIRED_KEYS if key not in calibration]
-    if missing:
-        raise ValidationError(
-            f"{path}: calibration is missing keys: {', '.join(missing)}")
-    version = calibration["schema_version"]
-    if version != CALIBRATION_SCHEMA_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported calibration schema version {version!r} "
-            f"(this build reads version {CALIBRATION_SCHEMA_VERSION})")
-    constants = calibration["constants"]
-    if (not isinstance(constants, dict)
-            or not isinstance(constants.get("seconds_per_unit"), dict)):
-        raise ValidationError(
-            f"{path}: 'constants.seconds_per_unit' must be an object")
-    for key, value in constants["seconds_per_unit"].items():
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValidationError(
-                f"{path}: constant {key!r} must be a non-negative number")
-    return calibration
-
-
-def load_calibration(path: str) -> dict:
-    """Load and validate a ``calibration.json`` document from disk."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            calibration = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"calibration file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return validate_calibration(calibration, path)
+    features = plan_features(plan, backend=backend, total_cores=total_cores)
+    return sum(value * _rate(key) for key, value in features.items())

@@ -1,11 +1,11 @@
-"""Calibrated auto-tuning: resolve ``solver="auto"`` from machine constants.
+"""Auto-tuning: resolve ``solver="auto"`` from machine constants.
 
 The paper's pitch is raw speed *without the user knowing the configuration
 space exists*: a cost model, anchored to machine constants, picks the
 solver, the decomposition parameter ``b``, and the execution shape.  The
-constants are the committed ``benchmarks/calibration.json`` (or the file
-named by ``APSPARK_CALIBRATION``); :func:`resolve_auto` prices every
-registry-supported candidate request for the problem at hand with them —
+constants are the one in-code table
+:data:`~repro.cluster.fitting.SECONDS_PER_UNIT`; :func:`resolve_auto` prices
+every registry-supported candidate request for the problem at hand with it —
 each resolved by the engine's own :func:`~repro.core.base.resolve_plan` and
 priced on :func:`~repro.cluster.fitting.plan_features` — and rewrites the
 request to the cheapest one.
@@ -22,20 +22,18 @@ Tuning is deliberately conservative about what it overrides:
   cheapest backend as ``recommended_backend`` so callers can see when a
   different pool would pay off.
 
-Decisions are deterministic for a fixed calibration document: candidates are
-enumerated in sorted order and ties break on the (predicted, solver, block,
-storage) tuple.
+Decisions are deterministic: the table is fixed, candidates are enumerated
+in sorted order and ties break on the (predicted, solver, block, storage)
+tuple.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cluster.fitting import (load_calibration, paper_constants,
-                                   predict_plan_seconds)
+from repro.cluster.fitting import predict_plan_seconds
 from repro.common.config import EngineConfig, default_config
 from repro.common.errors import ConfigurationError
 from repro.core.base import (SolvePlan, auto_block_size, input_symmetry,
@@ -44,14 +42,6 @@ from repro.core.registry import solvers_for
 from repro.core.request import SolveRequest, _RequestView
 from repro.graph import sparse as sparse_mod
 from repro.linalg.algebra import get_algebra
-
-#: Environment variable naming a calibration file to use instead of the
-#: repository default.
-CALIBRATION_ENV = "APSPARK_CALIBRATION"
-
-#: Default on-disk location (relative to the working directory) of the
-#: committed calibration the tuner reads.
-DEFAULT_CALIBRATION_PATH = os.path.join("benchmarks", "calibration.json")
 
 #: The documented default configuration the tuner must never beat itself
 #: with: the paper's Blocked-CB solver at the heuristic block size.
@@ -66,9 +56,9 @@ class TunerDecision(_RequestView):
     block size, storage and layout all set; its fields read through, so
     ``decision.solver`` / ``decision.block_size`` are the choice).
     ``predicted_seconds`` and ``default_predicted_seconds`` come from the
-    same calibrated predictor, so ``predicted_seconds <=
-    default_predicted_seconds`` always holds — the default configuration is
-    itself one of the scored candidates.
+    same predictor, so ``predicted_seconds <= default_predicted_seconds``
+    always holds — the default configuration is itself one of the scored
+    candidates.
     """
 
     request: SolveRequest
@@ -77,9 +67,7 @@ class TunerDecision(_RequestView):
     predicted_seconds: float
     default_predicted_seconds: float
     recommended_backend: str
-    calibration_source: str
     candidates: int
-    density: float | None = None
 
     def as_dict(self) -> dict:
         """Plain-dict view for ``engine.stats()`` / result metrics."""
@@ -90,10 +78,8 @@ class TunerDecision(_RequestView):
             "predicted_seconds": self.predicted_seconds,
             "default_predicted_seconds": self.default_predicted_seconds,
             "recommended_backend": self.recommended_backend,
-            "calibration_source": self.calibration_source,
             "candidates": self.candidates,
             "n": self.n,
-            "density": self.density,
         }
 
     def describe(self) -> str:
@@ -102,30 +88,7 @@ class TunerDecision(_RequestView):
                 f"storage={self.storage} layout={self.layout} "
                 f"predicted={self.predicted_seconds:.4f}s "
                 f"(default {self.default_predicted_seconds:.4f}s, "
-                f"{self.candidates} candidates, {self.calibration_source})")
-
-
-def active_calibration(path: str | None = None) -> tuple[dict, str]:
-    """Locate the calibration constants the tuner should price with.
-
-    Priority: an explicit ``path`` argument, then the ``APSPARK_CALIBRATION``
-    environment variable, then ``benchmarks/calibration.json`` in the working
-    directory, then the built-in paper-flavoured fallback constants.  Returns
-    ``(constants, source)`` where ``source`` is the file path or
-    ``"paper-default"``.
-    """
-    candidates = []
-    if path is not None:
-        candidates.append(path)
-    env_path = os.environ.get(CALIBRATION_ENV)
-    if env_path:
-        candidates.append(env_path)
-    candidates.append(DEFAULT_CALIBRATION_PATH)
-    for candidate in candidates:
-        if os.path.isfile(candidate):
-            calibration = load_calibration(candidate)
-            return calibration["constants"], candidate
-    return paper_constants(), "paper-default"
+                f"{self.candidates} candidates)")
 
 
 def candidate_block_sizes(n: int, total_cores: int,
@@ -159,47 +122,14 @@ def _candidate_storages(request: SolveRequest) -> list[str]:
     return sorted(algebra.storages)
 
 
-def _measured_density(adjacency, algebra_name: str) -> float:
-    """Fraction of connected off-diagonal entries, for observability.
-
-    The cost model is density-independent (dense block kernels do the same
-    work either way), but the decision records what it saw so future
-    calibrations can add density terms without changing the interface.  CSR
-    inputs are counted over their stored entries — the ingestion path never
-    densifies.
-    """
-    n = adjacency.shape[0]
-    if n < 2:
-        return 0.0
-    zero = get_algebra(algebra_name).zero
-
-    def connected(values: np.ndarray) -> int:
-        if values.dtype == np.bool_:
-            return int(np.count_nonzero(values))
-        with np.errstate(invalid="ignore"):
-            return int(np.count_nonzero(np.isfinite(values) & (values != zero)))
-
-    if sparse_mod.is_sparse(adjacency):
-        coo = adjacency.tocoo()
-        values, diagonal = coo.data, coo.data[coo.row == coo.col]
-    else:
-        values, diagonal = adjacency, adjacency.diagonal()
-    return (connected(values) - connected(diagonal)) / float(n * (n - 1))
-
-
 def choose_config(request: SolveRequest, *, n: int,
                   config: EngineConfig | None = None,
-                  symmetric: bool = True,
-                  constants: dict | None = None,
-                  calibration_source: str = "explicit",
-                  density: float | None = None) -> TunerDecision:
+                  symmetric: bool = True) -> TunerDecision:
     """Pick the cheapest registry-supported configuration for a request.
 
     ``n`` is the problem size and ``symmetric`` whether the adjacency is
     symmetric (resolves a ``layout="auto"`` request — a correctness
-    constraint the tuner never trades away).  ``constants`` is the
-    calibration ``constants`` subtree; omitted, the active calibration is
-    located via :func:`active_calibration`.
+    constraint the tuner never trades away).
 
     Every candidate is a :class:`SolveRequest` derived from the caller's and
     priced on the plan :func:`~repro.core.base.resolve_plan` gives it — the
@@ -207,14 +137,12 @@ def choose_config(request: SolveRequest, *, n: int,
     the one that would execute.
     """
     config = config or default_config()
-    if constants is None:
-        constants, calibration_source = active_calibration()
     total_cores = config.total_cores
 
     def price(candidate: SolveRequest) -> tuple[float, SolvePlan]:
         plan = resolve_plan(candidate, n, symmetric=symmetric,
                             total_cores=total_cores)
-        return predict_plan_seconds(plan, constants, backend=config.backend,
+        return predict_plan_seconds(plan, backend=config.backend,
                                     total_cores=total_cores), plan
 
     # Layout first (it decides the solver pool); every candidate below
@@ -253,7 +181,7 @@ def choose_config(request: SolveRequest, *, n: int,
 
     recommended_backend = min(
         ("processes", "serial", "threads"),
-        key=lambda b: (predict_plan_seconds(best_plan, constants, backend=b,
+        key=lambda b: (predict_plan_seconds(best_plan, backend=b,
                                             total_cores=total_cores), b))
     return TunerDecision(
         request=replace(best_plan.request, block_size=best_plan.block_size),
@@ -261,14 +189,11 @@ def choose_config(request: SolveRequest, *, n: int,
         predicted_seconds=predicted,
         default_predicted_seconds=default_predicted,
         recommended_backend=recommended_backend,
-        calibration_source=calibration_source, candidates=len(priced),
-        density=density)
+        candidates=len(priced))
 
 
 def resolve_auto(request: SolveRequest, adjacency, *,
-                 config: EngineConfig | None = None,
-                 constants: dict | None = None,
-                 calibration_source: str = "explicit"
+                 config: EngineConfig | None = None
                  ) -> tuple[SolveRequest, TunerDecision]:
     """Rewrite a ``solver="auto"`` request to the tuner's concrete choice.
 
@@ -282,11 +207,7 @@ def resolve_auto(request: SolveRequest, adjacency, *,
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ConfigurationError(
             f"adjacency must be a square matrix, got shape {adjacency.shape}")
-    if constants is None:
-        constants, calibration_source = active_calibration()
     decision = choose_config(
         request, n=int(adjacency.shape[0]), config=config,
-        symmetric=input_symmetry(request, adjacency),
-        constants=constants, calibration_source=calibration_source,
-        density=_measured_density(adjacency, request.algebra))
+        symmetric=input_symmetry(request, adjacency))
     return (decision.request if request.solver == "auto" else request), decision

@@ -618,8 +618,7 @@ def main(argv=None) -> int:
                           f"storage={tuner['storage']} "
                           f"layout={tuner['layout']} "
                           f"predicted={tuner['predicted_seconds']:.4f}s "
-                          f"(default {tuner['default_predicted_seconds']:.4f}s, "
-                          f"calibration: {tuner['calibration_source']})")
+                          f"(default {tuner['default_predicted_seconds']:.4f}s)")
                 print(f"  elapsed: {format_seconds(result.elapsed_seconds)}; "
                       f"shuffled {result.metrics['shuffle_bytes'] / 1e6:.1f} MB; "
                       f"collected {result.metrics['collect_bytes'] / 1e6:.1f} MB; "

@@ -1,45 +1,54 @@
-"""Calibration loader: the committed document loads, malformed ones are refused.
+"""Price table coverage: every registered kernel has its own rate.
 
-``benchmarks/calibration.json`` is the document the auto-tuner prices with;
-:func:`repro.cluster.fitting.load_calibration` must reject anything that
-would silently poison every ``solver="auto"`` decision.
+:data:`repro.cluster.fitting.SECONDS_PER_UNIT` is the only place
+``solver="auto"`` reads a price from.  Each kernel key the registered
+algebras can emit carries its own rate, and an algebra registered at runtime
+is priced per byte at the paper's min-plus rate instead of failing.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
 
-import pytest
+import numpy as np
 
 from repro.cluster import fitting
-from repro.common.errors import ValidationError
-
-REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-CALIBRATION_PATH = os.path.join(REPO_ROOT, "benchmarks", "calibration.json")
-
-
-@pytest.fixture(scope="module")
-def committed_calibration():
-    return fitting.load_calibration(CALIBRATION_PATH)
+from repro.cluster.costmodel import MINPLUS_RATE
+from repro.core import registry
+from repro.core.request import SolveRequest
+from repro.core.tuner import resolve_auto
+from repro.graph import erdos_renyi_adjacency
+from repro.linalg import algebra as algebra_mod
+from repro.linalg.algebra import Semiring, algebra_catalog, register_algebra
 
 
-class TestSchema:
-    def test_validate_rejects_missing_keys(self):
-        with pytest.raises(ValidationError, match="missing"):
-            fitting.validate_calibration({"schema_version": 1})
+def registry_ops_keys() -> list[str]:
+    """Every ``ops:{algebra}|{dtype}|{storage}`` key the registries can emit."""
+    return sorted(f"ops:{algebra.name}|{dtype}|{storage}"
+                  for algebra in algebra_catalog()
+                  for dtype in algebra.dtypes
+                  for storage in algebra.storages)
 
-    def test_validate_rejects_wrong_version(self, committed_calibration):
-        doc = dict(committed_calibration)
-        doc["schema_version"] = 99
-        with pytest.raises(ValidationError, match="version"):
-            fitting.validate_calibration(doc)
 
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(ValidationError, match="not found"):
-            fitting.load_calibration(str(tmp_path / "nope.json"))
+def test_every_registered_kernel_has_its_own_rate():
+    table_keys = sorted(key for key in fitting.SECONDS_PER_UNIT
+                        if key.startswith("ops:"))
+    assert table_keys == registry_ops_keys()
+    assert len(table_keys) == 10
 
-    def test_load_invalid_json_raises(self, tmp_path):
-        path = tmp_path / "calibration.json"
-        path.write_text("{not json")
-        with pytest.raises(ValidationError, match="JSON"):
-            fitting.load_calibration(str(path))
+
+def test_runtime_algebra_resolves_auto(monkeypatch):
+    """A clone of (min, +) registered at runtime is priced, not refused."""
+    monkeypatch.setattr(algebra_mod, "_ALGEBRAS", dict(algebra_mod._ALGEBRAS))
+    register_algebra(Semiring(name="clone", add_op=np.minimum, mul_op=np.add,
+                              zero=np.inf, one=0.0))
+    blocked_cb = registry._REGISTRY["blocked-cb"]
+    monkeypatch.setitem(registry._REGISTRY, "blocked-cb", replace(
+        blocked_cb, algebras=blocked_cb.algebras + ("clone",)))
+
+    request, decision = resolve_auto(SolveRequest(solver="auto", algebra="clone"),
+                                     erdos_renyi_adjacency(64, seed=1))
+    assert request.solver == "blocked-cb" and request.algebra == "clone"
+    assert "ops:clone|float64|dense" not in fitting.SECONDS_PER_UNIT
+    assert fitting._rate("ops:clone|float64|dense") == 8.0 / MINPLUS_RATE
+    assert 0.0 < decision.predicted_seconds <= decision.default_predicted_seconds

@@ -1,11 +1,12 @@
-"""Golden table: every ``solver="auto"`` decision the committed calibration makes.
+"""Golden table: every ``solver="auto"`` decision the price table makes.
 
 :func:`repro.core.tuner.resolve_auto` is run over every algebra orientation ×
 n ∈ {48, 256, 768, 1024, 1536} × dense/CSR input × backend, pricing with
-``benchmarks/calibration.json``.  Each cell's solver, block size, storage,
-layout and recommended backend must match ``tuner_decisions.tsv`` exactly,
-and both predicted walls to 1e-9 relative.  A change to the calibration
-document or to the cost model moves this table; regenerate it with::
+:data:`repro.cluster.fitting.SECONDS_PER_UNIT`.  Each cell's solver, block
+size, storage, layout and recommended backend must match
+``tuner_decisions.tsv`` exactly, and both predicted walls to 1e-9 relative.
+A change to the table or to the cost model moves this golden file;
+regenerate it with::
 
     PYTHONPATH=src python tests/core/test_tuner_decisions.py
 
@@ -22,15 +23,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.cluster import fitting
 from repro.common.config import EngineConfig
 from repro.core.request import SolveRequest
 from repro.core.tuner import resolve_auto
 from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import available_algebras, get_algebra
 
-REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-CALIBRATION_PATH = os.path.join(REPO_ROOT, "benchmarks", "calibration.json")
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "tuner_decisions.tsv")
 
 SIZES = (48, 256, 768, 1024, 1536)
@@ -67,13 +65,12 @@ def inputs(algebra: str, n: int, directed: bool) -> dict:
     return {"dense": dense, "csr": csr}
 
 
-def decide(algebra: str, n: int, directed: bool, form: str, backend: str,
-           constants: dict) -> dict:
+def decide(algebra: str, n: int, directed: bool, form: str,
+           backend: str) -> dict:
     """One golden row: the cell's key, its decision and both predicted walls."""
     request = SolveRequest(solver="auto", algebra=algebra, directed=directed)
     _, decision = resolve_auto(request, inputs(algebra, n, directed)[form],
-                               config=EngineConfig(backend=backend),
-                               constants=constants)
+                               config=EngineConfig(backend=backend))
     row = dict(zip(KEY, (algebra, n, directed, form, backend)))
     row.update({name: getattr(decision, name) for name in DECISION + WALLS})
     return row
@@ -92,11 +89,6 @@ def cell_id(cell) -> str:
 
 
 @pytest.fixture(scope="module")
-def constants():
-    return fitting.load_calibration(CALIBRATION_PATH)["constants"]
-
-
-@pytest.fixture(scope="module")
 def golden():
     return load_golden()
 
@@ -106,8 +98,8 @@ def test_golden_table_covers_the_grid(golden):
 
 
 @pytest.mark.parametrize("cell", GRID, ids=cell_id)
-def test_decision_matches_golden(cell, constants, golden):
-    row = decide(*cell, constants)
+def test_decision_matches_golden(cell, golden):
+    row = decide(*cell)
     expected = golden[tuple(map(str, cell))]
     assert {name: str(row[name]) for name in DECISION} == \
         {name: expected[name] for name in DECISION}
@@ -116,12 +108,11 @@ def test_decision_matches_golden(cell, constants, golden):
 
 
 if __name__ == "__main__":
-    table = fitting.load_calibration(CALIBRATION_PATH)["constants"]
     with open(GOLDEN_PATH, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=COLUMNS, delimiter="\t",
                                 lineterminator="\n")
         writer.writeheader()
         for cell in GRID:
-            row = decide(*cell, table)
+            row = decide(*cell)
             writer.writerow({**row, **{name: repr(row[name]) for name in WALLS}})
     print(f"wrote {len(GRID)} rows to {GOLDEN_PATH}")

@@ -1,15 +1,19 @@
 """Integration tests: the example applications must run end-to-end.
 
 Each example is executed in-process via ``runpy`` (calling its ``main()``)
-so regressions in the public API surface immediately.
+so regressions in the public API surface immediately.  The README's python
+blocks are checked too: every import they show must resolve.
 """
 
+import ast
 import os
+import re
 import runpy
 
 import pytest
 
-EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
 
 EXAMPLES = [
     "quickstart.py",
@@ -54,3 +58,19 @@ def test_isomap_unrolls_the_manifold(capsys):
     module_globals = _load("isomap_geodesics.py")
     module_globals["main"]()
     assert "unrolls the manifold" in capsys.readouterr().out
+
+
+def readme_python_blocks() -> list[str]:
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        return re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def test_readme_python_blocks_import():
+    blocks = readme_python_blocks()
+    assert blocks, "README.md has no python blocks"
+    for block in blocks:
+        tree = ast.parse(block)
+        imports = [node for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        exec(compile(ast.Module(body=imports, type_ignores=[]),
+                     "README.md", "exec"), {})
