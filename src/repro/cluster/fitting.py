@@ -69,6 +69,10 @@ def ops_key(request) -> str:
 # ---------------------------------------------------------------------------
 # Structural feature extraction
 # ---------------------------------------------------------------------------
+#: The solvers :func:`plan_features` has a structural shape for.
+PRICED_SOLVERS = ("blocked-cb", "blocked-im", "fw-2d", "repeated-squaring")
+
+
 def _solver_shape(solver: str, n: int, block: int, q: int, stored: float,
                   element_size: float) -> tuple[float, float, float, float, dict]:
     """(ops, stages, bytes, kernel calls, driver features) for one solve.

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cluster.fitting import predict_plan_seconds
+from repro.cluster.fitting import PRICED_SOLVERS, predict_plan_seconds
 from repro.common.config import EngineConfig, default_config
 from repro.common.errors import ConfigurationError
 from repro.core.base import (SolvePlan, auto_block_size, input_symmetry,
@@ -81,14 +81,6 @@ class TunerDecision(_RequestView):
             "candidates": self.candidates,
             "n": self.n,
         }
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        return (f"auto -> {self.solver} b={self.block_size} "
-                f"storage={self.storage} layout={self.layout} "
-                f"predicted={self.predicted_seconds:.4f}s "
-                f"(default {self.default_predicted_seconds:.4f}s, "
-                f"{self.candidates} candidates)")
 
 
 def candidate_block_sizes(n: int, total_cores: int,
@@ -149,7 +141,17 @@ def choose_config(request: SolveRequest, *, n: int,
     # derives from this layout-concrete request.
     base = resolve_plan(request, n, symmetric=symmetric,
                         total_cores=total_cores).request
-    solvers = solvers_for(base.algebra, base.layout)
+    # Only the built-in solvers have a priced shape; a solver registered at
+    # runtime is left out of the pool until its registry entry can carry
+    # one (ROADMAP [cost-model] (a)).
+    supported = solvers_for(base.algebra, base.layout)
+    solvers = [solver for solver in supported if solver in PRICED_SOLVERS]
+    if not solvers:
+        raise ConfigurationError(
+            f"solver='auto' has no price for any solver supporting algebra "
+            f"{base.algebra!r} on the {base.layout} layout "
+            f"({', '.join(supported) or 'none registered'}); name one "
+            "explicitly")
     storages = _candidate_storages(base)
     blocks = ([base.block_size] if base.block_size is not None
               else candidate_block_sizes(n, total_cores,

@@ -1,10 +1,12 @@
 """The compiled dense kernel: build ``relax.c`` once, cache it, load it.
 
 :class:`~repro.linalg.payload.DenseOps` runs its float products, relaxes,
-rank-1 passes and in-block Floyd-Warshall sweeps through the C kernels in
-``relax.c`` whenever this module could load them, and through NumPy
-otherwise.  Both give the same bits (see ``relax.c``); which one runs in this
-process is reported by :func:`describe`, and a fallback is logged once.
+rank-1 passes and in-block Floyd-Warshall sweeps, and
+:class:`~repro.linalg.payload.WitnessOps` its products, relaxes and sweeps,
+through the C kernels in ``relax.c`` whenever this module could load them,
+and through NumPy otherwise.  Both give the same bits (see ``relax.c``);
+which one runs in this process is reported by :func:`describe`, and a
+fallback is logged once.
 
 The source ships inside the package (read through :mod:`importlib.resources`)
 and is compiled on first use with the system ``cc`` into
@@ -56,11 +58,20 @@ _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _log = logging.getLogger(__name__)
 
 
+class _Planes(ctypes.Structure):
+    """``relax.c``'s ``planes``: a witnessed block's three planes and strides."""
+
+    _fields_ = [("values", ctypes.c_void_p), ("parents", ctypes.c_void_p),
+                ("succs", ctypes.c_void_p), ("ldv", ctypes.c_ssize_t),
+                ("ldp", ctypes.c_ssize_t), ("lds", ctypes.c_ssize_t)]
+
+
 class Kernel:
-    """The loaded library, called on ndarrays."""
+    """The loaded library, called on ndarrays and witnessed blocks."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         ptr, size, code = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+        planes = ctypes.POINTER(_Planes)
         self._relax = lib.apspark_relax
         self._relax.argtypes = [code, code, ptr, size, ptr, size, ptr, size,
                                 ptr, size, size, size, size]
@@ -68,6 +79,13 @@ class Kernel:
         self._fw = lib.apspark_fw
         self._fw.argtypes = [code, code, ptr, size, size]
         self._fw.restype = code
+        self._witness_relax = lib.apspark_witness_relax
+        self._witness_relax.argtypes = [code, code, ctypes.c_double, planes,
+                                        planes, planes, planes, size, size, size]
+        self._witness_relax.restype = code
+        self._witness_fw = lib.apspark_witness_fw
+        self._witness_fw.argtypes = [code, code, planes, size]
+        self._witness_fw.restype = code
 
     def relax(self, algebra: int, out: np.ndarray, a: np.ndarray, b: np.ndarray,
               base: np.ndarray | None = None) -> None:
@@ -103,6 +121,65 @@ class Kernel:
                         ld, block.shape[0]))
         if work is not block:
             block[...] = work
+
+    def witness_relax(self, algebra: int, zero: float, out, a, b,
+                      base=None) -> None:
+        """``out = base ⊕ (a ⊗ b)`` on witnessed blocks, pointers composed.
+
+        ``out``'s planes are fresh C-ordered arrays of the result's shape; the
+        value planes share one float dtype and ``a.values`` is ``(m, k)``
+        with ``k >= 1``; ``out`` carries ``succs`` exactly when every operand
+        does.  ``zero`` is the algebra's "no path" value.
+        """
+        (m, k), n = a.values.shape, b.values.shape[1]
+        operands = [x for x in (a, b, out, base) if x is not None]
+        if not k or b.values.shape[0] != k or out.values.shape != (m, n) \
+                or (base is not None and base.values.shape != (m, n)) \
+                or len({x.values.dtype for x in operands}) != 1 \
+                or len({x.succs is None for x in operands}) != 1:
+            raise ValueError("witnessed relax operands " + ", ".join(
+                f"{x.values.shape} {x.values.dtype}"
+                f"{' one-plane' if x.succs is None else ''}" for x in operands)
+                + " do not fit")
+        held = []       # the C-ordered arrays the structures point into
+        planes = [_planes(x, held) for x in (out, base, a, b)]
+        _check(self._witness_relax(
+            algebra, _DTYPE_CODES[a.values.dtype], zero, planes[0],
+            planes[1], planes[2], planes[3], m, k, n))
+
+    def witness_fw(self, algebra: int, block) -> None:
+        """Close the square witnessed ``block`` in place, pointers carried."""
+        n = block.values.shape[0]
+        if block.values.shape != (n, n):
+            raise ValueError(
+                f"Floyd-Warshall needs a square block, got {block.values.shape}")
+        held = []
+        planes = _planes(block, held, target=True)
+        _check(self._witness_fw(algebra, _DTYPE_CODES[block.values.dtype],
+                                planes, n))
+        for plane, work in zip((block.values, block.parents, block.succs), held):
+            if work is not plane:
+                plane[...] = work
+
+
+def _planes(block, held: list, *, target: bool = False):
+    """The ``planes`` structure of a witnessed ``block`` (``None``: NULL).
+
+    Each plane goes through :func:`_row_major`; the arrays it returns are
+    appended to ``held``, which must outlive the call.
+    """
+    if block is None:
+        return None
+    fields = {}
+    for name, stride, plane in (("values", "ldv", block.values),
+                                ("parents", "ldp", block.parents),
+                                ("succs", "lds", block.succs)):
+        if plane is None:
+            continue
+        work, fields[stride] = _row_major(plane, target=target)
+        fields[name] = work.ctypes.data
+        held.append(work)
+    return ctypes.byref(_Planes(**fields))
 
 
 def _row_major(x: np.ndarray, *, target: bool = False) -> tuple[np.ndarray, int]:

@@ -352,7 +352,19 @@ class PackedOps(PayloadOps):
 
 
 class WitnessOps(PayloadOps):
-    """:class:`~repro.linalg.witness.WitnessBlock`: paired value + parent kernels."""
+    """:class:`~repro.linalg.witness.WitnessBlock`: paired value + parent kernels.
+
+    Like :class:`DenseOps`, this dispatches between the compiled loop of
+    :mod:`repro.linalg.native` and NumPy.  Float blocks under the four
+    numeric algebras run ``product``, ``relax`` (one fused pass) and
+    ``fw_inplace`` compiled whenever the kernel loaded, on one-plane and
+    two-plane blocks alike; planes without unit-stride rows (``.T`` mirrors,
+    column-strided views) are copied to C order first.  Everything else —
+    bool blocks, other algebras, an empty inner dimension, a base whose
+    dtype differs from the product's, the rank-1 passes — and every process
+    where the kernel did not load runs the NumPy kernels of
+    :mod:`repro.linalg.witness`, which give the same values and pointers.
+    """
 
     name = "witnessed"
 
@@ -361,15 +373,63 @@ class WitnessOps(PayloadOps):
         return algebra.supports_witness
 
     def product(self, a, b, algebra, *, out=None):
-        """:func:`~repro.linalg.witness.witness_product` (no ``out=``)."""
+        """``MatProd`` with witness composition (no ``out=``)."""
         if out is not None:
             raise ValidationError(
                 "MatProd does not support out= for witnessed operands")
-        return witness.witness_product(a, b, algebra)
+        product = self._compiled_relax(None, a, b, algebra)
+        if product is None:
+            return witness.witness_product(a, b, algebra)
+        return product
 
-    # The witnessed kernels already have the protocol's signatures.
+    def relax(self, base, left, right, algebra):
+        """``base ⊕ (left ⊗ right)`` in one compiled pass, when it can run."""
+        relaxed = self._compiled_relax(base, left, right, algebra)
+        if relaxed is None:
+            return super().relax(base, left, right, algebra)
+        return relaxed
+
+    @staticmethod
+    def _compiled_relax(base, left, right, algebra):
+        """The compiled ``base ⊕ (left ⊗ right)`` (the bare product when
+        ``base`` is ``None``), or ``None`` where NumPy runs — which also
+        raises on operands that do not fit."""
+        if not algebra.supports_witness:
+            return None
+        single_plane = left.succs is None
+        if (right.succs is None) != single_plane or (
+                base is not None and (base.succs is None) != single_plane):
+            return None
+        lv, rv = algebra.product_operands(left.values, right.values)
+        compiled = native.kernel_for(algebra, lv.dtype)
+        shape = (lv.shape[0], rv.shape[1])
+        if compiled is None or not lv.shape[1] or (base is not None and (
+                base.shape != shape or base.dtype != lv.dtype)):
+            return None
+        kernel, code = compiled
+        out = witness.WitnessBlock(
+            np.empty(shape, lv.dtype), np.empty(shape, np.int32),
+            None if single_plane else np.empty(shape, np.int32))
+        kernel.witness_relax(
+            code, float(algebra.zero_like(lv.dtype)), out,
+            witness.WitnessBlock(lv, left.parents, left.succs),
+            witness.WitnessBlock(rv, right.parents, right.succs), base)
+        return out
+
+    def fw_inplace(self, block, algebra):
+        """Floyd-Warshall sweeps with pointer carry, in place."""
+        values = block.values
+        compiled = native.kernel_for(algebra, values.dtype)
+        if (compiled is None or not algebra.supports_witness
+                or values.shape[0] != values.shape[1]
+                or values.dtype.name not in algebra.dtypes):
+            return witness.witness_floyd_warshall_inplace(block, algebra)
+        kernel, code = compiled
+        kernel.witness_fw(code, block)
+        return block
+
+    # The other witnessed kernels already have the protocol's signatures.
     combine = staticmethod(witness.witness_combine)
-    fw_inplace = staticmethod(witness.witness_floyd_warshall_inplace)
     rank1 = staticmethod(witness.witness_rank1_update)
     rank1_inplace = staticmethod(witness.witness_rank1_update_inplace)
 

@@ -21,7 +21,10 @@ from repro.common.config import EngineConfig
 from repro.common.errors import ConfigurationError
 from repro.core import tuner
 from repro.core.engine import APSPEngine
-from repro.core.registry import solver_info, solvers_for
+from repro.core.api import solve_apsp
+from repro.core.blocked_inmemory import BlockedInMemorySolver
+from repro.core.registry import (register_solver, solver_info, solvers_for,
+                                 unregister_solver)
 from repro.core.request import SolveRequest
 from repro.graph.generators import erdos_renyi_adjacency, graph_for_algebra
 from repro.linalg.algebra import available_algebras, get_algebra
@@ -173,6 +176,35 @@ class TestTunerEdges:
         monkeypatch.setenv("APSPARK_" "CALIBRATION", str(tmp_path / "missing.json"))
         _, from_elsewhere = tuner.resolve_auto(request, adjacency)
         assert from_root == from_elsewhere
+
+
+class TestRegisteredSolvers:
+    """A solver registered at runtime has no priced shape: ``auto`` leaves
+    it out of the pool instead of failing on it."""
+
+    def test_auto_solves_beside_a_registered_solver(self):
+        adjacency = erdos_renyi_adjacency(48, seed=1)
+        _, before = tuner.resolve_auto(SolveRequest(solver="auto"), adjacency)
+
+        @register_solver
+        class CustomSolver(BlockedInMemorySolver):
+            name = "custom-im"
+
+        try:
+            assert "custom-im" in solvers_for("shortest-path", "triangular")
+            result = solve_apsp(adjacency, solver="auto")
+            _, during = tuner.resolve_auto(SolveRequest(solver="auto"), adjacency)
+        finally:
+            unregister_solver("custom-im")
+        assert during == before
+        assert result.solver == before.solver != "custom-im"
+        assert np.allclose(result.distances,
+                           solve_apsp(adjacency, solver="blocked-cb").distances)
+
+    def test_no_priced_candidate_raises_naming_the_solvers(self, monkeypatch):
+        monkeypatch.setattr(tuner, "PRICED_SOLVERS", ())
+        with pytest.raises(ConfigurationError, match="blocked-cb.*fw-2d"):
+            tuner.choose_config(SolveRequest(solver="auto"), n=32, config=CONFIG)
 
 
 class TestAutoEndToEnd:

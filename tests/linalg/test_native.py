@@ -25,6 +25,7 @@ from repro import APSPEngine, SolveRequest
 from repro.common.config import EngineConfig
 from repro.graph.generators import erdos_renyi_adjacency
 from repro.linalg import native
+from repro.linalg.witness import witness_block
 from repro.sequential.floyd_warshall import floyd_warshall_reference
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -148,3 +149,31 @@ class TestReport:
             assert report["linalg_kernel"] == "numpy"
             assert native.kernel() is None
         assert native.describe() == before
+
+
+class TestWitnessedCalls:
+    """Witnessed operands that do not fit raise before any pointer is passed."""
+
+    @staticmethod
+    def block(rows, cols, dtype=np.float64, *, single_plane=False):
+        return witness_block(np.ones((rows, cols), dtype), 0, 0, "shortest-path",
+                             single_plane=single_plane)
+
+    def test_misfits_raise(self):
+        loaded = native.kernel()
+        if loaded is None:
+            pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+        a, b, out = self.block(3, 4), self.block(4, 5), self.block(3, 5)
+        misfits = [
+            (out, a, self.block(3, 5), None),                      # inner 4 vs 3
+            (self.block(3, 4), a, b, None),                        # out shape
+            (out, a, b, self.block(5, 3)),                         # base shape
+            (out, a, self.block(4, 5, np.float32), None),          # dtypes
+            (out, a, self.block(4, 5, single_plane=True), None),   # plane-ness
+            (self.block(3, 5), self.block(3, 0), self.block(0, 5), None),  # k = 0
+        ]
+        for target, left, right, base in misfits:
+            with pytest.raises(ValueError, match="do not fit"):
+                loaded.witness_relax(0, np.inf, target, left, right, base)
+        with pytest.raises(ValueError, match="square"):
+            loaded.witness_fw(0, self.block(3, 4))

@@ -21,8 +21,10 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import APSPEngine, SolveRequest
 from repro.common.errors import ValidationError
 from repro.core import building_blocks as bb
+from repro.graph import erdos_renyi_adjacency
 from repro.linalg import native
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
@@ -567,3 +569,141 @@ class TestKernelsAgree:
         assert_same_bits(*on_both_kernels(lambda: semiring_product(
             a, a, algebra, out=np.empty((5, 5), other))))
 
+
+
+#: Witnessed pools: the dense pools plus all-equal weights, where every
+#: candidate of a cell ties and only the first-winner rule decides pointers.
+WITNESS_POOLS = {**POOLS, "plateau": np.array([1.0])}
+
+
+def _view(x):
+    """A unit-stride sub-block of a larger C-ordered plane, as ``WITNESS.view``
+    cuts one: rows longer than the block, at an offset."""
+    rows, cols = x.shape
+    backing = np.zeros((rows + 2, cols + 3), dtype=x.dtype)
+    backing[1:rows + 1, 2:cols + 2] = x
+    return backing[1:rows + 1, 2:cols + 2]
+
+
+WITNESS_LAYOUTS = {**OPERAND_LAYOUTS, "view": _view}
+
+
+def _witnessed(rng, shape, dtype, pool, layout, *, single_plane):
+    """A witnessed block of :func:`_cells` values and random pointers (some
+    ``NO_VERTEX``, so the fallback rules run), every plane in ``layout``."""
+    cells = (rng.choice(WITNESS_POOLS[pool], shape).astype(dtype)
+             if pool == "plateau" else _cells(rng, shape, dtype, pool))
+    parents = rng.integers(-1, 40, shape).astype(np.int32)
+    succs = None if single_plane else rng.integers(-1, 40, shape).astype(np.int32)
+    place = WITNESS_LAYOUTS[layout]
+    return W.WitnessBlock(place(cells), place(parents),
+                          None if succs is None else place(succs))
+
+
+def assert_same_witness(got, expected):
+    """Values bit for bit (NaN cells aside), parents and succs exactly."""
+    assert_same_bits(got.values, expected.values)
+    assert np.array_equal(got.parents, expected.parents)
+    assert (got.succs is None) == (expected.succs is None)
+    if expected.succs is not None:
+        assert np.array_equal(got.succs, expected.succs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered",
+                            "ignore:overflow encountered")
+@pytest.mark.parametrize("planes", ["two-plane", "one-plane"])
+@pytest.mark.parametrize("pool", ["weights", *WITNESS_POOLS])
+@pytest.mark.parametrize("algebra,dtype", NUMERIC_CELLS)
+class TestWitnessedKernelsAgree:
+    """Every witnessed float kernel, ragged sides 1/2/5/12, C / transposed /
+    strided / view planes, one-plane and two-plane blocks."""
+
+    def test_product_and_relax(self, algebra, dtype, pool, planes):
+        rng = np.random.default_rng(
+            zlib.crc32(f"{algebra}{dtype}{pool}{planes}".encode()))
+        single = planes == "one-plane"
+        for m, k, n in itertools.product(SIDES, repeat=3):
+            for layout in WITNESS_LAYOUTS:
+                a = _witnessed(rng, (m, k), dtype, pool, layout, single_plane=single)
+                b = _witnessed(rng, (k, n), dtype, pool, layout, single_plane=single)
+                base = _witnessed(rng, (m, n), dtype, pool, layout,
+                                  single_plane=single)
+                assert_same_witness(*on_both_kernels(
+                    lambda: semiring_product(a, b, algebra)))
+                assert_same_witness(*on_both_kernels(
+                    lambda: semiring_relax(base, a, b, algebra)))
+
+    def test_fw_inplace_and_blocked(self, algebra, dtype, pool, planes):
+        # As for dense blocks the diagonal is random, so row and column k
+        # move during sweep k and only copies of them match NumPy.
+        rng = np.random.default_rng(
+            zlib.crc32(f"{algebra}{dtype}{pool}{planes}fw".encode()))
+        single = planes == "one-plane"
+        for n in SIDES:
+            for layout in WITNESS_LAYOUTS:
+                window = _witnessed(rng, (n, n), dtype, pool, layout,
+                                    single_plane=single)
+                if pool == "weights":
+                    window.values[...] -= np.dtype(dtype).type(1.0)
+
+                def closed():
+                    block = WITNESS.copy(window)
+                    assert floyd_warshall_inplace(block, algebra) is block
+                    return block
+                assert_same_witness(*on_both_kernels(closed))
+
+                def in_layout():
+                    # Closed in place through the layout's own strides.
+                    block = W.WitnessBlock(*(
+                        None if plane is None
+                        else WITNESS_LAYOUTS[layout](plane.copy())
+                        for plane in (window.values, window.parents,
+                                      window.succs)))
+                    floyd_warshall_inplace(block, algebra)
+                    return WITNESS.copy(block)
+                assert_same_witness(*on_both_kernels(in_layout))
+
+                def blocked():
+                    block = WITNESS.copy(window)
+                    blocked_floyd_warshall_inplace(block, max(1, n // 2), algebra)
+                    return block
+                assert_same_witness(*on_both_kernels(blocked))
+
+
+class TestWitnessedKernelRuns:
+    def test_loaded_kernel_bypasses_the_numpy_witness_kernels(self, monkeypatch):
+        if native.kernel() is None:
+            pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+        rng = np.random.default_rng(5)
+        a, b, base = (_witnessed(rng, (6, 6), "float64", "weights", "C",
+                                 single_plane=False) for _ in range(3))
+        expected = (semiring_product(a, b, "shortest-path"),
+                    semiring_relax(base, a, b, "shortest-path"))
+
+        def numpy_kernel(*args, **kwargs):
+            raise AssertionError("a NumPy witness kernel ran")
+        for name in ("witness_product", "witness_combine",
+                     "witness_floyd_warshall_inplace"):
+            monkeypatch.setattr(W, name, numpy_kernel)
+        # The fallback relax combines through the class's own reference.
+        monkeypatch.setattr(type(WITNESS), "combine", staticmethod(numpy_kernel))
+        assert_same_witness(semiring_product(a, b, "shortest-path"), expected[0])
+        assert_same_witness(semiring_relax(base, a, b, "shortest-path"),
+                            expected[1])
+        floyd_warshall_inplace(a, "shortest-path")
+
+    @pytest.mark.parametrize("layout", ["triangular", "full"])
+    def test_paths_solve_parents_agree(self, layout):
+        # Unit weights: most cells tie, so the pointers are the first winners'.
+        adj = erdos_renyi_adjacency(40, weighted=False, seed=2)
+        request = SolveRequest(solver="blocked-cb", block_size=8, paths=True,
+                               layout=layout)
+
+        def solve():
+            with APSPEngine() as engine:
+                return engine.solve(adj, request)
+        got, expected = on_both_kernels(solve)
+        assert got.metrics["linalg_kernel"] == "native"
+        assert expected.metrics["linalg_kernel"] == "numpy"
+        assert_same_bits(got.distances, expected.distances)
+        assert np.array_equal(got.parents, expected.parents)
