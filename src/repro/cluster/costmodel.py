@@ -109,20 +109,17 @@ def element_bytes(algebra=None, dtype: str | None = None,
 
 
 def rank1_update_seconds(n: int, *, algebra=None, dtype: str | None = None,
-                         storage: str | None = None, orientations: int = 1,
-                         witnessed: bool = False) -> float:
+                         storage: str | None = None, orientations: int = 1) -> float:
     """Estimated seconds to relax a cached ``n x n`` closure through one edge.
 
     One edge insertion is a rank-1 sweep — one ⊗ and one ⊕ per closure cell,
     the min-plus rate's unit of work — per *orientation* (an undirected edge
-    sweeps both directions).  Witness tracking roughly doubles the sweep (the
-    parents/succs planes are gathered and rewritten alongside the values);
-    narrower element storage scales the bandwidth-bound sweep by its byte
-    ratio against the float64 the paper rates were anchored on.
+    sweeps both directions).  Narrower element storage scales the
+    bandwidth-bound sweep by its byte ratio against the float64 the paper
+    rates were anchored on.  A closure with parents pays no more here: the
+    rows a batch changed are derived once, after it.
     """
     seconds = float(n) * n * max(1, int(orientations)) / MINPLUS_RATE
-    if witnessed:
-        seconds *= 2.0
     return seconds * element_bytes(algebra, dtype, storage) / 8.0
 
 
@@ -140,8 +137,7 @@ def full_resolve_seconds(n: int, *, algebra=None, dtype: str | None = None,
 
 
 def update_break_even(n: int, *, algebra=None, dtype: str | None = None,
-                      storage: str | None = None, orientations: int = 1,
-                      witnessed: bool = False) -> int:
+                      storage: str | None = None, orientations: int = 1) -> int:
     """Batch size past which a full re-closure beats per-edge rank-1 sweeps.
 
     ``full_resolve_seconds / rank1_update_seconds`` — roughly ``0.46 n`` for
@@ -150,8 +146,7 @@ def update_break_even(n: int, *, algebra=None, dtype: str | None = None,
     fraction of the graph's rows.
     """
     per_edge = rank1_update_seconds(n, algebra=algebra, dtype=dtype,
-                                    storage=storage, orientations=orientations,
-                                    witnessed=witnessed)
+                                    storage=storage, orientations=orientations)
     resolve = full_resolve_seconds(n, algebra=algebra, dtype=dtype,
                                    storage=storage)
     if per_edge <= 0.0:

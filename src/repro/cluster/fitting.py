@@ -142,14 +142,6 @@ def plan_features(plan, *, backend: str, total_cores: int) -> dict[str, float]:
 
     ops, stages, bytes_moved, kernel_calls, driver = _solver_shape(
         request.solver, n, block, q, stored, element_size)
-    if request.paths:
-        # Witness tracking doubles the kernel work (paired value/parent
-        # kernels), the moved volume, and the per-stage block handling —
-        # every stage now touches two planes per block.
-        ops *= 2.0
-        bytes_moved *= 2.0
-        stages *= 2.0
-        kernel_calls *= 2.0
     tasks = stages * partitions
 
     features: dict[str, float] = {

@@ -153,15 +153,15 @@ class SolvePlan(_RequestView):
         straight from the sparse buffers
         (:func:`~repro.graph.sparse.sparse_to_blocks`), so block construction
         allocates O(nnz + b²), never a dense ``n x n`` array.  Either path
-        emits packed-bitset blocks under the ``"packed"`` storage policy and
-        witnessed blocks (value + parent planes, global ids stamped) under
-        ``paths=True``.  One record per key the plan's :attr:`grid` stores.
+        emits packed-bitset blocks under the ``"packed"`` storage policy, and
+        bare distance blocks whatever ``paths`` says.  One record per key the
+        plan's :attr:`grid` stores.
         """
-        policy = dict(algebra=self.algebra, storage=self.storage,
-                      layout=self.layout, witness=self.paths)
+        policy = dict(storage=self.storage, layout=self.layout)
         if self.sparse_input:
-            return sparse_mod.sparse_to_blocks(self.adjacency, self.block_size,
-                                               dtype=self.dtype, **policy)
+            return sparse_mod.sparse_to_blocks(
+                self.adjacency, self.block_size, algebra=self.algebra,
+                dtype=self.dtype, **policy)
         return matrix_to_blocks(self.adjacency, self.block_size, **policy)
 
     def describe(self) -> dict:
@@ -338,27 +338,19 @@ class SparkAPSPSolver:
                 if isinstance(result_blocks, RDD):
                     result_blocks = result_blocks.collect()
                 algebra = get_algebra(request.algebra)
-                assemble = dict(layout=request.layout, dtype=request.dtype,
-                                fill=algebra.zero_like(request.dtype))
-                parents = None
-                paths_repaired = 0
-                if request.paths:
-                    distances, parents = witness_mod.witness_blocks_to_matrices(
-                        result_blocks, plan.n, plan.block_size, **assemble)
-                    # Per-cell witnesses are locally valid but can disagree
-                    # across cells on equal-value plateaus; rebuild exactly
-                    # the source rows whose pointer chains do not walk back
-                    # to the source (see repro.linalg.witness).
-                    parents, paths_repaired = witness_mod.repair_parents(
-                        distances, parents, plan.adjacency, algebra)
-                else:
-                    distances = blocks_to_matrix(result_blocks, plan.n,
-                                                 plan.block_size, **assemble)
+                distances = blocks_to_matrix(
+                    result_blocks, plan.n, plan.block_size,
+                    layout=request.layout, dtype=request.dtype,
+                    fill=algebra.zero_like(request.dtype))
+                # The solve moved distance blocks only; the parent matrix is
+                # derived from the closure (see repro.linalg.witness).
+                parents = (witness_mod.derive_parents(
+                    distances, witness_mod.CsrEdges.of(
+                        plan.adjacency, algebra, distances.dtype), algebra)
+                    if request.paths else None)
             elapsed = time.perf_counter() - start
             metrics = metrics_delta(metrics_before, sc.metrics.as_dict())
             metrics.update(native.describe())
-            if request.paths:
-                metrics["path_rows_repaired"] = paths_repaired
         finally:
             if owns_context:
                 sc.stop()

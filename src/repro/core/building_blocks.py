@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from repro.common.errors import SolverError
-from repro.linalg import bitset, witness
+from repro.linalg import bitset
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.blocks import BlockGrid, BlockId
 from repro.linalg.kernels import fw_rank1_update
@@ -124,14 +124,7 @@ def extract_col(grid: BlockGrid, pivot_block: int,
     — the pieces are per-block and tiny, so packing happens once at assembly
     instead, where :func:`assemble_column` turns a boolean column into a
     :class:`~repro.linalg.bitset.PackedVector` and the per-pivot broadcast
-    ships 1/8th the bytes.  Witnessed blocks emit
-    :class:`~repro.linalg.witness.WitnessVector` pieces whose single
-    ``toward`` plane is each vertex's neighbour on its optimal path to the
-    pivot vertex: the *successor* column for a column slice, the *parent* row
-    for a row slice — the same quantity by symmetry, which is what lets one
-    broadcast vector serve both operand roles of the rank-1 update on a
-    mirrored grid.  (Single-plane blocks' columns carry bare values:
-    parents-only composition needs no pointer plane on the column operand.)
+    ships 1/8th the bytes.
     """
     mirrored = grid.mirrored
 
@@ -155,24 +148,13 @@ def assemble_column(pieces: list[tuple[int, np.ndarray]], n: int, block_size: in
     """Assemble ``(block-row index, slice)`` pieces into the full length-``n`` column.
 
     Cells not covered by any piece hold the algebra's ``zero`` ("no path").
-    Witnessed pieces assemble into a full
-    :class:`~repro.linalg.witness.WitnessVector` (uncovered ``toward`` cells
-    hold :data:`~repro.linalg.witness.NO_VERTEX`).  Boolean (reachability)
+    Boolean (reachability)
     columns assemble into a :class:`~repro.linalg.bitset.PackedVector` — the
     fw-2d solver broadcasts the assembled vector every pivot, and packing
     shrinks that wire payload 8×; the rank-1 update callables are oblivious
     because packed-vector slices unpack to dense boolean windows.
     """
     algebra = get_algebra(algebra)
-    if pieces and witness.is_witness_vector(pieces[0][1]):
-        dtype = pieces[0][1].dtype
-        values = np.full(n, algebra.zero_like(dtype), dtype=dtype)
-        toward = np.full(n, witness.NO_VERTEX, dtype=np.int32)
-        for block_row, piece in pieces:
-            start = block_row * block_size
-            values[start:start + piece.shape[0]] = piece.values
-            toward[start:start + piece.shape[0]] = piece.toward
-        return witness.WitnessVector(values, toward)
     dtype = (np.asarray(pieces[0][1]).dtype if pieces
              else np.dtype(algebra.default_dtype))
     if dtype.kind not in ("f", "b"):
@@ -296,8 +278,7 @@ def copy_col(grid: BlockGrid, pivot: int) -> Callable[[BlockRecord], list]:
     operand of every stored target ``(X, J)`` — ``X`` ranging over all block
     indices except ``pivot`` (the off-pivot diagonal blocks are ordinary
     targets).  On a mirrored grid a record plays one role of each kind, the
-    second through its transpose; otherwise exactly one, never transposed —
-    which is what lets single-plane witnessed blocks flow through.
+    second through its transpose; otherwise exactly one, never transposed.
     """
     stores = grid.stores
 

@@ -8,13 +8,13 @@ This module holds the driver-side state and kernels behind
 :meth:`~repro.core.engine.APSPEngine.update`:
 
 * :class:`ClosureState` — the cached artifacts of one solve (closure,
-  adjacency, optional witness planes and packed-bitset mirror).  A batch
+  adjacency, optional parent matrix and packed-bitset mirror).  A batch
   runs on a private :meth:`~ClosureState.fork` and is published by
   :meth:`~ClosureState.commit`, so arrays a reader already holds are never
   written — every committed batch is a new version, the way each iteration
   of the paper's solvers derives a new RDD; a CSR adjacency stays CSR;
 * *improvements* (insertions / weight decreases) as per-edge rank-1 sweeps
-  through the dense, packed or witnessed kernels — exact in any absorptive
+  through the dense or packed kernels — exact in any absorptive
   semiring because an optimal path uses a freshly improved edge at most
   once per orientation, so ``D ⊕ (D[:, u] ⊗ w) ⊗ D[v, :]`` *is* the new
   closure;
@@ -23,6 +23,8 @@ This module holds the driver-side state and kernels behind
   closure (the tight-edge test of :mod:`repro.linalg.witness`), and only
   those rows are recomputed by a fixpoint over the Bellman equations with
   exact boundary values from the untouched rows;
+* parents: a state that keeps a parent matrix derives the rows a batch
+  changed once, after it (:func:`repro.linalg.witness.derive_parents`);
 * cost-model terms (:func:`repro.cluster.costmodel.update_break_even`) that
   the engine consults to fall back to a full re-closure past the break-even
   batch size.
@@ -150,7 +152,7 @@ class ClosureState:
         return int(self.distances.shape[0])
 
     @property
-    def witnessed(self) -> bool:
+    def has_parents(self) -> bool:
         """True when the state maintains a predecessor matrix."""
         return self.parents is not None
 
@@ -195,7 +197,7 @@ class ClosureState:
         """Bind a fresh re-solve of this draft's adjacency (resolve fallback)."""
         if self.parents is not None and result.parents is None:
             raise ValidationError(
-                "re-solve of a witnessed closure returned no parents")
+                "re-solve of a closure with parents returned none")
         self.distances, self.parents = result.distances, result.parents
         if self.packed is not None:
             self.packed = bitset.PackedBlock.from_dense(self.distances)
@@ -217,7 +219,6 @@ class UpdateOutcome:
     worsenings: int = 0
     noops: int = 0
     affected_rows: int = 0
-    repaired_parent_rows: int = 0
     fallback_reason: str | None = None
     changed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
@@ -228,10 +229,10 @@ def update_estimates(state: ClosureState, batch_size: int) -> dict:
     kwargs = dict(algebra=state.algebra, dtype=state.request.dtype,
                   storage=state.request.storage)
     per_edge = rank1_update_seconds(state.n, orientations=orientations,
-                                    witnessed=state.witnessed, **kwargs)
+                                    **kwargs)
     resolve = full_resolve_seconds(state.n, **kwargs)
     break_even = update_break_even(state.n, orientations=orientations,
-                                   witnessed=state.witnessed, **kwargs)
+                                   **kwargs)
     return {
         "per_edge_seconds": per_edge,
         "incremental_seconds": per_edge * max(0, int(batch_size)),
@@ -248,7 +249,8 @@ def apply_incremental(state: ClosureState, edges: list[EdgeUpdate], *,
     """Apply a batch edge by edge, keeping the closure exact after each.
 
     Improvements run as rank-1 sweeps; worsenings detect their affected rows
-    and recompute only those.  When a worsening's affected set is too large
+    and recompute only those; a state with parents then derives the parent
+    rows of every changed row.  When a worsening's affected set is too large
     for the restricted path to pay off (more than a quarter of all rows) and
     ``allow_fallback`` is set, the remaining edges are folded into the
     adjacency without sweeping and ``fallback_reason`` tells the engine to
@@ -287,8 +289,14 @@ def apply_incremental(state: ClosureState, edges: list[EdgeUpdate], *,
             return outcome
         _recompute_rows(state, affected)
         outcome.changed |= affected
-    if state.witnessed and outcome.changed.any():
-        outcome.repaired_parent_rows += _repair_witnesses(state, outcome)
+    if state.has_parents and outcome.changed.any():
+        # A row whose distances did not move keeps a valid parent row: a
+        # parent edge the batch worsened marks its row affected, and one it
+        # improved changes its row's distances.
+        rows = np.flatnonzero(outcome.changed)
+        edges = witness.CsrEdges.of(state.adjacency, algebra, dtype)
+        state.parents[rows] = witness.derive_parents(dist, edges, algebra,
+                                                     rows)
     return outcome
 
 
@@ -394,15 +402,8 @@ def _improve_sweep(state: ClosureState, u: int, v: int, weight) -> np.ndarray:
     orientations = [(u, v)] + ([(v, u)] if state.undirected else [])
     for a, b in orientations:
         col = algebra.mul(dist[:, a], weight)
-        block, row = dist, dist[b, :]
-        if state.packed is not None:
-            block = state.packed
-        elif state.witnessed:
-            toward = state.parents[b, :].copy()
-            toward[b] = a  # the empty v -> v tail: j == v's predecessor is u
-            row = witness.WitnessVector(dist[b, :].copy(), toward)
-            block = witness.WitnessBlock(dist, state.parents, None)
-        mask = fw_rank1_update_inplace(block, col, row, algebra)
+        block = dist if state.packed is None else state.packed
+        mask = fw_rank1_update_inplace(block, col, dist[b, :], algebra)
         if state.packed is not None and mask.any():
             rows = np.flatnonzero(mask)
             dist[rows] = bitset.unpack_bits(state.packed.words[rows], n)
@@ -450,9 +451,6 @@ def _recompute_rows(state: ClosureState, affected: np.ndarray) -> None:
 
     ``X = (A_RR)* ⊗ B`` with boundary ``B = A[R, ~R] ⊗ D[~R, :] ⊕ I[R, :]``
     (see the module docstring), converging in at most ``|R|`` iterations.
-    Witnessed states derive the parent row of every affected source again
-    (values alone cannot tell whether a still-equal plateau pointer walked
-    through the removed edge).
     """
     algebra, dist = state.algebra, state.distances
     adj = state.adjacency
@@ -486,27 +484,3 @@ def _recompute_rows(state: ClosureState, affected: np.ndarray) -> None:
     if state.packed is not None:
         state.packed.words[rows] = bitset.pack_bits(dist[rows, :])
         state.packed.invalidate_popcount()
-    if state.witnessed:
-        edges = witness.CsrEdges.of(adj, algebra, dtype)
-        for source in rows.tolist():
-            state.parents[source] = witness.parent_row(source, dist, edges,
-                                                       algebra)
-
-
-def _repair_witnesses(state: ClosureState, outcome: UpdateOutcome) -> int:
-    """One global plateau-repair pass after a witnessed batch.
-
-    Per-cell rank-1 witnesses are locally valid but can disagree across
-    cells on equal-value plateaus, exactly as during a distributed solve —
-    the same detection runs here, each flagged row is derived again, and is
-    also marked changed so the serving cache drops it.
-    """
-    bad = np.flatnonzero(~witness.consistent_parent_rows(state.parents))
-    if bad.size:
-        edges = witness.CsrEdges.of(state.adjacency, state.algebra,
-                                    state.distances.dtype)
-        for source in bad.tolist():
-            state.parents[source] = witness.parent_row(
-                source, state.distances, edges, state.algebra)
-        outcome.changed[bad] = True
-    return int(bad.size)

@@ -479,7 +479,6 @@ class APSPEngine:
             changed_rows=(state.n if changed_rows is None
                           else int(changed_rows.size)),
             affected_rows=outcome.affected_rows,
-            repaired_parent_rows=outcome.repaired_parent_rows,
             seconds=elapsed,
             estimated_incremental_seconds=estimates["incremental_seconds"],
             estimated_resolve_seconds=estimates["resolve_seconds"],

@@ -87,9 +87,7 @@ def _orient_column(grid: BlockGrid, column_records,
     transposed when that role is the mirrored one.  Blocks pass through in
     their stored representation — packed-bitset blocks stay packed (their
     ``.T`` is a packed transpose), so the staged column of a reachability
-    solve ships at 1/8th the bytes of ``bool`` blocks, and witnessed blocks
-    keep their planes (their ``.T`` swaps parents/succs; single-plane blocks
-    live on grids that never transpose).
+    solve ships at 1/8th the bytes of ``bool`` blocks.
     """
     column_blocks: dict[int, np.ndarray] = {}
     for key, block in column_records:

@@ -68,12 +68,10 @@ class SolveRequest:
         adjacency validation and forces the full grid layout (an explicit
         ``layout="triangular"`` request is rejected).
     paths:
-        Track path witnesses through the solve: the result carries a
-        predecessor matrix and supports
-        :meth:`~repro.core.base.APSPResult.reconstruct_path`, at ~2x the
-        data traffic.  Needs an algebra with a witness policy and dense
-        block storage (``"auto"`` storage resolves to dense; an explicit
-        ``"packed"`` request is rejected at construction).
+        Return paths too: the result carries a predecessor matrix and
+        supports :meth:`~repro.core.base.APSPResult.reconstruct_path`.  The
+        solve itself is the ``paths=False`` one; the matrix is derived from
+        its closure afterwards.  Needs an algebra with a witness policy.
     validate:
         Run structural sanity checks on the result.
     tag:
@@ -117,9 +115,13 @@ class SolveRequest:
         object.__setattr__(
             self, "dtype", resolved_algebra.resolve_dtype(self.dtype).name)
         object.__setattr__(self, "paths", bool(self.paths))
+        if self.paths and not resolved_algebra.supports_witness:
+            raise ConfigurationError(
+                f"algebra {self.algebra!r} declares no witness policy "
+                "(witness_select is None); path reconstruction is "
+                "unavailable for it")
         object.__setattr__(
-            self, "storage",
-            resolved_algebra.resolve_storage(self.storage, paths=self.paths))
+            self, "storage", resolved_algebra.resolve_storage(self.storage))
         # Resolve the grid layout against the algebra, then check the solver
         # declares it (the same fail-fast shape as the algebra check above).
         # "auto" may survive here: resolve_plan() replaces it once the matrix
@@ -292,7 +294,6 @@ class UpdateReport:
     noops: int
     changed_rows: int
     affected_rows: int = 0
-    repaired_parent_rows: int = 0
     seconds: float = 0.0
     estimated_incremental_seconds: float | None = None
     estimated_resolve_seconds: float | None = None
@@ -306,8 +307,6 @@ class UpdateReport:
                 f"changed_rows={self.changed_rows}"]
         if self.worsenings:
             bits.append(f"affected_rows={self.affected_rows}")
-        if self.repaired_parent_rows:
-            bits.append(f"repaired={self.repaired_parent_rows}")
         bits.append(f"{self.seconds:.4f}s")
         return " ".join(bits)
 

@@ -104,12 +104,10 @@ def _candidate_storages(request: SolveRequest) -> list[str]:
     """Storage policies the tuner may choose between for this request.
 
     Only the algebra-default storage is treated as tunable; an explicit
-    non-default request is honoured as a constraint.  ``paths=True`` pins
-    dense storage (there are no packed witness kernels).
+    non-default request is honoured as a constraint.
     """
     algebra = get_algebra(request.algebra)
-    default = algebra.resolve_storage(None, paths=request.paths)
-    if request.storage != default or request.paths:
+    if request.storage != algebra.resolve_storage(None):
         return [request.storage]
     return sorted(algebra.storages)
 

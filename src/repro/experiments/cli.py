@@ -205,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "auto = inspect the input"),
         directed=dict(help="treat the input as directed: forces the full "
                            "layout and skips the symmetry requirement"),
-        paths=dict(help="track path witnesses: the result carries a "
-                        "predecessor matrix (parent pointers) at ~2x "
-                        "the data traffic"))
+        paths=dict(help="return paths too: the result carries a "
+                        "predecessor matrix (parent pointers), derived "
+                        "from the closure after the solve"))
     p_solve.add_argument("--route", nargs=2, type=int, default=None,
                          metavar=("SRC", "DST"),
                          help="reconstruct and print the optimal route "

@@ -39,8 +39,8 @@ from repro.common.errors import ValidationError
 from repro.common.rng import make_rng
 from repro.common.validation import check_block_size, check_positive_int
 from repro.linalg.algebra import Semiring, get_algebra, validate_dag_weights
-from repro.linalg.blocks import (BlockGrid, BlockId, block_encoder,
-                                 block_shape, num_blocks)
+from repro.linalg.blocks import BlockGrid, BlockId, block_shape, num_blocks
+from repro.linalg.payload import storage_ops
 
 try:  # SciPy is a hard dependency of the package, but keep the import local.
     import scipy.sparse as _sp
@@ -359,8 +359,7 @@ def sparse_to_blocks(csr, block_size: int, *,
                      algebra: Semiring | str | None = None,
                      dtype: str | np.dtype | None = None,
                      storage: str = "dense",
-                     layout: str = "triangular",
-                     witness: bool = False) -> Iterator[tuple[BlockId, object]]:
+                     layout: str = "triangular") -> Iterator[tuple[BlockId, object]]:
     """Cut a validated CSR adjacency into ``((I, J), block)`` records.
 
     The sparse counterpart of
@@ -372,10 +371,7 @@ def sparse_to_blocks(csr, block_size: int, *,
     :class:`~repro.linalg.blocks.BlockGrid`.  Entries are
     grouped by block id in a single O(nnz) pass; each block is materialized
     (and, under ``storage="packed"``, packed) one at a time, so no dense
-    ``n x n`` array ever exists — peak extra memory is O(nnz + b²).  With
-    ``witness=True`` each block is emitted as a
-    :class:`~repro.linalg.witness.WitnessBlock` stamped with global vertex
-    ids (the ``paths=True`` ingestion path; incompatible with packed storage).
+    ``n x n`` array ever exists — peak extra memory is O(nnz + b²).
     """
     _require_scipy()
     algebra = get_algebra(algebra)
@@ -383,7 +379,7 @@ def sparse_to_blocks(csr, block_size: int, *,
     b = check_block_size(block_size, n)
     q = num_blocks(n, b)
     grid = BlockGrid(q, layout)
-    encode = block_encoder(grid, storage, witness=witness, algebra=algebra)
+    encode = storage_ops(storage).encode
     dt = algebra.resolve_dtype(dtype) if dtype is not None else \
         (np.dtype(csr.dtype) if csr.dtype.name in algebra.dtypes
          else np.dtype(algebra.default_dtype))
@@ -418,7 +414,7 @@ def sparse_to_blocks(csr, block_size: int, *,
         if i == j:
             np.fill_diagonal(block, one)
         # copy=False: the window was just built here and aliases nothing.
-        yield (i, j), encode(block, i * b, j * b, copy=False)
+        yield (i, j), encode(block, copy=False)
 
 
 def sparse_to_dense(csr, *, algebra: Semiring | str | None = None) -> np.ndarray:

@@ -15,9 +15,9 @@ A :class:`Semiring` bundles
 * a dtype policy (which NumPy dtypes the algebra supports and its default),
 * an optional input validator encoding the algebra's precondition on edge
   weights (e.g. non-negativity for shortest paths),
-* a *witness* policy (``witness_select``): the arg-reduction matching ⊕, so
-  the kernels can remember **which** operand won and emit parent pointers
-  for path reconstruction (see :mod:`repro.linalg.witness`).
+* a *witness* policy (``witness_select``): the arg-reduction matching ⊕;
+  an algebra with one answers ``paths=True`` (parent rows are derived from
+  its closure, see :mod:`repro.linalg.witness`).
 
 Registered instances:
 
@@ -31,15 +31,12 @@ name               ⊕          ⊗          zero      one       witness  weight
 ``reachability``   or         and        ``False`` ``True``  argmax   none (bool)
 =================  =========  =========  ========  ========  =======  ==================
 
-The witness-composition rule the paired kernels implement: elementwise ⊕
-keeps the winning operand's pointers (ties keep the first operand), and the
-product ``C = A ⊗ B`` composes tails via ``parent_C[i, j] = parent_B[k*, j]``
-where ``k*`` is the ``witness_select`` winner of the inner reduction — the
-predecessor of ``j`` depends only on the final leg of the combined path.
 Every ⊕ here is *selective* (min/max/or: the result **is** one of the
-operands), which is what makes a per-cell argmin/argmax witness exact rather
-than approximate; a non-selective ⊕ (e.g. counting paths with ``+``) would
-have ``witness_select = None`` and simply opt out of ``paths=True``.
+operands), so every non-``zero`` closure entry is realized by some path
+whose last edge is *tight* (``D[s, p] ⊗ E[p, j] == D[s, j]``), which is what
+parent rows are built from; a non-selective ⊕ (e.g. counting paths with
+``+``) would have ``witness_select = None`` and simply opt out of
+``paths=True``.
 
 All registered algebras except ``longest-path`` are *absorptive*
 (``one ⊕ x = one``): cycles never improve a path, so Floyd-Warshall and
@@ -220,37 +217,23 @@ class Semiring:
         """The block-storage layout this algebra's solves use by default."""
         return self.storages[0]
 
-    def resolve_storage(self, storage: str | None = None, *,
-                        paths: bool = False) -> str:
+    def resolve_storage(self, storage: str | None = None) -> str:
         """Resolve a requested block-storage policy against this algebra.
 
         ``None`` or ``"auto"`` selects the algebra's default (``"packed"``
         for the boolean reachability algebra, ``"dense"`` otherwise);
-        anything else must be one of the supported policies.  With
-        ``paths=True`` (witness tracking) the algebra must have a witness
-        policy and the blocks must be dense — there are no packed-bitset
-        witness kernels — so ``auto`` resolves to ``"dense"`` and an
-        explicit ``"packed"`` request is rejected.
+        anything else must be one of the supported policies.
         """
-        if paths and not self.supports_witness:
-            raise ConfigurationError(
-                f"algebra {self.name!r} declares no witness policy "
-                "(witness_select is None); path reconstruction is "
-                "unavailable for it")
         if storage is None:
             requested = "auto"
         else:
             requested = str(storage).strip().lower()
         if requested == "auto":
-            return "dense" if paths else self.default_storage
+            return self.default_storage
         if requested not in self.storages:
             raise ConfigurationError(
                 f"algebra {self.name!r} supports block storage "
                 f"{', '.join(self.storages)}; got {requested!r}")
-        if paths and requested == "packed":
-            raise ConfigurationError(
-                "witness tracking has no packed-bitset kernels; "
-                "request storage='dense' (or 'auto') with paths=True")
         return requested
 
     # -- layout policy -----------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -128,25 +127,9 @@ class BlockGrid:
         return ((i, j, False),)
 
 
-def block_encoder(grid: BlockGrid, storage: str = "dense", *,
-                  witness: bool = False, algebra=None):
-    """Validate a decomposition request once; return its window encoder.
-
-    The returned callable is ``encode(window, row_start, col_start, *, copy)``
-    (see :meth:`~repro.linalg.payload.PayloadOps.encode`).  Witnessed blocks
-    of a grid that never mirrors are single-plane (parents only): successor
-    planes exist solely to serve transposed reads.
-    """
-    ops = storage_ops(storage, witness=witness)
-    return partial(ops.encode, algebra=algebra,
-                   single_plane=witness and not grid.mirrored)
-
-
 def matrix_to_blocks(matrix: np.ndarray, block_size: int, *,
                      layout: str = "triangular",
-                     storage: str = "dense",
-                     witness: bool = False,
-                     algebra=None) -> Iterator[tuple[BlockId, np.ndarray]]:
+                     storage: str = "dense") -> Iterator[tuple[BlockId, np.ndarray]]:
     """Decompose a square matrix into ``((I, J), block)`` tuples.
 
     One record per stored key of the ``layout``'s :class:`BlockGrid`: the
@@ -155,21 +138,17 @@ def matrix_to_blocks(matrix: np.ndarray, block_size: int, *,
     input's floating/boolean dtype is preserved (``float32`` pipelines stay
     ``float32``); anything else is upcast to ``float64``.  With
     ``storage="packed"`` each (boolean) block is emitted as a
-    :class:`~repro.linalg.bitset.PackedBlock` — 64 cells per word.  With
-    ``witness=True`` (a ``paths=True`` solve) each block is emitted as a
-    :class:`~repro.linalg.witness.WitnessBlock` whose planes are stamped with
-    the block's *global* vertex ids under ``algebra``; the matrix must then
-    already be in the algebra's domain.
+    :class:`~repro.linalg.bitset.PackedBlock` — 64 cells per word.
     """
     arr = check_square_matrix(matrix, dtype=None)
     n = arr.shape[0]
     b = check_block_size(block_size, n)
     grid = BlockGrid(num_blocks(n, b), layout)
-    encode = block_encoder(grid, storage, witness=witness, algebra=algebra)
+    encode = storage_ops(storage).encode
     for (i, j) in grid.keys():
         # copy=True: the window is a view, and a record must not alias the input.
         yield (i, j), encode(arr[block_range(i, b, n), block_range(j, b, n)],
-                             i * b, j * b, copy=True)
+                             copy=True)
 
 
 def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
@@ -184,9 +163,7 @@ def blocks_to_matrix(blocks: Iterable[tuple[BlockId, np.ndarray]], n: int,
     the value for never-seen cells (the algebra's "no path" element; ``inf``
     matches the historical (min, +) behaviour) and ``dtype`` the output dtype
     (``None`` preserves the first block's floating/boolean dtype, else
-    ``float64``).  Witnessed blocks contribute their *values* plane only —
-    use :func:`repro.linalg.witness.witness_blocks_to_matrices` to assemble
-    the parent matrix alongside.
+    ``float64``).
     """
     b = check_block_size(block_size, n)
     grid = BlockGrid(num_blocks(n, b), layout)

@@ -107,8 +107,8 @@ def fw_rank1_update_inplace(block, col_i, row_j,
     """In-place ``FloydWarshallUpdate`` returning the changed-row mask.
 
     The dynamic-update sibling of :func:`fw_rank1_update`: mutates ``block``
-    (dense ndarray, :class:`~repro.linalg.bitset.PackedBlock` or
-    :class:`~repro.linalg.witness.WitnessBlock`) directly and reports which
+    (dense ndarray or :class:`~repro.linalg.bitset.PackedBlock`) directly
+    and reports which
     rows improved, so the caller can invalidate exactly the serving-cache
     rows a batched edge update touched.  Dense blocks must already be in one
     of the algebra's dtypes — a silent conversion would mutate a copy.

@@ -1,12 +1,12 @@
-"""The compiled dense kernel: build ``relax.c`` once, cache it, load it.
+"""The compiled kernels: build ``relax.c`` once, cache it, load it.
 
 :class:`~repro.linalg.payload.DenseOps` runs its float products, relaxes,
 rank-1 passes and in-block Floyd-Warshall sweeps, and
-:class:`~repro.linalg.payload.WitnessOps` its products, relaxes and sweeps,
-through the C kernels in ``relax.c`` whenever this module could load them,
-and through NumPy otherwise.  Both give the same bits (see ``relax.c``);
-which one runs in this process is reported by :func:`describe`, and a
-fallback is logged once.
+:func:`~repro.linalg.witness.derive_parents` its parent rows, through the C
+kernels in ``relax.c`` whenever this module could load them, and through
+NumPy otherwise.  Both give the same bits (see ``relax.c``); which one runs
+in this process is reported by :func:`describe`, and a fallback is logged
+once.
 
 The source ships inside the package (read through :mod:`importlib.resources`)
 and is compiled on first use with the system ``cc`` into
@@ -55,6 +55,12 @@ ALGEBRA_CODES = {
 
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
+#: ``apspark_parents``' closure types: the float codes, and bool.
+_PARENT_TYPES = {**_DTYPE_CODES, np.dtype(np.bool_): 2}
+
+#: Boolean reachability's ``(⊕, ⊗)``: its parent rows need no algebra code.
+_BOOL_OPS = (np.logical_or, np.logical_and)
+
 _log = logging.getLogger(__name__)
 
 
@@ -71,6 +77,7 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         ptr, size, code = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+        real = ctypes.c_double
         planes = ctypes.POINTER(_Planes)
         self._relax = lib.apspark_relax
         self._relax.argtypes = [code, code, ptr, size, ptr, size, ptr, size,
@@ -79,13 +86,14 @@ class Kernel:
         self._fw = lib.apspark_fw
         self._fw.argtypes = [code, code, ptr, size, size]
         self._fw.restype = code
-        self._witness_relax = lib.apspark_witness_relax
-        self._witness_relax.argtypes = [code, code, ctypes.c_double, planes,
-                                        planes, planes, planes, size, size, size]
-        self._witness_relax.restype = code
-        self._witness_fw = lib.apspark_witness_fw
-        self._witness_fw.argtypes = [code, code, planes, size]
-        self._witness_fw.restype = code
+        self._parents = lib.apspark_parents
+        self._parents.argtypes = [code, code, real, real, ptr, size, size, ptr,
+                                  ptr, ptr, ptr, size, ptr, size]
+        self._parents.restype = size
+        self._witness_product = lib.apspark_witness_product
+        self._witness_product.argtypes = [code, code, real, planes, planes,
+                                          planes, size, size, size]
+        self._witness_product.restype = code
 
     def relax(self, algebra: int, out: np.ndarray, a: np.ndarray, b: np.ndarray,
               base: np.ndarray | None = None) -> None:
@@ -122,61 +130,72 @@ class Kernel:
         if work is not block:
             block[...] = work
 
-    def witness_relax(self, algebra: int, zero: float, out, a, b,
-                      base=None) -> None:
-        """``out = base ⊕ (a ⊗ b)`` on witnessed blocks, pointers composed.
+    def parents(self, algebra: int, zero: float, rtol: float,
+                distances: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                vals: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, int]:
+        """The ``(len(sources), n)`` parent rows of a square closure.
+
+        The edges are a CSR: ``indptr`` (``intp``, length ``n + 1``),
+        ``indices`` (``int32``, in range) and ``vals`` in the closure's dtype
+        (float64, float32 or bool); ``sources`` are ``int64`` rows in range.
+        ``zero`` is the algebra's "no path" value and ``rtol`` the tight-edge
+        tolerance (both unused for bool).  Returns the rows and the index of
+        the first source whose search left a vertex with a closure entry
+        unreached (``-1``: none); rows from there on are not filled.
+        """
+        n = distances.shape[0]
+        if distances.shape != (n, n) or distances.dtype not in _PARENT_TYPES \
+                or vals.dtype != distances.dtype or indptr.shape != (n + 1,) \
+                or indices.shape != vals.shape or indptr[-1] != indices.size \
+                or sources.ndim != 1 or (indices.size and not (
+                    0 <= indices.min() and indices.max() < n)):
+            raise ValueError("parent-row operands do not fit")
+        d, ldd = _row_major(distances)
+        indptr, indices, vals, sources = (
+            np.ascontiguousarray(x, dtype) for x, dtype in (
+                (indptr, np.intp), (indices, np.int32), (vals, vals.dtype),
+                (sources, np.int64)))
+        out = np.empty((sources.shape[0], n), dtype=np.int32)
+        status = self._parents(algebra, _PARENT_TYPES[distances.dtype], zero,
+                               rtol, d.ctypes.data, ldd, n, indptr.ctypes.data,
+                               indices.ctypes.data, vals.ctypes.data,
+                               sources.ctypes.data, sources.shape[0],
+                               out.ctypes.data, n)
+        _check(status < 0)
+        return out, status - 1
+
+    def witness_product(self, algebra: int, zero: float, out, a, b) -> None:
+        """``out = a ⊗ b`` on witnessed blocks, pointers composed.
 
         ``out``'s planes are fresh C-ordered arrays of the result's shape; the
         value planes share one float dtype and ``a.values`` is ``(m, k)``
-        with ``k >= 1``; ``out`` carries ``succs`` exactly when every operand
-        does.  ``zero`` is the algebra's "no path" value.
+        with ``k >= 1``.  ``zero`` is the algebra's "no path" value.
         """
         (m, k), n = a.values.shape, b.values.shape[1]
-        operands = [x for x in (a, b, out, base) if x is not None]
+        operands = (a, b, out)
         if not k or b.values.shape[0] != k or out.values.shape != (m, n) \
-                or (base is not None and base.values.shape != (m, n)) \
-                or len({x.values.dtype for x in operands}) != 1 \
-                or len({x.succs is None for x in operands}) != 1:
-            raise ValueError("witnessed relax operands " + ", ".join(
-                f"{x.values.shape} {x.values.dtype}"
-                f"{' one-plane' if x.succs is None else ''}" for x in operands)
+                or len({x.values.dtype for x in operands}) != 1:
+            raise ValueError("witnessed product operands " + ", ".join(
+                f"{x.values.shape} {x.values.dtype}" for x in operands)
                 + " do not fit")
         held = []       # the C-ordered arrays the structures point into
-        planes = [_planes(x, held) for x in (out, base, a, b)]
-        _check(self._witness_relax(
-            algebra, _DTYPE_CODES[a.values.dtype], zero, planes[0],
-            planes[1], planes[2], planes[3], m, k, n))
-
-    def witness_fw(self, algebra: int, block) -> None:
-        """Close the square witnessed ``block`` in place, pointers carried."""
-        n = block.values.shape[0]
-        if block.values.shape != (n, n):
-            raise ValueError(
-                f"Floyd-Warshall needs a square block, got {block.values.shape}")
-        held = []
-        planes = _planes(block, held, target=True)
-        _check(self._witness_fw(algebra, _DTYPE_CODES[block.values.dtype],
-                                planes, n))
-        for plane, work in zip((block.values, block.parents, block.succs), held):
-            if work is not plane:
-                plane[...] = work
+        planes = [_planes(x, held) for x in operands]
+        _check(self._witness_product(
+            algebra, _DTYPE_CODES[a.values.dtype], zero, planes[2], planes[0],
+            planes[1], m, k, n))
 
 
-def _planes(block, held: list, *, target: bool = False):
-    """The ``planes`` structure of a witnessed ``block`` (``None``: NULL).
+def _planes(block, held: list):
+    """The ``planes`` structure of a witnessed ``block``.
 
     Each plane goes through :func:`_row_major`; the arrays it returns are
     appended to ``held``, which must outlive the call.
     """
-    if block is None:
-        return None
     fields = {}
     for name, stride, plane in (("values", "ldv", block.values),
                                 ("parents", "ldp", block.parents),
                                 ("succs", "lds", block.succs)):
-        if plane is None:
-            continue
-        work, fields[stride] = _row_major(plane, target=target)
+        work, fields[stride] = _row_major(plane)
         fields[name] = work.ctypes.data
         held.append(work)
     return ctypes.byref(_Planes(**fields))
@@ -310,6 +329,16 @@ def kernel_for(algebra, dtype: np.dtype) -> tuple[Kernel, int] | None:
         return None
     loaded = kernel()
     return None if loaded is None else (loaded, code)
+
+
+def parents_kernel_for(algebra, dtype: np.dtype) -> tuple[Kernel, int] | None:
+    """:func:`kernel_for` for parent rows, which also run on bool closures
+    under boolean reachability; ``None`` when NumPy runs."""
+    ops = (algebra.add_op, algebra.mul_op)
+    if dtype == np.bool_:
+        loaded = kernel() if ops == _BOOL_OPS else None
+        return None if loaded is None else (loaded, 0)
+    return kernel_for(algebra, dtype)
 
 
 def describe() -> dict:

@@ -46,9 +46,8 @@ class PayloadOps:
       back and returns the changed-row mask;
     * ``column_piece(block, k)`` / ``row_piece(block, k)`` — ``ExtractCol``:
       column/row ``k`` as a piece of the broadcast pivot vector;
-    * ``encode(window, row_start, col_start, algebra, *, single_plane, copy)``
-      — a prepared dense window at a global offset becomes a block
-      (``copy=False`` promises the caller owns ``window``);
+    * ``encode(window, *, copy)`` — a prepared dense window becomes a
+      block (``copy=False`` promises the caller owns ``window``);
     * ``to_dense(block)`` — the values as an ndarray.
 
     The operations that are compositions of those (``relax``, the
@@ -267,8 +266,7 @@ class DenseOps(PayloadOps):
         """A copy of row ``k``."""
         return np.array(block[k, :], copy=True)
 
-    def encode(self, window, row_start=0, col_start=0, algebra=None, *,
-               single_plane=False, copy=True):
+    def encode(self, window, *, copy=True):
         """The window itself, copied unless the caller owns it."""
         return np.array(window, copy=True) if copy else window
 
@@ -336,8 +334,7 @@ class PackedOps(PayloadOps):
         """A dense boolean row."""
         return block.bit_row(k)
 
-    def encode(self, window, row_start=0, col_start=0, algebra=None, *,
-               single_plane=False, copy=True):
+    def encode(self, window, *, copy=True):
         """Pack the (truthy) window; packing always copies."""
         return bitset.PackedBlock.from_dense(window)
 
@@ -352,18 +349,17 @@ class PackedOps(PayloadOps):
 
 
 class WitnessOps(PayloadOps):
-    """:class:`~repro.linalg.witness.WitnessBlock`: paired value + parent kernels.
+    """:class:`~repro.linalg.witness.WitnessBlock`: the witnessed product only.
 
-    Like :class:`DenseOps`, this dispatches between the compiled loop of
-    :mod:`repro.linalg.native` and NumPy.  Float blocks under the four
-    numeric algebras run ``product``, ``relax`` (one fused pass) and
-    ``fw_inplace`` compiled whenever the kernel loaded, on one-plane and
-    two-plane blocks alike; planes without unit-stride rows (``.T`` mirrors,
-    column-strided views) are copied to C order first.  Everything else —
-    bool blocks, other algebras, an empty inner dimension, a base whose
-    dtype differs from the product's, the rank-1 passes — and every process
-    where the kernel did not load runs the NumPy kernels of
-    :mod:`repro.linalg.witness`, which give the same values and pointers.
+    No solve carries witnessed blocks (parents are derived from the closure
+    after it, :func:`~repro.linalg.witness.derive_parents`); this kernel set
+    is kept for the benchmark ladder's ``witness_product`` rung and retires
+    with it (ROADMAP ``[ruler-refresh]``).  Float blocks under the four
+    numeric algebras take the compiled loop of :mod:`repro.linalg.native`
+    whenever it loaded (planes without unit-stride rows are copied to C
+    order first); everything else runs
+    :func:`~repro.linalg.witness.witness_product`, which gives the same
+    values and pointers.
     """
 
     name = "witnessed"
@@ -377,97 +373,21 @@ class WitnessOps(PayloadOps):
         if out is not None:
             raise ValidationError(
                 "MatProd does not support out= for witnessed operands")
-        product = self._compiled_relax(None, a, b, algebra)
-        if product is None:
+        lv, rv = algebra.product_operands(a.values, b.values)
+        compiled = (native.kernel_for(algebra, lv.dtype)
+                    if algebra.supports_witness else None)
+        if compiled is None or not lv.shape[1]:
             return witness.witness_product(a, b, algebra)
-        return product
-
-    def relax(self, base, left, right, algebra):
-        """``base ⊕ (left ⊗ right)`` in one compiled pass, when it can run."""
-        relaxed = self._compiled_relax(base, left, right, algebra)
-        if relaxed is None:
-            return super().relax(base, left, right, algebra)
-        return relaxed
-
-    @staticmethod
-    def _compiled_relax(base, left, right, algebra):
-        """The compiled ``base ⊕ (left ⊗ right)`` (the bare product when
-        ``base`` is ``None``), or ``None`` where NumPy runs — which also
-        raises on operands that do not fit."""
-        if not algebra.supports_witness:
-            return None
-        single_plane = left.succs is None
-        if (right.succs is None) != single_plane or (
-                base is not None and (base.succs is None) != single_plane):
-            return None
-        lv, rv = algebra.product_operands(left.values, right.values)
-        compiled = native.kernel_for(algebra, lv.dtype)
+        kernel, code = compiled
         shape = (lv.shape[0], rv.shape[1])
-        if compiled is None or not lv.shape[1] or (base is not None and (
-                base.shape != shape or base.dtype != lv.dtype)):
-            return None
-        kernel, code = compiled
-        out = witness.WitnessBlock(
-            np.empty(shape, lv.dtype), np.empty(shape, np.int32),
-            None if single_plane else np.empty(shape, np.int32))
-        kernel.witness_relax(
-            code, float(algebra.zero_like(lv.dtype)), out,
-            witness.WitnessBlock(lv, left.parents, left.succs),
-            witness.WitnessBlock(rv, right.parents, right.succs), base)
-        return out
-
-    def fw_inplace(self, block, algebra):
-        """Floyd-Warshall sweeps with pointer carry, in place."""
-        values = block.values
-        compiled = native.kernel_for(algebra, values.dtype)
-        if (compiled is None or not algebra.supports_witness
-                or values.shape[0] != values.shape[1]
-                or values.dtype.name not in algebra.dtypes):
-            return witness.witness_floyd_warshall_inplace(block, algebra)
-        kernel, code = compiled
-        kernel.witness_fw(code, block)
-        return block
-
-    # The other witnessed kernels already have the protocol's signatures.
-    combine = staticmethod(witness.witness_combine)
-    rank1 = staticmethod(witness.witness_rank1_update)
-    rank1_inplace = staticmethod(witness.witness_rank1_update_inplace)
-
-    def column_piece(self, block, k):
-        """Column ``k`` with its successor plane as ``toward`` (bare values
-        for single-plane blocks, whose parents-only updates need no pointers)."""
-        values = np.array(block.values[:, k], copy=True)
-        if block.succs is None:
-            return values
-        return witness.WitnessVector(values, np.array(block.succs[:, k], copy=True))
-
-    def row_piece(self, block, k):
-        """Row ``k`` with the pivot's parent row as ``toward``."""
-        return witness.WitnessVector(np.array(block.values[k, :], copy=True),
-                                     np.array(block.parents[k, :], copy=True))
-
-    def encode(self, window, row_start=0, col_start=0, algebra=None, *,
-               single_plane=False, copy=True):
-        """Stamp global vertex ids onto the window (``witness_block`` copies)."""
-        return witness.witness_block(window, row_start, col_start, algebra,
-                                     single_plane=single_plane)
-
-    def to_dense(self, block):
-        """The values plane."""
-        return block.values
-
-    def view(self, block, rows, cols):
-        """A witnessed block of plane views (single-plane stays single-plane)."""
-        succs = None if block.succs is None else block.succs[rows, cols]
-        return witness.WitnessBlock(block.values[rows, cols],
-                                    block.parents[rows, cols], succs)
-
-    def store(self, block, rows, cols, value):
-        """Write every plane back."""
-        block.values[rows, cols] = value.values
-        block.parents[rows, cols] = value.parents
-        if block.succs is not None:
-            block.succs[rows, cols] = value.succs
+        product = witness.WitnessBlock(np.empty(shape, lv.dtype),
+                                       np.empty(shape, np.int32),
+                                       np.empty(shape, np.int32))
+        kernel.witness_product(
+            code, float(algebra.zero_like(lv.dtype)), product,
+            witness.WitnessBlock(lv, a.parents, a.succs),
+            witness.WitnessBlock(rv, b.parents, b.succs))
+        return product
 
 
 #: The three kernel sets (stateless singletons).
@@ -500,15 +420,11 @@ def payload_ops(*operands, algebra: Semiring | None = None) -> PayloadOps:
     return ops
 
 
-def storage_ops(storage: str = "dense", *, witness: bool = False) -> PayloadOps:
-    """The kernel set a ``(storage, paths)`` request decomposes its matrix into."""
+def storage_ops(storage: str = "dense") -> PayloadOps:
+    """The kernel set a request's block ``storage`` decomposes its matrix into."""
     if storage not in _OPS_BY_STORAGE:
         raise ValidationError(
             f"unknown block storage {storage!r}; expected one of "
             f"{', '.join(_OPS_BY_STORAGE)}")
-    if witness and storage == "packed":
-        raise ValidationError(
-            "witness tracking has no packed-bitset kernels; "
-            "use storage='dense' for paths=True solves")
-    return WITNESS if witness else _OPS_BY_STORAGE[storage]
+    return _OPS_BY_STORAGE[storage]
 

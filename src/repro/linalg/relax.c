@@ -1,19 +1,24 @@
 /*
- * The compiled semiring kernels behind repro.linalg.payload.DenseOps and
- * WitnessOps.
+ * The compiled kernels behind repro.linalg.payload.DenseOps and
+ * repro.linalg.witness.derive_parents.
  *
- *   apspark_relax:  C[i,j] = D[i,j] ⊕ ⊕_p A[i,p] ⊗ B[p,j]
- *                   (D == NULL: C[i,j] = ⊕_p A[i,p] ⊗ B[p,j])
- *   apspark_fw:     for p: C[i,j] = C[i,j] ⊕ (C[i,p] ⊗ C[p,j])
- *   apspark_witness_relax, apspark_witness_fw: the same two on witnessed
- *                   blocks, carrying their int32 parent/successor planes
+ *   apspark_relax:   C[i,j] = D[i,j] ⊕ ⊕_p A[i,p] ⊗ B[p,j]
+ *                    (D == NULL: C[i,j] = ⊕_p A[i,p] ⊗ B[p,j])
+ *   apspark_fw:      for p: C[i,j] = C[i,j] ⊕ (C[i,p] ⊗ C[p,j])
+ *   apspark_parents: the parent rows of a closure, one breadth-first
+ *                    search over its tight edges per source
+ *   apspark_witness_product: the product on witnessed blocks, carrying
+ *                    their int32 parent/successor planes (kept only for
+ *                    the benchmark ladder's witness_product rung; it
+ *                    retires with that rung, ROADMAP [ruler-refresh])
  *
  * for the four numeric algebras (shortest, widest, most-reliable, longest)
- * in double and float.  Operands are row-major with a unit inner stride and
- * a row stride in elements (ldX), so strided sub-blocks need no copy; each
- * pointer plane has its own row stride.
+ * in double and float (and bool closures, for apspark_parents).  Operands
+ * are row-major with a unit inner stride and a row stride in elements
+ * (ldX), so strided sub-blocks need no copy; each pointer plane has its own
+ * row stride.
  *
- * Every result is bit-identical to the NumPy kernels it replaces, which stay
+ * Every result is bit-identical to the NumPy code it replaces, which stays
  * the fallback and the oracle:
  *   - ⊕ is np.minimum / np.maximum exactly: a NaN first operand wins, else
  *     the first operand on a strict win, else the second (so a NaN second
@@ -22,19 +27,15 @@
  *     p = 1, 2, ..., and is then combined as D ⊕ acc;
  *   - ⊗ is one IEEE operation; the loader compiles with -ffp-contract=off
  *     and no fast-math flag, so no fused multiply-add changes a rounding.
- * Witnessed blocks follow repro.linalg.witness instead:
+ *   - a parent row is repro.linalg.witness.parent_row's: the same tight-edge
+ *     test in the closure's own type, edges in the same CSR order, FIFO.
+ * Witnessed products follow repro.linalg.witness.witness_product instead:
  *   - a product cell is the term at the *first* ⊕-winner k* (np.argmin /
  *     np.argmax): a strict win moves it, and the first NaN wins and sticks.
  *     It is not the ⊕-sum, which picks the other zero of a ±0.0 tie;
  *   - pointers compose as P_C = P_B[k*,j], falling back to P_A[i,k*] where
  *     that is NO_VERTEX, and R_C = R_A[i,k*], falling back to R_B[k*,j];
- *     cells whose value equals zero get NO_VERTEX;
- *   - relax is that product followed by witness_combine verbatim:
- *     c = D ⊕ prod, and the product's pointers are taken where
- *     c == prod and c != D;
- *   - FW copies row p of values and parents, and column p of values and
- *     successors, before sweep p, and moves pointers where the relaxed value
- *     != the old one (so a NaN counts as improved).
+ *     cells whose value equals zero get NO_VERTEX.
  * The inner j loops are contiguous and left for the compiler to vectorize.
  */
 #include <math.h>
@@ -62,8 +63,8 @@ enum { HAS_NAN = 1, HAS_POS_INF = 2, HAS_NEG_INF = 4, HAS_ZERO = 8 };
 /* repro.linalg.witness.NO_VERTEX. */
 #define NO_VERTEX (-1)
 
-/* One witnessed block: its value plane and its int32 pointer planes, each
-   with its own row stride (succs == NULL: a single-plane block). */
+/* One witnessed block: its value plane and its two int32 pointer planes,
+   each with its own row stride. */
 typedef struct {
     void *values;
     int32_t *parents;
@@ -238,50 +239,33 @@ INLINE void witness_row_##S(int alg, int exact, const T *ai, const T *b,       \
     }                                                                          \
 }                                                                              \
                                                                                \
-/* C (or C = D ⊕ C) from the winners of one row, with its pointers. */         \
-INLINE void witness_compose_##S(int alg, T zero, idx i, const planes *c,       \
-                                const planes *d, const planes *a,              \
-                                const planes *b, idx n, const T *acc,          \
-                                const K *arg)                                  \
+/* Row i of C from the winners of one row, with its pointers. */               \
+INLINE void witness_compose_##S(T zero, idx i, const planes *c,                \
+                                const planes *a, const planes *b, idx n,       \
+                                const T *acc, const K *arg)                    \
 {                                                                              \
     T *cv = (T *)c->values + i * c->ldv;                                       \
-    int32_t *cp = c->parents + i * c->ldp;                                     \
-    int32_t *cs = c->succs ? c->succs + i * c->lds : NULL;                     \
-    const int32_t *ap = a->parents + i * a->ldp;                               \
-    const int32_t *as = a->succs ? a->succs + i * a->lds : NULL;               \
+    int32_t *cp = c->parents + i * c->ldp, *cs = c->succs + i * c->lds;        \
+    const int32_t *ap = a->parents + i * a->ldp, *as = a->succs + i * a->lds;  \
     for (idx j = 0; j < n; ++j) {                                              \
         idx kj = arg[j];                                                       \
         T v = acc[j];                                                          \
-        int32_t parent = b->parents[kj * b->ldp + j], succ = NO_VERTEX;        \
+        int32_t parent = b->parents[kj * b->ldp + j], succ = as[kj];           \
         if (parent == NO_VERTEX)                                               \
             parent = ap[kj];                                                   \
-        if (cs) {                                                              \
-            succ = as[kj];                                                     \
-            if (succ == NO_VERTEX)                                             \
-                succ = b->succs[kj * b->lds + j];                              \
-        }                                                                      \
+        if (succ == NO_VERTEX)                                                 \
+            succ = b->succs[kj * b->lds + j];                                  \
         if (v == zero)                                                         \
             parent = succ = NO_VERTEX;                                         \
-        if (d) {                                                               \
-            T base = ((const T *)d->values)[i * d->ldv + j];                   \
-            T sum = add_##S(alg, base, v);                                     \
-            if (!(sum == v && sum != base)) {                                  \
-                parent = d->parents[i * d->ldp + j];                           \
-                if (cs)                                                        \
-                    succ = d->succs[i * d->lds + j];                           \
-            }                                                                  \
-            v = sum;                                                           \
-        }                                                                      \
         cv[j] = v;                                                             \
         cp[j] = parent;                                                        \
-        if (cs)                                                                \
-            cs[j] = succ;                                                      \
+        cs[j] = succ;                                                          \
     }                                                                          \
 }                                                                              \
                                                                                \
-static int witness_relax_##S(int alg, T zero, const planes *c,                 \
-                             const planes *d, const planes *a,                 \
-                             const planes *b, idx m, idx k, idx n)             \
+static int witness_product_##S(int alg, T zero, const planes *c,               \
+                               const planes *a, const planes *b,               \
+                               idx m, idx k, idx n)                            \
 {                                                                              \
     if (m <= 0 || n <= 0)                                                      \
         return 0;                                                              \
@@ -303,72 +287,189 @@ static int witness_relax_##S(int alg, T zero, const planes *c,                 \
         case 6: witness_row_##S(3, 0, ai, bv, b->ldv, k, n, acc, arg); break;  \
         case 7: witness_row_##S(3, 1, ai, bv, b->ldv, k, n, acc, arg); break;  \
         }                                                                      \
-        witness_compose_##S(alg, zero, i, c, d, a, b, n, acc, arg);            \
+        witness_compose_##S(zero, i, c, a, b, n, acc, arg);                    \
     }                                                                          \
     free(acc);                                                                 \
     return 0;                                                                  \
 }                                                                              \
                                                                                \
-/* fw_sweeps with pointer carry: where sweep p changes a value, the cell       \
-   takes the copied parent of row p and the copied successor of column p. */   \
-INLINE void witness_fw_sweeps_##S(int alg, int two, const planes *c, idx n,    \
-                                  T *restrict col, T *restrict row,            \
-                                  int32_t *restrict row_parents,               \
-                                  int32_t *restrict col_succs)                 \
+/* Whether edge p -> j with weight w is tight from a source whose closure     \
+   row holds dp at p and t at j: parent_row's test, written out. */            \
+INLINE int tight_##S(int alg, T zero, T rtol, T dp, T w, T t)                  \
 {                                                                              \
-    T *v = c->values;                                                          \
-    for (idx p = 0; p < n; ++p) {                                              \
-        for (idx i = 0; i < n; ++i)                                            \
-            col[i] = v[i * c->ldv + p];                                        \
-        memcpy(row, v + p * c->ldv, (size_t)n * sizeof(T));                    \
-        memcpy(row_parents, c->parents + p * c->ldp,                           \
-               (size_t)n * sizeof(int32_t));                                   \
-        if (two)                                                               \
-            for (idx i = 0; i < n; ++i)                                        \
-                col_succs[i] = c->succs[i * c->lds + p];                       \
-        for (idx i = 0; i < n; ++i) {                                          \
-            T *restrict vi = v + i * c->ldv;                                   \
-            int32_t *restrict pi = c->parents + i * c->ldp;                    \
-            int32_t *restrict si = two ? c->succs + i * c->lds : NULL;         \
-            T x = col[i];                                                      \
-            int32_t s = two ? col_succs[i] : NO_VERTEX;                        \
-            for (idx j = 0; j < n; ++j) {                                      \
-                T old = vi[j];                                                 \
-                T relaxed = add_##S(alg, old, mul_##S(alg, x, row[j]));        \
-                int moved = relaxed != old;                                    \
-                pi[j] = moved ? row_parents[j] : pi[j];                        \
-                if (two)                                                       \
-                    si[j] = moved ? s : si[j];                                 \
-                vi[j] = relaxed;                                               \
+    T c = mul_##S(alg, dp, w), diff = c - t, at = t < 0 ? -t : t;              \
+    if (diff < 0)                                                              \
+        diff = -diff;                                                          \
+    int hit = (diff <= rtol * (1 + at) && isfinite(t))                         \
+              || c == t || (isinf(c) && isinf(t));                             \
+    return hit && c != zero;                                                   \
+}
+
+/* The adjacency bitmap of a CSR whose rows are strictly increasing: bit j
+   of row p is set for edge p -> j, and before[p * words + w] counts row p's
+   edges in words 0 .. w-1, so edge p -> j is entry indptr[p] + before[...]
+   + (the set bits below j in its word).  Returns 0 (and NULLs) for a CSR
+   too sparse to pay for it, with an unsorted row, or when out of memory. */
+static int edge_bitmap(idx n, const idx *indptr, const int32_t *indices,
+                       uint64_t **bits, int32_t **before)
+{
+    idx words = (n + 63) / 64;
+    *bits = NULL;
+    *before = NULL;
+    if (n <= 0 || 32 * (double)indptr[n] < (double)n * (double)n)
+        return 0;
+    for (idx p = 0; p < n; ++p)
+        for (idx e = indptr[p] + 1; e < indptr[p + 1]; ++e)
+            if (indices[e] <= indices[e - 1])
+                return 0;
+    *bits = calloc((size_t)(n * words), sizeof(uint64_t));
+    *before = malloc((size_t)(n * words) * sizeof(int32_t));
+    if (!*bits || !*before) {
+        free(*bits);
+        free(*before);
+        *bits = NULL;
+        *before = NULL;
+        return 0;
+    }
+    for (idx p = 0; p < n; ++p) {
+        uint64_t *row = *bits + p * words;
+        int32_t *count = *before + p * words, seen = 0;
+        for (idx e = indptr[p]; e < indptr[p + 1]; ++e)
+            row[indices[e] / 64] |= 1ULL << (indices[e] % 64);
+        for (idx w = 0; w < words; ++w) {
+            count[w] = seen;
+            seen += __builtin_popcountll(row[w]);
+        }
+    }
+    return 1;
+}
+
+/* parent_row's FIFO breadth-first search from source s over the tight
+   edges, filling pred: scipy's breadth_first_order, with the edges taken in
+   the CSR order of (indptr, indices, vals), so each vertex gets the parent
+   it is first reached from and the source keeps NO_VERTEX.  An edge is only
+   tested when its head is still unreached, and the search stops once every
+   other vertex is reached; neither changes a pointer.  With an edge bitmap
+   (sorted rows) a popped vertex finds its unreached heads as the set bits
+   of (its bitmap row & the unreached set), in the same ascending order,
+   instead of reading every edge. */
+#define DEFINE_SEARCH(T, S)                                                    \
+INLINE void search_##S(int alg, T zero, T rtol, const T *row, idx s, idx n,   \
+                       const idx *indptr, const int32_t *indices,              \
+                       const T *vals, const uint64_t *bits,                    \
+                       const int32_t *before, int32_t *restrict pred,          \
+                       int32_t *restrict queue, uint64_t *restrict unseen)     \
+{                                                                              \
+    idx words = (n + 63) / 64, head = 0, tail = 1;                             \
+    for (idx j = 0; j < n; ++j)                                                \
+        pred[j] = NO_VERTEX;                                                   \
+    pred[s] = (int32_t)s;               /* reached; reset below */             \
+    queue[0] = (int32_t)s;                                                     \
+    if (bits) {                                                                \
+        for (idx w = 0; w < words; ++w)                                        \
+            unseen[w] = ~0ULL;                                                 \
+        if (n % 64)                                                            \
+            unseen[words - 1] = (1ULL << (n % 64)) - 1;                        \
+        unseen[s / 64] &= ~(1ULL << (s % 64));                                 \
+    }                                                                          \
+    while (head < tail && tail < n) {                                          \
+        idx p = queue[head++];                                                 \
+        T dp = row[p];                                                         \
+        const T *pv = vals + indptr[p];                                        \
+        if (!bits) {                                                           \
+            const int32_t *pj = indices + indptr[p];                           \
+            for (idx k = 0, deg = indptr[p + 1] - indptr[p]; k < deg; ++k) {   \
+                idx j = pj[k];                                                 \
+                if (pred[j] != NO_VERTEX                                       \
+                    || !tight_##S(alg, zero, rtol, dp, pv[k], row[j]))         \
+                    continue;                                                  \
+                pred[j] = (int32_t)p;                                          \
+                queue[tail++] = (int32_t)j;                                    \
+            }                                                                  \
+            continue;                                                          \
+        }                                                                      \
+        const uint64_t *bp = bits + p * words;                                 \
+        const int32_t *cp = before + p * words;                                \
+        for (idx w = 0; w < words; ++w) {                                      \
+            uint64_t edges = bp[w], heads = edges & unseen[w];                 \
+            const T *wv = pv + cp[w];                                          \
+            while (heads) {                                                    \
+                int bit = __builtin_ctzll(heads);                              \
+                T weight = wv[__builtin_popcountll(                            \
+                    edges & ((1ULL << bit) - 1))];                             \
+                heads &= heads - 1;                                            \
+                if (!tight_##S(alg, zero, rtol, dp, weight, row[w * 64 + bit]))\
+                    continue;                                                  \
+                unseen[w] &= ~(1ULL << bit);                                   \
+                pred[w * 64 + bit] = (int32_t)p;                               \
+                queue[tail++] = (int32_t)(w * 64 + bit);                       \
             }                                                                  \
         }                                                                      \
     }                                                                          \
+    pred[s] = NO_VERTEX;                                                       \
 }                                                                              \
                                                                                \
-static int witness_fw_##S(int alg, const planes *c, idx n)                     \
+/* Whether some vertex other than s has a closure entry but no parent. */     \
+INLINE int unreached_##S(T zero, const T *row, idx s, idx n,                   \
+                         const int32_t *pred)                                  \
 {                                                                              \
-    if (n <= 0)                                                                \
-        return 0;                                                              \
-    T *col = malloc(2 * (size_t)n * (sizeof(T) + sizeof(int32_t)));            \
-    if (!col)                                                                  \
+    int missing = 0;                                                           \
+    for (idx j = 0; j < n; ++j)                                                \
+        missing |= (pred[j] == NO_VERTEX) & (row[j] != zero) & (j != s);       \
+    return missing;                                                            \
+}                                                                              \
+                                                                               \
+static idx parents_##S(int alg, double zero, double rtol, const T *d,          \
+                       idx ldd, idx n, const idx *indptr,                      \
+                       const int32_t *indices, const T *vals,                  \
+                       const int64_t *sources, idx count, int32_t *out,        \
+                       idx ldo)                                                \
+{                                                                              \
+    uint64_t *bits, *unseen = malloc((size_t)(n / 64 + 1) * sizeof(uint64_t)); \
+    int32_t *before, *queue = malloc((size_t)(n + 1) * sizeof(int32_t));       \
+    edge_bitmap(n, indptr, indices, &bits, &before);                           \
+    if (!queue || !unseen) {                                                   \
+        free(queue), free(unseen), free(bits), free(before);                   \
         return -1;                                                             \
-    int32_t *ids = (int32_t *)(col + 2 * n);                                   \
-    switch (alg * 2 + (c->succs != NULL)) {                                    \
-    case 0: witness_fw_sweeps_##S(0, 0, c, n, col, col + n, ids, ids + n); break; \
-    case 1: witness_fw_sweeps_##S(0, 1, c, n, col, col + n, ids, ids + n); break; \
-    case 2: witness_fw_sweeps_##S(1, 0, c, n, col, col + n, ids, ids + n); break; \
-    case 3: witness_fw_sweeps_##S(1, 1, c, n, col, col + n, ids, ids + n); break; \
-    case 4: witness_fw_sweeps_##S(2, 0, c, n, col, col + n, ids, ids + n); break; \
-    case 5: witness_fw_sweeps_##S(2, 1, c, n, col, col + n, ids, ids + n); break; \
-    case 6: witness_fw_sweeps_##S(3, 0, c, n, col, col + n, ids, ids + n); break; \
-    case 7: witness_fw_sweeps_##S(3, 1, c, n, col, col + n, ids, ids + n); break; \
     }                                                                          \
-    free(col);                                                                 \
-    return 0;                                                                  \
+    idx r = 0;                                                                 \
+    for (; r < count; ++r) {                                                   \
+        const T *row = d + sources[r] * ldd;                                   \
+        int32_t *pred = out + r * ldo;                                         \
+        switch (alg) {                                                         \
+        case 0: search_##S(0, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
+                           indices, vals, bits, before, pred, queue, unseen);  \
+            break;                                                             \
+        case 1: search_##S(1, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
+                           indices, vals, bits, before, pred, queue, unseen);  \
+            break;                                                             \
+        case 2: search_##S(2, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
+                           indices, vals, bits, before, pred, queue, unseen);  \
+            break;                                                             \
+        case 3: search_##S(3, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
+                           indices, vals, bits, before, pred, queue, unseen);  \
+            break;                                                             \
+        }                                                                      \
+        if (unreached_##S((T)zero, row, sources[r], n, pred))                  \
+            break;                                                             \
+    }                                                                          \
+    free(queue), free(unseen), free(bits), free(before);                       \
+    return r < count ? r + 1 : 0;                                              \
+}
+
+/* A bool closure's tight test: p reached, the edge present, j reachable. */
+INLINE int tight_b8(int alg, uint8_t zero, uint8_t rtol, uint8_t dp,
+                    uint8_t w, uint8_t t)
+{
+    (void)alg, (void)zero, (void)rtol;
+    return dp && w && t;
 }
 
 DEFINE_KERNELS(double, f64, int64_t)
 DEFINE_KERNELS(float, f32, int32_t)
+DEFINE_SEARCH(double, f64)
+DEFINE_SEARCH(float, f32)
+DEFINE_SEARCH(uint8_t, b8)
 
 /* Both return 0, or -1 when a scratch row cannot be allocated.  relax needs
    k >= 1: the empty ⊕-sum is left to the caller. */
@@ -386,19 +487,32 @@ int apspark_fw(int alg, int single, void *c, idx ldc, idx n)
     return single ? fw_f32(alg, c, ldc, n) : fw_f64(alg, c, ldc, n);
 }
 
-/* Both return 0, or -1 when scratch rows cannot be allocated.  c gets fresh
-   planes (and succs exactly when a, b and d carry them); witness_relax
-   needs k >= 1, as relax does. */
-int apspark_witness_relax(int alg, int single, double zero, const planes *c,
-                          const planes *d, const planes *a, const planes *b,
-                          idx m, idx k, idx n)
+/* Returns 0, or -1 when a scratch row cannot be allocated.  c gets fresh
+   planes; witness_product needs k >= 1, as relax does. */
+int apspark_witness_product(int alg, int single, double zero, const planes *c,
+                            const planes *a, const planes *b, idx m, idx k,
+                            idx n)
 {
     if (single)
-        return witness_relax_f32(alg, (float)zero, c, d, a, b, m, k, n);
-    return witness_relax_f64(alg, zero, c, d, a, b, m, k, n);
+        return witness_product_f32(alg, (float)zero, c, a, b, m, k, n);
+    return witness_product_f64(alg, zero, c, a, b, m, k, n);
 }
 
-int apspark_witness_fw(int alg, int single, const planes *c, idx n)
+/* The parent rows of count sources (type 0: double, 1: float, 2: bool
+   closures, whose tight test needs no algebra code).  Returns 0; r + 1 when
+   the search from sources[r] left a vertex with a closure entry unreached
+   (and stops there); or -1 when the queue cannot be allocated. */
+idx apspark_parents(int alg, int type, double zero, double rtol,
+                    const void *d, idx ldd, idx n, const idx *indptr,
+                    const int32_t *indices, const void *vals,
+                    const int64_t *sources, idx count, int32_t *out, idx ldo)
 {
-    return single ? witness_fw_f32(alg, c, n) : witness_fw_f64(alg, c, n);
+    if (type == 2)
+        return parents_b8(alg, zero, rtol, d, ldd, n, indptr, indices, vals,
+                          sources, count, out, ldo);
+    if (type == 1)
+        return parents_f32(alg, zero, rtol, d, ldd, n, indptr, indices, vals,
+                           sources, count, out, ldo);
+    return parents_f64(alg, zero, rtol, d, ldd, n, indptr, indices, vals,
+                       sources, count, out, ldo);
 }

@@ -8,9 +8,9 @@ a :class:`~repro.linalg.algebra.Semiring`, compute the closure under any
 registered path algebra (widest path, most-reliable path, transitive
 closure, ...).
 
-Every function here accepts any block payload — dense ``ndarray``,
-:class:`~repro.linalg.bitset.PackedBlock` or
-:class:`~repro.linalg.witness.WitnessBlock` — and routes it through
+Every function here accepts any block payload — dense ``ndarray`` or
+:class:`~repro.linalg.bitset.PackedBlock` (and, for the product only,
+:class:`~repro.linalg.witness.WitnessBlock`) — and routes it through
 :func:`repro.linalg.payload.payload_ops`; the kernels themselves live with
 their representation (:mod:`repro.linalg.payload` for dense blocks).
 """
@@ -30,8 +30,7 @@ def elementwise_combine(a, b, algebra: Semiring | str | None = None):
     """Elementwise ⊕ of two equally-shaped matrices (``MatMin`` generalized).
 
     Packed operands take the word-parallel OR kernel — 64 cells per machine
-    word; witnessed operands the paired value+parent kernel, where the ⊕
-    winner keeps its pointers.
+    word.
     """
     algebra = get_algebra(algebra)
     return payload_ops(a, b, algebra=algebra).combine(a, b, algebra)

@@ -51,16 +51,17 @@ def verify_tolerances(dtype: str | None) -> dict:
     return {"rtol": 1e-4, "atol": 1e-6} if dtype == "float32" else {}
 
 
-def _finalize_witnessed(block, prepared: np.ndarray, algebra: Semiring):
-    """Extract ``(distances, parents)`` from a solved witnessed matrix.
+def with_parents(distances: np.ndarray, prepared: np.ndarray,
+                 algebra: Semiring):
+    """``(distances, parents)``: a closure and its derived predecessor matrix.
 
-    Applies the plateau-consistency repair (see
-    :func:`repro.linalg.witness.repair_parents`) so the returned predecessor
-    matrix is walk-consistent for every source.
+    ``prepared`` is the adjacency the closure was solved from; the parents
+    come from :func:`repro.linalg.witness.derive_parents`, as after every
+    ``paths=True`` solve.
     """
-    parents, _ = witness_mod.repair_parents(block.values, block.parents,
-                                            prepared, algebra)
-    return block.values, parents
+    witness_mod.require_witness(algebra, "paths=True")
+    edges = witness_mod.CsrEdges.of(prepared, algebra, distances.dtype)
+    return distances, witness_mod.derive_parents(distances, edges, algebra)
 
 
 def floyd_warshall_numpy(adjacency: np.ndarray, *,
@@ -78,11 +79,8 @@ def floyd_warshall_numpy(adjacency: np.ndarray, *,
     """
     resolved = get_algebra(algebra)
     adj = validate_adjacency(adjacency, algebra=resolved, dtype=dtype)
-    if not paths:
-        return floyd_warshall_inplace(adj, resolved)
-    witnessed = witness_mod.witness_matrix(adj, resolved)
-    floyd_warshall_inplace(witnessed, resolved)
-    return _finalize_witnessed(witnessed, adj, resolved)
+    closure = floyd_warshall_inplace(adj.copy() if paths else adj, resolved)
+    return with_parents(closure, adj, resolved) if paths else closure
 
 
 def floyd_warshall_blocked(adjacency: np.ndarray, block_size: int, *,
@@ -97,8 +95,6 @@ def floyd_warshall_blocked(adjacency: np.ndarray, block_size: int, *,
     """
     resolved = get_algebra(algebra)
     adj = validate_adjacency(adjacency, algebra=resolved, dtype=dtype)
-    if not paths:
-        return blocked_floyd_warshall_inplace(adj, block_size, resolved)
-    witnessed = witness_mod.witness_matrix(adj, resolved)
-    blocked_floyd_warshall_inplace(witnessed, block_size, resolved)
-    return _finalize_witnessed(witnessed, adj, resolved)
+    closure = blocked_floyd_warshall_inplace(adj.copy() if paths else adj,
+                                             block_size, resolved)
+    return with_parents(closure, adj, resolved) if paths else closure

@@ -7,6 +7,7 @@ import numpy as np
 from repro.graph.adjacency import validate_adjacency
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.semiring import semiring_square, closure_iterations
+from repro.sequential.floyd_warshall import with_parents
 
 
 def repeated_squaring_apsp(adjacency: np.ndarray, *, return_iterations: bool = False,
@@ -19,23 +20,18 @@ def repeated_squaring_apsp(adjacency: np.ndarray, *, return_iterations: bool = F
     paper discusses for its distributed Repeated Squaring solver.  Under the
     default algebra this is min-plus APSP; other registered algebras (widest
     path, reachability, ...) use the same iteration bound.  With
-    ``paths=True`` the closure is computed on witnessed blocks and the
+    ``paths=True`` the parents are derived from the closure and the
     result is ``(distances, parents)`` (prepended to the iteration count
     when ``return_iterations`` is also set).
     """
-    from repro.linalg import witness as witness_mod
     resolved = get_algebra(algebra)
     adj = validate_adjacency(adjacency, algebra=resolved, dtype=dtype)
     n = adj.shape[0]
     iterations = closure_iterations(n)
-    result = witness_mod.witness_matrix(adj, resolved) if paths else adj.copy()
+    closure = adj.copy()
     for _ in range(iterations):
-        result = semiring_square(result, resolved)
-    if paths:
-        parents, _ = witness_mod.repair_parents(result.values, result.parents,
-                                                adj, resolved)
-        result = (result.values, parents)
-        return (*result, iterations) if return_iterations else result
+        closure = semiring_square(closure, resolved)
+    result = with_parents(closure, adj, resolved) if paths else (closure,)
     if return_iterations:
-        return result, iterations
-    return result
+        return (*result, iterations)
+    return result if paths else closure

@@ -8,7 +8,7 @@ the match verdict are one implementation, not two drifting copies.
 
 The fold deliberately re-derives the route's weight from the *adjacency*
 (edge by edge) rather than trusting the closure entry: a route whose folded
-weight disagrees with ``distances[src, dst]`` means the witness machinery
+weight disagrees with ``distances[src, dst]`` means the parent rows
 produced a wrong path, which is exactly the bug class this check exists to
 catch.
 """

@@ -8,9 +8,10 @@ even once, for large ``n``) is exactly the memory wall the serving layer
 exists to avoid.  :class:`RouteService` instead solves **per-source parent
 rows lazily** from the cached closure:
 
-1. *row_solve* — on a cache miss, :func:`~repro.linalg.witness.parent_row`
-   (one breadth-first search over the tight edges, O(nnz)) builds the
-   ``4 n``-byte parent row for the query's source;
+1. *row_solve* — on a cache miss,
+   :func:`~repro.linalg.witness.derive_parents` (one breadth-first search
+   over the tight edges, O(nnz)) builds the ``4 n``-byte parent row for the
+   query's source;
 2. *path_walk* — the pointer chase that actually answers the query.
 
 Rows live in an LRU :class:`~repro.serve.cache.ParentRowCache` under a
@@ -183,9 +184,10 @@ class RouteService:
                    stages: dict[str, float] | None = None) -> np.ndarray:
         """The parent row for ``source``: cached, or lazily solved + cached.
 
-        A miss derives the row with :func:`~repro.linalg.witness.parent_row`
-        and stores it.  ``stages`` (when given) receives the per-stage
-        seconds of whatever work this call actually did.
+        A miss derives the row with
+        :func:`~repro.linalg.witness.derive_parents` and stores it.
+        ``stages`` (when given) receives the per-stage seconds of whatever
+        work this call actually did.
 
         Concurrent misses for the same source are deduplicated: the first
         caller solves under that source's lock, everyone else waits and then
@@ -219,8 +221,8 @@ class RouteService:
                     # hit or miss, however many threads pile onto a source).
                     self.cache.lookup(source)
             start = time.perf_counter()
-            row = witness.parent_row(source, version.distances,
-                                     version.row_edges, self.algebra)
+            row = witness.derive_parents(version.distances, version.row_edges,
+                                         self.algebra, [source])[0]
             if stages is not None:
                 stages["row_solve"] = time.perf_counter() - start
             with self._lock:

@@ -49,8 +49,7 @@ def registry_plans(n: int = 48, total_cores: int = 2) -> list:
                 for dtype in algebra.dtypes:
                     for storage in algebra.storages:
                         for paths in (False, True):
-                            if paths and not (algebra.supports_witness
-                                              and storage == "dense"):
+                            if paths and not algebra.supports_witness:
                                 continue
                             request = SolveRequest(
                                 solver=info.name, algebra=algebra.name,
@@ -73,6 +72,21 @@ def test_every_feature_of_a_registered_plan_has_a_rate(backend):
         assert set(features) <= set(fitting.SECONDS_PER_UNIT), plan.request
         assert fitting.predict_plan_seconds(
             plan, backend=backend, total_cores=2) > 0.0
+
+
+@pytest.mark.parametrize("backend", fitting.BACKENDS)
+def test_paths_do_not_change_a_plans_features(backend):
+    """A paths=True solve is the paths=False one plus a driver-side derive,
+    so it is priced the same (no plane doubling)."""
+    priced = 0
+    for plan in registry_plans():
+        if not plan.request.paths:
+            continue
+        bare = replace(plan, request=replace(plan.request, paths=False))
+        assert fitting.plan_features(plan, backend=backend, total_cores=2) \
+            == fitting.plan_features(bare, backend=backend, total_cores=2)
+        priced += 1
+    assert priced
 
 
 def test_every_rate_is_finite_and_non_negative():

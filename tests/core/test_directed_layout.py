@@ -150,7 +150,7 @@ class TestDirectedCorrectness:
 
 
 class TestDirectedPaths:
-    """paths=True on the full grid: single-plane witness, route folds."""
+    """paths=True on the full grid: derived parents, route folds."""
 
     def _fold(self, adj, path):
         return sum(adj[u, v] for u, v in zip(path, path[1:]))

@@ -4,7 +4,7 @@ The acceptance surface of the update path: a batch of edge insertions,
 relaxations, increases and deletions applied incrementally to the cached
 closure must land on *exactly* the closure a from-scratch solve of the
 mutated adjacency produces — across algebras, storage policies, layouts and
-witness tracking — while the report and the cost model tell the truth about
+kept parent matrices — while the report and the cost model tell the truth about
 which path ran.
 """
 
@@ -21,7 +21,8 @@ from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import available_algebras, get_algebra
 from repro.linalg.bitset import PackedBlock
 from repro.linalg.kernels import semiring_closure
-from repro.linalg.witness import NO_VERTEX, consistent_parent_rows
+from parent_checks import assert_valid_parents, assert_valid_routes
+from repro.linalg.witness import NO_VERTEX
 from repro.sequential.floyd_warshall import reference_closure
 from repro.serve import fold_route
 
@@ -202,20 +203,8 @@ class TestWitnessedUpdates:
         engine.update(mixed_batch(state, rng, count), force="incremental")
         expected = reference_closure(state.adjacency)
         assert np.allclose(state.distances, expected)
-        assert consistent_parent_rows(state.parents).all()
-        # Every parent chain realizes the optimal weight it claims.
-        algebra = get_algebra("shortest-path")
-        for i in range(n):
-            for j in range(n):
-                if i == j or np.isinf(state.distances[i, j]):
-                    continue
-                path = [j]
-                while path[-1] != i:
-                    path.append(int(state.parents[i, path[-1]]))
-                path.reverse()
-                assert np.isclose(
-                    fold_route(state.adjacency, path, algebra),
-                    expected[i, j])
+        assert_valid_routes(state.parents, state.distances, state.adjacency,
+                            "shortest-path")
 
     def test_unreachable_cells_keep_no_vertex(self):
         adjacency = np.full((6, 6), np.inf)
@@ -226,6 +215,38 @@ class TestWitnessedUpdates:
         engine.update([EdgeUpdate(2, 3, 2.0)], force="incremental")
         assert state.parents[0, 4] == NO_VERTEX
         assert state.parents[2, 3] == 2 and state.distances[2, 3] == 2.0
+
+    def test_an_improvement_that_lands_on_a_tie(self):
+        # 0 - 1 - 2 - 3 at weight 1: the new edge 0 - 2 at weight 2 ties the
+        # path through 1, and 3 - 5 at 1 ties nothing but moves rows.
+        adjacency = np.full((6, 6), np.inf)
+        np.fill_diagonal(adjacency, 0.0)
+        for u, v in ((0, 1), (1, 2), (2, 3), (4, 5)):
+            adjacency[u, v] = adjacency[v, u] = 1.0
+        request = SolveRequest(solver="blocked-cb", block_size=4, paths=True)
+        engine, state = solve_kept(adjacency, request)
+        before = state.distances.copy()
+        report = engine.update([EdgeUpdate(0, 2, 2.0)], force="incremental")
+        assert report.improvements == 1 and report.changed_rows == 0
+        assert np.array_equal(state.distances, before)
+        report = engine.update([EdgeUpdate(3, 5, 1.0)], force="incremental")
+        assert report.changed_rows == 6
+        assert_valid_routes(state.parents, state.distances, state.adjacency,
+                            "shortest-path")
+
+    @pytest.mark.parametrize("storage", ["packed", "dense"])
+    def test_reachability_parents_under_either_storage(self, storage):
+        adjacency = graph_for_algebra(24, 5, "reachability")
+        request = SolveRequest(solver="blocked-cb", block_size=8, paths=True,
+                               algebra="reachability", storage=storage)
+        engine, state = solve_kept(adjacency, request)
+        assert state.request.storage == storage
+        rng = np.random.default_rng(9)
+        engine.update(mixed_batch(state, rng, 3), force="incremental")
+        assert np.array_equal(state.distances,
+                              reference_closure(state.adjacency, "reachability"))
+        assert_valid_routes(state.parents, state.distances, state.adjacency,
+                            "reachability")
 
 
 class TestModeSelection:
@@ -544,7 +565,8 @@ class TestCsrIngestedClosure:
         assert report.mode == "incremental"
         assert np.allclose(state.distances, reference_closure(mirror))
         assert_canonical_csr(state.adjacency, mirror, True)
-        assert consistent_parent_rows(state.parents).all()
+        assert_valid_parents(state.parents, state.distances, state.adjacency,
+                             "shortest-path")
 
     def test_update_and_serving_never_expand_the_csr(self, engine, monkeypatch):
         """serve(csr) -> improve -> delete -> routes -> re-solve, with every

@@ -1,8 +1,9 @@
 """Property: every parent row walks back to its source and folds to the closure.
 
-A parent row comes from one place, :func:`repro.linalg.witness.parent_row`,
-whether a route query misses the serving cache, a ``paths=True`` solve
-repairs a plateau row, or an update batch recomputes rows.  Each of those
+A parent row comes from one place, :func:`repro.linalg.witness.parent_row`
+(run compiled by :func:`~repro.linalg.witness.derive_parents`), whether a
+route query misses the serving cache, a ``paths=True`` solve derives its
+parent matrix, or an update batch changes rows.  Each of those
 front doors is checked here on small random graphs with *plateau* weights
 (0-weight edges and repeated weights, where ties are everywhere), for every
 witness algebra x {dense, CSR} x {directed, undirected}, against the dense

@@ -5,8 +5,9 @@ lineage replay (an un-persisted RDD read by two jobs) is the one way a pure
 solver can silently do a multiple of its work.  For fw-2d the test also pins
 the paper's per-pivot cost (Algorithm 2): one rank-1 update per stored block
 per pivot, ``n + 2`` stages (``n`` extract jobs, the closing ``count()``, the
-gather), and a closure (and parents) bit-identical to the sequential
-Floyd-Warshall oracle on every algebra x payload x layout it supports.
+gather), and a closure bit-identical to the sequential Floyd-Warshall
+oracle, with valid parents under ``paths=True``, on every algebra x payload
+x layout it supports.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from parent_checks import assert_valid_parents
 from repro import APSPEngine, SolveRequest
 from repro.common.config import EngineConfig
 from repro.core import building_blocks as bb
@@ -21,7 +23,6 @@ from repro.core.registry import solver_catalog
 from repro.graph.generators import graph_for_algebra
 from repro.linalg.algebra import get_algebra
 from repro.linalg.kernels import semiring_closure
-from repro.sequential.floyd_warshall import floyd_warshall_numpy
 from repro.spark import rdd as rdd_mod
 
 N, B = 27, 8            # q = 4 with a ragged last block (27 = 3 * 8 + 3)
@@ -38,7 +39,7 @@ def _cells():
         for name in info.algebras:
             algebra = get_algebra(name)
             payloads = ["dense"] + ["packed"] * ("packed" in algebra.storages) \
-                + ["witness"] * algebra.supports_witness
+                + ["paths"] * algebra.supports_witness
             for layout in algebra.layouts:
                 for payload in payloads:
                     yield info.name, name, layout, payload
@@ -83,7 +84,7 @@ def test_each_partition_is_computed_once(engine, computed, rank1_calls,
     adjacency = graph_for_algebra(N, SEED, algebra, directed=(layout == "full"))
     request = SolveRequest(
         solver=solver, block_size=B, algebra=algebra, layout=layout,
-        paths=(payload == "witness"),
+        paths=(payload == "paths"),
         storage="packed" if payload == "packed" else "dense")
     result = engine.solve(adjacency, request)
 
@@ -98,9 +99,10 @@ def test_each_partition_is_computed_once(engine, computed, rank1_calls,
     # fw-2d runs the sequential pivot order, so nothing is rounded differently.
     assert result.distances.dtype == reference.dtype
     assert np.array_equal(result.distances, reference)
-    if payload == "witness":
-        _, parents = floyd_warshall_numpy(adjacency, algebra=algebra, paths=True)
-        assert np.array_equal(result.parents, parents)
+    if payload == "paths":
+        assert_valid_parents(result.parents, result.distances,
+                             get_algebra(algebra).prepare_adjacency(adjacency),
+                             algebra)
 
     stored = result.q * (result.q + 1) // 2 if layout == "triangular" else result.q ** 2
     # On `processes` the last generation is computed by the closing count(),

@@ -12,7 +12,6 @@ from repro.linalg.algebra import get_algebra
 from repro.linalg.blocks import (LAYOUTS, BlockGrid, block_range, blocks_to_matrix,
                                  matrix_to_blocks, num_blocks)
 from repro.linalg.payload import payload_ops
-from repro.linalg.witness import NO_VERTEX, witness_blocks_to_matrices
 
 GRIDS = [BlockGrid(q, layout) for layout in LAYOUTS for q in range(1, 7)]
 
@@ -116,21 +115,6 @@ class TestRoundTrip:
         assert all(payload_ops(block).name == "packed" for _, block in blocks)
         rebuilt = blocks_to_matrix(blocks, N, B, layout=layout, fill=False)
         assert rebuilt.dtype == np.bool_ and np.array_equal(rebuilt, matrix)
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_witnessed(self, layout):
-        matrix = random_matrix(N, layout, seed=3)
-        blocks = list(matrix_to_blocks(matrix, B, layout=layout, witness=True,
-                                       algebra="shortest-path"))
-        # Two planes where mirrors are read, parents only where nothing is.
-        mirrored = BlockGrid(4, layout).mirrored
-        assert all(block.single_plane == (not mirrored) for _, block in blocks)
-        values, parents = witness_blocks_to_matrices(
-            blocks, N, B, layout=layout, fill=np.inf, dtype=np.float64)
-        assert np.array_equal(values, matrix)
-        edge = np.isfinite(matrix) & ~np.eye(N, dtype=bool)
-        expected = np.where(edge, np.arange(N)[:, None], NO_VERTEX)
-        assert np.array_equal(parents, expected)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_records_read_every_logical_block(self, layout):

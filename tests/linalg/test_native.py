@@ -151,29 +151,46 @@ class TestReport:
         assert native.describe() == before
 
 
-class TestWitnessedCalls:
-    """Witnessed operands that do not fit raise before any pointer is passed."""
+class TestMisfitCalls:
+    """Operands that do not fit raise before any pointer is passed."""
 
     @staticmethod
-    def block(rows, cols, dtype=np.float64, *, single_plane=False):
-        return witness_block(np.ones((rows, cols), dtype), 0, 0, "shortest-path",
-                             single_plane=single_plane)
+    def block(rows, cols, dtype=np.float64):
+        return witness_block(np.ones((rows, cols), dtype), 0, 0, "shortest-path")
 
-    def test_misfits_raise(self):
+    def test_witnessed_product_misfits_raise(self):
         loaded = native.kernel()
         if loaded is None:
             pytest.skip(f"the compiled kernel did not load: {native.describe()}")
         a, b, out = self.block(3, 4), self.block(4, 5), self.block(3, 5)
         misfits = [
-            (out, a, self.block(3, 5), None),                      # inner 4 vs 3
-            (self.block(3, 4), a, b, None),                        # out shape
-            (out, a, b, self.block(5, 3)),                         # base shape
-            (out, a, self.block(4, 5, np.float32), None),          # dtypes
-            (out, a, self.block(4, 5, single_plane=True), None),   # plane-ness
-            (self.block(3, 5), self.block(3, 0), self.block(0, 5), None),  # k = 0
+            (out, a, self.block(3, 5)),                       # inner 4 vs 3
+            (self.block(3, 4), a, b),                         # out shape
+            (out, a, self.block(4, 5, np.float32)),           # dtypes
+            (self.block(3, 5), self.block(3, 0), self.block(0, 5)),  # k = 0
         ]
-        for target, left, right, base in misfits:
+        for target, left, right in misfits:
             with pytest.raises(ValueError, match="do not fit"):
-                loaded.witness_relax(0, np.inf, target, left, right, base)
-        with pytest.raises(ValueError, match="square"):
-            loaded.witness_fw(0, self.block(3, 4))
+                loaded.witness_product(0, np.inf, target, left, right)
+
+    def test_parent_row_misfits_raise(self):
+        loaded = native.kernel()
+        if loaded is None:
+            pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+        d = np.zeros((4, 4))
+        indptr = np.zeros(5, dtype=np.intp)
+        none = np.zeros(0, dtype=np.int32)
+        sources = np.arange(4)
+        misfits = [
+            (np.zeros((4, 3)), indptr, none, none.astype(d.dtype)),   # not square
+            (d.astype(np.int64), indptr, none, none.astype(np.int64)),  # dtype
+            (d, indptr, none, none.astype(np.float32)),      # edge dtype
+            (d, indptr[:4], none, none.astype(d.dtype)),     # indptr length
+            (d, indptr, np.zeros(1, np.int32), none.astype(d.dtype)),  # lengths
+            (d, np.array([0, 0, 0, 0, 1]), np.array([4], np.int32),
+             np.ones(1)),                                    # head out of range
+        ]
+        for distances, ptr, indices, vals in misfits:
+            with pytest.raises(ValueError, match="do not fit"):
+                loaded.parents(0, np.inf, 1e-9, distances, ptr, indices, vals,
+                               sources)

@@ -1,13 +1,13 @@
 """Payload conformance: every protocol operation on every block representation.
 
-One table of representations — dense float64 / float32 / bool, packed
-bitset, witnessed two-plane and single-plane — is driven through each
-operation of :class:`repro.linalg.payload.PayloadOps` and through the public
-entry points that resolve it.  Values are compared with the dense kernels on
-the same numbers; parents are checked by walking them (a walked path must
-fold to the reported value), and the two witness layouts must agree cell for
-cell.  Mixed operands and unsupported payload × algebra cells must raise
-``ValidationError`` — never ``IndexError``/``TypeError``.
+One table of representations — dense float64 / float32 / bool and packed
+bitset — is driven through each operation of
+:class:`repro.linalg.payload.PayloadOps` and through the public entry points
+that resolve it; values are compared with the dense kernels on the same
+numbers.  The witnessed representation keeps one operation, the product,
+checked compiled against NumPy below.  Mixed operands and unsupported
+payload × algebra cells must raise ``ValidationError`` — never
+``IndexError``/``TypeError``.
 """
 
 from __future__ import annotations
@@ -29,16 +29,13 @@ from repro.linalg import native
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import PackedBlock, packed_floyd_warshall_inplace
-from repro.linalg.blocks import BlockGrid, block_encoder, matrix_to_blocks
 from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
                                   floyd_warshall_inplace, fw_rank1_update,
                                   fw_rank1_update_inplace)
-from repro.linalg.payload import (DENSE, PACKED, WITNESS, payload_ops,
-                                  storage_ops)
+from repro.linalg.payload import DENSE, PACKED, payload_ops, storage_ops
 from repro.linalg.semiring import (elementwise_combine, semiring_power,
                                    semiring_product, semiring_relax,
                                    semiring_square)
-from repro.serve import fold_route
 
 N = 12  # matrix side; sub-blocks of 5 leave a ragged edge
 
@@ -69,11 +66,8 @@ class Representation:
             np.fill_diagonal(window, algebra.one_like(self.dtype))
         return window
 
-    def encode(self, window, row_start=0, col_start=0):
-        options = dict(self.encoder)
-        grid = BlockGrid(1, options.pop("layout", "triangular"))
-        return block_encoder(grid, algebra=self.algebra,
-                             **options)(window, row_start, col_start, copy=True)
+    def encode(self, window):
+        return storage_ops(**self.encoder).encode(window, copy=True)
 
 
 REPRESENTATIONS = [
@@ -82,10 +76,6 @@ REPRESENTATIONS = [
     Representation("dense-bool", "reachability", "bool", DENSE, {}),
     Representation("packed", "reachability", "bool", PACKED,
                    {"storage": "packed"}),
-    Representation("witness-2", "shortest-path", "float64", WITNESS,
-                   {"witness": True}),
-    Representation("witness-1", "shortest-path", "float64", WITNESS,
-                   {"witness": True, "layout": "full"}),
     # The float rows again on NumPy; the rows above take the compiled dense
     # kernel whenever it loaded.
     Representation("dense-f64-numpy", "shortest-path", "float64", DENSE, {},
@@ -108,19 +98,6 @@ def values_of(block) -> np.ndarray:
     return payload_ops(block).to_dense(block)
 
 
-def assert_parents_walk(block, prepared, algebra) -> None:
-    """Every assigned parent chain folds to the block's reported value."""
-    values, parents = block.values, block.parents
-    zero = algebra.zero_like(values.dtype)
-    for i in range(values.shape[0]):
-        for j in range(values.shape[1]):
-            if i == j or values[i, j] == zero:
-                assert parents[i, j] == W.NO_VERTEX
-                continue
-            path = W.reconstruct_path(parents, i, j)
-            assert np.isclose(fold_route(prepared, path, algebra), values[i, j])
-
-
 # ---------------------------------------------------------------------------
 # The resolver
 # ---------------------------------------------------------------------------
@@ -140,9 +117,6 @@ class TestResolver:
     def test_storage_names(self):
         assert storage_ops("dense") is DENSE
         assert storage_ops("packed") is PACKED
-        assert storage_ops("dense", witness=True) is WITNESS
-        with pytest.raises(ValidationError):
-            storage_ops("packed", witness=True)
         with pytest.raises(ValidationError):
             storage_ops("sparse")
 
@@ -153,14 +127,9 @@ class TestResolver:
 class TestOperations:
     def test_encode_to_dense_round_trip(self, rep):
         window = rep.prepared(2)
-        block = rep.encode(window, 24, 36)
+        block = rep.encode(window)
         assert np.array_equal(rep.ops.to_dense(block), window)
         assert not np.shares_memory(rep.ops.to_dense(block), window)
-        if rep.ops is WITNESS:
-            edge = (window != get_algebra(rep.algebra).zero_like(window.dtype))
-            edge &= ~np.eye(N, dtype=bool)
-            assert np.array_equal(block.parents[edge] - 24, np.nonzero(edge)[0])
-            assert block.single_plane == (rep.encoder.get("layout") == "full")
 
     def test_product_combine_relax(self, rep):
         algebra = get_algebra(rep.algebra)
@@ -169,7 +138,7 @@ class TestOperations:
         expected_product = DENSE.product(left, right, algebra)
         expected_combine = DENSE.combine(a, b, algebra)
         pa, pb, pc = rep.encode(a), rep.encode(b), rep.encode(c)
-        pl, pr = rep.encode(left), rep.encode(right, 0, 20)
+        pl, pr = rep.encode(left), rep.encode(right)
         assert np.array_equal(values_of(rep.ops.product(pl, pr, algebra)),
                               expected_product)
         assert np.array_equal(values_of(semiring_product(pl, pr, algebra)),
@@ -197,9 +166,6 @@ class TestOperations:
             assert np.array_equal(values_of(blocked), expected)
         else:                       # association order differs: rounding only
             assert np.allclose(values_of(blocked), expected)
-        if rep.ops is WITNESS:
-            assert_parents_walk(closed, window, algebra)
-            assert_parents_walk(blocked, window, algebra)
 
     def test_square_and_power(self, rep):
         algebra = get_algebra(rep.algebra)
@@ -222,13 +188,9 @@ class TestOperations:
         block = rep.encode(window)
         k = 3
         col, row = rep.ops.column_piece(block, k), rep.ops.row_piece(block, k)
-        col_values = getattr(col, "values", col)
-        assert np.array_equal(col_values, window[:, k])
-        assert np.array_equal(getattr(row, "values", row), window[k, :])
-        assert not np.shares_memory(col_values, values_of(block))
-        if rep.ops is WITNESS:
-            assert np.array_equal(row.toward, block.parents[k, :])
-            assert W.is_witness_vector(col) == (not block.single_plane)
+        assert np.array_equal(col, window[:, k])
+        assert np.array_equal(row, window[k, :])
+        assert not np.shares_memory(col, values_of(block))
         expected = DENSE.rank1(window, window[:, k], window[k, :], algebra)
         pure = fw_rank1_update(block, col, row, algebra)
         assert np.array_equal(values_of(pure), expected)
@@ -236,8 +198,6 @@ class TestOperations:
         mask = fw_rank1_update_inplace(block, col, row, algebra)
         assert np.array_equal(values_of(block), expected)
         assert np.array_equal(mask, np.any(expected != window, axis=1))
-        if rep.ops is WITNESS:
-            assert block == pure
         again = fw_rank1_update_inplace(block, col, row, algebra)
         assert not again.any()
 
@@ -248,14 +208,8 @@ class TestOperations:
         assert np.array_equal(values_of(clone), window)
         assert not np.shares_memory(values_of(clone), values_of(block))
         assert block.nbytes > 0
-        if rep.id == "witness-1":
-            with pytest.raises(ValidationError):
-                block.T
-            return
         mirror = block.T
         assert np.array_equal(values_of(mirror), window.T)
-        if rep.ops is WITNESS:
-            assert np.array_equal(mirror.parents, block.succs.T)
 
     def test_view_and_store(self, rep):
         window = rep.prepared(12)
@@ -270,43 +224,18 @@ class TestOperations:
         sub = rep.ops.view(block, rows, cols)
         assert payload_ops(sub) is rep.ops
         assert np.array_equal(values_of(sub), window[rows, cols])
-        replacement = rep.encode(rep.prepared(13, (5, 2), square=False), 5, 10)
+        replacement = rep.encode(rep.prepared(13, (5, 2), square=False))
         rep.ops.store(block, rows, cols, replacement)
         assert np.array_equal(values_of(block)[rows, cols], values_of(replacement))
         untouched = np.ones((N, N), dtype=bool)
         untouched[rows, cols] = False
         assert np.array_equal(values_of(block)[untouched], window[untouched])
-        if rep.ops is WITNESS:
-            assert np.array_equal(block.parents[rows, cols], replacement.parents)
 
 
 # ---------------------------------------------------------------------------
-# Witness layouts agree; the bugs the protocol closes stay closed
+# The cache-blocked Floyd-Warshall on packed blocks
 # ---------------------------------------------------------------------------
-class TestWitnessLayoutsAgree:
-    def test_single_plane_matches_two_plane_parents(self):
-        algebra = get_algebra("shortest-path")
-        two, one = REPRESENTATIONS[4], REPRESENTATIONS[5]
-        window = two.prepared(14)
-        for solve in (lambda b: floyd_warshall_inplace(b, algebra),
-                      lambda b: blocked_floyd_warshall_inplace(b, 5, algebra),
-                      lambda b: semiring_power(b, N, algebra)):
-            full, single = solve(two.encode(window)), solve(one.encode(window))
-            assert single.single_plane and not full.single_plane
-            assert np.array_equal(single.values, full.values)
-            assert np.array_equal(single.parents, full.parents)
-
-    def test_blocked_fw_single_plane_equals_unblocked(self):
-        # Continuous random weights: optimal paths are unique, so the blocked
-        # and the plain pivot order must pick the same predecessors.
-        algebra = get_algebra("shortest-path")
-        rep = REPRESENTATIONS[5]
-        window = rep.prepared(15)
-        plain = floyd_warshall_inplace(rep.encode(window), algebra)
-        blocked = blocked_floyd_warshall_inplace(rep.encode(window), 4, algebra)
-        assert np.allclose(blocked.values, plain.values)
-        assert np.array_equal(blocked.parents, plain.parents)
-
+class TestBlockedFwPacked:
     def test_blocked_fw_packed_equals_packed_kernel(self):
         window = REPRESENTATIONS[3].prepared(16, (70, 70))
         blocked = blocked_floyd_warshall_inplace(
@@ -380,7 +309,7 @@ class TestUnsupportedCellsRaise:
         plain = dataclasses.replace(get_algebra("shortest-path"),
                                     name="no-witness", witness_select=None)
         block = W.witness_block(REPRESENTATIONS[0].prepared(19, (4, 4)), 0, 0)
-        row = WITNESS.row_piece(block, 1)
+        row = np.zeros(4)
         for call in (lambda: semiring_product(block, block, plain),
                      lambda: elementwise_combine(block, block, plain),
                      lambda: semiring_square(block, plain),
@@ -390,18 +319,6 @@ class TestUnsupportedCellsRaise:
                      lambda: fw_rank1_update_inplace(block, row, row, plain)):
             with pytest.raises(ValidationError):
                 call()
-
-    def test_witness_planes_cannot_be_packed(self):
-        prepared = REPRESENTATIONS[0].prepared(20, (8, 8))
-        with pytest.raises(ValidationError):
-            list(matrix_to_blocks(prepared != np.inf, 4, storage="packed",
-                                  witness=True, algebra="reachability"))
-        packed = dict(matrix_to_blocks(prepared != np.inf, 4, storage="packed"))
-        assert payload_ops(packed[(0, 1)]) is PACKED
-        witnessed = dict(matrix_to_blocks(prepared, 4, witness=True,
-                                          algebra="shortest-path"))
-        assert payload_ops(witnessed[(0, 1)]) is WITNESS
-
 
 # ---------------------------------------------------------------------------
 # The compiled dense kernel and NumPy give the same bits
@@ -577,8 +494,8 @@ WITNESS_POOLS = {**POOLS, "plateau": np.array([1.0])}
 
 
 def _view(x):
-    """A unit-stride sub-block of a larger C-ordered plane, as ``WITNESS.view``
-    cuts one: rows longer than the block, at an offset."""
+    """A unit-stride sub-block of a larger C-ordered plane: rows longer than
+    the block, at an offset."""
     rows, cols = x.shape
     backing = np.zeros((rows + 2, cols + 3), dtype=x.dtype)
     backing[1:rows + 1, 2:cols + 2] = x
@@ -588,113 +505,61 @@ def _view(x):
 WITNESS_LAYOUTS = {**OPERAND_LAYOUTS, "view": _view}
 
 
-def _witnessed(rng, shape, dtype, pool, layout, *, single_plane):
+def _witnessed(rng, shape, dtype, pool, layout):
     """A witnessed block of :func:`_cells` values and random pointers (some
     ``NO_VERTEX``, so the fallback rules run), every plane in ``layout``."""
     cells = (rng.choice(WITNESS_POOLS[pool], shape).astype(dtype)
              if pool == "plateau" else _cells(rng, shape, dtype, pool))
     parents = rng.integers(-1, 40, shape).astype(np.int32)
-    succs = None if single_plane else rng.integers(-1, 40, shape).astype(np.int32)
+    succs = rng.integers(-1, 40, shape).astype(np.int32)
     place = WITNESS_LAYOUTS[layout]
-    return W.WitnessBlock(place(cells), place(parents),
-                          None if succs is None else place(succs))
+    return W.WitnessBlock(place(cells), place(parents), place(succs))
 
 
 def assert_same_witness(got, expected):
     """Values bit for bit (NaN cells aside), parents and succs exactly."""
     assert_same_bits(got.values, expected.values)
     assert np.array_equal(got.parents, expected.parents)
-    assert (got.succs is None) == (expected.succs is None)
-    if expected.succs is not None:
-        assert np.array_equal(got.succs, expected.succs)
+    assert np.array_equal(got.succs, expected.succs)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered",
                             "ignore:overflow encountered")
-@pytest.mark.parametrize("planes", ["two-plane", "one-plane"])
 @pytest.mark.parametrize("pool", ["weights", *WITNESS_POOLS])
 @pytest.mark.parametrize("algebra,dtype", NUMERIC_CELLS)
 class TestWitnessedKernelsAgree:
-    """Every witnessed float kernel, ragged sides 1/2/5/12, C / transposed /
-    strided / view planes, one-plane and two-plane blocks."""
+    """The witnessed float product, ragged sides 1/2/5/12, C / transposed /
+    strided / view planes."""
 
-    def test_product_and_relax(self, algebra, dtype, pool, planes):
+    def test_product(self, algebra, dtype, pool):
         rng = np.random.default_rng(
-            zlib.crc32(f"{algebra}{dtype}{pool}{planes}".encode()))
-        single = planes == "one-plane"
+            zlib.crc32(f"{algebra}{dtype}{pool}two-plane".encode()))
         for m, k, n in itertools.product(SIDES, repeat=3):
             for layout in WITNESS_LAYOUTS:
-                a = _witnessed(rng, (m, k), dtype, pool, layout, single_plane=single)
-                b = _witnessed(rng, (k, n), dtype, pool, layout, single_plane=single)
-                base = _witnessed(rng, (m, n), dtype, pool, layout,
-                                  single_plane=single)
+                a = _witnessed(rng, (m, k), dtype, pool, layout)
+                b = _witnessed(rng, (k, n), dtype, pool, layout)
                 assert_same_witness(*on_both_kernels(
                     lambda: semiring_product(a, b, algebra)))
-                assert_same_witness(*on_both_kernels(
-                    lambda: semiring_relax(base, a, b, algebra)))
-
-    def test_fw_inplace_and_blocked(self, algebra, dtype, pool, planes):
-        # As for dense blocks the diagonal is random, so row and column k
-        # move during sweep k and only copies of them match NumPy.
-        rng = np.random.default_rng(
-            zlib.crc32(f"{algebra}{dtype}{pool}{planes}fw".encode()))
-        single = planes == "one-plane"
-        for n in SIDES:
-            for layout in WITNESS_LAYOUTS:
-                window = _witnessed(rng, (n, n), dtype, pool, layout,
-                                    single_plane=single)
-                if pool == "weights":
-                    window.values[...] -= np.dtype(dtype).type(1.0)
-
-                def closed():
-                    block = WITNESS.copy(window)
-                    assert floyd_warshall_inplace(block, algebra) is block
-                    return block
-                assert_same_witness(*on_both_kernels(closed))
-
-                def in_layout():
-                    # Closed in place through the layout's own strides.
-                    block = W.WitnessBlock(*(
-                        None if plane is None
-                        else WITNESS_LAYOUTS[layout](plane.copy())
-                        for plane in (window.values, window.parents,
-                                      window.succs)))
-                    floyd_warshall_inplace(block, algebra)
-                    return WITNESS.copy(block)
-                assert_same_witness(*on_both_kernels(in_layout))
-
-                def blocked():
-                    block = WITNESS.copy(window)
-                    blocked_floyd_warshall_inplace(block, max(1, n // 2), algebra)
-                    return block
-                assert_same_witness(*on_both_kernels(blocked))
 
 
 class TestWitnessedKernelRuns:
-    def test_loaded_kernel_bypasses_the_numpy_witness_kernels(self, monkeypatch):
+    def test_loaded_kernel_bypasses_the_numpy_witness_product(self, monkeypatch):
         if native.kernel() is None:
             pytest.skip(f"the compiled kernel did not load: {native.describe()}")
         rng = np.random.default_rng(5)
-        a, b, base = (_witnessed(rng, (6, 6), "float64", "weights", "C",
-                                 single_plane=False) for _ in range(3))
-        expected = (semiring_product(a, b, "shortest-path"),
-                    semiring_relax(base, a, b, "shortest-path"))
+        a, b = (_witnessed(rng, (6, 6), "float64", "weights", "C")
+                for _ in range(2))
+        expected = semiring_product(a, b, "shortest-path")
 
         def numpy_kernel(*args, **kwargs):
-            raise AssertionError("a NumPy witness kernel ran")
-        for name in ("witness_product", "witness_combine",
-                     "witness_floyd_warshall_inplace"):
-            monkeypatch.setattr(W, name, numpy_kernel)
-        # The fallback relax combines through the class's own reference.
-        monkeypatch.setattr(type(WITNESS), "combine", staticmethod(numpy_kernel))
-        assert_same_witness(semiring_product(a, b, "shortest-path"), expected[0])
-        assert_same_witness(semiring_relax(base, a, b, "shortest-path"),
-                            expected[1])
-        floyd_warshall_inplace(a, "shortest-path")
+            raise AssertionError("the NumPy witnessed product ran")
+        monkeypatch.setattr(W, "witness_product", numpy_kernel)
+        assert_same_witness(semiring_product(a, b, "shortest-path"), expected)
 
     @pytest.mark.parametrize("layout", ["triangular", "full"])
     def test_paths_solve_parents_agree(self, layout):
-        # Unit weights: most cells tie, so the pointers are the first winners'.
+        # Unit weights: most cells tie, so the parents are the first tight
+        # edges the searches meet.
         adj = erdos_renyi_adjacency(40, weighted=False, seed=2)
         request = SolveRequest(solver="blocked-cb", block_size=8, paths=True,
                                layout=layout)

@@ -200,35 +200,33 @@ class TestEmptyDimensions:
 
     def test_witnessed_empty_inner_dimension(self, name, dtype):
         algebra = get_algebra(name)
-        for single_plane in (False, True):
-            a = witness_block(np.empty((3, 0), dtype=dtype), 0, 3, algebra,
-                              single_plane=single_plane)
-            b = witness_block(np.empty((0, 4), dtype=dtype), 3, 3, algebra,
-                              single_plane=single_plane)
-            result = semiring_product(a, b, algebra)
-            assert _identical(result.values,
-                              np.full((3, 4), algebra.zero_like(dtype)))
-            assert np.all(result.parents == NO_VERTEX)
-            assert result.parents.shape == (3, 4)
-            if single_plane:
-                assert result.succs is None
-            else:
-                assert np.all(result.succs == NO_VERTEX)
+        a = witness_block(np.empty((3, 0), dtype=dtype), 0, 3, algebra)
+        b = witness_block(np.empty((0, 4), dtype=dtype), 3, 3, algebra)
+        result = semiring_product(a, b, algebra)
+        assert _identical(result.values,
+                          np.full((3, 4), algebra.zero_like(dtype)))
+        assert np.all(result.parents == NO_VERTEX)
+        assert result.parents.shape == (3, 4)
+        assert np.all(result.succs == NO_VERTEX)
 
 
 # ---------------------------------------------------------------------------
 # Witnessed kernel
 # ---------------------------------------------------------------------------
-def _plateau_block(rng, shape, row_start, col_start, algebra, dtype,
-                   single_plane):
+def _plateau_block(rng, shape, row_start, col_start, algebra, dtype):
     """Integer weights from {1, 2, 3}: most inner reductions tie."""
     if dtype == "bool":
         cells = rng.random(shape) < 0.4
     else:
         cells = rng.integers(1, 4, shape).astype(dtype)
         cells[rng.random(shape) < 0.25] = algebra.zero_like(dtype)
-    return witness_block(cells, row_start, col_start, algebra,
-                         single_plane=single_plane)
+    return witness_block(cells, row_start, col_start, algebra)
+
+
+def _mirrored(block):
+    """The block a stored one plays transposed: its planes as ``.T`` views,
+    parents and successors swapped."""
+    return WitnessBlock(block.values.T, block.succs.T, block.parents.T)
 
 
 def _full_cube_witness_product(a, b, algebra):
@@ -242,47 +240,40 @@ def _full_cube_witness_product(a, b, algebra):
     tails = b.parents[ks, cols]
     parents = np.where(tails == NO_VERTEX, a.parents[rows, ks], tails)
     parents[no_path] = NO_VERTEX
-    if a.succs is None:
-        return WitnessBlock(values, parents, None)
     heads = a.succs[rows, ks]
     succs = np.where(heads == NO_VERTEX, b.succs[ks, cols], heads)
     succs[no_path] = NO_VERTEX
     return WitnessBlock(values, parents, succs)
 
 
-@pytest.mark.parametrize("planes", ["two-plane", "two-plane-mirrored",
-                                    "single-plane"])
+@pytest.mark.parametrize("planes", ["two-plane", "two-plane-mirrored"])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("name,dtype", ALGEBRA_DTYPES)
 def test_witnessed_matches_full_cube(name, dtype, shape, planes, panel_budget):
     algebra = get_algebra(name)
     rng = _rng(name, dtype, shape, planes)
     m, k, n = shape
-    single_plane = planes == "single-plane"
-    a = _plateau_block(rng, (m, k), 0, m, algebra, dtype, single_plane)
+    a = _plateau_block(rng, (m, k), 0, m, algebra, dtype)
     if planes == "two-plane-mirrored":
-        # Both operands arrive as the `.T` of a stored block, as under the
-        # triangular layout.
-        a = _plateau_block(rng, (k, m), m, 0, algebra, dtype, False).T
-        b = _plateau_block(rng, (n, k), m + k, m, algebra, dtype, False).T
+        # Both operands as transposed views of stored blocks: planes
+        # without unit-stride rows.
+        a = _mirrored(_plateau_block(rng, (k, m), m, 0, algebra, dtype))
+        b = _mirrored(_plateau_block(rng, (n, k), m + k, m, algebra, dtype))
     else:
-        b = _plateau_block(rng, (k, n), m, m + k, algebra, dtype, single_plane)
+        b = _plateau_block(rng, (k, n), m, m + k, algebra, dtype)
     expected = _full_cube_witness_product(a, b, algebra)
     result = semiring_product(a, b, algebra)
     assert _identical(result.values, expected.values)
     assert np.array_equal(result.parents, expected.parents)
-    if single_plane:
-        assert result.succs is None
-    else:
-        assert np.array_equal(result.succs, expected.succs)
+    assert np.array_equal(result.succs, expected.succs)
 
 
 def test_plateau_inputs_do_tie():
     """The witnessed cases above exercise the first-winner rule, not luck."""
     algebra = get_algebra(None)
     rng = np.random.default_rng(3)
-    a = _plateau_block(rng, (37, 16), 0, 37, algebra, "float64", False)
-    b = _plateau_block(rng, (16, 24), 37, 53, algebra, "float64", False)
+    a = _plateau_block(rng, (37, 16), 0, 37, algebra, "float64")
+    b = _plateau_block(rng, (16, 24), 37, 53, algebra, "float64")
     cube = algebra.mul(a.values[:, :, None], b.values[None])
     best = cube.min(axis=1, keepdims=True)
     tied = ((cube == best) & np.isfinite(best)).sum(axis=1) > 1

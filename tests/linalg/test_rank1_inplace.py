@@ -20,8 +20,6 @@ from repro.linalg.algebra import get_algebra
 from repro.linalg.bitset import (PackedBlock, PackedVector, is_packed_vector,
                                  packed_rank1_update, packed_rank1_update_inplace)
 from repro.linalg.kernels import fw_rank1_update, fw_rank1_update_inplace
-from repro.linalg.witness import (witness_block, witness_rank1_update,
-                                  witness_rank1_update_inplace, WitnessVector)
 
 
 def prepared(n, seed, algebra="shortest-path"):
@@ -77,38 +75,6 @@ class TestPackedRank1UpdateInplace:
         block = PackedBlock.from_dense(np.eye(6, dtype=bool))
         with pytest.raises(ValidationError):
             packed_rank1_update_inplace(block, np.ones(5, bool), np.ones(6, bool))
-
-
-class TestWitnessRank1UpdateInplace:
-    def test_matches_pure_kernel_all_planes(self):
-        n = 12
-        block = witness_block(prepared(n, 7), 0, 0, "shortest-path")
-        col = WitnessVector(block.values[:, 4].copy(), block.succs[:, 4].copy())
-        row = WitnessVector(block.values[4, :].copy(), block.parents[4, :].copy())
-        pure = witness_rank1_update(block.copy(), col, row, "shortest-path")
-        before = block.values.copy()
-        mask = witness_rank1_update_inplace(block, col, row, "shortest-path")
-        assert np.array_equal(block.values, pure.values)
-        assert np.array_equal(block.parents, pure.parents)
-        assert np.array_equal(block.succs, pure.succs)
-        assert np.array_equal(mask, (block.values != before).any(axis=1))
-
-    def test_single_plane_takes_bare_column(self):
-        n = 10
-        block = witness_block(prepared(n, 9), 0, 0, "shortest-path",
-                              single_plane=True)
-        col = block.values[:, 3].copy()
-        row = WitnessVector(block.values[3, :].copy(), block.parents[3, :].copy())
-        pure = witness_rank1_update(block.copy(), col, row, "shortest-path")
-        witness_rank1_update_inplace(block, col, row, "shortest-path")
-        assert np.array_equal(block.values, pure.values)
-        assert np.array_equal(block.parents, pure.parents)
-
-    def test_rejects_bare_row_operand(self):
-        block = witness_block(prepared(6, 1), 0, 0, "shortest-path")
-        with pytest.raises(ValidationError):
-            witness_rank1_update_inplace(block, block.values[:, 0],
-                                         block.values[0, :], "shortest-path")
 
 
 class TestPackedVector:

@@ -1,18 +1,19 @@
-"""Witness (parent-pointer) tracking: blocks, kernels, repair, reconstruction."""
-
-import pickle
+"""Parent rows: the one definition, its compiled form, reconstruction, and
+the witnessed product the benchmark ladder keeps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parent_checks import assert_valid_routes
 from repro.common.errors import SolverError, ValidationError
+from repro.linalg import native
 from repro.linalg import witness as W
 from repro.linalg.algebra import get_algebra
-from repro.linalg.blocks import blocks_to_matrix, matrix_to_blocks
-from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
-                                  floyd_warshall_inplace, semiring_closure)
+from repro.linalg.kernels import floyd_warshall_inplace, semiring_closure
 from repro.linalg.semiring import elementwise_combine, semiring_product
+from repro.sequential.floyd_warshall import (floyd_warshall_blocked,
+                                             floyd_warshall_numpy)
 from repro.serve import fold_route
 
 WITNESS_ALGEBRAS = ("shortest-path", "widest-path", "most-reliable", "reachability")
@@ -35,51 +36,10 @@ def random_adjacency(n, seed, algebra):
     return adj
 
 
-def assert_paths_valid(algebra, prepared, distances, parents):
-    """Every reachable pair reconstructs to an edge path folding to the closure."""
-    alg = get_algebra(algebra)
-    n = distances.shape[0]
-    zero = alg.zero_like(distances.dtype)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                assert parents[i, j] == W.NO_VERTEX
-                continue
-            if distances[i, j] == zero:
-                assert parents[i, j] == W.NO_VERTEX
-                with pytest.raises(SolverError):
-                    W.reconstruct_path(parents, i, j)
-                continue
-            path = W.reconstruct_path(parents, i, j)
-            assert path[0] == i and path[-1] == j
-            assert len(set(path)) == len(path)  # simple path
-            fold = fold_route(prepared, path, alg)
-            assert np.isclose(float(fold), float(distances[i, j]),
-                              rtol=1e-6, atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
-# WitnessBlock / WitnessVector basics
+# WitnessBlock basics (the benchmark ladder's witnessed product)
 # ---------------------------------------------------------------------------
 class TestWitnessBlock:
-    def test_transpose_swaps_planes(self):
-        vals = np.array([[0.0, 2.0], [2.0, 0.0]])
-        parents = np.array([[-1, 0], [1, -1]], dtype=np.int32)
-        succs = np.array([[-1, 1], [0, -1]], dtype=np.int32)
-        wb = W.WitnessBlock(vals, parents, succs)
-        assert np.array_equal(wb.T.parents, succs.T)
-        assert np.array_equal(wb.T.succs, parents.T)
-        assert np.array_equal(wb.T.values, vals.T)
-        # double transpose is the identity
-        assert wb.T.T == wb
-
-    def test_pickle_roundtrip(self):
-        wb = W.witness_block(np.array([[0.0, 3.0], [3.0, 0.0]]), 4, 4,
-                             "shortest-path")
-        clone = pickle.loads(pickle.dumps(wb))
-        assert clone == wb
-        assert clone.nbytes == wb.nbytes
-
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             W.WitnessBlock(np.zeros((2, 2)), np.zeros((2, 3), np.int32),
@@ -105,15 +65,6 @@ class TestWitnessBlock:
         assert wb.parents[0, 0] == W.NO_VERTEX
         assert wb.parents[0, 1] == W.NO_VERTEX  # no edge
 
-    def test_witness_vector_slicing(self):
-        col = W.WitnessVector(np.array([1.0, 2.0, 3.0]),
-                              np.array([4, 5, 6], np.int32))
-        piece = col[1:3]
-        assert np.array_equal(piece.values, [2.0, 3.0])
-        assert np.array_equal(piece.toward, [5, 6])
-        with pytest.raises(ValidationError):
-            col[1]
-
     def test_requires_witness_algebra(self):
         no_witness = get_algebra("shortest-path").__class__(
             name="plus-times", add_op=np.add, mul_op=np.multiply,
@@ -123,7 +74,7 @@ class TestWitnessBlock:
 
 
 # ---------------------------------------------------------------------------
-# Paired kernels vs the value-only kernels
+# The witnessed product vs the value-only kernel
 # ---------------------------------------------------------------------------
 class TestWitnessKernels:
     @pytest.mark.parametrize("algebra", WITNESS_ALGEBRAS)
@@ -131,37 +82,15 @@ class TestWitnessKernels:
         alg = get_algebra(algebra)
         adj = random_adjacency(17, 3, algebra)
         prepared = alg.prepare_adjacency(adj)
-        wb = W.witness_matrix(prepared, alg)
+        wb = W.witness_block(prepared, 0, 0, alg)
         prod = semiring_product(wb, wb, alg)
         dense = semiring_product(prepared, prepared, alg)
         assert alg.allclose(prod.values, dense)
 
-    @pytest.mark.parametrize("algebra", WITNESS_ALGEBRAS)
-    def test_combine_matches_value_kernel(self, algebra):
-        alg = get_algebra(algebra)
-        a = W.witness_matrix(alg.prepare_adjacency(random_adjacency(9, 0, algebra)), alg)
-        b = W.witness_matrix(alg.prepare_adjacency(random_adjacency(9, 1, algebra)), alg)
-        combined = elementwise_combine(a, b, alg)
-        assert alg.allclose(combined.values,
-                            alg.add(a.values, b.values))
-        # ties keep the first operand's pointers
-        same = elementwise_combine(a, a.copy(), alg)
-        assert np.array_equal(same.parents, a.parents)
-
-    def test_combine_winner_keeps_pointers(self):
-        alg = get_algebra("shortest-path")
-        a = W.WitnessBlock(np.array([[5.0]]), np.array([[7]], np.int32),
-                           np.array([[8]], np.int32))
-        b = W.WitnessBlock(np.array([[3.0]]), np.array([[1]], np.int32),
-                           np.array([[2]], np.int32))
-        combined = W.witness_combine(a, b, alg)
-        assert combined.values[0, 0] == 3.0
-        assert combined.parents[0, 0] == 1
-        assert combined.succs[0, 0] == 2
-
     def test_mixing_witnessed_and_plain_raises(self):
         alg = get_algebra("shortest-path")
-        wb = W.witness_matrix(alg.prepare_adjacency(random_adjacency(5, 0, "shortest-path")), alg)
+        wb = W.witness_block(
+            alg.prepare_adjacency(random_adjacency(5, 0, "shortest-path")), 0, 0, alg)
         with pytest.raises(ValidationError):
             elementwise_combine(wb, wb.values, alg)
         with pytest.raises(ValidationError):
@@ -186,51 +115,35 @@ class TestWitnessKernels:
 
 
 # ---------------------------------------------------------------------------
-# Sequential closures with witnesses (property-based)
+# Sequential closures: parents derived after the solve (property-based)
 # ---------------------------------------------------------------------------
-class TestWitnessClosures:
+class TestSequentialParents:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 10_000),
            algebra=st.sampled_from(WITNESS_ALGEBRAS),
            n=st.integers(6, 24))
     def test_fw_paths_fold_to_closure(self, seed, algebra, n):
-        """Property: reconstructed-path ⊗-fold equals the closure entry."""
+        """Property: every walk ends at its source and folds to the closure."""
         alg = get_algebra(algebra)
         adj = random_adjacency(n, seed, algebra)
-        prepared = alg.prepare_adjacency(adj)
-        reference = semiring_closure(adj, alg)
-        wb = W.witness_matrix(prepared, alg)
-        floyd_warshall_inplace(wb, alg)
-        parents, _ = W.repair_parents(wb.values, wb.parents, prepared, alg)
-        assert alg.allclose(wb.values, reference)
-        assert_paths_valid(alg, prepared, wb.values, parents)
+        distances, parents = floyd_warshall_numpy(adj, algebra=alg, paths=True)
+        assert alg.allclose(distances, semiring_closure(adj, alg))
+        assert_valid_routes(parents, distances, alg.prepare_adjacency(adj), alg)
 
     @pytest.mark.parametrize("algebra", WITNESS_ALGEBRAS)
     def test_blocked_fw_paths(self, algebra):
         alg = get_algebra(algebra)
         adj = random_adjacency(26, 5, algebra)
-        prepared = alg.prepare_adjacency(adj)
-        reference = semiring_closure(adj, alg)
-        wb = W.witness_matrix(prepared, alg)
-        blocked_floyd_warshall_inplace(wb, 8, alg)
-        parents, _ = W.repair_parents(wb.values, wb.parents, prepared, alg)
-        assert alg.allclose(wb.values, reference)
-        assert_paths_valid(alg, prepared, wb.values, parents)
+        distances, parents = floyd_warshall_blocked(adj, 8, algebra=alg,
+                                                    paths=True)
+        assert alg.allclose(distances, semiring_closure(adj, alg))
+        assert_valid_routes(parents, distances, alg.prepare_adjacency(adj), alg)
 
 
 # ---------------------------------------------------------------------------
-# Consistency detection + tight-edge repair
+# parent_row, the one definition of a parent row
 # ---------------------------------------------------------------------------
-class TestRepair:
-    def test_detects_pointer_cycle(self):
-        parents = np.full((4, 4), W.NO_VERTEX, dtype=np.int32)
-        parents[0, 1] = 0
-        parents[0, 2] = 3   # 2 <- 3 <- 2: cycle off the root
-        parents[0, 3] = 2
-        ok = W.consistent_parent_rows(parents)
-        assert not ok[0]
-        assert ok[1] and ok[2] and ok[3]
-
+class TestParentRow:
     def test_parent_row_follows_tight_edges(self):
         alg = get_algebra("widest-path")
         adj = random_adjacency(20, 9, "widest-path")
@@ -314,32 +227,155 @@ class TestRepair:
         with pytest.raises(SolverError, match="1 vertices from source 0"):
             W.parent_row(0, closure, edges, alg)
 
-    def test_repair_only_touches_bad_rows(self):
-        alg = get_algebra("shortest-path")
-        adj = random_adjacency(12, 1, "shortest-path")
-        prepared = alg.prepare_adjacency(adj)
-        wb = W.witness_matrix(prepared, alg)
-        floyd_warshall_inplace(wb, alg)
-        before = wb.parents.copy()
-        parents, repaired = W.repair_parents(wb.values, wb.parents, prepared, alg)
-        assert repaired == 0
-        assert np.array_equal(parents, before)
+# ---------------------------------------------------------------------------
+# derive_parents: every row equals parent_row's, compiled and on NumPy
+# ---------------------------------------------------------------------------
+#: Every witness algebra in every dtype it has.
+WITNESS_CELLS = [(name, dtype) for name in (*WITNESS_ALGEBRAS, "longest-path")
+                 for dtype in get_algebra(name).dtypes]
 
-    def test_repair_fixes_injected_cycle(self):
-        alg = get_algebra("reachability")
-        adj = random_adjacency(15, 4, "reachability")
-        prepared = alg.prepare_adjacency(adj)
-        wb = W.witness_matrix(prepared, alg)
-        floyd_warshall_inplace(wb, alg)
-        # sabotage one row with a cycle among reachable vertices
-        reachable = np.flatnonzero(wb.values[0] & (np.arange(15) != 0))
-        if reachable.size >= 2:
-            a, b = int(reachable[0]), int(reachable[1])
-            wb.parents[0, a] = b
-            wb.parents[0, b] = a
-        parents, repaired = W.repair_parents(wb.values, wb.parents, prepared, alg)
-        assert repaired >= 1
-        assert_paths_valid(alg, prepared, wb.values, parents)
+
+def derive_case(algebra, dtype, n, density, seed, *, weights="random"):
+    """A prepared adjacency and its closure: symmetric (a DAG for
+    longest-path), with random, plateau ({1, 2}) or 0-weight-laced weights."""
+    alg = get_algebra(algebra)
+    rng = np.random.default_rng(seed)
+    mask = np.triu(rng.random((n, n)) < density, 1)
+    if alg.name == "most-reliable":
+        w = rng.uniform(0.05, 0.95, (n, n))
+    elif weights == "plateau":
+        w = rng.integers(1, 3, (n, n)).astype(float)
+    else:
+        w = rng.uniform(0.5, 9.5, (n, n))
+    if weights == "zeros" and alg.name in ("shortest-path", "widest-path"):
+        w[rng.random((n, n)) < 0.3] = 0.0
+    if alg.name != "longest-path":
+        mask, w = mask | mask.T, np.triu(w, 1) + np.triu(w, 1).T
+    adj = np.where(mask, w, np.inf)
+    np.fill_diagonal(adj, 0.0)
+    prepared = alg.prepare_adjacency(adj, dtype=dtype)
+    return alg, prepared, floyd_warshall_inplace(prepared.copy(), alg)
+
+
+def parent_rows(distances, edges, alg, sources):
+    """parent_row of each source, stacked; or the message it raises."""
+    try:
+        return np.array([W.parent_row(s, distances, edges, alg) for s in sources],
+                        dtype=np.int32).reshape(len(sources), distances.shape[0])
+    except SolverError as exc:
+        return str(exc)
+
+
+def derived(distances, edges, alg, sources):
+    try:
+        return W.derive_parents(distances, edges, alg, sources)
+    except SolverError as exc:
+        return str(exc)
+
+
+def assert_same_rows(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request):
+    if request.param == "numpy":
+        with native._forced("numpy"):
+            yield request.param
+        return
+    if native.kernel() is None:
+        pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+    yield request.param
+
+
+class TestDeriveParents:
+    #: (n, density, weights): sparse rows take the compiled search's edge
+    #: scan, dense ones (density >= 1/32) its bitmap; plateaus tie.
+    GRAPHS = [(0, 0.5, "random"), (1, 0.5, "random"), (2, 1.0, "random"),
+              (13, 0.4, "plateau"), (37, 0.08, "random"), (37, 0.6, "plateau"),
+              (70, 0.04, "zeros"), (90, 0.02, "random"), (65, 0.5, "zeros"),
+              (120, 0.015, "plateau"), (150, 0.01, "zeros")]
+
+    @pytest.mark.parametrize("algebra,dtype", WITNESS_CELLS)
+    def test_every_row_equals_parent_row(self, algebra, dtype, kernel):
+        for seed, (n, density, weights) in enumerate(self.GRAPHS):
+            alg, prepared, closure = derive_case(algebra, dtype, n, density,
+                                                 seed, weights=weights)
+            edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+            everything = list(range(n))
+            assert_same_rows(derived(closure, edges, alg, None),
+                             parent_rows(closure, edges, alg, everything))
+            some = everything[::-3]
+            assert_same_rows(derived(closure, edges, alg, some),
+                             parent_rows(closure, edges, alg, some))
+
+    @pytest.mark.parametrize("algebra,dtype", WITNESS_CELLS)
+    def test_csr_edges_with_stored_zeros_and_unsorted_rows(self, algebra,
+                                                           dtype, kernel):
+        import scipy.sparse as sp
+        alg, prepared, _ = derive_case(algebra, dtype, 40, 0.5, 7,
+                                       weights="plateau")
+        zero, one = alg.zero_like(prepared.dtype), alg.one_like(prepared.dtype)
+        rows, cols = np.nonzero((prepared != zero) & ~np.eye(40, dtype=bool))
+        data = prepared[rows, cols]
+        if prepared.dtype != np.bool_:
+            data[::5] = 0.0                  # stored zeros: 0-weight edges
+        dense = np.full((40, 40), zero, dtype=prepared.dtype)
+        dense[rows, cols] = data
+        np.fill_diagonal(dense, one)
+        closure = floyd_warshall_inplace(dense, alg)
+        canonical = sp.csr_matrix((data, (rows, cols)), shape=(40, 40))
+        # Each row's entries reversed: a CSR whose rows are not sorted.
+        order = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in
+                                zip(canonical.indptr[:-1], canonical.indptr[1:])])
+        unsorted = sp.csr_matrix((canonical.data[order],
+                                  canonical.indices[order], canonical.indptr),
+                                 shape=(40, 40))
+        assert canonical.nnz == rows.size
+        assert np.any(np.diff(unsorted.indices) > 0)
+        assert np.any(np.diff(unsorted.indices[unsorted.indptr[0]:
+                                               unsorted.indptr[1]]) < 0)
+        for csr in (canonical, unsorted):
+            edges = W.CsrEdges.of(csr, alg, closure.dtype)
+            assert_same_rows(derived(closure, edges, alg, None),
+                             parent_rows(closure, edges, alg, range(40)))
+
+    def test_an_inconsistent_closure_raises_as_parent_row_does(self, kernel):
+        alg = get_algebra("shortest-path")
+        prepared = alg.prepare_adjacency(np.array([[0.0, 1.0, np.inf],
+                                                   [1.0, 0.0, np.inf],
+                                                   [np.inf, np.inf, 0.0]]))
+        closure = semiring_closure(prepared, alg)
+        closure[0, 2] = 5.0                 # no edge reaches vertex 2
+        edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        assert W.derive_parents(closure, edges, alg, [1]).tolist() == [[1, -1, -1]]
+        with pytest.raises(SolverError, match="1 vertices from source 0"):
+            W.derive_parents(closure, edges, alg)
+
+    def test_sources_out_of_range_are_rejected(self):
+        alg, prepared, closure = derive_case("shortest-path", "float64", 5,
+                                             0.5, 0)
+        edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        for sources in ([5], [-1]):
+            with pytest.raises(ValidationError):
+                W.derive_parents(closure, edges, alg, sources)
+
+    def test_the_compiled_search_runs(self, monkeypatch):
+        if native.kernel() is None:
+            pytest.skip(f"the compiled kernel did not load: {native.describe()}")
+        alg, prepared, closure = derive_case("widest-path", "float32", 30,
+                                             0.3, 4)
+        edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+        expected = parent_rows(closure, edges, alg, range(30))
+
+        def numpy_row(*args):
+            raise AssertionError("parent_row ran")
+        monkeypatch.setattr(W, "parent_row", numpy_row)
+        assert_same_rows(W.derive_parents(closure, edges, alg), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -371,49 +407,3 @@ class TestReconstruction:
         assert fold_route(prepared, [2], alg) == 0.0
         with pytest.raises(SolverError):
             fold_route(prepared, [0, 2], alg)
-
-
-# ---------------------------------------------------------------------------
-# Block decomposition / assembly with witnesses
-# ---------------------------------------------------------------------------
-class TestWitnessBlocks:
-    def test_matrix_roundtrip_through_witnessed_blocks(self):
-        alg = get_algebra("shortest-path")
-        prepared = alg.prepare_adjacency(random_adjacency(14, 6, "shortest-path"))
-        records = list(matrix_to_blocks(prepared, 5, layout="triangular",
-                                        witness=True, algebra=alg))
-        assert all(W.is_witnessed(blk) for _, blk in records)
-        values, parents = W.witness_blocks_to_matrices(
-            records, 14, 5, layout="triangular", fill=np.inf, dtype=np.float64)
-        assert np.array_equal(values, prepared)
-        wb = W.witness_matrix(prepared, alg)
-        assert np.array_equal(parents, wb.parents)
-        # blocks_to_matrix unwraps witnessed payloads to their values
-        assert np.array_equal(
-            blocks_to_matrix(records, 14, 5, layout="triangular"), prepared)
-
-    def test_witness_blocks_reject_packed_storage(self):
-        alg = get_algebra("reachability")
-        prepared = alg.prepare_adjacency(random_adjacency(8, 0, "reachability"))
-        with pytest.raises(ValidationError):
-            list(matrix_to_blocks(prepared, 4, witness=True, storage="packed",
-                                  algebra=alg))
-
-    def test_witnessed_mirror_follows_the_transpose_rule(self):
-        alg = get_algebra("shortest-path")
-        prepared = alg.prepare_adjacency(random_adjacency(10, 2, "shortest-path"))
-        blocks = dict(matrix_to_blocks(prepared, 4, witness=True, algebra=alg))
-        mirror = blocks[(0, 2)].T  # logical block (2, 0)
-        assert W.is_witnessed(mirror)
-        assert np.array_equal(mirror.parents, blocks[(0, 2)].succs.T)
-        values, parents = W.witness_blocks_to_matrices(
-            blocks.items(), 10, 4, fill=np.inf)
-        assert np.array_equal(values, prepared)
-        assert np.array_equal(parents[8:10, 0:4], mirror.parents)
-
-    def test_plain_blocks_are_refused_as_witnessed(self):
-        alg = get_algebra("shortest-path")
-        prepared = alg.prepare_adjacency(random_adjacency(8, 3, "shortest-path"))
-        plain = matrix_to_blocks(prepared, 4)
-        with pytest.raises(ValidationError):
-            W.witness_blocks_to_matrices(plain, 8, 4, fill=np.inf)

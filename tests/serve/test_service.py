@@ -231,14 +231,14 @@ class TestSparseInput:
         newer = csr.copy()
         newer.data[:] = 1.0
         seen = []
-        real = witness.parent_row
+        real = witness.derive_parents
 
-        def update_lands_mid_row(source, distances, edges, algebra):
+        def update_lands_mid_row(distances, edges, algebra, sources):
             service.publish(service.distances, newer, [])
             seen.append(edges)
-            return real(source, distances, edges, algebra)
+            return real(distances, edges, algebra, sources)
 
-        monkeypatch.setattr(witness, "parent_row", update_lands_mid_row)
+        monkeypatch.setattr(witness, "derive_parents", update_lands_mid_row)
         service.parent_row(3)
         expected = witness.CsrEdges.of(csr, service.algebra, csr.dtype)
         assert len(seen) == 1

@@ -111,14 +111,14 @@ class TestRouteHammer:
                                                          closure, monkeypatch):
         service = _service(closure, adjacency)
         solves = []
-        real = witness.parent_row
+        real = witness.derive_parents
         gate = threading.Barrier(THREADS, timeout=5.0)
 
-        def counting_solve(source, *args, **kwargs):
-            solves.append(source)
-            return real(source, *args, **kwargs)
+        def counting_solve(distances, edges, algebra, sources):
+            solves.extend(int(source) for source in sources)
+            return real(distances, edges, algebra, sources)
 
-        monkeypatch.setattr(witness, "parent_row", counting_solve)
+        monkeypatch.setattr(witness, "derive_parents", counting_solve)
 
         def worker():
             gate.wait()
@@ -224,20 +224,20 @@ class TestPublishedVersions:
         """A miss solves source 0's row; before it is stored, an update
         commits a shortcut out of source 0.  The stale row must not answer
         any later query."""
-        real = witness.parent_row
+        real = witness.derive_parents
         solved, release = threading.Event(), threading.Event()
 
-        def solve_then_block(source, *args, **kwargs):
-            row = real(source, *args, **kwargs)
-            if source == 0 and not solved.is_set():
+        def solve_then_block(distances, edges, algebra, sources):
+            rows = real(distances, edges, algebra, sources)
+            if list(sources) == [0] and not solved.is_set():
                 solved.set()
                 assert release.wait(5.0)
-            return row
+            return rows
 
         with APSPEngine(EngineConfig(backend="serial")) as engine:
             service = engine.serve(graph, self.REQUEST)
             old_adjacency = service.adjacency
-            monkeypatch.setattr(witness, "parent_row", solve_then_block)
+            monkeypatch.setattr(witness, "derive_parents", solve_then_block)
             with ThreadPoolExecutor(max_workers=1) as pool:
                 in_flight = pool.submit(service.route, 0, 32)
                 try:
