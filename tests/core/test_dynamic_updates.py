@@ -23,7 +23,7 @@ from repro.linalg.bitset import PackedBlock
 from repro.linalg.kernels import semiring_closure
 from parent_checks import assert_valid_parents, assert_valid_routes
 from repro.linalg.witness import NO_VERTEX
-from repro.sequential.floyd_warshall import reference_closure
+from repro.sequential.floyd_warshall import reference_closure, verify_tolerances
 from repro.serve import fold_route
 
 #: Algebras whose rank-1 sweeps are exact (absorptive ⊕); longest-path is
@@ -52,8 +52,9 @@ def solve_kept(adjacency, request):
     return engine, engine.closure
 
 
-def mixed_batch(state, rng, count):
-    """Improvements, worsenings and deletions against ``state``'s adjacency."""
+def mixed_batch(state, rng, count, kinds=(0, 1, 2)):
+    """Improvements (kind 0), deletions (1) and worsenings (2) against
+    ``state``'s adjacency, each edge's kind drawn from ``kinds``."""
     n = state.n
     algebra = get_algebra(state.request.algebra)
     name = algebra.name
@@ -64,7 +65,7 @@ def mixed_batch(state, rng, count):
     improving = update_batch_for_algebra(n, int(rng.integers(1 << 30)),
                                          name, count)
     for index in range(count):
-        kind = int(rng.integers(3))
+        kind = kinds[int(rng.integers(len(kinds)))]
         if kind == 0 or existing.shape[0] == 0:
             edges.append(improving[index])
         else:
@@ -247,6 +248,50 @@ class TestWitnessedUpdates:
                               reference_closure(state.adjacency, "reachability"))
         assert_valid_routes(state.parents, state.distances, state.adjacency,
                             "reachability")
+
+
+#: Every incremental algebra × dtype, reachability × storage.
+UPDATE_CELLS = [
+    pytest.param(name, dtype, storage, id=f"{name}-{dtype or storage}")
+    for name in INCREMENTAL_ALGEBRAS
+    for dtype, storage in (
+        [(None, storage) for storage in get_algebra(name).storages]
+        if name == "reachability"
+        else [(dtype, None) for dtype in get_algebra(name).dtypes])]
+
+
+class TestWitnessedUpdateGrid:
+    """Parents after a batch, whichever path derived them: the rank-1 sweep
+    (improvements), the restricted recompute (worsenings) or the re-solve."""
+
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["triangular", "full-directed"])
+    @pytest.mark.parametrize("batch", ["improving", "worsening"])
+    @pytest.mark.parametrize("force", ["incremental", "resolve"])
+    @pytest.mark.parametrize("algebra,dtype,storage", UPDATE_CELLS)
+    def test_parents_stay_valid(self, algebra, dtype, storage, force, batch,
+                                directed):
+        adjacency = graph_for_algebra(20, 7, algebra, directed=directed)
+        request = SolveRequest(
+            solver="blocked-cb", block_size=6, algebra=algebra, dtype=dtype,
+            storage=storage, layout="full" if directed else "triangular",
+            directed=directed, paths=True)
+        engine, state = solve_kept(adjacency, request)
+        kinds = (0,) if batch == "improving" else (1, 2)
+        edges = mixed_batch(state, np.random.default_rng(3), 4, kinds=kinds)
+        report = engine.update(edges, force=force)
+        assert report.mode == force
+        if batch == "improving":
+            assert report.worsenings == 0 and report.improvements > 0
+        else:
+            assert report.improvements == 0 and report.worsenings > 0
+        alg = get_algebra(algebra)
+        expected = reference_closure(state.adjacency, algebra, dtype=dtype)
+        assert state.distances.dtype == expected.dtype
+        assert alg.allclose(state.distances, expected,
+                            **verify_tolerances(dtype))
+        assert_valid_routes(state.parents, state.distances, state.adjacency,
+                            alg)
 
 
 class TestModeSelection:

@@ -11,7 +11,7 @@ compared with any other implementation.
 import numpy as np
 import pytest
 
-from parent_checks import assert_valid_routes
+from parent_checks import assert_valid_parents, assert_valid_routes
 from repro import APSPEngine, SolveRequest
 from repro.common.config import EngineConfig
 from repro.common.errors import SolverError
@@ -21,7 +21,8 @@ from repro.linalg.algebra import get_algebra
 from repro.linalg.payload import DENSE, payload_ops
 from repro.sequential.floyd_warshall import (floyd_warshall_blocked,
                                              floyd_warshall_numpy,
-                                             reference_closure)
+                                             reference_closure,
+                                             verify_tolerances)
 from repro.sequential.repeated_squaring import repeated_squaring_apsp
 
 ALGEBRAS = ("shortest-path", "widest-path", "most-reliable", "reachability")
@@ -213,23 +214,79 @@ def test_packed_and_dense_reachability_give_identical_parents():
                     packed.parents)
 
 
+def _bare_solve_cells():
+    """Every witness algebra × dtype (reachability: × storage) × layout ×
+    input form.  ``full-directed`` solves an asymmetric input; longest-path
+    has only that cell, and only dense (its DAG check needs the matrix)."""
+    cells = []
+    for name in ("shortest-path", "widest-path", "most-reliable",
+                 "reachability", "longest-path"):
+        alg = get_algebra(name)
+        variants = ([(None, storage) for storage in alg.storages]
+                    if name == "reachability"
+                    else [(dtype, None) for dtype in alg.dtypes])
+        shapes = (("full-directed",) if name == "longest-path"
+                  else ("triangular", "full", "full-directed"))
+        forms = ("dense",) if name == "longest-path" else ("dense", "csr")
+        for dtype, storage in variants:
+            for shape in shapes:
+                for form in forms:
+                    cells.append(pytest.param(
+                        name, dtype, storage, shape, form,
+                        id=f"{name}-{dtype or storage}-{shape}-{form}"))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def serial_engine():
+    with APSPEngine(EngineConfig(backend="serial")) as engine:
+        yield engine
+
+
+ENGINE_COUNTERS = ("num_stages", "tasks_launched", "shuffle_bytes",
+                   "collect_bytes", "broadcast_bytes", "sharedfs_bytes_written",
+                   "sharedfs_bytes_read")
+
+
+@pytest.mark.parametrize("algebra,dtype,storage,shape,form", _bare_solve_cells())
 @pytest.mark.parametrize("solver", SOLVERS)
-def test_paths_run_the_bare_solve(solver):
+def test_paths_run_the_bare_solve(serial_engine, solver, algebra, dtype,
+                                  storage, shape, form):
     """paths=True moves the same blocks as paths=False: the same distances,
-    bit for bit, and the same engine counters."""
-    adjacency = graph_for_algebra(36, 2, "shortest-path")
+    bit for bit, and the same engine counters; its parent rows are valid."""
+    n = 23                                   # ragged: 23 % 6 != 0
+    directed = shape == "full-directed"
+    adjacency = graph_for_algebra(n, 5, algebra, directed=directed)
+    given = adjacency
+    if form == "csr":
+        import scipy.sparse as sp
+        rows, cols = np.nonzero(np.isfinite(adjacency)
+                                & ~np.eye(n, dtype=bool))
+        given = sp.csr_matrix((adjacency[rows, cols], (rows, cols)),
+                              shape=(n, n))
+    layout = "triangular" if shape == "triangular" else "full"
     results = {}
     for paths in (False, True):
-        with APSPEngine() as engine:
-            results[paths] = engine.solve(adjacency, SolveRequest(
-                solver=solver, block_size=8, paths=paths))
+        results[paths] = serial_engine.solve(given, SolveRequest(
+            solver=solver, block_size=6, algebra=algebra, dtype=dtype,
+            storage=storage, layout=layout, directed=directed, paths=paths))
     bare, with_paths = results[False], results[True]
+    assert (with_paths.layout, with_paths.storage) == (bare.layout, bare.storage)
+    assert bare.layout == layout and (storage is None or bare.storage == storage)
+    assert not bare.has_paths and with_paths.has_paths
     assert np.array_equal(bare.distances, with_paths.distances)
-    for key in ("num_stages", "tasks_launched", "shuffle_bytes",
-                "collect_bytes", "broadcast_bytes", "sharedfs_bytes_written",
-                "sharedfs_bytes_read"):
+    assert bare.distances.dtype == with_paths.distances.dtype
+    for key in ENGINE_COUNTERS:
         assert bare.metrics[key] == with_paths.metrics[key], key
     assert bare.iterations == with_paths.iterations
+
+    alg = get_algebra(algebra)
+    reference = reference_closure(adjacency, algebra, dtype=dtype)
+    assert alg.allclose(with_paths.distances, reference,
+                        **verify_tolerances(dtype))
+    edges = (given if form == "csr"
+             else alg.prepare_adjacency(adjacency, dtype=dtype))
+    assert_valid_parents(with_paths.parents, with_paths.distances, edges, alg)
 
 
 # ---------------------------------------------------------------------------
