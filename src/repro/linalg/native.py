@@ -135,20 +135,24 @@ class Kernel:
                 vals: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, int]:
         """The ``(len(sources), n)`` parent rows of a square closure.
 
-        The edges are a CSR: ``indptr`` (``intp``, length ``n + 1``),
-        ``indices`` (``int32``, in range) and ``vals`` in the closure's dtype
-        (float64, float32 or bool); ``sources`` are ``int64`` rows in range.
-        ``zero`` is the algebra's "no path" value and ``rtol`` the tight-edge
-        tolerance (both unused for bool).  Returns the rows and the index of
-        the first source whose search left a vertex with a closure entry
-        unreached (``-1``: none); rows from there on are not filled.
+        The edges are a CSR: ``indptr`` (``intp``, length ``n + 1``, from 0
+        up to ``indices.size`` without a decrease), ``indices`` (``int32``,
+        in range) and ``vals`` in the closure's dtype (float64, float32 or
+        bool); ``sources`` are ``int64`` rows in range.  ``zero`` is the
+        algebra's "no path" value and ``rtol`` the tight-edge tolerance (both
+        unused for bool).  Returns the rows and the index of the first source
+        whose search left a vertex with a closure entry unreached (``-1``:
+        none); rows from there on are not filled.
         """
         n = distances.shape[0]
         if distances.shape != (n, n) or distances.dtype not in _PARENT_TYPES \
                 or vals.dtype != distances.dtype or indptr.shape != (n + 1,) \
-                or indices.shape != vals.shape or indptr[-1] != indices.size \
+                or indices.shape != vals.shape or indptr[0] != 0 \
+                or indptr[-1] != indices.size or (np.diff(indptr) < 0).any() \
                 or sources.ndim != 1 or (indices.size and not (
-                    0 <= indices.min() and indices.max() < n)):
+                    0 <= indices.min() and indices.max() < n)) \
+                or (sources.size and not (
+                    0 <= sources.min() and sources.max() < n)):
             raise ValueError("parent-row operands do not fit")
         d, ldd = _row_major(distances)
         indptr, indices, vals, sources = (

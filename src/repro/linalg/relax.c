@@ -5,8 +5,9 @@
  *   apspark_relax:   C[i,j] = D[i,j] ⊕ ⊕_p A[i,p] ⊗ B[p,j]
  *                    (D == NULL: C[i,j] = ⊕_p A[i,p] ⊗ B[p,j])
  *   apspark_fw:      for p: C[i,j] = C[i,j] ⊕ (C[i,p] ⊗ C[p,j])
- *   apspark_parents: the parent rows of a closure, one breadth-first
- *                    search over its tight edges per source
+ *   apspark_parents: the parent rows of a closure: its tight edges marked
+ *                    for eight sources at a time, then one breadth-first
+ *                    search over them per source
  *   apspark_witness_product: the product on witnessed blocks, carrying
  *                    their int32 parent/successor planes (kept only for
  *                    the benchmark ladder's witness_product rung; it
@@ -36,7 +37,8 @@
  *   - pointers compose as P_C = P_B[k*,j], falling back to P_A[i,k*] where
  *     that is NO_VERTEX, and R_C = R_A[i,k*], falling back to R_B[k*,j];
  *     cells whose value equals zero get NO_VERTEX.
- * The inner j loops are contiguous and left for the compiler to vectorize.
+ * The inner j loops are contiguous and left for the compiler to vectorize;
+ * the tight-edge test is written with the vector extension of GCC and Clang.
  */
 #include <math.h>
 #include <stddef.h>
@@ -291,122 +293,145 @@ static int witness_product_##S(int alg, T zero, const planes *c,               \
     }                                                                          \
     free(acc);                                                                 \
     return 0;                                                                  \
-}                                                                              \
-                                                                               \
-/* Whether edge p -> j with weight w is tight from a source whose closure     \
-   row holds dp at p and t at j: parent_row's test, written out. */            \
-INLINE int tight_##S(int alg, T zero, T rtol, T dp, T w, T t)                  \
-{                                                                              \
-    T c = mul_##S(alg, dp, w), diff = c - t, at = t < 0 ? -t : t;              \
-    if (diff < 0)                                                              \
-        diff = -diff;                                                          \
-    int hit = (diff <= rtol * (1 + at) && isfinite(t))                         \
-              || c == t || (isinf(c) && isinf(t));                             \
-    return hit && c != zero;                                                   \
 }
 
-/* The adjacency bitmap of a CSR whose rows are strictly increasing: bit j
-   of row p is set for edge p -> j, and before[p * words + w] counts row p's
-   edges in words 0 .. w-1, so edge p -> j is entry indptr[p] + before[...]
-   + (the set bits below j in its word).  Returns 0 (and NULLs) for a CSR
-   too sparse to pay for it, with an unsorted row, or when out of memory. */
-static int edge_bitmap(idx n, const idx *indptr, const int32_t *indices,
-                       uint64_t **bits, int32_t **before)
+/* The parent rows are derived LANES sources at a time: lane q of a group
+   is one source, and bit q of tight[e] tells whether edge e is tight from
+   it.  One pass over the edges marks them for the whole group, which is
+   what lets the test run as one vector operation per edge (eight doubles
+   fill a 512-bit register; four and sixteen lanes measured slower per
+   source).  The bits are packed in little-endian byte order. */
+#define LANES 8
+#if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the packed lane bits assume a little-endian target"
+#endif
+
+typedef int8_t lane_mask __attribute__((vector_size(LANES)));
+typedef double v_f64 __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t m_f64 __attribute__((vector_size(LANES * sizeof(double))));
+typedef float v_f32 __attribute__((vector_size(LANES * sizeof(float))));
+typedef int32_t m_f32 __attribute__((vector_size(LANES * sizeof(float))));
+typedef uint8_t v_b8 __attribute__((vector_size(LANES)));
+
+/* Bit q set for each lane q whose mask is set. */
+INLINE uint8_t lane_bits(lane_mask mask)
 {
-    idx words = (n + 63) / 64;
-    *bits = NULL;
-    *before = NULL;
-    if (n <= 0 || 32 * (double)indptr[n] < (double)n * (double)n)
-        return 0;
-    for (idx p = 0; p < n; ++p)
-        for (idx e = indptr[p] + 1; e < indptr[p + 1]; ++e)
-            if (indices[e] <= indices[e - 1])
-                return 0;
-    *bits = calloc((size_t)(n * words), sizeof(uint64_t));
-    *before = malloc((size_t)(n * words) * sizeof(int32_t));
-    if (!*bits || !*before) {
-        free(*bits);
-        free(*before);
-        *bits = NULL;
-        *before = NULL;
-        return 0;
-    }
-    for (idx p = 0; p < n; ++p) {
-        uint64_t *row = *bits + p * words;
-        int32_t *count = *before + p * words, seen = 0;
-        for (idx e = indptr[p]; e < indptr[p + 1]; ++e)
-            row[indices[e] / 64] |= 1ULL << (indices[e] % 64);
-        for (idx w = 0; w < words; ++w) {
-            count[w] = seen;
-            seen += __builtin_popcountll(row[w]);
+    uint64_t bytes;
+    mask &= 1;
+    memcpy(&bytes, &mask, sizeof bytes);
+    return (uint8_t)(bytes * 0x0102040810204080ULL >> 56);
+}
+
+/* parent_row's FIFO breadth-first search from source s over the edges whose
+   bit q is set in tight, filling pred: scipy's breadth_first_order, with the
+   edges taken in the CSR order of (indptr, indices), so each vertex gets the
+   parent it is first reached from and the source keeps NO_VERTEX.  A vertex
+   whose row has no tight edge for the lane (bit q of any) is skipped, and the
+   search stops once every other vertex is reached; neither changes a
+   pointer. */
+static void search(idx s, int q, idx n, const idx *indptr,
+                   const int32_t *indices, const uint8_t *tight,
+                   const uint8_t *any, int32_t *restrict pred,
+                   int32_t *restrict queue)
+{
+    idx head = 0, tail = 1;
+    for (idx j = 0; j < n; ++j)
+        pred[j] = NO_VERTEX;
+    pred[s] = (int32_t)s;               /* reached; reset below */
+    queue[0] = (int32_t)s;
+    while (head < tail && tail < n) {
+        idx p = queue[head++];
+        if (!(any[p] >> q & 1))
+            continue;
+        for (idx e = indptr[p], end = indptr[p + 1]; e < end; e += 8) {
+            uint64_t bits;              /* bit q of tight[e .. e + 7] */
+            memcpy(&bits, tight + e, sizeof bits);
+            bits = bits >> q & 0x0101010101010101ULL;
+            if (end - e < 8)
+                bits &= ~0ULL >> 8 * (8 - (end - e));
+            for (; bits; bits &= bits - 1) {
+                idx j = indices[e + __builtin_ctzll(bits) / 8];
+                if (pred[j] == NO_VERTEX) {
+                    pred[j] = (int32_t)p;
+                    queue[tail++] = (int32_t)j;
+                }
+            }
         }
     }
-    return 1;
+    pred[s] = NO_VERTEX;
 }
 
-/* parent_row's FIFO breadth-first search from source s over the tight
-   edges, filling pred: scipy's breadth_first_order, with the edges taken in
-   the CSR order of (indptr, indices, vals), so each vertex gets the parent
-   it is first reached from and the source keeps NO_VERTEX.  An edge is only
-   tested when its head is still unreached, and the search stops once every
-   other vertex is reached; neither changes a pointer.  With an edge bitmap
-   (sorted rows) a popped vertex finds its unreached heads as the set bits
-   of (its bitmap row & the unreached set), in the same ascending order,
-   instead of reading every edge. */
-#define DEFINE_SEARCH(T, S)                                                    \
-INLINE void search_##S(int alg, T zero, T rtol, const T *row, idx s, idx n,   \
-                       const idx *indptr, const int32_t *indices,              \
-                       const T *vals, const uint64_t *bits,                    \
-                       const int32_t *before, int32_t *restrict pred,          \
-                       int32_t *restrict queue, uint64_t *restrict unseen)     \
+/* parent_row's tight test for the LANES sources of a group at once: c =
+   dp ⊗ w against t, lane by lane.  tol is tolerance_##S(t): parent_row's
+   rtol (1 + |t|) for a finite t, -inf for an infinite one and NaN for NaN.
+   So for a finite t the test is |c - t| <= tol (c == t is within it), and
+   for an infinite t it is "c is infinite"; in both, c must not be zero.
+   Vectors are GCC's and Clang's vector extension: V holds LANES values of T
+   and M the masks of their comparisons. */
+#define DEFINE_LANE_TEST(T, S, V, M, ABS)                                      \
+INLINE T tolerance_##S(T rtol, T t)                                            \
 {                                                                              \
-    idx words = (n + 63) / 64, head = 0, tail = 1;                             \
-    for (idx j = 0; j < n; ++j)                                                \
-        pred[j] = NO_VERTEX;                                                   \
-    pred[s] = (int32_t)s;               /* reached; reset below */             \
-    queue[0] = (int32_t)s;                                                     \
-    if (bits) {                                                                \
-        for (idx w = 0; w < words; ++w)                                        \
-            unseen[w] = ~0ULL;                                                 \
-        if (n % 64)                                                            \
-            unseen[words - 1] = (1ULL << (n % 64)) - 1;                        \
-        unseen[s / 64] &= ~(1ULL << (s % 64));                                 \
-    }                                                                          \
-    while (head < tail && tail < n) {                                          \
-        idx p = queue[head++];                                                 \
-        T dp = row[p];                                                         \
-        const T *pv = vals + indptr[p];                                        \
-        if (!bits) {                                                           \
-            const int32_t *pj = indices + indptr[p];                           \
-            for (idx k = 0, deg = indptr[p + 1] - indptr[p]; k < deg; ++k) {   \
-                idx j = pj[k];                                                 \
-                if (pred[j] != NO_VERTEX                                       \
-                    || !tight_##S(alg, zero, rtol, dp, pv[k], row[j]))         \
-                    continue;                                                  \
-                pred[j] = (int32_t)p;                                          \
-                queue[tail++] = (int32_t)j;                                    \
-            }                                                                  \
-            continue;                                                          \
+    return isfinite(t) ? rtol * (1 + (t < 0 ? -t : t))                         \
+                       : isinf(t) ? -INFINITY : NAN;                           \
+}                                                                              \
+                                                                               \
+INLINE M lanes_tight_##S(int alg, T zero, V dp, T w, V t, V tol)               \
+{                                                                              \
+    V c, wv = w - (V){0};                                                      \
+    if (alg == WIDEST) {                                                       \
+        M first = (dp != dp) | (dp < wv);                                      \
+        c = (V)(((M)dp & first) | ((M)wv & ~first));                           \
+    } else                                                                     \
+        c = alg == RELIABLE ? dp * wv : dp + wv;                               \
+    V diff = (V)((M)(c - t) & ABS), size = (V)((M)c & ABS);                    \
+    return ((diff <= tol) | ((size == INFINITY) & (tol == -INFINITY)))         \
+           & (c != zero);                                                      \
+}
+
+/* A bool closure's tight test: p reached, the edge present, j reachable. */
+INLINE uint8_t tolerance_b8(uint8_t rtol, uint8_t t)
+{
+    (void)rtol, (void)t;
+    return 0;
+}
+
+INLINE lane_mask lanes_tight_b8(int alg, uint8_t zero, v_b8 dp, uint8_t w,
+                                v_b8 t, v_b8 tol)
+{
+    (void)alg, (void)zero, (void)tol;
+    return (dp != 0) & (t != 0) & ((v_b8){0} + w != 0);
+}
+
+/* The parent rows of one type T.  For each group of sources, table holds
+   the group's closure rows transposed, t then tol for each vertex j
+   (table[2 j LANES + q] = D[source q, j]), so that an edge's lanes are one
+   vector test; a short last group repeats its first source in the unused
+   lanes.  mark_##S fills, for the group, tight[e] for every edge and any[p]
+   for every row (bit q set when row p has an edge tight for lane q; it
+   follows the edges in the same buffer, and eight spare bytes after it
+   cover a search's word read past the last edge); then each lane's source
+   is searched. */
+#define DEFINE_SEARCH(T, S, V)                                                 \
+INLINE void mark_##S(int alg, T zero, const T *table, idx n,                   \
+                     const idx *indptr, const int32_t *indices,                \
+                     const T *vals, uint8_t *restrict tight,                   \
+                     uint8_t *restrict any)                                    \
+{                                                                              \
+    for (idx p = 0; p < n; ++p) {                                              \
+        V dp, t, tol;                                                          \
+        uint8_t row = 0;                                                       \
+        memcpy(&dp, table + 2 * p * LANES, sizeof dp);                         \
+        for (idx e = indptr[p]; e < indptr[p + 1]; ++e) {                      \
+            const T *column = table + 2 * (idx)indices[e] * LANES;             \
+            memcpy(&t, column, sizeof t);                                      \
+            memcpy(&tol, column + LANES, sizeof tol);                          \
+            uint8_t bits = lane_bits(__builtin_convertvector(                  \
+                lanes_tight_##S(alg, zero, dp, vals[e], t, tol), lane_mask));  \
+            tight[e] = bits;                                                   \
+            row |= bits;                                                       \
         }                                                                      \
-        const uint64_t *bp = bits + p * words;                                 \
-        const int32_t *cp = before + p * words;                                \
-        for (idx w = 0; w < words; ++w) {                                      \
-            uint64_t edges = bp[w], heads = edges & unseen[w];                 \
-            const T *wv = pv + cp[w];                                          \
-            while (heads) {                                                    \
-                int bit = __builtin_ctzll(heads);                              \
-                T weight = wv[__builtin_popcountll(                            \
-                    edges & ((1ULL << bit) - 1))];                             \
-                heads &= heads - 1;                                            \
-                if (!tight_##S(alg, zero, rtol, dp, weight, row[w * 64 + bit]))\
-                    continue;                                                  \
-                unseen[w] &= ~(1ULL << bit);                                   \
-                pred[w * 64 + bit] = (int32_t)p;                               \
-                queue[tail++] = (int32_t)(w * 64 + bit);                       \
-            }                                                                  \
-        }                                                                      \
+        any[p] = row;                                                          \
     }                                                                          \
-    pred[s] = NO_VERTEX;                                                       \
 }                                                                              \
                                                                                \
 /* Whether some vertex other than s has a closure entry but no parent. */     \
@@ -425,51 +450,49 @@ static idx parents_##S(int alg, double zero, double rtol, const T *d,          \
                        const int64_t *sources, idx count, int32_t *out,        \
                        idx ldo)                                                \
 {                                                                              \
-    uint64_t *bits, *unseen = malloc((size_t)(n / 64 + 1) * sizeof(uint64_t)); \
-    int32_t *before, *queue = malloc((size_t)(n + 1) * sizeof(int32_t));       \
-    edge_bitmap(n, indptr, indices, &bits, &before);                           \
-    if (!queue || !unseen) {                                                   \
-        free(queue), free(unseen), free(bits), free(before);                   \
-        return -1;                                                             \
-    }                                                                          \
-    idx r = 0;                                                                 \
-    for (; r < count; ++r) {                                                   \
-        const T *row = d + sources[r] * ldd;                                   \
-        int32_t *pred = out + r * ldo;                                         \
+    uint8_t *tight = malloc((size_t)(indptr[n] + n) + 8);                      \
+    int32_t *queue = malloc((size_t)n * sizeof(int32_t) + 1);                  \
+    T *table = aligned_alloc(64, ((size_t)n * 2 * LANES * sizeof(T) + 64)      \
+                             / 64 * 64);                                       \
+    idx status = tight && queue && table ? 0 : -1;                             \
+    for (idx r = 0; r < count && !status; r += LANES) {                        \
+        int lanes = count - r < LANES ? (int)(count - r) : LANES;              \
+        for (idx j = 0; j < n; ++j)                                            \
+            for (int q = 0; q < LANES; ++q) {                                  \
+                T t = d[sources[r + (q < lanes ? q : 0)] * ldd + j];           \
+                table[2 * j * LANES + q] = t;                                  \
+                table[(2 * j + 1) * LANES + q] = tolerance_##S((T)rtol, t);    \
+            }                                                                  \
         switch (alg) {                                                         \
-        case 0: search_##S(0, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
-                           indices, vals, bits, before, pred, queue, unseen);  \
-            break;                                                             \
-        case 1: search_##S(1, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
-                           indices, vals, bits, before, pred, queue, unseen);  \
-            break;                                                             \
-        case 2: search_##S(2, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
-                           indices, vals, bits, before, pred, queue, unseen);  \
-            break;                                                             \
-        case 3: search_##S(3, (T)zero, (T)rtol, row, sources[r], n, indptr,    \
-                           indices, vals, bits, before, pred, queue, unseen);  \
-            break;                                                             \
+        case 0: mark_##S(0, (T)zero, table, n, indptr, indices, vals, tight,   \
+                         tight + indptr[n]); break;                            \
+        case 1: mark_##S(1, (T)zero, table, n, indptr, indices, vals, tight,   \
+                         tight + indptr[n]); break;                            \
+        case 2: mark_##S(2, (T)zero, table, n, indptr, indices, vals, tight,   \
+                         tight + indptr[n]); break;                            \
+        case 3: mark_##S(3, (T)zero, table, n, indptr, indices, vals, tight,   \
+                         tight + indptr[n]); break;                            \
         }                                                                      \
-        if (unreached_##S((T)zero, row, sources[r], n, pred))                  \
-            break;                                                             \
+        for (int q = 0; q < lanes && !status; ++q) {                           \
+            idx s = sources[r + q];                                            \
+            int32_t *pred = out + (r + q) * ldo;                               \
+            search(s, q, n, indptr, indices, tight, tight + indptr[n], pred,   \
+                   queue);                                                     \
+            if (unreached_##S((T)zero, d + s * ldd, s, n, pred))               \
+                status = r + q + 1;                                            \
+        }                                                                      \
     }                                                                          \
-    free(queue), free(unseen), free(bits), free(before);                       \
-    return r < count ? r + 1 : 0;                                              \
-}
-
-/* A bool closure's tight test: p reached, the edge present, j reachable. */
-INLINE int tight_b8(int alg, uint8_t zero, uint8_t rtol, uint8_t dp,
-                    uint8_t w, uint8_t t)
-{
-    (void)alg, (void)zero, (void)rtol;
-    return dp && w && t;
+    free(tight), free(queue), free(table);                                     \
+    return status;                                                             \
 }
 
 DEFINE_KERNELS(double, f64, int64_t)
 DEFINE_KERNELS(float, f32, int32_t)
-DEFINE_SEARCH(double, f64)
-DEFINE_SEARCH(float, f32)
-DEFINE_SEARCH(uint8_t, b8)
+DEFINE_LANE_TEST(double, f64, v_f64, m_f64, INT64_MAX)
+DEFINE_LANE_TEST(float, f32, v_f32, m_f32, INT32_MAX)
+DEFINE_SEARCH(double, f64, v_f64)
+DEFINE_SEARCH(float, f32, v_f32)
+DEFINE_SEARCH(uint8_t, b8, v_b8)
 
 /* Both return 0, or -1 when a scratch row cannot be allocated.  relax needs
    k >= 1: the empty ⊕-sum is left to the caller. */

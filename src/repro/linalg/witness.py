@@ -295,9 +295,9 @@ def derive_parents(distances: np.ndarray, edges: CsrEdges, algebra: Semiring,
     Returns an ``int32`` matrix of shape ``(len(sources), n)`` whose row
     ``r`` is :func:`parent_row` of ``sources[r]``, bit for bit: the
     compiled search of :mod:`repro.linalg.native` runs the same tight-edge
-    test in the closure's dtype over ``edges`` in the same order, and where
-    it cannot run (no kernel loaded, an algebra it has no code for, edges in
-    another dtype) each row is :func:`parent_row`'s own.  Raises
+    test in the closure's dtype over ``edges`` (built in that dtype) in the
+    same order, and where it cannot run (no kernel loaded, an algebra it has
+    no code for) each row is :func:`parent_row`'s own.  Raises
     :class:`SolverError` as :func:`parent_row` does when the closure and the
     edges disagree.
     """
@@ -309,7 +309,7 @@ def derive_parents(distances: np.ndarray, edges: CsrEdges, algebra: Semiring,
         raise ValidationError(f"parent-row sources out of range for n={n}")
     dtype = distances.dtype
     compiled = native.parents_kernel_for(algebra, dtype)
-    if compiled is None or edges.vals.dtype != dtype:
+    if compiled is None:
         out = np.empty((sources.size, n), dtype=np.int32)
         for r, source in enumerate(sources.tolist()):
             out[r] = parent_row(source, distances, edges, algebra)

@@ -218,18 +218,28 @@ class TestWitnessedUpdates:
         assert state.parents[2, 3] == 2 and state.distances[2, 3] == 2.0
 
     def test_an_improvement_that_lands_on_a_tie(self):
-        # 0 - 1 - 2 - 3 at weight 1: the new edge 0 - 2 at weight 2 ties the
-        # path through 1, and 3 - 5 at 1 ties nothing but moves rows.
+        # 0 - 1 - 2 - 3 and 4 - 5 at weight 1: the new edge 0 - 2 at weight 2
+        # ties the path through 1 and moves no row, so every parent row is
+        # kept as it was and must still be valid on the new adjacency; 4 - 5
+        # at 0.5 moves rows 4 and 5 only, and 3 - 5 at 1 moves every row.
         adjacency = np.full((6, 6), np.inf)
         np.fill_diagonal(adjacency, 0.0)
         for u, v in ((0, 1), (1, 2), (2, 3), (4, 5)):
             adjacency[u, v] = adjacency[v, u] = 1.0
         request = SolveRequest(solver="blocked-cb", block_size=4, paths=True)
         engine, state = solve_kept(adjacency, request)
-        before = state.distances.copy()
+        before, parents = state.distances.copy(), state.parents.copy()
         report = engine.update([EdgeUpdate(0, 2, 2.0)], force="incremental")
         assert report.improvements == 1 and report.changed_rows == 0
         assert np.array_equal(state.distances, before)
+        assert np.array_equal(state.parents, parents)
+        assert_valid_routes(state.parents, state.distances, state.adjacency,
+                            "shortest-path")
+        report = engine.update([EdgeUpdate(4, 5, 0.5)], force="incremental")
+        assert report.changed_rows == 2
+        assert np.array_equal(state.parents[:4], parents[:4])
+        assert_valid_routes(state.parents, state.distances, state.adjacency,
+                            "shortest-path")
         report = engine.update([EdgeUpdate(3, 5, 1.0)], force="incremental")
         assert report.changed_rows == 6
         assert_valid_routes(state.parents, state.distances, state.adjacency,

@@ -189,8 +189,16 @@ class TestMisfitCalls:
             (d, indptr, np.zeros(1, np.int32), none.astype(d.dtype)),  # lengths
             (d, np.array([0, 0, 0, 0, 1]), np.array([4], np.int32),
              np.ones(1)),                                    # head out of range
+            (d, np.array([0, 2, 1, 2, 2]), np.array([1, 2], np.int32),
+             np.ones(2)),                                    # indptr decreases
+            (d, np.array([1, 1, 1, 1, 2]), np.array([1, 2], np.int32),
+             np.ones(2)),                                    # indptr[0] != 0
         ]
         for distances, ptr, indices, vals in misfits:
             with pytest.raises(ValueError, match="do not fit"):
                 loaded.parents(0, np.inf, 1e-9, distances, ptr, indices, vals,
                                sources)
+        for bad in ([4], [-1], [0, 4]):                      # sources out of range
+            with pytest.raises(ValueError, match="do not fit"):
+                loaded.parents(0, np.inf, 1e-9, d, indptr, none,
+                               none.astype(d.dtype), np.array(bad))

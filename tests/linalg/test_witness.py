@@ -293,8 +293,10 @@ def kernel(request):
 
 
 class TestDeriveParents:
-    #: (n, density, weights): sparse rows take the compiled search's edge
-    #: scan, dense ones (density >= 1/32) its bitmap; plateaus tie.
+    #: (n, density, weights).  The compiled search tests eight sources at a
+    #: time, so n below, at and above 8 and off its multiples leaves part
+    #: groups; rows of more than eight edges, and off multiples of eight,
+    #: span several of the words a search reads; plateaus tie.
     GRAPHS = [(0, 0.5, "random"), (1, 0.5, "random"), (2, 1.0, "random"),
               (13, 0.4, "plateau"), (37, 0.08, "random"), (37, 0.6, "plateau"),
               (70, 0.04, "zeros"), (90, 0.02, "random"), (65, 0.5, "zeros"),
@@ -343,6 +345,59 @@ class TestDeriveParents:
             edges = W.CsrEdges.of(csr, alg, closure.dtype)
             assert_same_rows(derived(closure, edges, alg, None),
                              parent_rows(closure, edges, alg, range(40)))
+
+    @staticmethod
+    def odd_case(algebra, dtype, n, seed):
+        """A closure with values the plain cases lack, by ``seed % 4``: two
+        edges of weight +inf, -inf or NaN (infinite entries, and the NaNs of
+        inf - inf); a NaN diagonal; weights so small that products
+        underflow to 0; or a DAG with negative weights."""
+        alg, prepared, _ = derive_case(algebra, dtype, n, (0.1, 0.3)[seed % 2],
+                                       seed, weights="plateau")
+        zero = alg.zero_like(prepared.dtype)
+        edges = (prepared != zero) & ~np.eye(n, dtype=bool)
+        if seed % 4 == 0:
+            u, v = np.random.default_rng(seed).integers(0, n, (2, 2))
+            prepared[u, v] = prepared[v, u] = (np.inf, -np.inf,
+                                               np.nan)[seed // 4 % 3]
+        elif seed % 4 == 2:
+            prepared[edges] *= np.finfo(prepared.dtype).tiny ** 0.3
+        elif seed % 4 == 3:
+            prepared[np.tri(n, dtype=bool) & edges] = zero
+            prepared[np.triu(edges, 1)] *= -1
+        closure = floyd_warshall_inplace(prepared.copy(), alg)
+        if seed % 4 == 1:
+            np.fill_diagonal(closure, np.nan)
+        return alg, prepared, closure
+
+    @pytest.mark.parametrize("algebra,dtype", [
+        cell for cell in WITNESS_CELLS if cell[1] != "bool"])
+    def test_infinite_nan_underflowing_and_negative_entries(self, algebra,
+                                                            dtype, kernel):
+        # Every source parent_row accepts gets its row, and the first it
+        # rejects (an entry other than zero, NaN included, that no tight
+        # edge reaches) raises.  Over the 16 cases of each cell parent_row
+        # accepts between 189 and 231 rows.
+        n = 21
+        for seed in range(16):
+            with np.errstate(invalid="ignore", under="ignore"):
+                alg, prepared, closure = self.odd_case(algebra, dtype, n, seed)
+                edges = W.CsrEdges.of(prepared, alg, closure.dtype)
+                accepted, rejected = [], []
+                for source in range(n):
+                    try:
+                        accepted.append(W.parent_row(source, closure, edges,
+                                                     alg))
+                    except SolverError:
+                        rejected.append(source)
+                assert_same_rows(
+                    derived(closure, edges, alg,
+                            [s for s in range(n) if s not in rejected]),
+                    np.array(accepted, dtype=np.int32).reshape(-1, n))
+                if rejected:
+                    with pytest.raises(SolverError,
+                                       match=f"source {rejected[0]};"):
+                        W.derive_parents(closure, edges, alg)
 
     def test_an_inconsistent_closure_raises_as_parent_row_does(self, kernel):
         alg = get_algebra("shortest-path")
