@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
 from repro.linalg.blocks import BlockGrid, num_blocks
-from repro.linalg.semiring import closure_iterations
 from repro.spark.partitioner import partitioner_by_name
 
 GIB = 1024 ** 3
@@ -82,9 +80,6 @@ STAGE_OVERHEAD_SECONDS = 4.0
 #: through, which is why the paper insists on B >= 2 (Section 5.3).  The
 #: compute and shuffle terms are multiplied by ``1 + coefficient / B``.
 STRAGGLER_COEFFICIENT = 0.3
-
-#: Canonical solver names understood by the cost model.
-SOLVER_NAMES = ("repeated-squaring", "fw-2d", "blocked-im", "blocked-cb")
 
 
 def element_bytes(algebra=None, dtype: str | None = None,
@@ -242,9 +237,11 @@ class ProjectionResult:
 
 
 class CostModel:
-    """Analytic cost model for the four Spark solvers and the two MPI baselines.
+    """Analytic cost model for the Spark solvers and the two MPI baselines.
 
-    Every term is priced from the module's paper-machine constants.
+    A Spark solver's work and bytes are its registered
+    :class:`~repro.core.registry.SolverShape`; every term is priced from the
+    module's paper-machine constants.
     """
 
     def __init__(self) -> None:
@@ -256,21 +253,6 @@ class CostModel:
     # ------------------------------------------------------------------ helpers
     def _nodes_for(self, p: int) -> int:
         return max(1, math.ceil(p / NODE_CORES))
-
-    @staticmethod
-    def _block_bytes(b: int, element_size: float = 8.0) -> float:
-        return element_size * b * b
-
-    def iteration_count(self, solver: str, n: int, block_size: int) -> int:
-        """Outer iterations as counted in Table 2."""
-        q = num_blocks(n, block_size)
-        if solver == "repeated-squaring":
-            return q * max(1, closure_iterations(n))
-        if solver == "fw-2d":
-            return n
-        if solver in ("blocked-im", "blocked-cb"):
-            return q
-        raise ConfigurationError(f"unknown solver {solver!r}")
 
     def imbalance_factor(self, partitioner_name: str, n: int, block_size: int,
                          p: int, partitions_per_core: int,
@@ -326,19 +308,14 @@ class CostModel:
         stores — and therefore computes, shuffles and spills — roughly twice
         the blocks of the mirrored upper triangle at the same ``b``.
         """
-        if solver not in SOLVER_NAMES:
-            raise ConfigurationError(f"unknown solver {solver!r}")
-        q = num_blocks(n, block_size)
-        b = block_size
+        from repro.core.registry import solver_shape  # repro.core imports us
+        element_size = element_bytes(algebra, dtype, storage)
+        shape = solver_shape(solver, n, block_size, layout, element_size)
         nodes = self._nodes_for(p)
         partitions = max(1, p * partitions_per_core)
-        element_size = element_bytes(algebra, dtype, storage)
-        block_bytes = self._block_bytes(b, element_size)
-        stored_blocks = float(BlockGrid(q, layout).count)
         imbalance = self.imbalance_factor(partitioner, n, block_size, p,
                                           partitions_per_core, layout)
         imbalance *= 1.0 + STRAGGLER_COEFFICIENT / max(1, partitions_per_core)
-        iterations = self.iteration_count(solver, n, block_size)
 
         # The per-core kernel rates were anchored on float64 operands; the
         # block kernels are memory-bandwidth-bound, so narrower elements
@@ -347,75 +324,28 @@ class CostModel:
         kernel_scale = element_size / 8.0
         mp_rate = MINPLUS_RATE / kernel_scale
         fw_rate = FLOYD_WARSHALL_RATE / kernel_scale
-        def sched(stages, tasks):
-            """Driver scheduling overhead for a stage/task mix."""
-            return stages * STAGE_OVERHEAD_SECONDS + tasks * TASK_DISPATCH_SECONDS
-
-        sequential = 0.0
-        compute = 0.0
-        shuffle = 0.0
-        driver = 0.0
-        sharedfs = 0.0
-        overhead = 0.0
-
-        if solver == "fw-2d":
-            # Rank-1 update of every stored block: b^2 work per block.
-            update_ops = stored_blocks * float(b) ** 2
-            compute = update_ops / mp_rate / p * imbalance
-            # The broadcast pivot column is a dense vector even under packed
-            # block storage, so it is sized by the element dtype alone.
-            column_bytes = max(element_size, 1.0) * n
-            driver = column_bytes / COLLECT_BANDWIDTH \
-                + column_bytes * nodes / BROADCAST_BANDWIDTH
-            overhead = sched(stages=2, tasks=2 * partitions)
-        elif solver == "repeated-squaring":
-            # One iteration = one column-block sweep: every stored block performs a
-            # min-plus product per role (both roles are genuine work here),
-            # contributions are shuffled for the MatMin reduction, and the staged
-            # column is read from shared storage.
-            products = stored_blocks * 2.0
-            compute = products * float(b) ** 3 / mp_rate / p * imbalance
-            contribution_bytes = products * block_bytes
-            shuffle = contribution_bytes / nodes / SHUFFLE_BANDWIDTH
-            column_bytes = q * block_bytes
-            driver = column_bytes / COLLECT_BANDWIDTH
-            sharedfs = column_bytes / SHAREDFS_WRITE_BANDWIDTH + \
-                contribution_bytes / nodes / SHAREDFS_READ_BANDWIDTH_PER_NODE
-            overhead = sched(stages=3, tasks=3 * partitions)
-        else:
-            # Blocked methods share the three-phase structure.
-            sequential = float(b) ** 3 / fw_rate                       # phase 1 pivot block
-            # One product per stored block: a mirror's update is the transpose
-            # of the stored one, so symmetric storage adds no kernel work.
-            phase2_products = 2.0 * (q - 1)
-            phase3_products = max(0.0, stored_blocks - 2 * (q - 1) - 1)
-            # Granularity: phase 2 rarely has enough tasks to fill p cores.
-            phase2_time = math.ceil(phase2_products / p) * float(b) ** 3 / mp_rate
-            phase3_time = phase3_products * float(b) ** 3 / mp_rate / p * imbalance
-            compute = phase2_time + phase3_time
-            if solver == "blocked-im":
-                # Phase-2 diagonal copies go to the q-1 row/column blocks; phase-3
-                # copies deliver the two operands of every stored off-pivot block.
-                phase3_blocks = max(0.0, stored_blocks - 2 * (q - 1) - 1)
-                copies_volume = ((q - 1) + 2.0 * phase3_blocks) * block_bytes
-                repartition_volume = stored_blocks * block_bytes
-                shuffle = (copies_volume + repartition_volume) / nodes \
-                    / SHUFFLE_BANDWIDTH * imbalance
-                overhead = sched(stages=4, tasks=4 * partitions)
-            else:  # blocked-cb
-                collected = (2.0 * (q - 1) + 1.0) * block_bytes
-                driver = collected / COLLECT_BANDWIDTH
-                reads = 2.0 * stored_blocks * block_bytes
-                sharedfs = collected / SHAREDFS_WRITE_BANDWIDTH + \
-                    reads / nodes / SHAREDFS_READ_BANDWIDTH_PER_NODE
-                restage = stored_blocks * block_bytes / nodes \
-                    / LOCAL_STORAGE_BANDWIDTH
-                shuffle = restage
-                overhead = sched(stages=3, tasks=3 * partitions)
+        kernel = float(block_size) ** 3
+        # Granularity: the pivot-only products rarely have enough tasks to
+        # fill p cores; the bulk waits on the most loaded core.
+        panel = math.ceil(shape.panel_ops / kernel / p) * kernel / mp_rate
+        bulk = shape.bulk_ops / mp_rate / p * imbalance
+        # Grid-keyed shuffles follow the partitioner's skew; the reduce into
+        # one block column and the local restage do not.
+        shuffle = shape.shuffle / nodes / SHUFFLE_BANDWIDTH * imbalance \
+            + shape.reduce / nodes / SHUFFLE_BANDWIDTH \
+            + shape.restage / nodes / LOCAL_STORAGE_BANDWIDTH
+        driver = shape.collect / COLLECT_BANDWIDTH \
+            + shape.broadcast * nodes / BROADCAST_BANDWIDTH
+        sharedfs = shape.sharedfs_write / SHAREDFS_WRITE_BANDWIDTH \
+            + shape.sharedfs_read / nodes / SHAREDFS_READ_BANDWIDTH_PER_NODE
+        stages = shape.paper_stages
+        overhead = stages * STAGE_OVERHEAD_SECONDS \
+            + stages * partitions * TASK_DISPATCH_SECONDS
 
         return IterationEstimate(
-            solver=solver, block_size=block_size, iterations=iterations,
-            compute_seconds=compute, sequential_seconds=sequential,
+            solver=solver, block_size=block_size, iterations=shape.iterations,
+            compute_seconds=panel + bulk,
+            sequential_seconds=shape.pivot_ops / fw_rate,
             shuffle_seconds=shuffle, driver_seconds=driver,
             sharedfs_seconds=sharedfs, overhead_seconds=overhead,
             imbalance_factor=imbalance,
@@ -425,16 +355,15 @@ class CostModel:
                              algebra=None, dtype: str | None = None,
                              storage: str | None = None,
                              layout: str = "triangular") -> float:
-        """Cumulative local-storage spill per node over the whole run (Blocked-IM only)."""
-        if solver != "blocked-im":
-            return 0.0
-        q = num_blocks(n, block_size)
-        block_bytes = self._block_bytes(block_size,
-                                        element_bytes(algebra, dtype, storage))
-        stored_blocks = float(BlockGrid(q, layout).count)
-        phase3_blocks = max(0.0, stored_blocks - 2 * (q - 1) - 1)
-        per_iter = ((q - 1) + 2.0 * phase3_blocks + stored_blocks) * block_bytes
-        return per_iter * q / self._nodes_for(p)
+        """Cumulative local-storage spill per node over the whole run.
+
+        Every iteration's grid-keyed shuffle leaves its files in local
+        storage (Blocked-IM's failure mode at small blocks, Section 5.2).
+        """
+        from repro.core.registry import solver_shape  # repro.core imports us
+        shape = solver_shape(solver, n, block_size, layout,
+                             element_bytes(algebra, dtype, storage))
+        return shape.shuffle * shape.iterations / self._nodes_for(p)
 
     def project(self, solver: str, n: int, block_size: int, p: int, *,
                 partitioner: str = "MD", partitions_per_core: int = 2,
@@ -449,15 +378,13 @@ class CostModel:
                                             storage=storage, layout=layout)
         feasible = True
         reason = None
-        if solver == "blocked-im":
-            spill = self.spill_per_node_bytes(solver, n, block_size, p,
-                                              algebra=algebra, dtype=dtype,
-                                              storage=storage, layout=layout)
-            capacity = LOCAL_STORAGE_BYTES
-            if spill > capacity:
-                feasible = False
-                reason = (f"local storage exhausted: {spill / GIB:.0f} GiB spilled per node "
-                          f"> {capacity / GIB:.0f} GiB available")
+        spill = self.spill_per_node_bytes(solver, n, block_size, p,
+                                          algebra=algebra, dtype=dtype,
+                                          storage=storage, layout=layout)
+        if spill > LOCAL_STORAGE_BYTES:
+            feasible = False
+            reason = (f"local storage exhausted: {spill / GIB:.0f} GiB spilled per node "
+                      f"> {LOCAL_STORAGE_BYTES / GIB:.0f} GiB available")
         return ProjectionResult(
             solver=solver, n=n, block_size=block_size, p=p, partitioner=partitioner,
             partitions_per_core=partitions_per_core, iteration=iteration,

@@ -262,6 +262,11 @@ class SparkAPSPSolver:
     #: is the paper's mirrored upper-triangle storage; solvers that also
     #: handle all q² blocks of an asymmetric matrix declare ``"full"``.
     layouts: tuple[str, ...] = ("triangular",)
+    #: ``shape(n, block_size, grid, element_size)`` returns the
+    #: :class:`~repro.core.registry.SolverShape` both cost models price.  A
+    #: subclass inherits its parent's; a solver that states none is left out
+    #: of ``solver="auto"``.
+    shape = None
 
     def __init__(self, config: EngineConfig | None = None,
                  request: SolveRequest | None = None) -> None:

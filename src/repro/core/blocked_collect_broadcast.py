@@ -16,7 +16,7 @@ from repro.common.errors import SolverError
 from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
-from repro.core.registry import register_solver
+from repro.core.registry import SolverShape, register_solver
 from repro.linalg.algebra import Semiring, get_algebra
 from repro.linalg.blocks import BlockGrid
 from repro.linalg.semiring import semiring_relax
@@ -35,6 +35,21 @@ class BlockedCollectBroadcastSolver(SparkAPSPSolver):
     pure = False
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
+
+    @staticmethod
+    def shape(n: int, block_size: int, grid: BlockGrid,
+              element_size: float) -> SolverShape:
+        """The pivot and its row/column travel through the driver and shared
+        storage; every block is restaged."""
+        q, stored = grid.q, float(grid.count)
+        block_bytes = element_size * block_size * block_size
+        collected = (2.0 * (q - 1) + 1.0) * block_bytes
+        return SolverShape(
+            solver="blocked-cb", iterations=q, stages=4 * q + 1,
+            paper_stages=3, **bb.blocked_work(grid, block_size),
+            collect=collected, sharedfs_write=collected,
+            sharedfs_read=2.0 * stored * block_bytes,
+            restage=stored * block_bytes)
 
     def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
              grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):

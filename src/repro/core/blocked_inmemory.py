@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
-from repro.core.registry import register_solver
+from repro.core.registry import SolverShape, register_solver
 from repro.linalg.blocks import BlockGrid
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
@@ -40,6 +40,19 @@ class BlockedInMemorySolver(SparkAPSPSolver):
     pure = True
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
+
+    @staticmethod
+    def shape(n: int, block_size: int, grid: BlockGrid,
+              element_size: float) -> SolverShape:
+        """Shuffles carry the pivot, then the row/column, to their users,
+        then every block back to its partition."""
+        q, stored = grid.q, float(grid.count)
+        block_bytes = element_size * block_size * block_size
+        phase3 = max(0.0, stored - 2 * (q - 1) - 1)
+        return SolverShape(
+            solver="blocked-im", iterations=q, stages=6 * q + 1,
+            paper_stages=4, **bb.blocked_work(grid, block_size),
+            shuffle=((q - 1) + 2.0 * phase3) * block_bytes + stored * block_bytes)
 
     def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
              grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):

@@ -229,6 +229,17 @@ class FloydWarshallBlock:
         return key, ops.fw_inplace(ops.copy(block), self.algebra)
 
 
+def blocked_work(grid: BlockGrid, block_size: int) -> dict[str, float]:
+    """One blocked iteration's ``b³`` products as the paper counts them: the
+    pivot closure, ``2(q - 1)`` row/column products, then the rest."""
+    q, stored = grid.q, float(grid.count)
+    kernel = float(block_size) ** 3
+    panel = 2.0 * (q - 1)
+    bulk = max(0.0, stored - 2 * (q - 1) - 1)
+    return dict(pivot_ops=kernel, panel_ops=panel * kernel,
+                bulk_ops=bulk * kernel, kernel_calls=1.0 + panel + bulk)
+
+
 def min_plus(record: BlockRecord, other: np.ndarray, *, other_on_left: bool = False,
              algebra: Semiring | str | None = None) -> BlockRecord:
     """``MinPlus``: ``MatProd`` followed by ``MatMin`` against the original block.

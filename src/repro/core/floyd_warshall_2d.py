@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
-from repro.core.registry import register_solver
+from repro.core.registry import SolverShape, register_solver
 from repro.linalg.blocks import BlockGrid
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
@@ -31,6 +31,18 @@ class FloydWarshall2DSolver(SparkAPSPSolver):
     pure = True
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
+
+    @staticmethod
+    def shape(n: int, block_size: int, grid: BlockGrid,
+              element_size: float) -> SolverShape:
+        """n pivots: a rank-1 update of every block after the pivot column is
+        collected and broadcast (a dense vector even under packed storage)."""
+        stored = float(grid.count)
+        column = max(element_size, 1.0) * n
+        return SolverShape(
+            solver="fw-2d", iterations=n, stages=n + 2, paper_stages=2,
+            bulk_ops=stored * float(block_size) ** 2, kernel_calls=stored,
+            driver=stored / grid.q, collect=column, broadcast=column)
 
     def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
              grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):

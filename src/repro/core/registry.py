@@ -9,16 +9,60 @@ this package.
 
 Every registration carries metadata (canonical name, accepted aliases,
 purity, one-line description) that the CLI's ``apspark solvers`` subcommand
-and :func:`solver_catalog` expose.
+and :func:`solver_catalog` expose, and the solver's :class:`SolverShape` —
+the structure both cost models price (:func:`solver_shape`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.common.errors import ConfigurationError
 from repro.linalg.algebra import resolve_algebra_name
+from repro.linalg.blocks import BlockGrid, num_blocks
+
+
+@dataclass(frozen=True)
+class SolverShape:
+    """One solver's structure on one problem, stated once by its class.
+
+    Both cost models price it (:mod:`repro.cluster`).  ``iterations`` is
+    Table 2's count, ``stages`` the engine's for the whole solve, and
+    ``paper_stages`` the Spark stages per iteration of the paper's runs,
+    which anchor the projector's stage overhead.  The rest is per iteration:
+    ops by phase, kernel calls, driver work (the unit of its
+    ``driver:<solver>`` rate) and bytes by channel.  ``shuffle`` bytes are
+    keyed by the grid, so they follow the partitioner's skew and spill.
+    """
+
+    solver: str
+    iterations: int
+    stages: int
+    paper_stages: int
+    pivot_ops: float = 0.0
+    panel_ops: float = 0.0
+    bulk_ops: float = 0.0
+    kernel_calls: float = 0.0
+    driver: float = 0.0
+    collect: float = 0.0
+    broadcast: float = 0.0
+    shuffle: float = 0.0
+    reduce: float = 0.0
+    sharedfs_write: float = 0.0
+    sharedfs_read: float = 0.0
+    restage: float = 0.0
+
+    @property
+    def ops(self) -> float:
+        """Semiring ops of one iteration, all phases."""
+        return self.pivot_ops + self.panel_ops + self.bulk_ops
+
+    @property
+    def bytes_moved(self) -> float:
+        """Bytes one iteration moves over every channel."""
+        return (self.collect + self.broadcast + self.shuffle + self.reduce
+                + self.sharedfs_write + self.sharedfs_read + self.restage)
 
 
 @dataclass(frozen=True)
@@ -34,6 +78,9 @@ class SolverInfo:
     algebras: tuple[str, ...] = ("shortest-path",)
     #: Block grid layouts this solver can run (``triangular``/``full``).
     layouts: tuple[str, ...] = ("triangular",)
+    #: ``shape(n, block_size, grid, element_size) -> SolverShape``, or
+    #: ``None`` for a solver that states none (it cannot be priced).
+    shape: Callable[..., SolverShape] | None = None
 
     def supports_algebra(self, algebra: str) -> bool:
         """True when the solver declares support for the given algebra (or alias)."""
@@ -107,6 +154,7 @@ def register_solver(cls=None, *, aliases: Iterable[str] = (),
             description=description if description is not None else (doc[0] if doc else ""),
             algebras=tuple(resolve_algebra_name(a) for a in declared),
             layouts=declared_layouts,
+            shape=getattr(solver_cls, "shape", None),
         )
         # Validate before mutating anything, so a rejected registration
         # leaves the registry exactly as it was.
@@ -163,6 +211,17 @@ def solver_info(name: str) -> SolverInfo:
 def get_solver_class(name: str):
     """Resolve a solver name or alias to its implementing class."""
     return solver_info(name).cls
+
+
+def solver_shape(name: str, n: int, block_size: int, layout: str,
+                 element_size: float) -> SolverShape:
+    """A solver's shape on an ``n``-vertex grid of ``element_size``-byte cells."""
+    info = solver_info(name)
+    if info.shape is None:
+        raise ConfigurationError(
+            f"solver {info.name!r} states no shape, so it cannot be priced")
+    return info.shape(n, block_size, BlockGrid(num_blocks(n, block_size), layout),
+                      element_size)
 
 
 def solver_supports_algebra(solver_name: str, algebra: str) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 from repro.common.timing import Stopwatch
 from repro.core import building_blocks as bb
 from repro.core.base import SparkAPSPSolver
-from repro.core.registry import register_solver
+from repro.core.registry import SolverShape, register_solver
 from repro.linalg.blocks import BlockGrid
 from repro.linalg.semiring import closure_iterations
 from repro.spark.context import SparkContext
@@ -36,6 +36,25 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
     pure = False
     layouts = ("triangular", "full")
     algebras = SparkAPSPSolver.algebras + ("longest-path",)
+
+    @staticmethod
+    def shape(n: int, block_size: int, grid: BlockGrid,
+              element_size: float) -> SolverShape:
+        """An iteration is one column sweep (q per squaring): both roles of
+        every block meet the staged column, reduced into the new one."""
+        q, stored = grid.q, float(grid.count)
+        squarings = max(1, closure_iterations(n))
+        block_bytes = element_size * block_size * block_size
+        products = stored * 2.0
+        column = q * block_bytes
+        contributions = products * block_bytes
+        return SolverShape(
+            solver="repeated-squaring", iterations=q * squarings,
+            stages=2 * q * squarings + squarings + 1, paper_stages=3,
+            bulk_ops=products * float(block_size) ** 3,
+            kernel_calls=products, driver=stored / q, collect=column,
+            sharedfs_write=column, sharedfs_read=contributions,
+            reduce=contributions)
 
     def _run(self, sc: SparkContext, rdd: RDD, n: int, block_size: int,
              grid: BlockGrid, partitioner: Partitioner, stopwatch: Stopwatch):

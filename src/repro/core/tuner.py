@@ -7,8 +7,9 @@ constants are the one in-code table
 :data:`~repro.cluster.fitting.SECONDS_PER_UNIT`; :func:`resolve_auto` prices
 every registry-supported candidate request for the problem at hand with it —
 each resolved by the engine's own :func:`~repro.core.base.resolve_plan` and
-priced on :func:`~repro.cluster.fitting.plan_features` — and rewrites the
-request to the cheapest one.
+priced on :func:`~repro.cluster.fitting.plan_features` from the solver's own
+:class:`~repro.core.registry.SolverShape` — and rewrites the request to the
+cheapest one.  A solver whose class states no shape is left out.
 
 Tuning is deliberately conservative about what it overrides:
 
@@ -33,12 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cluster.fitting import PRICED_SOLVERS, predict_plan_seconds
-from repro.common.config import EngineConfig, default_config
+from repro.cluster.fitting import predict_plan_seconds
+from repro.common.config import BACKENDS, EngineConfig, default_config
 from repro.common.errors import ConfigurationError
 from repro.core.base import (SolvePlan, auto_block_size, input_symmetry,
                              resolve_plan)
-from repro.core.registry import solvers_for
+from repro.core.registry import solver_info, solvers_for
 from repro.core.request import SolveRequest, _RequestView
 from repro.graph import sparse as sparse_mod
 from repro.linalg.algebra import get_algebra
@@ -132,18 +133,18 @@ def choose_config(request: SolveRequest, *, n: int,
     def price(candidate: SolveRequest) -> tuple[float, SolvePlan]:
         plan = resolve_plan(candidate, n, symmetric=symmetric,
                             total_cores=total_cores)
-        return predict_plan_seconds(plan, backend=config.backend,
-                                    total_cores=total_cores), plan
+        return predict_plan_seconds(plan, backend=config.backend), plan
 
     # Layout first (it decides the solver pool); every candidate below
     # derives from this layout-concrete request.
     base = resolve_plan(request, n, symmetric=symmetric,
                         total_cores=total_cores).request
-    # Only the built-in solvers have a priced shape; a solver registered at
-    # runtime is left out of the pool until its registry entry can carry
-    # one (ROADMAP [cost-model] (a)).
+    # A solver is priced from the shape its class states (a subclass
+    # inherits its parent's); one that states none cannot be priced and is
+    # left out of the pool.
     supported = solvers_for(base.algebra, base.layout)
-    solvers = [solver for solver in supported if solver in PRICED_SOLVERS]
+    solvers = [solver for solver in supported
+               if solver_info(solver).shape is not None]
     if not solvers:
         raise ConfigurationError(
             f"solver='auto' has no price for any solver supporting algebra "
@@ -180,9 +181,7 @@ def choose_config(request: SolveRequest, *, n: int,
         predicted, best_plan = default_predicted, default_plan
 
     recommended_backend = min(
-        ("processes", "serial", "threads"),
-        key=lambda b: (predict_plan_seconds(best_plan, backend=b,
-                                            total_cores=total_cores), b))
+        BACKENDS, key=lambda b: (predict_plan_seconds(best_plan, backend=b), b))
     return TunerDecision(
         request=replace(best_plan.request, block_size=best_plan.block_size),
         n=n, backend=config.backend,

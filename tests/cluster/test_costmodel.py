@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.cluster.costmodel import CostModel, SOLVER_NAMES
+from repro.cluster.costmodel import CostModel
 from repro.common.errors import ConfigurationError
+from repro.core.base import SparkAPSPSolver
+from repro.core.registry import (register_solver, solver_catalog, solver_shape,
+                                 unregister_solver)
 
 HOUR = 3600.0
 DAY = 24 * HOUR
@@ -14,8 +17,13 @@ def model() -> CostModel:
     return CostModel()
 
 
+def shape(solver, n, block_size, layout="triangular"):
+    """The registered shape of a float64 solve."""
+    return solver_shape(solver, n, block_size, layout, 8.0)
+
+
 class TestIterationCounts:
-    """Iteration counts must match the 'Iterations' column of Table 2 exactly."""
+    """Shape iteration counts must match the 'Iterations' column of Table 2 exactly."""
 
     @pytest.mark.parametrize("solver,b,expected", [
         ("repeated-squaring", 256, 18432),
@@ -29,11 +37,28 @@ class TestIterationCounts:
         ("blocked-cb", 2048, 128),
     ])
     def test_table2_iteration_column(self, model, solver, b, expected):
-        assert model.iteration_count(solver, 262144, b) == expected
+        assert shape(solver, 262144, b).iterations == expected
+
+    def test_every_builtin_solver_states_a_shape(self):
+        assert {info.name for info in solver_catalog() if info.shape} == \
+            {"repeated-squaring", "fw-2d", "blocked-im", "blocked-cb"}
 
     def test_unknown_solver_rejected(self, model):
-        with pytest.raises(ConfigurationError):
-            model.iteration_count("dijkstra", 1024, 64)
+        with pytest.raises(ConfigurationError, match="unknown solver"):
+            shape("dijkstra", 1024, 64)
+        with pytest.raises(ConfigurationError, match="unknown solver"):
+            model.project("dijkstra", 1024, 64, 16)
+
+    def test_solver_without_a_shape_rejected(self, model):
+        @register_solver
+        class Shapeless(SparkAPSPSolver):
+            name = "shapeless"
+
+        try:
+            with pytest.raises(ConfigurationError, match="shapeless.*no shape"):
+                model.project("shapeless", 1024, 64, 16)
+        finally:
+            unregister_solver("shapeless")
 
 
 class TestProjectionShapes:
@@ -193,9 +218,6 @@ class TestBestBlockSize:
         best = model.best_block_size("blocked-im", 131072, 1024)
         assert best.feasible
         assert best.block_size >= 1024
-
-    def test_solver_names_constant(self):
-        assert set(SOLVER_NAMES) == {"repeated-squaring", "fw-2d", "blocked-im", "blocked-cb"}
 
 
 class TestStorageAwareBlockSize:

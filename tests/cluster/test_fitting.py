@@ -20,6 +20,7 @@ import pytest
 
 from repro.cluster import fitting
 from repro.cluster.costmodel import MINPLUS_RATE
+from repro.common.config import BACKENDS
 from repro.core import registry
 from repro.core.base import resolve_plan
 from repro.core.request import SolveRequest
@@ -61,20 +62,19 @@ def registry_plans(n: int = 48, total_cores: int = 2) -> list:
     return plans
 
 
-@pytest.mark.parametrize("backend", fitting.BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_every_feature_of_a_registered_plan_has_a_rate(backend):
     """The table prices every feature a built-in plan emits, on every backend."""
     plans = registry_plans()
     assert {plan.request.solver for plan in plans} == \
         set(registry.available_solvers())
     for plan in plans:
-        features = fitting.plan_features(plan, backend=backend, total_cores=2)
+        features = fitting.plan_features(plan, backend=backend)
         assert set(features) <= set(fitting.SECONDS_PER_UNIT), plan.request
-        assert fitting.predict_plan_seconds(
-            plan, backend=backend, total_cores=2) > 0.0
+        assert fitting.predict_plan_seconds(plan, backend=backend) > 0.0
 
 
-@pytest.mark.parametrize("backend", fitting.BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_paths_do_not_change_a_plans_features(backend):
     """A paths=True solve is the paths=False one plus a driver-side derive,
     so it is priced the same (no plane doubling)."""
@@ -83,8 +83,8 @@ def test_paths_do_not_change_a_plans_features(backend):
         if not plan.request.paths:
             continue
         bare = replace(plan, request=replace(plan.request, paths=False))
-        assert fitting.plan_features(plan, backend=backend, total_cores=2) \
-            == fitting.plan_features(bare, backend=backend, total_cores=2)
+        assert fitting.plan_features(plan, backend=backend) \
+            == fitting.plan_features(bare, backend=backend)
         priced += 1
     assert priced
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import EngineConfig
 from repro.common.errors import StorageExhaustedError
+from repro.core.registry import solver_shape
 from repro.core import (
     BlockedCollectBroadcastSolver,
     BlockedInMemorySolver,
@@ -130,6 +131,18 @@ class TestResultMetadata:
         assert run(FloydWarshall2DSolver, small_er_graph, block_size=12).iterations == 48
         rs = run(RepeatedSquaringSolver, small_er_graph, block_size=12)
         assert rs.iterations == 6  # ceil(log2(47))
+
+    @pytest.mark.parametrize("solver_cls", ALL_SOLVERS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("layout", ["triangular", "full"])
+    @pytest.mark.parametrize("n,block_size", [(30, 8), (20, 20)],
+                             ids=["ragged", "q1"])
+    def test_shape_states_the_engines_stage_count(self, solver_cls, layout, n,
+                                                  block_size):
+        """The stage count both cost models price is the one a solve runs."""
+        result = run(solver_cls, erdos_renyi_adjacency(n, seed=5),
+                     block_size=block_size, layout=layout)
+        shape = solver_shape(result.solver, n, block_size, layout, 8.0)
+        assert shape.stages == result.metrics["num_stages"]
 
     def test_purity_flags(self, small_er_graph):
         assert run(BlockedInMemorySolver, small_er_graph, block_size=12).pure is True

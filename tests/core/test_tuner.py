@@ -22,12 +22,15 @@ from repro.common.errors import ConfigurationError
 from repro.core import tuner
 from repro.core.engine import APSPEngine
 from repro.core.api import solve_apsp
-from repro.core.blocked_inmemory import BlockedInMemorySolver
+from repro.core.base import SparkAPSPSolver
+from repro.core.blocked_collect_broadcast import BlockedCollectBroadcastSolver
 from repro.core.registry import (register_solver, solver_info, solvers_for,
                                  unregister_solver)
 from repro.core.request import SolveRequest
 from repro.graph.generators import erdos_renyi_adjacency, graph_for_algebra
-from repro.linalg.algebra import available_algebras, get_algebra
+from repro.linalg import algebra as algebra_mod
+from repro.linalg.algebra import (Semiring, available_algebras, get_algebra,
+                                  register_algebra)
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -179,32 +182,65 @@ class TestTunerEdges:
 
 
 class TestRegisteredSolvers:
-    """A solver registered at runtime has no priced shape: ``auto`` leaves
-    it out of the pool instead of failing on it."""
+    """A solver registered at runtime is priced from the shape its class
+    states: a subclass of a built-in inherits its parent's, and a solver that
+    states none is left out of ``auto``'s pool."""
 
-    def test_auto_solves_beside_a_registered_solver(self):
+    def test_subclass_of_a_builtin_is_priced_and_ties_pick_the_builtin(self):
+        adjacency = erdos_renyi_adjacency(48, seed=1)
+        _, before = tuner.resolve_auto(SolveRequest(solver="auto"), adjacency)
+        assert before.solver == "blocked-cb"
+
+        @register_solver
+        class CustomSolver(BlockedCollectBroadcastSolver):
+            name = "custom-cb"
+
+        try:
+            assert solver_info("custom-cb").shape is not None
+            result = solve_apsp(adjacency, solver="auto")
+            _, during = tuner.resolve_auto(SolveRequest(solver="auto"), adjacency)
+        finally:
+            unregister_solver("custom-cb")
+        # Priced: its candidates join the pool.  Each ties with its parent's,
+        # and ties break on the name, so the built-in keeps the choice.
+        assert during.candidates > before.candidates
+        assert during.request == before.request
+        assert during.predicted_seconds == before.predicted_seconds
+        assert result.solver == "blocked-cb"
+        assert np.allclose(result.distances,
+                           solve_apsp(adjacency, solver="blocked-cb").distances)
+
+    def test_solver_without_a_shape_is_left_out(self):
         adjacency = erdos_renyi_adjacency(48, seed=1)
         _, before = tuner.resolve_auto(SolveRequest(solver="auto"), adjacency)
 
         @register_solver
-        class CustomSolver(BlockedInMemorySolver):
-            name = "custom-im"
+        class Shapeless(SparkAPSPSolver):
+            name = "shapeless"
 
         try:
-            assert "custom-im" in solvers_for("shortest-path", "triangular")
-            result = solve_apsp(adjacency, solver="auto")
+            assert "shapeless" in solvers_for("shortest-path", "triangular")
             _, during = tuner.resolve_auto(SolveRequest(solver="auto"), adjacency)
         finally:
-            unregister_solver("custom-im")
+            unregister_solver("shapeless")
         assert during == before
-        assert result.solver == before.solver != "custom-im"
-        assert np.allclose(result.distances,
-                           solve_apsp(adjacency, solver="blocked-cb").distances)
 
     def test_no_priced_candidate_raises_naming_the_solvers(self, monkeypatch):
-        monkeypatch.setattr(tuner, "PRICED_SOLVERS", ())
-        with pytest.raises(ConfigurationError, match="blocked-cb.*fw-2d"):
-            tuner.choose_config(SolveRequest(solver="auto"), n=32, config=CONFIG)
+        monkeypatch.setattr(algebra_mod, "_ALGEBRAS", dict(algebra_mod._ALGEBRAS))
+        register_algebra(Semiring(name="clone", add_op=np.minimum,
+                                  mul_op=np.add, zero=np.inf, one=0.0))
+
+        @register_solver
+        class Shapeless(SparkAPSPSolver):
+            name = "shapeless"
+            algebras = ("clone",)
+
+        try:
+            with pytest.raises(ConfigurationError, match="no price.*shapeless"):
+                tuner.choose_config(SolveRequest(solver="auto", algebra="clone"),
+                                    n=32, config=CONFIG)
+        finally:
+            unregister_solver("shapeless")
 
 
 class TestAutoEndToEnd:

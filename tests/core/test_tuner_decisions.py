@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.common.config import EngineConfig
+from repro.common.config import BACKENDS, EngineConfig
 from repro.core.request import SolveRequest
 from repro.core.tuner import resolve_auto
 from repro.graph.generators import graph_for_algebra
@@ -33,7 +33,6 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "tuner_decisions.tsv")
 
 SIZES = (48, 256, 768, 1024, 1536)
 FORMS = ("dense", "csr")
-BACKENDS = ("serial", "threads", "processes")
 KEY = ("algebra", "n", "directed", "form", "backend")
 DECISION = ("solver", "block_size", "storage", "layout", "recommended_backend")
 WALLS = ("predicted_seconds", "default_predicted_seconds")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import APSPEngine, SolveRequest
-from repro.common.config import EngineConfig
+from repro.common.config import BACKENDS, EngineConfig
 from repro.core.registry import solver_catalog
 from repro.graph import erdos_renyi_adjacency
 from repro.sequential import floyd_warshall_reference
@@ -25,7 +25,6 @@ from repro.spark.metrics import STAGE_RECORDS_KEPT
 
 N, B = 96, 32           # fw-2d runs N + 2 stages per solve: 3 solves overrun the window
 SOLVES = 3
-BACKENDS = ("serial", "threads", "processes")
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.common.config import EngineConfig
+from repro.common.config import BACKENDS, EngineConfig
 from repro.common.errors import SolverError
 from repro.core.engine import APSPEngine
 from repro.core.request import SolveRequest
@@ -25,7 +25,6 @@ from repro.spark.metrics import EngineMetrics
 from repro.spark.remote import RemoteTask, is_picklable, pack_payload, run_remote
 from repro.spark.scheduler import TaskScheduler
 
-BACKENDS = ("serial", "threads", "processes")
 
 
 def _config(backend):
