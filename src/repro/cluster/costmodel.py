@@ -149,28 +149,6 @@ def update_break_even(n: int, *, algebra=None, dtype: str | None = None,
     return max(1, int(resolve / per_edge))
 
 
-def predicted_task_seconds(n: int, block_size: int, *,
-                           num_partitions: int | None = None,
-                           algebra=None, dtype: str | None = None,
-                           storage: str | None = None) -> float:
-    """Estimated wall seconds of one stage task (one partition's block kernels).
-
-    The scheduler's *soft* task timeout is this prediction times
-    :data:`~repro.spark.scheduler.SOFT_TIMEOUT_MULTIPLIER`: an attempt
-    running far past the modelled kernel time is a straggler and worth
-    speculating against.  The estimate is deliberately simple — blocks per
-    partition × the paper's per-block min-plus product time, scaled by
-    element width — because it only needs to be the right order of
-    magnitude (the scheduler floors the derived timeout well above any
-    test-scale task wall).
-    """
-    q = num_blocks(n, block_size)
-    parts = max(1, int(num_partitions) if num_partitions else 1)
-    blocks_per_task = max(1.0, float(q) * q / parts)
-    per_block = float(block_size) ** 3 / MINPLUS_RATE
-    return blocks_per_task * per_block * element_bytes(algebra, dtype, storage) / 8.0
-
-
 @dataclass
 class IterationEstimate:
     """Breakdown of one outer iteration of a solver."""

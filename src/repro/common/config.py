@@ -55,13 +55,16 @@ class EngineConfig:
         A policy with the default seed 0 is re-seeded deterministically from
         :attr:`seed` by the scheduler so distinct engine sessions decorrelate.
     task_timeout_seconds:
-        Explicit soft per-task timeout.  ``None`` derives it from the cost
-        model's predicted task wall (see
-        :data:`~repro.spark.scheduler.SOFT_TIMEOUT_MULTIPLIER`) when a solver
-        publishes a prediction; without either, no soft timeout.
+        Explicit soft per-task timeout, armed from a stage's start.  ``None``
+        derives it per stage from the walls of the stage's finished tasks
+        (:data:`~repro.spark.scheduler.SOFT_TIMEOUT_MULTIPLIER` × their
+        median, floored at
+        :data:`~repro.spark.scheduler.MIN_DERIVED_SOFT_TIMEOUT`), armed once
+        one task has finished, so a one-task stage is never speculated.
     speculation:
-        Launch a speculative copy of a task whose soft timeout expired
-        (``threads``/``processes`` backends); first result wins.
+        Launch one speculative copy of a task whose soft timeout expired, on
+        the stage's own pool (``threads``/``processes`` backends); first
+        result wins.
     stage_timeout_seconds:
         Hard deadline for one stage.  Expiry raises a diagnosable
         :class:`~repro.common.errors.TaskTimeoutError` instead of hanging.

@@ -13,7 +13,6 @@ import numpy as np
 from repro.common.config import EngineConfig, default_config
 from repro.common.errors import ConfigurationError, SolverError
 from repro.common.timing import Stopwatch
-from repro.cluster.costmodel import predicted_task_seconds
 from repro.core.request import SolveRequest, _RequestView
 from repro.graph import sparse as sparse_mod
 from repro.graph.adjacency import is_symmetric_adjacency, validate_adjacency
@@ -328,17 +327,9 @@ class SparkAPSPSolver:
             with stopwatch.section("setup"):
                 records = list(plan.block_records())
                 rdd = sc.parallelize(records, partitioner=partitioner).cache()
-            # Publish the cost model's predicted per-task wall for the solve:
-            # the scheduler derives its soft (speculation) timeout from it.
-            wall_hint = predicted_task_seconds(
-                plan.n, plan.block_size,
-                num_partitions=partitioner.num_partitions,
-                algebra=request.algebra, dtype=request.dtype,
-                storage=request.storage)
-            with sc.scheduler.task_wall_hint(wall_hint):
-                result_blocks, iterations = self._run(
-                    sc, rdd, plan.n, plan.block_size, plan.grid,
-                    partitioner, stopwatch)
+            result_blocks, iterations = self._run(
+                sc, rdd, plan.n, plan.block_size, plan.grid,
+                partitioner, stopwatch)
             with stopwatch.section("gather"):
                 if isinstance(result_blocks, RDD):
                     result_blocks = result_blocks.collect()

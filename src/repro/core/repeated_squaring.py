@@ -40,12 +40,14 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
     @staticmethod
     def shape(n: int, block_size: int, grid: BlockGrid,
               element_size: float) -> SolverShape:
-        """An iteration is one column sweep (q per squaring): both roles of
-        every block meet the staged column, reduced into the new one."""
+        """An iteration is one column sweep (q per squaring).  A sweep
+        computes only the column's stored output blocks, q products each:
+        ``stored`` products on average over the q sweeps, on both layouts.
+        Each product reads one staged block and is reduced into the column."""
         q, stored = grid.q, float(grid.count)
         squarings = max(1, closure_iterations(n))
         block_bytes = element_size * block_size * block_size
-        products = stored * 2.0
+        products = stored
         column = q * block_bytes
         contributions = products * block_bytes
         return SolverShape(

@@ -15,6 +15,7 @@ from repro.cluster.costmodel import NODE_CORES, NUM_NODES, CostModel
 from repro.common.config import EngineConfig
 from repro.common.timing import format_seconds
 from repro.core.engine import APSPEngine
+from repro.core.registry import solver_shape
 from repro.core.request import SolveRequest
 from repro.graph.generators import erdos_renyi_adjacency
 
@@ -59,7 +60,9 @@ def run_measured(*, n: int = 160, block_sizes=(16, 32, 64), solvers=SOLVERS,
 
     The full solve is executed (so results stay verifiable); the single-iteration
     time is the total divided by the iteration count, mirroring how the paper's
-    per-iteration numbers relate to its projected totals.
+    per-iteration numbers relate to its projected totals.  The count is the
+    solver shape's, as in the projected rows: repeated squaring's iteration
+    is one column sweep, q per squaring.
     """
     config = config or EngineConfig(backend="serial", num_executors=4, cores_per_executor=2)
     adjacency = erdos_renyi_adjacency(n, seed=seed)
@@ -72,14 +75,17 @@ def run_measured(*, n: int = 160, block_sizes=(16, 32, 64), solvers=SOLVERS,
                         solver=solver, block_size=block_size, partitioner=partitioner,
                         partitions_per_core=PAPER_B_FACTOR))
                     elapsed = result.elapsed_seconds
-                    single = elapsed / max(1, result.iterations)
+                    iterations = solver_shape(
+                        solver, n, result.block_size, result.layout,
+                        result.distances.itemsize).iterations
+                    single = elapsed / iterations
                     rows.append({
                         "method": solver,
                         "partitioner": partitioner,
                         "block_size": block_size,
-                        "iterations": result.iterations,
+                        "iterations": iterations,
                         "single_seconds": single,
-                        "projected_seconds": single * result.iterations,
+                        "projected_seconds": single * iterations,
                         "total_seconds": elapsed,
                         "shuffle_bytes": result.metrics.get("shuffle_bytes", 0),
                         "collect_bytes": result.metrics.get("collect_bytes", 0),

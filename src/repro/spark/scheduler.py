@@ -34,10 +34,12 @@ Three failure classes are survived per attempt:
   recomputation here, because every task's input was materialized on the
   driver when the stage was built.  Counted as ``worker_restarts`` /
   ``tasks_recomputed``.
-* **Stragglers** — when a soft per-task timeout is known (explicit config, or
-  the cost model's predicted task wall × :data:`SOFT_TIMEOUT_MULTIPLIER`), an
-  attempt that overruns it races a speculative copy; first result wins and
-  the loser is cancelled (threads can't be killed, so a *running* loser is
+* **Stragglers** — the stage's wait loop watches every task's current
+  attempt.  An attempt running past the soft timeout (explicit config, else
+  :data:`SOFT_TIMEOUT_MULTIPLIER` × the median wall of the stage's finished
+  tasks, as Spark's task-set manager does, armed once one has finished) gets
+  one speculative copy on the same pool; the first result wins and the
+  loser is cancelled (threads can't be killed, so a *running* loser is
   simply discarded when it finishes).  A hard stage deadline
   (``stage_timeout_seconds``) instead fails fast with a diagnosable
   :class:`~repro.common.errors.TaskTimeoutError`.
@@ -50,15 +52,15 @@ Three failure classes are survived per attempt:
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
+import statistics
 import sys
 import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor, wait)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 from repro.common.config import EngineConfig
@@ -74,13 +76,13 @@ from repro.spark.remote import RemoteTask, pack_payload, run_packed
 #: Kept as the default of :class:`~repro.common.retry.BackoffPolicy.max_attempts`.
 MAX_TASK_ATTEMPTS = 4
 
-#: Floor for a soft timeout derived from a cost-model hint: local task walls
-#: for test-sized problems are sub-millisecond, and speculating on them would
+#: Floor for a soft timeout derived from sibling tasks: local task walls for
+#: test-sized problems are sub-millisecond, and speculating on them would
 #: double work for nothing.  Only genuine stalls should trip the derived
 #: timeout; an explicit ``task_timeout_seconds`` is honoured verbatim.
 MIN_DERIVED_SOFT_TIMEOUT = 0.25
 
-#: Factor applied to the cost model's predicted per-task wall to obtain the
+#: Factor applied to the median wall of a stage's finished tasks to obtain the
 #: soft timeout (stragglers slower than this trigger speculation).
 SOFT_TIMEOUT_MULTIPLIER = 4.0
 
@@ -120,8 +122,8 @@ class _Once:
     delivered the result, racing the driver that already holds it.  Clearing the
     call while it runs means a finished stage holds nothing of its tasks, so
     an RDD (and the shuffle buckets its finalizer releases) dies as soon as
-    the driver drops it.  A speculated copy still running keeps its task
-    until it finishes.
+    the driver drops it.  An attempt that lost a speculation race and is
+    still running keeps its task until it finishes.
     """
 
     __slots__ = ("fn", "args")
@@ -152,12 +154,9 @@ class TaskScheduler:
         self.retry = retry
         self._stage_counter = 0
         self._pool: ThreadPoolExecutor | None = None
-        self._spec_pool: ThreadPoolExecutor | None = None
-        self._spec_pool_lock = threading.Lock()
         self._proc_pool: ProcessPoolExecutor | None = None
         self._proc_pool_lock = threading.Lock()
         self._proc_pool_generation = 0
-        self._task_wall_hint: float | None = None
         self._repair_hooks: list[Callable[[StagingError], bool]] = []
         self._abandoned = False
         if config.backend in ("threads", "processes"):
@@ -176,7 +175,11 @@ class TaskScheduler:
         Worker startup (forkserver/spawn imports the package) is paid once per
         pool *generation*; a pool broken by worker death is retired (see
         :meth:`_retire_process_pool`) and the next dispatch builds a fresh one
-        here — the recovery half of worker-crash tolerance.
+        here — the recovery half of worker-crash tolerance.  Each worker
+        imports the package before it takes a task, so a worker still
+        starting holds no task: otherwise it would import while unpickling
+        its first one, which would look like a straggler beside siblings run
+        by a worker that was already up.
         """
         with self._proc_pool_lock:
             if self._proc_pool is None:
@@ -184,7 +187,8 @@ class TaskScheduler:
                 workers = max(1, min(self.config.total_cores,
                                      max(2, os.cpu_count() or 1)))
                 self._proc_pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=_mp_context())
+                    max_workers=workers, mp_context=_mp_context(),
+                    initializer=importlib.import_module, initargs=("repro",))
             return self._proc_pool
 
     def _retire_process_pool(self, generation: int) -> None:
@@ -203,31 +207,7 @@ class TaskScheduler:
         self.metrics.worker_restarted()
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _speculation_pool(self) -> ThreadPoolExecutor:
-        """Threads hosting speculated attempts (primary + copy per task)."""
-        with self._spec_pool_lock:
-            if self._spec_pool is None:
-                workers = 2 * max(1, self.config.total_cores)
-                self._spec_pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="apspark-spec")
-            return self._spec_pool
-
-    # ------------------------------------------------------------------ hints/hooks
-    @contextmanager
-    def task_wall_hint(self, seconds: float | None):
-        """Scope a cost-model prediction of one task's wall time.
-
-        Solvers publish their per-task estimate around a solve; the scheduler
-        derives the soft (speculation) timeout from it.  Nested scopes
-        restore the previous hint on exit.
-        """
-        previous = self._task_wall_hint
-        self._task_wall_hint = seconds if seconds and seconds > 0 else None
-        try:
-            yield
-        finally:
-            self._task_wall_hint = previous
-
+    # ------------------------------------------------------------------ hooks
     def add_repair_hook(self, hook: Callable[[StagingError], bool]) -> None:
         """Register a driver-side repairer for worker-reported staging losses."""
         self._repair_hooks.append(hook)
@@ -242,15 +222,23 @@ class TaskScheduler:
                 continue
         return False
 
-    def _soft_timeout(self) -> float | None:
-        """Per-task soft timeout: explicit config, else derived from the hint."""
+    def _soft_timeout(self, walls: Sequence[float]) -> float | None:
+        """The stage's soft per-task timeout; ``None`` while it is unarmed.
+
+        An explicit ``task_timeout_seconds`` holds as given.  Otherwise the
+        timeout is :data:`SOFT_TIMEOUT_MULTIPLIER` × the median of ``walls``
+        (the stage's finished tasks), floored at
+        :data:`MIN_DERIVED_SOFT_TIMEOUT`, so it arms once one task of the
+        stage has finished: a one-task stage has no sibling to measure.
+        """
+        if not self.config.speculation:
+            return None
         if self.config.task_timeout_seconds is not None:
             return self.config.task_timeout_seconds
-        hint = self._task_wall_hint
-        if hint is None:
+        if not walls:
             return None
         return max(MIN_DERIVED_SOFT_TIMEOUT,
-                   hint * SOFT_TIMEOUT_MULTIPLIER)
+                   SOFT_TIMEOUT_MULTIPLIER * statistics.median(walls))
 
     # ------------------------------------------------------------------ execution
     def _invoke(self, task: Callable[[], object]) -> object:
@@ -305,49 +293,15 @@ class TaskScheduler:
             f"injected worker crash for task {task_id} (simulated executor loss)",
             task_id=task_id)
 
-    def _execute_attempt(self, task: Callable[[], object], task_id: int,
-                         delay: float) -> object:
-        """One attempt, with straggler injection and optional speculation."""
-        soft = self._soft_timeout()
-        if (soft is None or not self.config.speculation or self._pool is None):
-            if delay > 0.0:
-                time.sleep(delay)
-            return self._invoke(task)
-        return self._speculative_invoke(task, delay, soft)
+    def _run_task(self, task: Callable[[], object],
+                  started: list | None = None, index: int = 0) -> object:
+        """Run a single task with fault injection, backoff, and retry.
 
-    def _speculative_invoke(self, task: Callable[[], object], delay: float,
-                            soft: float) -> object:
-        """Race a straggling attempt against a speculative copy; first wins.
-
-        The loser is cancelled if still queued; a loser already *running*
-        cannot be killed (threads), so it finishes in the speculation pool
-        and its result is discarded — the cost of speculation, as in Spark.
+        Each attempt stamps the start of its work (the injected straggler
+        delay, then the task) into ``started[index]`` when given: the stage's
+        wait loop measures the soft timeout from it.  Injected failures and
+        crashes happen before the stamp, so no copy races them.
         """
-        pool = self._speculation_pool()
-
-        def primary() -> object:
-            """The original attempt (carries any injected straggler delay)."""
-            if delay > 0.0:
-                time.sleep(delay)
-            return self._invoke(task)
-
-        first = pool.submit(_Once(primary))
-        try:
-            return first.result(timeout=soft)
-        except FuturesTimeoutError:
-            pass
-        self.metrics.speculation_launched()
-        second = pool.submit(_Once(self._invoke, task))
-        done, _pending = wait([first, second], return_when=FIRST_COMPLETED)
-        if first in done:
-            second.cancel()
-            return first.result()
-        self.metrics.speculation_won()
-        first.cancel()
-        return second.result()
-
-    def _run_task(self, task: Callable[[], object]) -> object:
-        """Run a single task with fault injection, backoff, and retry."""
         task_id = self.faults.next_task_id()
         last_error: Exception | None = None
         attempts = max(1, self.retry.max_attempts)
@@ -355,6 +309,8 @@ class TaskScheduler:
             try:
                 self.metrics.task_launched()
                 if attempt > 0:
+                    if started is not None:
+                        started[index] = None
                     self.metrics.task_retried()
                     if isinstance(last_error, (WorkerCrashError, StagingError)):
                         # Re-running after lost work *is* the lineage
@@ -365,7 +321,11 @@ class TaskScheduler:
                 if self.faults.crash_requested(task_id, attempt):
                     self._injected_crash(task_id)
                 delay = self.faults.delay_requested(task_id, attempt)
-                return self._execute_attempt(task, task_id, delay)
+                if started is not None:
+                    started[index] = time.monotonic()
+                if delay > 0.0:
+                    time.sleep(delay)
+                return self._invoke(task)
             except FaultInjectedError as exc:
                 self.metrics.task_failed()
                 last_error = exc
@@ -386,47 +346,92 @@ class TaskScheduler:
         raise SolverError(
             f"task {task_id} failed {attempts} times") from last_error
 
-    def _gather(self, futures: Sequence[Future], *, kind: str,
-                deadline: float | None, total: int) -> list:
-        """Collect every future's result, then re-raise the first failure.
+    def _gather(self, kind: str, tasks: Sequence[Callable[[], object]],
+                deadline: float | None) -> list:
+        """Run a stage's tasks on the pool, speculate on stragglers, collect.
 
-        Waiting on *all* futures before raising keeps the stage
-        exception-safe: sibling tasks finish (or fail) and record their
-        metrics, no work is left running unobserved in the pool, and the
-        executor is immediately reusable for the next stage.  The one
-        exception is the hard stage deadline: blowing it abandons the stage
-        immediately (queued tasks cancelled, the scheduler marked so
-        :meth:`shutdown` will not wait on hung threads) and raises a
-        diagnosable :class:`TaskTimeoutError`.
+        The one place that watches a stage: it waits for the first attempt
+        to finish, or for the next soft or hard deadline.  An attempt running
+        past :meth:`_soft_timeout` (measured from the start ``_run_task``
+        stamped) gets one copy on the same pool.  A task is decided by its
+        first successful attempt, or by its primary failing (after its own
+        retries); a copy's failure decides nothing.  A queued loser is
+        cancelled, a running one is discarded when it finishes.  Every task
+        is decided before the first failure (in task order) is raised, so
+        sibling tasks finish and record their metrics and the pool is free
+        for the next stage.  The exception is
+        the hard stage deadline: blowing it abandons the stage (queued
+        attempts cancelled, the scheduler marked so :meth:`shutdown` will
+        not wait on hung threads) and raises a diagnosable
+        :class:`TaskTimeoutError`.
         """
-        results: list = []
-        first_error: Exception | None = None
-        completed = 0
-        for future in futures:
-            try:
-                if deadline is None:
-                    results.append(future.result())
-                else:
-                    remaining = deadline - time.monotonic()
-                    results.append(future.result(timeout=max(0.0, remaining)))
-                completed += 1
-            except FuturesTimeoutError:
-                for pending in futures:
-                    pending.cancel()
+        started: list[float | None] = [None] * len(tasks)
+        primaries = [self._pool.submit(_Once(self._run_task, task, started, index))
+                     for index, task in enumerate(tasks)]
+        live = {future: index for index, future in enumerate(primaries)}
+        copies: dict[int, tuple[float, Future]] = {}    # index -> (launched, copy)
+        outcomes: dict[int, tuple[bool, object]] = {}   # index -> (ok, result/error)
+        walls: list[float] = []
+        # An explicit timeout holds from the start.  A derived one arms when
+        # the first task finishes, and an attempt begun earlier is timed from
+        # then: whatever slowed it (a worker starting up) slowed that task too.
+        armed = 0.0 if self.config.task_timeout_seconds is not None else None
+        while len(outcomes) < len(tasks):
+            now = time.monotonic()
+            wake = deadline
+            soft = self._soft_timeout(walls)
+            if soft is not None:
+                for index, start in enumerate(started):
+                    if index in outcomes or index in copies:
+                        continue
+                    if start is not None and now - max(start, armed) >= soft:
+                        self.metrics.speculation_launched()
+                        copy = self._pool.submit(_Once(self._invoke, tasks[index]))
+                        copies[index] = (now, copy)
+                        live[copy] = index
+                        continue
+                    # A queued task starts no earlier than now.
+                    due = (now if start is None else max(start, armed)) + soft
+                    wake = due if wake is None else min(wake, due)
+            done, _ = wait(live, return_when=FIRST_COMPLETED,
+                           timeout=None if wake is None else max(0.0, wake - now))
+            if not done and deadline is not None and time.monotonic() >= deadline:
+                for future in live:
+                    future.cancel()
                 self.metrics.task_timed_out()
                 self._abandoned = True
                 timeout = self.config.stage_timeout_seconds
                 raise TaskTimeoutError(
                     f"stage {kind!r} exceeded its hard timeout of {timeout}s "
-                    f"with {completed}/{total} tasks complete",
-                    stage_kind=kind, completed=completed, total=total,
-                    timeout_seconds=timeout) from None
-            except Exception as exc:  # noqa: BLE001 — re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return results
+                    f"with {len(outcomes)}/{len(tasks)} tasks complete",
+                    stage_kind=kind, completed=len(outcomes), total=len(tasks),
+                    timeout_seconds=timeout)
+            finished = time.monotonic()
+            for future in done:
+                index = live.pop(future, None)
+                if index is None:                   # a loser let go below
+                    continue
+                launched, copy = copies.get(index, (None, None))
+                is_copy = future is copy
+                error = future.exception()
+                if error is not None and is_copy:
+                    continue                        # the primary retries on its own
+                if error is not None:
+                    outcomes[index] = (False, error)
+                else:
+                    outcomes[index] = (True, future.result())
+                    walls.append(finished - (launched if is_copy else started[index]))
+                    armed = finished if armed is None else armed
+                    if is_copy:
+                        self.metrics.speculation_won()
+                loser = primaries[index] if is_copy else copy
+                if loser is not None and live.pop(loser, None) is not None:
+                    loser.cancel()
+        for index in range(len(tasks)):
+            ok, value = outcomes[index]
+            if not ok:
+                raise value
+        return [outcomes[index][1] for index in range(len(tasks))]
 
     def run_stage(self, kind: str, tasks: Sequence[Callable[[], object]]) -> list:
         """Run all ``tasks`` and return their results in order."""
@@ -436,12 +441,8 @@ class TaskScheduler:
         deadline = (time.monotonic() + hard) if hard is not None else None
         start = time.perf_counter()
         try:
-            if not tasks:
-                results: list = []
-            elif self._pool is not None and len(tasks) > 1:
-                futures = [self._pool.submit(_Once(self._run_task, task)) for task in tasks]
-                results = self._gather(futures, kind=kind, deadline=deadline,
-                                       total=len(tasks))
+            if self._pool is not None:
+                results = self._gather(kind, tasks, deadline)
             else:
                 results = []
                 for index, task in enumerate(tasks):
@@ -463,16 +464,13 @@ class TaskScheduler:
     def shutdown(self) -> None:
         """Stop worker pools and release scheduler resources.
 
-        Always reaps all three pools (coordination threads, speculation
-        threads, worker processes).  After a hard-timeout abandonment the
-        thread pools are shut down without waiting — a genuinely hung task
-        must not be able to block ``stop()``; queued work is cancelled either
-        way.
+        Always reaps both pools (task threads, worker processes), so it
+        waits for a speculated loser still running.  After a hard-timeout
+        abandonment the thread pool is shut down without waiting — a
+        genuinely hung task must not be able to block ``stop()``; queued work
+        is cancelled either way.
         """
         waits = not self._abandoned
-        if self._spec_pool is not None:
-            self._spec_pool.shutdown(wait=waits, cancel_futures=True)
-            self._spec_pool = None
         if self._pool is not None:
             self._pool.shutdown(wait=waits, cancel_futures=True)
             self._pool = None

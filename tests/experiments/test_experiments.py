@@ -94,6 +94,16 @@ class TestTable2:
             assert row["single_seconds"] > 0
             assert row["total_seconds"] >= row["single_seconds"]
 
+    def test_measured_repeated_squaring_counts_column_sweeps(self):
+        # q = 5 column sweeps per squaring, ceil(log2(39)) = 6 squarings: the
+        # projected rows' count, not the squarings the solve reports.
+        rows = table2.run_measured(n=40, block_sizes=(8,),
+                                   solvers=("repeated-squaring",))
+        projected = table2.run_projected(n=40, block_sizes=(8,), partitioners=("MD",),
+                                         solvers=("repeated-squaring",))
+        assert rows[0]["iterations"] == projected[0]["iterations"] == 30
+        assert rows[0]["single_seconds"] == pytest.approx(rows[0]["total_seconds"] / 30)
+
 
 class TestTable3Figure5:
     def test_projected_structure(self):

@@ -9,6 +9,7 @@ by speculative copies; a hard stage deadline fails fast with a diagnosable
 shared deterministic backoff policy.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -20,11 +21,11 @@ from repro.common.retry import BackoffPolicy
 from repro.core.engine import APSPEngine
 from repro.core.request import SolveRequest
 from repro.graph.generators import erdos_renyi_adjacency
+from repro.sequential import floyd_warshall_reference
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultInjector, FaultPlan
 from repro.spark.metrics import EngineMetrics
-from repro.spark.scheduler import (MIN_DERIVED_SOFT_TIMEOUT, SOFT_TIMEOUT_MULTIPLIER,
-                                   TaskScheduler)
+from repro.spark.scheduler import MIN_DERIVED_SOFT_TIMEOUT, TaskScheduler
 
 N = 48
 REQUEST = SolveRequest(solver="blocked-cb", block_size=16)
@@ -149,26 +150,107 @@ class TestBackoffIntegration:
 
 
 class TestTimeoutsAndSpeculation:
-    def test_soft_timeout_explicit_config_wins(self):
-        config = _config("threads", task_timeout_seconds=0.01)
-        scheduler = TaskScheduler(config, EngineMetrics())
-        try:
-            with scheduler.task_wall_hint(5.0):
-                assert scheduler._soft_timeout() == 0.01
-        finally:
-            scheduler.shutdown()
+    def test_delayed_task_copy_waits_for_the_derived_floor(self):
+        """Fast siblings arm the soft timeout; it never drops below the floor."""
+        calls = []
 
-    def test_derived_soft_timeout_is_floored(self):
-        scheduler = TaskScheduler(_config("threads"), EngineMetrics())
+        def straggler():
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                time.sleep(1.0)          # only the first execution straggles
+            return "slow"
+
+        metrics = EngineMetrics()
+        scheduler = TaskScheduler(_config("threads"), metrics)
         try:
-            assert scheduler._soft_timeout() is None
-            with scheduler.task_wall_hint(1e-6):
-                assert scheduler._soft_timeout() == MIN_DERIVED_SOFT_TIMEOUT
-            with scheduler.task_wall_hint(10.0):
-                assert scheduler._soft_timeout() == pytest.approx(
-                    10.0 * SOFT_TIMEOUT_MULTIPLIER)
+            start = time.perf_counter()
+            results = scheduler.run_stage("unit", [straggler, lambda: 1, lambda: 2])
+            elapsed = time.perf_counter() - start
         finally:
             scheduler.shutdown()
+        assert results == ["slow", 1, 2]
+        assert len(calls) == 2
+        assert calls[1] - calls[0] >= MIN_DERIVED_SOFT_TIMEOUT
+        assert elapsed < 1.0
+        snap = metrics.as_dict()
+        assert (snap["speculative_launched"], snap["speculative_wins"]) == (1, 1)
+
+    def test_failed_copy_leaves_the_primary_to_finish(self):
+        calls = []
+
+        def straggler():
+            calls.append(None)
+            if len(calls) == 1:
+                time.sleep(0.5)
+                return "primary"
+            raise RuntimeError("the copy's executor is gone")
+
+        metrics = EngineMetrics()
+        scheduler = TaskScheduler(_config("threads", task_timeout_seconds=0.05),
+                                  metrics)
+        try:
+            assert scheduler.run_stage("unit", [straggler, lambda: 1]) == ["primary", 1]
+        finally:
+            scheduler.shutdown()
+        snap = metrics.as_dict()
+        assert (snap["speculative_launched"], snap["speculative_wins"]) == (1, 0)
+
+    def test_uniformly_slow_tasks_launch_no_copy(self):
+        """The derived timeout scales with the siblings: equal walls never trip it."""
+        def slow():
+            time.sleep(0.4)
+            return 3
+
+        metrics = EngineMetrics()
+        scheduler = TaskScheduler(_config("threads"), metrics)
+        try:
+            assert scheduler.run_stage("unit", [slow, slow]) == [3, 3]
+        finally:
+            scheduler.shutdown()
+        assert metrics.as_dict()["speculative_launched"] == 0
+
+    @pytest.mark.parametrize("explicit", [None, 0.05])
+    def test_one_task_stage_speculates_only_under_an_explicit_timeout(self, explicit):
+        calls = []
+
+        def straggler():
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                time.sleep(0.4)
+            return 5
+
+        metrics = EngineMetrics()
+        scheduler = TaskScheduler(_config("threads", task_timeout_seconds=explicit),
+                                  metrics)
+        try:
+            assert scheduler.run_stage("unit", [straggler]) == [5]
+        finally:
+            scheduler.shutdown()
+        assert metrics.as_dict()["speculative_launched"] == (explicit is not None)
+
+    def test_attempts_run_on_the_stage_pool(self):
+        """An armed soft timeout sends no attempt through a second pool."""
+        config = _config("threads", task_timeout_seconds=5.0)
+        scheduler = TaskScheduler(config, EngineMetrics())
+
+        def name():
+            return threading.current_thread().name
+
+        try:
+            names = scheduler.run_stage("unit", [name, name])
+        finally:
+            scheduler.shutdown()
+        assert all(thread.startswith("apspark-exec") for thread in names), names
+
+    def test_first_processes_solve_launches_no_copy(self):
+        """Worker-pool start-up slows every task alike, so nothing is speculated."""
+        config = EngineConfig(backend="processes", num_executors=2,
+                              cores_per_executor=1)
+        adjacency = erdos_renyi_adjacency(64, seed=5)
+        with APSPEngine(config) as engine:
+            result = engine.solve(adjacency, REQUEST)
+        assert np.allclose(result.distances, floyd_warshall_reference(adjacency))
+        assert result.metrics["speculative_launched"] == 0
 
     def test_straggler_loses_to_speculative_copy(self):
         """A delayed first execution trips the soft timeout; the copy wins."""
@@ -254,11 +336,9 @@ class TestSchedulerLifecycle:
     def test_stop_reaps_all_pools(self):
         scheduler = TaskScheduler(_config("processes"), EngineMetrics())
         scheduler.run_stage("warm", [lambda: 1, lambda: 2])
-        scheduler._speculation_pool()
         scheduler._process_pool()
         scheduler.shutdown()
         assert scheduler._pool is None
-        assert scheduler._spec_pool is None
         assert scheduler._proc_pool is None
 
     def test_shutdown_is_idempotent(self):
