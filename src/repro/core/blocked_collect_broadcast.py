@@ -71,8 +71,9 @@ class BlockedCollectBroadcastSolver(SparkAPSPSolver):
             # ---- Phase 2: update block-row/column of the pivot -----------------
             with stopwatch.section("phase2-rowcol"):
                 rowcol = current.filter(bb.off_diagonal_in_row_or_column(pivot)) \
-                    .map_preserving(
-                        _Phase2Update(pivot, shared_fs, diag_path, algebra)).cache()
+                    .mapPartitions(
+                        _Phase2Update(pivot, shared_fs, diag_path, algebra),
+                        preserves_partitioning=True).cache()
                 rowcol_records = rowcol.collect()
                 rowcol_paths = {
                     key: shared_fs.write(f"cb-it{pivot}-rowcol-{key}", block)
@@ -82,9 +83,10 @@ class BlockedCollectBroadcastSolver(SparkAPSPSolver):
             # ---- Phase 3: update the remaining blocks ---------------------------
             with stopwatch.section("phase3-remaining"):
                 others = current.filter(bb.not_in_block_row_or_column(pivot)) \
-                    .map_preserving(
+                    .mapPartitions(
                         _Phase3Update(grid, pivot, shared_fs, rowcol_paths,
-                                      algebra))
+                                      algebra),
+                        preserves_partitioning=True)
 
             # ---- Reassemble A ---------------------------------------------------
             with stopwatch.section("repartition"):
@@ -95,11 +97,13 @@ class BlockedCollectBroadcastSolver(SparkAPSPSolver):
 
 
 class _Phase2Update:
-    """Update a row/column block against the staged pivot block (``MinPlus``).
+    """Update a partition's row/column blocks against the staged pivot block (``MinPlus``).
 
     A callable class rather than a closure so the ``processes`` backend can
     pickle the update (together with the shared-filesystem handle and the
-    semiring, which pickles by name) into a worker process.
+    semiring, which pickles by name) into a worker process.  It runs once
+    per partition, so the task decodes the pivot block once, not once per
+    record.
     """
 
     __slots__ = ("pivot", "shared_fs", "diag_path", "algebra")
@@ -111,24 +115,23 @@ class _Phase2Update:
         self.diag_path = diag_path
         self.algebra = get_algebra(algebra)
 
-    def __call__(self, record):
-        (_, j), _ = record
-        diag_block = self.shared_fs.read(self.diag_path)
-        if j == self.pivot:
-            # Column block A_{i, pivot}: right-multiply by the pivot closure.
-            return bb.min_plus(record, diag_block, other_on_left=False,
-                               algebra=self.algebra)
-        # Row block A_{pivot, j}: left-multiply.
-        return bb.min_plus(record, diag_block, other_on_left=True,
-                           algebra=self.algebra)
+    def __call__(self, records) -> list:
+        read = self.shared_fs.task_reader()
+        # A column block A_{i, pivot} is right-multiplied by the pivot
+        # closure, a row block A_{pivot, j} left-multiplied.
+        return [bb.min_plus((key, block), read(self.diag_path),
+                            other_on_left=key[1] != self.pivot,
+                            algebra=self.algebra)
+                for key, block in records]
 
 
 class _Phase3Update:
-    """Update an off-pivot block with ``A_IJ ⊕ (A_It ⊗ A_tJ)`` read from shared storage.
+    """Update a partition's off-pivot blocks with ``A_IJ ⊕ (A_It ⊗ A_tJ)`` from shared storage.
 
     Picklable for the same reason as :class:`_Phase2Update` — phase 3 is the
     O(q²) bulk of every iteration and the main beneficiary of true
-    multi-core execution.
+    multi-core execution.  A task decodes each staged row/column block once,
+    however many of its records use it.
     """
 
     __slots__ = ("grid", "pivot", "shared_fs", "rowcol_paths", "algebra")
@@ -142,14 +145,15 @@ class _Phase3Update:
         self.rowcol_paths = rowcol_paths
         self.algebra = get_algebra(algebra)
 
-    def _fetch_oriented(self, row: int, col: int) -> np.ndarray:
-        """Return ``A_{row, col}`` where exactly one of row/col equals the pivot."""
-        key, transposed = self.grid.locate(row, col)
-        block = self.shared_fs.read(self.rowcol_paths[key])
-        return block.T if transposed else block
+    def __call__(self, records) -> list:
+        read = self.shared_fs.task_reader()
 
-    def __call__(self, record):
-        (i, j), block = record
-        left = self._fetch_oriented(i, self.pivot)     # A_{i, pivot}
-        right = self._fetch_oriented(self.pivot, j)    # A_{pivot, j}
-        return (i, j), semiring_relax(block, left, right, self.algebra)
+        def oriented(row: int, col: int) -> np.ndarray:
+            """``A_{row, col}`` where exactly one of row/col equals the pivot."""
+            key, transposed = self.grid.locate(row, col)
+            block = read(self.rowcol_paths[key])
+            return block.T if transposed else block
+
+        return [((i, j), semiring_relax(block, oriented(i, self.pivot),
+                                        oriented(self.pivot, j), self.algebra))
+                for (i, j), block in records]

@@ -13,6 +13,8 @@ solvers, which is exactly the trade-off Table 2 quantifies.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.common.timing import Stopwatch
@@ -79,14 +81,10 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
                     paths = shared_fs.write_blocks(
                         f"sq-it{iteration}-col{target_column}", column_blocks)
 
-                def fetch(inner: int, _paths=dict(paths)) -> np.ndarray:
-                    """Read one staged column block from the shared file system."""
-                    return shared_fs.read(_paths[inner])
-
                 with stopwatch.section("matvec"):
-                    contributions = current.flatMap(
-                        bb.matprod_column_contributions(grid, target_column,
-                                                        fetch, algebra))
+                    contributions = current.mapPartitions(
+                        _column_products(grid, target_column, shared_fs,
+                                         paths, algebra))
                     column_result = contributions.reduceByKey(
                         bb.ElementwiseCombine(algebra), partitioner)
                     column_rdds.append(column_result)
@@ -98,6 +96,24 @@ class RepeatedSquaringSolver(SparkAPSPSolver):
                 current.count()
 
         return current, squarings
+
+
+def _column_products(grid: BlockGrid, target_column: int, shared_fs,
+                     paths: dict, algebra) -> Callable[[list], list]:
+    """Partition function emitting contributions to column ``J`` against the staged column.
+
+    It runs once per partition, so the task decodes each staged column
+    block once, however many of its records multiply it.  It is a closure,
+    so the ``processes`` backend runs it in the driver's task pool: shipped
+    to workers, the sweep's many small tasks cost more in pickling than
+    they gain.
+    """
+    def run(records) -> list:
+        read = shared_fs.task_reader()
+        emit = bb.matprod_column_contributions(
+            grid, target_column, lambda inner: read(paths[inner]), algebra)
+        return [out for record in records for out in emit(record)]
+    return run
 
 
 def _orient_column(grid: BlockGrid, column_records,

@@ -8,14 +8,20 @@ channel with a local directory and tracks bytes written/read.
 
 Staging integrity
 -----------------
-Every staged object is written atomically — serialized to a temp file,
-fsynced, then renamed into place — and carries a footer (CRC32 + payload
-length + magic) that readers verify, so a torn or corrupted block is detected
-rather than deserialized into garbage.  The driver keeps a *bounded* lineage
-registry of recently staged values (references, not copies): when a reader
-finds a block missing or corrupt, the block is re-staged from that registry
-(at most :attr:`restage_limit` times per name) and the read succeeds.  A
-worker-process copy holds no registry; it raises
+Every staged object is written atomically — serialized to a temp file, then
+renamed into place — and carries a footer (CRC32 + payload length + magic)
+that readers verify, so a torn or corrupted block is detected rather than
+deserialized into garbage.  The rename is the guarantee: a reader sees the
+whole block or no block under the name, never a partial one.  Nothing is
+fsynced: staged blocks live for one session on one host, so they need not
+survive a crash of the host.
+
+A task reads through :meth:`SharedFileSystem.task_reader`, which decodes (and
+CRC-checks) each staged block at most once per task.  The driver keeps a
+*bounded* lineage registry of recently staged values (references, not
+copies): when a reader finds a block missing or corrupt, the block is
+re-staged from that registry (at most :attr:`restage_limit` times per name)
+and the read succeeds.  A worker-process copy holds no registry; it raises
 :class:`~repro.common.errors.StagingError`, which the scheduler repairs
 driver-side before retrying the task.  Only when the value has left the
 registry too — an explicit :meth:`drop`, or eviction past the bound — does
@@ -33,6 +39,7 @@ import threading
 import uuid
 import zlib
 from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -128,13 +135,20 @@ class SharedFileSystem:
     # -- write -----------------------------------------------------------------
     @staticmethod
     def _write_atomic(path: str, data: bytes) -> None:
-        """Write-temp + fsync + rename: readers never observe a torn block."""
+        """Write-temp + rename: readers never observe a torn block.
+
+        A failed write removes its temp file, so nothing is left visible
+        under ``path`` or beside it.
+        """
         tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def write(self, name: str, value) -> str:
         """Serialize ``value`` under ``name`` atomically and return the file path."""
@@ -214,6 +228,22 @@ class SharedFileSystem:
                 f"{'corrupt' if exc.corrupt else 'missing'} and cannot be "
                 "re-staged from lineage; impure solvers cannot recover such "
                 "data") from exc
+
+    def task_reader(self) -> Callable[[str], object]:
+        """Return :meth:`read` memoized per staged name or path: one decode per block.
+
+        Scope it to one task — build it inside the partition function — so
+        its blocks go when the task ends and it needs no bound or
+        invalidation.  Every block is still CRC-checked on its first read,
+        and a repair (re-stage or :class:`StagingError`) happens there.
+        """
+        blocks: dict[str, object] = {}
+
+        def read(name_or_path: str):
+            if name_or_path not in blocks:
+                blocks[name_or_path] = self.read(name_or_path)
+            return blocks[name_or_path]
+        return read
 
     @staticmethod
     def _footer_valid(path: str) -> bool:

@@ -1,7 +1,7 @@
 """Staging-integrity tests: atomic writes, checksums, bounded re-staging.
 
 The impure channel of the paper (shared-fs block staging) hardened: every
-write is atomic (temp + fsync + rename) and checksummed; readers detect
+write is atomic (temp + rename) and checksummed; readers detect
 corruption and missing files and repair them from the driver's bounded
 lineage registry; worker copies escalate to the driver via
 :class:`StagingError`; only a genuinely unrecoverable loss surfaces the
